@@ -333,8 +333,14 @@ pub fn restore_tile2(bytes: &[u8]) -> Result<TileState2, DumpError> {
         f.push(d.grid(nx, ny, halo)?);
     }
     let mac = Macro2 { rho, vx, vy };
-    let mac_new = mac.clone();
-    let scratch = vec![PaddedGrid2::new(nx, ny, halo, 0.0f64)];
+    // neither temporary is in the dump: rebuilt as the owning solver's
+    // `make_tile` shapes them — full planes for finite differences, zero
+    // extent for lattice Boltzmann (a dump with populations)
+    let (mac_new, scratch) = if f.is_empty() {
+        (mac.clone(), vec![PaddedGrid2::new(nx, ny, halo, 0.0f64)])
+    } else {
+        (Macro2::uniform(0, 0, 0, params.rho0), Vec::new())
+    };
     Ok(TileState2 {
         mac,
         mac_new,
@@ -344,8 +350,9 @@ pub fn restore_tile2(bytes: &[u8]) -> Result<TileState2, DumpError> {
         params,
         offset,
         step,
-        // derived from the mask; rebuilt lazily by the solver
+        // derived caches and scratch; rebuilt lazily by the solver
         shift_links: None,
+        sweep_rows: Vec::new(),
     })
 }
 
@@ -435,6 +442,9 @@ mod tests {
         let t = sample_tile(false);
         let restored = restore_tile2(&dump_tile2(&t)).unwrap();
         assert_tiles_equal(&t, &restored);
+        // the FD double buffer and filter scratch plane come back full-size
+        assert_eq!(restored.mac_new.rho.raw().len(), t.mac.rho.raw().len());
+        assert_eq!(restored.scratch.len(), 1);
     }
 
     #[test]
@@ -579,11 +589,21 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
+    /// LB tiles carry no full-plane temporaries (the half-step sweep works
+    /// out of a few rows), whether built by `make_tile` or restored.
+    fn assert_no_plane_temporaries(t: &TileState2) {
+        for g in [&t.mac_new.rho, &t.mac_new.vx, &t.mac_new.vy] {
+            assert!(g.raw().is_empty(), "LB tile carries a mac_new plane");
+        }
+        assert!(t.scratch.is_empty(), "LB tile carries a scratch plane");
+    }
+
     #[test]
     fn restored_tile_continues_identically() {
         // step a tile 5 times, dump, step 5 more; vs restore-then-step-5.
         let solver = LatticeBoltzmann2;
         let mut t = sample_tile(true);
+        assert_no_plane_temporaries(&t);
         let step = |s: &LatticeBoltzmann2, t: &mut TileState2| {
             use subsonic_grid::Face2;
             use subsonic_solvers::StepOp;
@@ -605,10 +625,13 @@ mod tests {
         }
         let dump = dump_tile2(&t);
         let mut branch = restore_tile2(&dump).unwrap();
+        assert_no_plane_temporaries(&branch);
         for _ in 0..5 {
             step(&solver, &mut t);
             step(&solver, &mut branch);
         }
         assert_tiles_equal(&t, &branch);
+        assert_no_plane_temporaries(&t);
+        assert_no_plane_temporaries(&branch);
     }
 }

@@ -18,6 +18,9 @@ pub struct LocalRunner2 {
     problem: Problem2,
     active: Vec<usize>,
     tiles: Vec<Option<TileState2>>,
+    /// Exchange messages `(receiver, face, strip)` of one stage, kept across
+    /// steps so the strips are refilled in place instead of reallocated.
+    msgs: Vec<(usize, Face2, Vec<f64>)>,
 }
 
 impl LocalRunner2 {
@@ -34,6 +37,7 @@ impl LocalRunner2 {
             problem,
             active,
             tiles,
+            msgs: Vec::new(),
         }
     }
 
@@ -72,24 +76,29 @@ impl LocalRunner2 {
         let d = &self.problem.decomp;
         for stage in 0..2 {
             // pack (immutably), then deliver (mutably)
-            let mut msgs: Vec<(usize, Face2, Vec<f64>)> = Vec::new();
+            let mut sent = 0;
             for &id in &self.active {
                 for f in Face2::ALL.iter().copied().filter(|f| f.stage() == stage) {
                     if let Some(nb) = d.neighbor(id, f) {
                         if let Some(nb_tile) = self.tiles[nb].as_ref() {
-                            let mut buf = Vec::new();
-                            self.solver.pack(nb_tile, xch, f.opposite(), &mut buf);
-                            msgs.push((id, f, buf));
+                            if sent == self.msgs.len() {
+                                self.msgs.push((id, f, Vec::new()));
+                            }
+                            let msg = &mut self.msgs[sent];
+                            (msg.0, msg.1) = (id, f);
+                            msg.2.clear();
+                            self.solver.pack(nb_tile, xch, f.opposite(), &mut msg.2);
+                            sent += 1;
                         }
                     }
                 }
             }
-            for (id, f, buf) in msgs {
+            for (id, f, buf) in &self.msgs[..sent] {
                 self.solver.unpack(
-                    self.tiles[id].as_mut().expect("active tile missing"),
+                    self.tiles[*id].as_mut().expect("active tile missing"),
                     xch,
-                    f,
-                    &buf,
+                    *f,
+                    buf,
                 );
             }
         }

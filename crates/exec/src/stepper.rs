@@ -41,12 +41,14 @@ pub trait Halo2 {
 
 /// Runs one full integration step of `solver`'s plan on `tile`, moving halo
 /// strips through `halo`. Accumulates calc/com wall time and message counts
-/// into `timing`.
+/// into `timing`. `pack_buf` is the caller's send buffer, refilled for every
+/// strip; handing the same one to every step keeps the loop allocation-free.
 pub fn step_tile2(
     solver: &dyn Solver2,
     tile: &mut TileState2,
     halo: &mut impl Halo2,
     timing: &mut StepTiming,
+    pack_buf: &mut Vec<f64>,
 ) -> io::Result<()> {
     for op in solver.plan() {
         match *op {
@@ -63,13 +65,13 @@ pub fn step_tile2(
                     // forward transitively: stage-1 strips span stage-0 ghosts)
                     for face in Face2::ALL {
                         if face.stage() == stage && halo.has_neighbor(face) {
-                            let mut buf = Vec::new();
+                            pack_buf.clear();
                             let p0 = Instant::now();
-                            solver.pack(tile, x, face, &mut buf);
+                            solver.pack(tile, x, face, pack_buf);
                             timing.t_pack += p0.elapsed();
                             timing.msgs_sent += 1;
-                            timing.doubles_sent += buf.len() as u64;
-                            halo.send(x, face, &buf)?;
+                            timing.doubles_sent += pack_buf.len() as u64;
+                            halo.send(x, face, pack_buf)?;
                         }
                     }
                     for face in Face2::ALL {
@@ -192,8 +194,16 @@ mod tests {
                         inbox: Vec::new(),
                     };
                     let mut timing = StepTiming::default();
+                    let mut pack_buf = Vec::new();
                     for _ in 0..steps {
-                        step_tile2(solver.as_ref(), &mut tile, &mut halo, &mut timing).unwrap();
+                        step_tile2(
+                            solver.as_ref(),
+                            &mut tile,
+                            &mut halo,
+                            &mut timing,
+                            &mut pack_buf,
+                        )
+                        .unwrap();
                     }
                     assert_eq!(timing.steps, steps);
                     assert!(timing.msgs_sent > 0);

@@ -264,6 +264,7 @@ fn run_segment(
         log: Vec::new(),
     };
     let mut timing = StepTiming::default();
+    let mut pack_buf = Vec::new();
     for s in from..until {
         if hard.load(Ordering::SeqCst) {
             return Ok(SegEnd::Killed);
@@ -290,7 +291,7 @@ fn run_segment(
         }
         halo.step = s;
         faults.set_step(s);
-        match step_tile2(solver, tile, &mut halo, &mut timing) {
+        match step_tile2(solver, tile, &mut halo, &mut timing, &mut pack_buf) {
             Ok(()) => {}
             Err(_) if hard.load(Ordering::SeqCst) => return Ok(SegEnd::Killed),
             Err(_) => return Ok(SegEnd::Aborted(s)),

@@ -622,6 +622,7 @@ impl Solver2 for FiniteDifference2 {
             offset,
             step: 0,
             shift_links: None,
+            sweep_rows: Vec::new(),
         }
     }
 }

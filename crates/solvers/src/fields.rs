@@ -20,6 +20,11 @@ pub struct ShiftLinks2 {
     pub hold: Vec<(u8, i32, i32)>,
     /// `(q, i, j)`: upstream node is a wall, population bounces back.
     pub bounce: Vec<(u8, i32, i32)>,
+    /// Per-step gather buffer for the `hold` values (refilled by every
+    /// streaming step; kept here so a steady-state step allocates nothing).
+    pub hold_vals: Vec<f64>,
+    /// Per-step gather buffer for the `bounce` values.
+    pub bounce_vals: Vec<f64>,
 }
 
 impl ShiftLinks2 {
@@ -134,8 +139,10 @@ impl Macro3 {
 pub struct TileState2 {
     /// Current macroscopic fields.
     pub mac: Macro2,
-    /// Next-step macroscopic fields (finite-difference double buffer; also
-    /// reused as filter output).
+    /// Next-step macroscopic fields: the finite-difference double buffer.
+    /// Zero-extent on lattice Boltzmann tiles, whose half-step keeps its raw
+    /// and filtered rows in [`TileState2::sweep_rows`] instead (only the LB
+    /// scalar oracle grows it, to hold its raw copy).
     pub mac_new: Macro2,
     /// Lattice Boltzmann populations, one padded grid per velocity
     /// (empty for finite differences). Streaming shifts these in place
@@ -144,7 +151,8 @@ pub struct TileState2 {
     pub f: Vec<PaddedGrid2<f64>>,
     /// Padded geometry mask (ghosts carry the *global* geometry).
     pub mask: PaddedGrid2<Cell>,
-    /// Two scratch fields for the per-axis filter passes.
+    /// One scratch plane between the x- and y-pass of the finite-difference
+    /// filter; empty on lattice Boltzmann tiles (again bar the scalar oracle).
     pub scratch: Vec<PaddedGrid2<f64>>,
     /// Solver parameters.
     pub params: FluidParams,
@@ -156,6 +164,11 @@ pub struct TileState2 {
     /// `mask`, never serialized).
     #[serde(skip)]
     pub shift_links: Option<ShiftLinks2>,
+    /// Lazily built row workspace of the LB macroscopic → filter →
+    /// re-synthesis sweep, one buffer per intra-tile band (LB only; pure
+    /// scratch, never serialized — the layout is private to `lbm2`).
+    #[serde(skip)]
+    pub sweep_rows: Vec<Vec<f64>>,
 }
 
 impl TileState2 {

@@ -34,6 +34,12 @@
 //! stencil reach). [`filter_field2_scalar`]/[`filter_field3_scalar`] keep the
 //! original per-cell formulation; both paths evaluate the identical stencil
 //! expression, and the equivalence tests pin them bitwise equal.
+//!
+//! The fast row kernels are multi-field ([`filter_rows_x`],
+//! [`filter_rows_across`]): fields that share a mask share one run scan per
+//! row. The plane-level entry points above use them one field at a time; the
+//! 2D lattice Boltzmann half-step calls them directly, a row at a time with
+//! ρ, Vx, Vy together, out of a ring of rows instead of a scratch plane.
 
 use crate::kernels;
 use rayon;
@@ -81,14 +87,36 @@ fn filter_row_across(dst: &mut [f64], s: [&[f64]; 5], m: [&[Cell]; 5], eps: f64)
     }
 }
 
-/// Fast along-row pass: passthrough copy, then a branch-free stencil over
-/// every maximal all-fluid window run. A cell `x` gets the stencil iff its
-/// window `msk[x..x+5]` lies inside a maximal fluid run `[a, b)`, i.e.
-/// `x ∈ [a, b-4)` — exactly the cells [`filter_row_x`] stencils.
+/// The stencil over one all-fluid run: `d[x] = s2[x] − ε·(s0 − 4s1 + 6s2 −
+/// 4s3 + s4)[x]`, every slice trimmed to the run so the loop vectorizes.
 #[inline(always)]
-fn filter_row_x_fast(dst: &mut [f64], src: &[f64], msk: &[Cell], eps: f64) {
-    let n = dst.len();
-    dst.copy_from_slice(&src[2..n + 2]);
+fn stencil_run(d: &mut [f64], s: [&[f64]; 5], eps: f64) {
+    let n = d.len();
+    let [s0, s1, s2, s3, s4] = s.map(|r| &r[..n]);
+    for x in 0..n {
+        let v = s2[x];
+        d[x] = v - eps * (s0[x] - 4.0 * s1[x] + 6.0 * v - 4.0 * s3[x] + s4[x]);
+    }
+}
+
+/// Fast along-row pass over `N` fields that share one mask row: passthrough
+/// copy, then a branch-free stencil over every maximal all-fluid window run.
+/// A cell `x` gets the stencil iff its window `msk[x..x+5]` lies inside a
+/// maximal fluid run `[a, b)`, i.e. `x ∈ [a, b-4)` — exactly the cells
+/// [`filter_row_x`] stencils. The mask is scanned once; each run is applied
+/// to every field in turn (the fields of a tile share their geometry, so the
+/// LB half-step filters ρ, Vx, Vy of a row with one scan).
+#[inline(always)]
+pub(crate) fn filter_rows_x<const N: usize>(
+    mut dst: [&mut [f64]; N],
+    src: [&[f64]; N],
+    msk: &[Cell],
+    eps: f64,
+) {
+    let n = msk.len() - 4;
+    for (d, s) in dst.iter_mut().zip(src) {
+        d.copy_from_slice(&s[2..n + 2]);
+    }
     let mut a = 0;
     while a < n + 4 {
         if !msk[a].is_fluid() {
@@ -102,27 +130,31 @@ fn filter_row_x_fast(dst: &mut [f64], src: &[f64], msk: &[Cell], eps: f64) {
         let lo = a;
         let hi = b.saturating_sub(4).min(n);
         if lo < hi {
-            let s0 = &src[lo..hi];
-            let s1 = &src[lo + 1..hi + 1];
-            let s2 = &src[lo + 2..hi + 2];
-            let s3 = &src[lo + 3..hi + 3];
-            let s4 = &src[lo + 4..hi + 4];
-            let d = &mut dst[lo..hi];
-            for x in 0..hi - lo {
-                let v = s2[x];
-                d[x] = v - eps * (s0[x] - 4.0 * s1[x] + 6.0 * v - 4.0 * s3[x] + s4[x]);
+            for (d, s) in dst.iter_mut().zip(src) {
+                stencil_run(
+                    &mut d[lo..hi],
+                    std::array::from_fn(|o| &s[lo + o..hi + o]),
+                    eps,
+                );
             }
         }
         a = b;
     }
 }
 
-/// Fast across-row pass (see [`filter_row_x_fast`]); the window here is the
-/// same x in five parallel rows.
+/// Fast across-row pass over `N` fields sharing the five mask rows (see
+/// [`filter_rows_x`]); the window here is the same x in five parallel rows.
 #[inline(always)]
-fn filter_row_across_fast(dst: &mut [f64], s: [&[f64]; 5], m: [&[Cell]; 5], eps: f64) {
-    let n = dst.len();
-    dst.copy_from_slice(s[2]);
+pub(crate) fn filter_rows_across<const N: usize>(
+    mut dst: [&mut [f64]; N],
+    s: [[&[f64]; 5]; N],
+    m: [&[Cell]; 5],
+    eps: f64,
+) {
+    let n = m[2].len();
+    for (d, s) in dst.iter_mut().zip(s) {
+        d.copy_from_slice(s[2]);
+    }
     let all_fluid = |x: usize| {
         m[0][x].is_fluid()
             && m[1][x].is_fluid()
@@ -140,18 +172,23 @@ fn filter_row_across_fast(dst: &mut [f64], s: [&[f64]; 5], m: [&[Cell]; 5], eps:
         while b < n && all_fluid(b) {
             b += 1;
         }
-        let s0 = &s[0][a..b];
-        let s1 = &s[1][a..b];
-        let s2 = &s[2][a..b];
-        let s3 = &s[3][a..b];
-        let s4 = &s[4][a..b];
-        let d = &mut dst[a..b];
-        for x in 0..b - a {
-            let v = s2[x];
-            d[x] = v - eps * (s0[x] - 4.0 * s1[x] + 6.0 * v - 4.0 * s3[x] + s4[x]);
+        for (d, s) in dst.iter_mut().zip(s) {
+            stencil_run(&mut d[a..b], s.map(|r| &r[a..b]), eps);
         }
         a = b;
     }
+}
+
+/// Single-field form of [`filter_rows_x`].
+#[inline(always)]
+fn filter_row_x_fast(dst: &mut [f64], src: &[f64], msk: &[Cell], eps: f64) {
+    filter_rows_x([dst], [src], msk, eps);
+}
+
+/// Single-field form of [`filter_rows_across`].
+#[inline(always)]
+fn filter_row_across_fast(dst: &mut [f64], s: [&[f64]; 5], m: [&[Cell]; 5], eps: f64) {
+    filter_rows_across([dst], [s], m, eps);
 }
 
 /// Applies the two-pass 2D filter to `u` in place, using `sx` as scratch

@@ -11,8 +11,9 @@
 //! ```text
 //! Communicate: send/recv F_i      Exchange(0)
 //! Relax F_i + Shift F_i (inner)   Compute(0)
-//! Calculate rho, V from F_i       Compute(1)
-//! Filter rho, Vx, Vy (inner)      Compute(2)
+//! Calculate rho, V from F_i  \
+//! Filter rho, Vx, Vy (inner)  }   Compute(1), one row-pipelined sweep
+//! Re-synthesise F_i (inner)  /
 //! ```
 //!
 //! One message per neighbour per step (vs two for FD) — the property the
@@ -45,12 +46,39 @@
 //! [`Solver2::compute_scalar`] agree bitwise. Streaming is *in place*
 //! (ordered row copies within each population plane plus the cached
 //! [`ShiftLinks2`] fix-ups), eliminating the second population buffer.
-//! When [`crate::kernels::intra_threads`] > 1, row sweeps split into disjoint
-//! row bands executed on a rayon scope — same cells, same inputs, same
-//! results, just computed on different threads.
+//!
+//! An LB kernel is bound by memory traffic per lattice update, so the cycle
+//! is organised by how often it walks a plane (one pass = one plane read or
+//! written once):
+//!
+//! * `Compute(0)` relaxes in place (9 read + 9 written = 18 passes) and
+//!   streams in place (8 moving planes, 16 passes).
+//! * `Compute(1)` is a single sweep, [`HalfStep`]: the moments of row `jj`
+//!   go into `mac` and, x-filtered, into a 5-row ring; row `jj-2` is then
+//!   y-filtered out of the ring into a one-row buffer, its populations are
+//!   re-synthesised against the still-raw `mac` row, and the buffer replaces
+//!   that row. One mask scan per row serves ρ, Vx and Vy in each filter
+//!   pass. From DRAM that is 9 `f` planes read, 9 written back and 3 `mac`
+//!   planes written — 21 passes — because the `f` rows read for the moments
+//!   are still cache-resident two rows later (ring + row set ≈ 0.4 MB at
+//!   `nx = 1024`). There are no full-plane temporaries: LB tiles carry
+//!   zero-extent `mac_new`/`scratch`.
+//!
+//! The plane-by-plane form this replaced (moments 12, raw copy 6, three
+//! two-pass filters 12, re-synthesis 24 = 54 passes) survives, per cell, as
+//! the scalar oracle behind [`Solver2::compute_scalar`].
+//!
+//! When [`crate::kernels::intra_threads`] > 1, relaxation splits into
+//! disjoint row bands on a rayon scope and the half-step runs one pipeline
+//! per band. A band's pipeline reaches two rows into each neighbour, rows
+//! that neighbour overwrites (`mac` with filtered values, `f` by
+//! re-synthesis); every band therefore takes its four overlap rows — moments
+//! plus x-filter, into band-private storage — in a first scope that only
+//! reads `f`, and the band sweeps run in a second. Same cells, same inputs,
+//! same results, just computed on different threads.
 
 use crate::fields::{Macro2, ShiftLinks2, TileState2};
-use crate::filter::{filter_field2, filter_field2_scalar};
+use crate::filter::{filter_field2_scalar, filter_rows_across, filter_rows_x};
 use crate::init::InitialState2;
 use crate::kernels::{self, Seg};
 use crate::params::{FluidParams, MethodKind};
@@ -64,12 +92,7 @@ use subsonic_grid::{Cell, Face2, PaddedGrid2, RowBand2};
 /// the filter stencil.
 pub const LBM2_HALO: usize = 3;
 
-static PLAN: [StepOp; 4] = [
-    StepOp::Exchange(0),
-    StepOp::Compute(0),
-    StepOp::Compute(1),
-    StepOp::Compute(2),
-];
+static PLAN: [StepOp; 3] = [StepOp::Exchange(0), StepOp::Compute(0), StepOp::Compute(1)];
 
 /// Hoisted per-sweep relaxation constants. `tax`/`tay` are `τ·a` — hoisting
 /// the product out of the loop is exact (same two operands, same multiply).
@@ -213,13 +236,24 @@ fn relax_row(mrow: &[Cell], frows: &mut [&mut [f64]; Q2], p: &RelaxP, fast: bool
     }
 }
 
-/// Hoisted constants for the macroscopic sweep.
+/// Hoisted constants for the macroscopic moments.
 #[derive(Clone, Copy)]
 struct MacP {
     c: f64,
     hax: f64,
     hay: f64,
     rho0: f64,
+}
+
+impl MacP {
+    fn new(p: &FluidParams) -> Self {
+        Self {
+            c: p.dx / p.dt,
+            hax: 0.5 * p.accel_to_lattice(p.body_force[0]),
+            hay: 0.5 * p.accel_to_lattice(p.body_force[1]),
+            rho0: p.rho0,
+        }
+    }
 }
 
 /// Output rows of one macroscopic sweep row.
@@ -277,14 +311,10 @@ fn mac_run(frows: &[&[f64]; Q2], out: &mut MacRows<'_>, a: usize, b: usize, p: &
     }
 }
 
+/// One row of macroscopic moments: non-wall runs through the vector kernel,
+/// wall cells through the scalar cell kernel.
 #[inline(always)]
-fn mac_row(mrow: &[Cell], frows: &[&[f64]; Q2], out: &mut MacRows<'_>, p: &MacP, fast: bool) {
-    if !fast {
-        for (x, &cell) in mrow.iter().enumerate() {
-            mac_cell(x, cell, frows, out, p);
-        }
-        return;
-    }
+fn mac_row(mrow: &[Cell], frows: &[&[f64]; Q2], out: &mut MacRows<'_>, p: &MacP) {
     for seg in kernels::active_segs(mrow) {
         match seg {
             Seg::Run(a, b) => mac_run(frows, out, a, b, p),
@@ -299,6 +329,16 @@ struct ResynP {
     inv_c: f64,
     hax: f64,
     hay: f64,
+}
+
+impl ResynP {
+    fn new(p: &FluidParams) -> Self {
+        Self {
+            inv_c: p.dt / p.dx,
+            hax: 0.5 * p.accel_to_lattice(p.body_force[0]),
+            hay: 0.5 * p.accel_to_lattice(p.body_force[1]),
+        }
+    }
 }
 
 /// Input rows for re-synthesis: filtered (`_f`) and raw (`_r`) macro fields.
@@ -375,20 +415,10 @@ fn resyn_run(frows: &mut [&mut [f64]; Q2], src: &ResynRows<'_>, a: usize, b: usi
     }
 }
 
+/// One row of re-synthesis: fluid runs through the vector kernel (every
+/// other cell kind keeps its populations, as in [`resyn_cell`]).
 #[inline(always)]
-fn resyn_row(
-    mrow: &[Cell],
-    frows: &mut [&mut [f64]; Q2],
-    src: &ResynRows<'_>,
-    p: &ResynP,
-    fast: bool,
-) {
-    if !fast {
-        for (x, &cell) in mrow.iter().enumerate() {
-            resyn_cell(x, cell, frows, src, p);
-        }
-        return;
-    }
+fn resyn_row(mrow: &[Cell], frows: &mut [&mut [f64]; Q2], src: &ResynRows<'_>, p: &ResynP) {
     for seg in kernels::fluid_segs(mrow) {
         match seg {
             Seg::Run(a, b) => resyn_run(frows, src, a, b, p),
@@ -463,23 +493,30 @@ impl LatticeBoltzmann2 {
     /// scattered back. Bitwise identical to two-buffer streaming over the
     /// whole streamed region `[-2, n+2)`, without the second buffer.
     fn shift(&self, t: &mut TileState2) {
-        if t.shift_links.is_none() {
-            t.shift_links = Some(ShiftLinks2::build(&t.mask));
-        }
-        let links = t.shift_links.take().expect("links built above");
+        let mut links = t
+            .shift_links
+            .take()
+            .unwrap_or_else(|| ShiftLinks2::build(&t.mask));
         let nx = t.nx() as isize;
         let ny = t.ny() as isize;
         let span = (nx + 4) as usize;
-        let hold_vals: Vec<f64> = links
-            .hold
-            .iter()
-            .map(|&(q, i, j)| t.f[q as usize][(i as isize, j as isize)])
-            .collect();
-        let bounce_vals: Vec<f64> = links
-            .bounce
-            .iter()
-            .map(|&(q, i, j)| t.f[OPP2[q as usize]][(i as isize, j as isize)])
-            .collect();
+        let ShiftLinks2 {
+            hold,
+            bounce,
+            hold_vals,
+            bounce_vals,
+        } = &mut links;
+        hold_vals.clear();
+        hold_vals.extend(
+            hold.iter()
+                .map(|&(q, i, j)| t.f[q as usize][(i as isize, j as isize)]),
+        );
+        bounce_vals.clear();
+        bounce_vals.extend(
+            bounce
+                .iter()
+                .map(|&(q, i, j)| t.f[OPP2[q as usize]][(i as isize, j as isize)]),
+        );
         for (q, fq) in t.f.iter_mut().enumerate() {
             let (ex, ey) = E2[q];
             if ex == 0 && ey == 0 {
@@ -495,112 +532,70 @@ impl LatticeBoltzmann2 {
                 }
             }
         }
-        for (&(q, i, j), &v) in links.hold.iter().zip(&hold_vals) {
+        for (&(q, i, j), &v) in hold.iter().zip(hold_vals.iter()) {
             t.f[q as usize][(i as isize, j as isize)] = v;
         }
-        for (&(q, i, j), &v) in links.bounce.iter().zip(&bounce_vals) {
+        for (&(q, i, j), &v) in bounce.iter().zip(bounce_vals.iter()) {
             t.f[q as usize][(i as isize, j as isize)] = v;
         }
         t.shift_links = Some(links);
     }
 
-    /// Macroscopic fields from the populations (stored in physical units,
-    /// with the half-force correction on the velocity).
-    fn macroscopic(&self, t: &mut TileState2, fast: bool) {
+    /// Scalar oracle: macroscopic fields from the populations, per cell
+    /// (stored in physical units, with the half-force correction on the
+    /// velocity) over the streamed region `[-2, n+2)`.
+    fn macroscopic(&self, t: &mut TileState2) {
         let nx = t.nx() as isize;
         let ny = t.ny() as isize;
-        let p = t.params;
-        let mp = MacP {
-            c: p.dx / p.dt,
-            hax: 0.5 * p.accel_to_lattice(p.body_force[0]),
-            hay: 0.5 * p.accel_to_lattice(p.body_force[1]),
-            rho0: p.rho0,
-        };
-        let (j0, j1) = (-2, ny + 2);
-        let i0 = -2;
+        let mp = MacP::new(&t.params);
         let span = (nx + 4) as usize;
-        let nb = if fast { kernels::bands_for(j0, j1) } else { 1 };
         let TileState2 { mac, f, mask, .. } = t;
-        if nb <= 1 {
-            for j in j0..j1 {
-                let mrow = mask.row_segment(j, i0, span);
-                let mut fit = f.iter();
-                let frows: [&[f64]; Q2] =
-                    std::array::from_fn(|_| fit.next().unwrap().row_segment(j, i0, span));
-                let mut out = MacRows {
-                    rho: mac.rho.row_segment_mut(j, i0, span),
-                    vx: mac.vx.row_segment_mut(j, i0, span),
-                    vy: mac.vy.row_segment_mut(j, i0, span),
-                };
-                mac_row(mrow, &frows, &mut out, &mp, fast);
+        for j in -2..ny + 2 {
+            let mrow = mask.row_segment(j, -2, span);
+            let mut fit = f.iter();
+            let frows: [&[f64]; Q2] =
+                std::array::from_fn(|_| fit.next().unwrap().row_segment(j, -2, span));
+            let mut out = MacRows {
+                rho: mac.rho.row_segment_mut(j, -2, span),
+                vx: mac.vx.row_segment_mut(j, -2, span),
+                vy: mac.vy.row_segment_mut(j, -2, span),
+            };
+            for (x, &cell) in mrow.iter().enumerate() {
+                mac_cell(x, cell, &frows, &mut out, &mp);
             }
-            return;
         }
-        let cuts = kernels::band_cuts(j0, j1, nb);
-        let mut rho_b = mac.rho.row_bands_mut(&cuts).into_iter();
-        let mut vx_b = mac.vx.row_bands_mut(&cuts).into_iter();
-        let mut vy_b = mac.vy.row_bands_mut(&cuts).into_iter();
-        let f = &*f;
-        let mask = &*mask;
-        rayon::scope(|s| {
-            for w in cuts.windows(2) {
-                let (ja, jb) = (w[0], w[1]);
-                let mut rb = rho_b.next().unwrap();
-                let mut xb = vx_b.next().unwrap();
-                let mut yb = vy_b.next().unwrap();
-                s.spawn(move |_| {
-                    for j in ja..jb {
-                        let mrow = mask.row_segment(j, i0, span);
-                        let mut fit = f.iter();
-                        let frows: [&[f64]; Q2] =
-                            std::array::from_fn(|_| fit.next().unwrap().row_segment(j, i0, span));
-                        let mut out = MacRows {
-                            rho: rb.row_segment_mut(j, i0, span),
-                            vx: xb.row_segment_mut(j, i0, span),
-                            vy: yb.row_segment_mut(j, i0, span),
-                        };
-                        mac_row(mrow, &frows, &mut out, &mp, true);
-                    }
-                });
-            }
-        });
     }
 
-    /// Filter ρ, V and re-synthesise the populations on the interior.
-    fn filter_and_resynthesize(&self, t: &mut TileState2, fast: bool) {
-        let p = t.params;
+    /// Scalar oracle: filter ρ, V plane by plane and re-synthesise the
+    /// populations on the interior. LB tiles are built without the two
+    /// full-plane temporaries this needs (raw copy, filter scratch); the
+    /// oracle grows them on first use and keeps them, so its rate — the
+    /// baseline of the SIMD-speedup figures — pays no allocation per step.
+    fn filter_and_resynthesize(&self, t: &mut TileState2) {
+        let eps = t.params.filter_eps;
+        if t.scratch.is_empty() {
+            t.mac_new = t.mac.clone();
+            t.scratch = vec![PaddedGrid2::new(t.nx(), t.ny(), t.halo(), 0.0f64)];
+        }
         // keep the raw macroscopic fields for the non-equilibrium split
         t.mac_new.rho.copy_interior_from(&t.mac.rho);
         t.mac_new.vx.copy_interior_from(&t.mac.vx);
         t.mac_new.vy.copy_interior_from(&t.mac.vy);
-        {
-            let TileState2 {
-                mac, scratch, mask, ..
-            } = t;
-            let sx = &mut scratch[0];
-            if fast {
-                filter_field2(&mut mac.rho, sx, mask, p.filter_eps, 0);
-                filter_field2(&mut mac.vx, sx, mask, p.filter_eps, 0);
-                filter_field2(&mut mac.vy, sx, mask, p.filter_eps, 0);
-            } else {
-                filter_field2_scalar(&mut mac.rho, sx, mask, p.filter_eps, 0);
-                filter_field2_scalar(&mut mac.vx, sx, mask, p.filter_eps, 0);
-                filter_field2_scalar(&mut mac.vy, sx, mask, p.filter_eps, 0);
-            }
-        }
-        self.resynthesize(t, fast);
-        t.step += 1;
+        let TileState2 {
+            mac, scratch, mask, ..
+        } = t;
+        let sx = &mut scratch[0];
+        filter_field2_scalar(&mut mac.rho, sx, mask, eps, 0);
+        filter_field2_scalar(&mut mac.vx, sx, mask, eps, 0);
+        filter_field2_scalar(&mut mac.vy, sx, mask, eps, 0);
+        self.resynthesize(t);
     }
 
-    fn resynthesize(&self, t: &mut TileState2, fast: bool) {
+    /// Scalar oracle: `f ← f_eq(filtered) + (f − f_eq(raw))` per interior
+    /// cell, filtered = `t.mac`, raw = `t.mac_new`.
+    fn resynthesize(&self, t: &mut TileState2) {
         let ny = t.ny() as isize;
-        let p = t.params;
-        let rp = ResynP {
-            inv_c: p.dt / p.dx,
-            hax: 0.5 * p.accel_to_lattice(p.body_force[0]),
-            hay: 0.5 * p.accel_to_lattice(p.body_force[1]),
-        };
-        let nb = if fast { kernels::bands_for(0, ny) } else { 1 };
+        let rp = ResynP::new(&t.params);
         let TileState2 {
             mac,
             mac_new,
@@ -608,50 +603,295 @@ impl LatticeBoltzmann2 {
             mask,
             ..
         } = t;
-        let src_rows = |j: isize| ResynRows {
-            rho_f: mac.rho.interior_row(j),
-            vx_f: mac.vx.interior_row(j),
-            vy_f: mac.vy.interior_row(j),
-            rho_r: mac_new.rho.interior_row(j),
-            vx_r: mac_new.vx.interior_row(j),
-            vy_r: mac_new.vy.interior_row(j),
-        };
-        if nb <= 1 {
-            for j in 0..ny {
-                let mrow = mask.interior_row(j);
-                let src = src_rows(j);
-                let mut fit = f.iter_mut();
-                let mut frows: [&mut [f64]; Q2] =
-                    std::array::from_fn(|_| fit.next().unwrap().interior_row_mut(j));
-                resyn_row(mrow, &mut frows, &src, &rp, fast);
+        for j in 0..ny {
+            let mrow = mask.interior_row(j);
+            let src = ResynRows {
+                rho_f: mac.rho.interior_row(j),
+                vx_f: mac.vx.interior_row(j),
+                vy_f: mac.vy.interior_row(j),
+                rho_r: mac_new.rho.interior_row(j),
+                vx_r: mac_new.vx.interior_row(j),
+                vy_r: mac_new.vy.interior_row(j),
+            };
+            let mut fit = f.iter_mut();
+            let mut frows: [&mut [f64]; Q2] =
+                std::array::from_fn(|_| fit.next().unwrap().interior_row_mut(j));
+            for (x, &cell) in mrow.iter().enumerate() {
+                resyn_cell(x, cell, &mut frows, &src, &rp);
             }
+        }
+    }
+
+    /// The macroscopic → filter → re-synthesis half of the cycle as one
+    /// row-pipelined sweep (see [`HalfStep`]), one pipeline per row band.
+    fn half_step(&self, t: &mut TileState2) {
+        let ny = t.ny() as isize;
+        let hs = HalfStep {
+            nx: t.nx(),
+            ny,
+            mp: MacP::new(&t.params),
+            rp: ResynP::new(&t.params),
+            eps: t.params.filter_eps,
+            mask: &t.mask,
+        };
+        let nb = kernels::bands_for(0, ny);
+        let rows_len = if hs.eps == 0.0 { 0 } else { hs.rows_len() };
+        if t.sweep_rows.len() != nb || t.sweep_rows[0].len() != rows_len {
+            t.sweep_rows = vec![vec![0.0; rows_len]; nb];
+        }
+        let TileState2 {
+            mac, f, sweep_rows, ..
+        } = t;
+        if nb <= 1 {
+            let mut fit = f.iter_mut();
+            hs.sweep(
+                [&mut mac.rho, &mut mac.vx, &mut mac.vy],
+                std::array::from_fn(|_| fit.next().expect("nine population planes")),
+                (0, ny),
+                &mut sweep_rows[0],
+            );
             return;
         }
         let cuts = kernels::band_cuts(0, ny, nb);
-        let mut its: Vec<_> = f
+        let hs = &hs;
+        if hs.eps != 0.0 {
+            // A band's pipeline starts two rows above and ends two rows below
+            // its own rows, inside rows the neighbouring band rewrites. Those
+            // overlap rows are taken first, while every band only reads `f`.
+            let f = &*f;
+            rayon::scope(|s| {
+                for (w, rows) in cuts.windows(2).zip(sweep_rows.iter_mut()) {
+                    let band = (w[0], w[1]);
+                    s.spawn(move |_| hs.overlap_rows(f, band, rows));
+                }
+            });
+        }
+        // the first and last band also own the two ghost rows beyond them
+        let mut own = cuts.clone();
+        own[0] = -2;
+        own[nb] = ny + 2;
+        let mut mac_b =
+            [&mut mac.rho, &mut mac.vx, &mut mac.vy].map(|g| g.row_bands_mut(&own).into_iter());
+        let mut f_b: Vec<_> = f
             .iter_mut()
-            .map(|g| g.row_bands_mut(&cuts).into_iter())
+            .map(|g| g.row_bands_mut(&own).into_iter())
             .collect();
-        let mask = &*mask;
-        let src_rows = &src_rows;
         rayon::scope(|s| {
-            for w in cuts.windows(2) {
-                let (ja, jb) = (w[0], w[1]);
-                let mut band: [RowBand2<'_, f64>; Q2] =
-                    std::array::from_fn(|g| its[g].next().unwrap());
-                s.spawn(move |_| {
-                    for j in ja..jb {
-                        let mrow = mask.interior_row(j);
-                        let src = src_rows(j);
-                        let mut bit = band.iter_mut();
-                        let mut frows: [&mut [f64]; Q2] = std::array::from_fn(|_| {
-                            bit.next().unwrap().row_segment_mut(j, 0, mrow.len())
-                        });
-                        resyn_row(mrow, &mut frows, &src, &rp, true);
-                    }
-                });
+            for (w, rows) in cuts.windows(2).zip(sweep_rows.iter_mut()) {
+                let band = (w[0], w[1]);
+                let mut mac: [RowBand2<'_, f64>; 3] =
+                    std::array::from_fn(|c| mac_b[c].next().unwrap());
+                let mut f: [RowBand2<'_, f64>; Q2] =
+                    std::array::from_fn(|q| f_b[q].next().unwrap());
+                s.spawn(move |_| hs.sweep(mac.each_mut(), f.each_mut(), band, rows));
             }
         });
+    }
+}
+
+/// Mutable row access common to a whole plane and to one row band of it, so
+/// the half-step sweep is written once for every band count.
+trait RowsMut {
+    fn seg_mut(&mut self, j: isize, i0: isize, len: usize) -> &mut [f64];
+}
+
+impl RowsMut for PaddedGrid2<f64> {
+    #[inline(always)]
+    fn seg_mut(&mut self, j: isize, i0: isize, len: usize) -> &mut [f64] {
+        self.row_segment_mut(j, i0, len)
+    }
+}
+
+impl RowsMut for RowBand2<'_, f64> {
+    #[inline(always)]
+    fn seg_mut(&mut self, j: isize, i0: isize, len: usize) -> &mut [f64] {
+        self.row_segment_mut(j, i0, len)
+    }
+}
+
+/// Splits the first `3n` values of `s` into three rows of `n`.
+#[inline(always)]
+fn rows3(s: &[f64], n: usize) -> [&[f64]; 3] {
+    [&s[..n], &s[n..2 * n], &s[2 * n..3 * n]]
+}
+
+/// Mutable form of [`rows3`].
+#[inline(always)]
+fn rows3_mut(s: &mut [f64], n: usize) -> [&mut [f64]; 3] {
+    let (a, rest) = s.split_at_mut(n);
+    let (b, rest) = rest.split_at_mut(n);
+    [a, b, &mut rest[..n]]
+}
+
+/// One band's row workspace ([`TileState2::sweep_rows`]) carved into its
+/// parts; every row holds ρ, Vx, Vy back to back.
+struct SweepRows<'a> {
+    /// x-filtered rows `j-2..=j+2` around the row being y-filtered: five
+    /// slots of three interior-width rows, row `jj` in slot `(jj + 2) % 5`.
+    ring: &'a mut [f64],
+    /// The y-filtered row: three interior-width rows.
+    out: &'a mut [f64],
+    /// x-filtered rows `jb`, `jb+1` of a band that is not the last (taken
+    /// before the band below rewrites them): two slots like the ring's.
+    tail: &'a mut [f64],
+    /// Raw moments of one overlap row, three rows over `[-2, nx+2)`.
+    raw: &'a mut [f64],
+}
+
+/// The macroscopic → filter → re-synthesis half of the LB cycle as a row
+/// pipeline over one band of interior rows `[ja, jb)`.
+///
+/// For `jj` in `ja-2..jb+2` the sweep computes the moments of row `jj` from
+/// `f` into `mac` and x-filters them into the ring; as soon as row `j = jj-2`
+/// has its five x-filtered rows it is y-filtered into `out`, `f` row `j` is
+/// re-synthesised with *raw* = the still-unfiltered `mac` row `j` and
+/// *filtered* = `out`, and `out` is stored into `mac` row `j`. The cells, the
+/// inputs and the floating-point expressions are those of the plane-by-plane
+/// oracle (`macroscopic` → `filter_field2_scalar` ×3 → `resynthesize`); only
+/// the order of rows differs, and each `f` row is re-synthesised while the
+/// copy read for its moments two rows earlier is still cache-resident.
+struct HalfStep<'a> {
+    nx: usize,
+    ny: isize,
+    mp: MacP,
+    rp: ResynP,
+    eps: f64,
+    mask: &'a PaddedGrid2<Cell>,
+}
+
+impl HalfStep<'_> {
+    /// Length of one band's workspace; see [`SweepRows`].
+    fn rows_len(&self) -> usize {
+        (15 + 3 + 6) * self.nx + 3 * (self.nx + 4)
+    }
+
+    fn carve<'a>(&self, rows: &'a mut [f64]) -> SweepRows<'a> {
+        let (ring, rest) = rows.split_at_mut(15 * self.nx);
+        let (out, rest) = rest.split_at_mut(3 * self.nx);
+        let (tail, raw) = rest.split_at_mut(6 * self.nx);
+        SweepRows {
+            ring,
+            out,
+            tail,
+            raw,
+        }
+    }
+
+    /// Start of row `jj`'s slot in the ring.
+    #[inline(always)]
+    fn slot(&self, jj: isize) -> usize {
+        (jj + 2) as usize % 5 * 3 * self.nx
+    }
+
+    /// The overlap rows of band `[ja, jb)` — `ja-2, ja-1` unless it is the
+    /// first band, `jb, jb+1` unless it is the last — as moments of the
+    /// pre-sweep `f`, x-filtered into the band's ring and tail.
+    fn overlap_rows(&self, f: &[PaddedGrid2<f64>], (ja, jb): (isize, isize), rows: &mut [f64]) {
+        let nx = self.nx;
+        let span = nx + 4;
+        let SweepRows {
+            ring, tail, raw, ..
+        } = self.carve(rows);
+        let mut take = |jj: isize, dst: &mut [f64]| {
+            let mrow = self.mask.row_segment(jj, -2, span);
+            let mut fit = f.iter();
+            let frows: [&[f64]; Q2] =
+                std::array::from_fn(|_| fit.next().unwrap().row_segment(jj, -2, span));
+            let [rho, vx, vy] = rows3_mut(raw, span);
+            mac_row(mrow, &frows, &mut MacRows { rho, vx, vy }, &self.mp);
+            filter_rows_x(rows3_mut(dst, nx), rows3(raw, span), mrow, self.eps);
+        };
+        if ja > 0 {
+            for jj in [ja - 2, ja - 1] {
+                take(jj, &mut ring[self.slot(jj)..]);
+            }
+        }
+        if jb < self.ny {
+            take(jb, &mut tail[..3 * nx]);
+            take(jb + 1, &mut tail[3 * nx..]);
+        }
+    }
+
+    /// Runs the pipeline over band `[ja, jb)`. `mac` and `f` must give
+    /// access to the band's own rows: `[ja, jb)` plus the ghost rows
+    /// `-2, -1` for the first band and `ny, ny+1` for the last. Every other
+    /// band must have had [`HalfStep::overlap_rows`] run on `rows` first.
+    fn sweep<G: RowsMut>(
+        &self,
+        mut mac: [&mut G; 3],
+        mut f: [&mut G; Q2],
+        (ja, jb): (isize, isize),
+        rows: &mut [f64],
+    ) {
+        let nx = self.nx;
+        let span = nx + 4;
+        // the first and last band also own the two ghost rows beyond them
+        let own = if ja == 0 { -2 } else { ja }..if jb == self.ny { jb + 2 } else { jb };
+        let moments = |mac: &mut [&mut G; 3], f: &mut [&mut G; Q2], jj: isize| {
+            let mut fit = f.iter_mut();
+            let frows: [&[f64]; Q2] =
+                std::array::from_fn(|_| &*fit.next().unwrap().seg_mut(jj, -2, span));
+            let [rho, vx, vy] = mac.each_mut().map(|g| g.seg_mut(jj, -2, span));
+            let mrow = self.mask.row_segment(jj, -2, span);
+            mac_row(mrow, &frows, &mut MacRows { rho, vx, vy }, &self.mp);
+        };
+        if self.eps == 0.0 {
+            // filter disabled: the half-step is the moments alone
+            for jj in own {
+                moments(&mut mac, &mut f, jj);
+            }
+            return;
+        }
+        let SweepRows {
+            ring, out, tail, ..
+        } = self.carve(rows);
+        for jj in ja - 2..jb + 2 {
+            let at = self.slot(jj);
+            if own.contains(&jj) {
+                moments(&mut mac, &mut f, jj);
+                let raw = mac.each_mut().map(|g| &*g.seg_mut(jj, -2, span));
+                let mrow = self.mask.row_segment(jj, -2, span);
+                filter_rows_x(rows3_mut(&mut ring[at..], nx), raw, mrow, self.eps);
+            } else if jj >= jb {
+                let k = (jj - jb) as usize * 3 * nx;
+                ring[at..at + 3 * nx].copy_from_slice(&tail[k..k + 3 * nx]);
+            }
+            let j = jj - 2;
+            if j < ja {
+                continue;
+            }
+            let ring = &*ring;
+            filter_rows_across(
+                rows3_mut(out, nx),
+                std::array::from_fn(|c| {
+                    std::array::from_fn(|o| {
+                        let at = self.slot(j + o as isize - 2) + c * nx;
+                        &ring[at..at + nx]
+                    })
+                }),
+                std::array::from_fn(|o| self.mask.row_segment(j + o as isize - 2, 0, nx)),
+                self.eps,
+            );
+            let [rho_f, vx_f, vy_f] = rows3(out, nx);
+            {
+                let [rho_r, vx_r, vy_r] = mac.each_mut().map(|g| &*g.seg_mut(j, 0, nx));
+                let src = ResynRows {
+                    rho_f,
+                    vx_f,
+                    vy_f,
+                    rho_r,
+                    vx_r,
+                    vy_r,
+                };
+                let mut fit = f.iter_mut();
+                let mut frows: [&mut [f64]; Q2] =
+                    std::array::from_fn(|_| fit.next().unwrap().seg_mut(j, 0, nx));
+                resyn_row(self.mask.interior_row(j), &mut frows, &src, &self.rp);
+            }
+            for (g, filtered) in mac.iter_mut().zip([rho_f, vx_f, vy_f]) {
+                g.seg_mut(j, 0, nx).copy_from_slice(filtered);
+            }
+        }
     }
 }
 
@@ -676,16 +916,11 @@ impl Solver2 for LatticeBoltzmann2 {
                 self.relax_window(t, (-3, ny + 3), (-3, nx + 3), true);
                 self.shift(t);
             }
-            1 => self.macroscopic(t, true),
-            2 => {
-                // when the filter is disabled, still advance the step counter
-                if t.params.filter_eps == 0.0 {
-                    t.step += 1;
-                } else {
-                    self.filter_and_resynthesize(t, true);
-                }
+            1 => {
+                self.half_step(t);
+                t.step += 1;
             }
-            _ => unreachable!("LBM2 has 3 compute phases"),
+            _ => unreachable!("LBM2 has 2 compute phases"),
         }
     }
 
@@ -697,15 +932,14 @@ impl Solver2 for LatticeBoltzmann2 {
                 self.relax_window(t, (-3, ny + 3), (-3, nx + 3), false);
                 self.shift(t);
             }
-            1 => self.macroscopic(t, false),
-            2 => {
-                if t.params.filter_eps == 0.0 {
-                    t.step += 1;
-                } else {
-                    self.filter_and_resynthesize(t, false);
+            1 => {
+                self.macroscopic(t);
+                if t.params.filter_eps != 0.0 {
+                    self.filter_and_resynthesize(t);
                 }
+                t.step += 1;
             }
-            _ => unreachable!("LBM2 has 3 compute phases"),
+            _ => unreachable!("LBM2 has 2 compute phases"),
         }
     }
 
@@ -786,18 +1020,18 @@ impl Solver2 for LatticeBoltzmann2 {
                 }
             }
         }
-        let mac_new = mac.clone();
-        let scratch = vec![PaddedGrid2::new(nx, ny, h, 0.0f64)];
         TileState2 {
             mac,
-            mac_new,
+            // the half-step sweep needs no full-plane temporaries
+            mac_new: Macro2::uniform(0, 0, 0, params.rho0),
             f,
             mask,
-            scratch,
+            scratch: Vec::new(),
             params,
             offset,
             step: 0,
             shift_links: None,
+            sweep_rows: Vec::new(),
         }
     }
 }
@@ -1018,7 +1252,7 @@ mod tests {
         let mut split = full.clone();
         // full: exchange, then whole plan
         wrap_x(&solver, &mut full);
-        for k in 0..3 {
+        for k in 0..2 {
             solver.compute(&mut full, k);
         }
         // split: the overlapping runner packs and posts the sends first, then
@@ -1038,9 +1272,7 @@ mod tests {
             solver.unpack(&mut split, 0, *face, buf);
         }
         solver.compute_boundary(&mut split, 0);
-        for k in 1..3 {
-            solver.compute(&mut split, k);
-        }
+        solver.compute(&mut split, 1);
         assert_eq!(full.mac.rho, split.mac.rho);
         assert_eq!(full.mac.vx, split.mac.vx);
         assert_eq!(full.mac.vy, split.mac.vy);

@@ -18,9 +18,13 @@
 //! ```text
 //! Communicate F_i            -> Exchange(0)   (start-of-cycle phasing)
 //! Relax + shift F_i (inner)  -> Compute(0)
-//! Calculate rho, V from F_i  -> Compute(1)
-//! Filter rho, Vx, Vy (inner) -> Compute(2)
+//! Calculate rho, V from F_i  \
+//! Filter rho, Vx, Vy (inner)  } Compute(1)
+//! Re-synthesise F_i (inner)  /
 //! ```
+//!
+//! (2D: the last three lines are one row-pipelined sweep, see `lbm2`. The 3D
+//! solver still runs them as `Compute(1)` and `Compute(2)`.)
 //!
 //! Runners execute the ops in order; an `Exchange(k)` op moves the packed
 //! strips of exchange id `k` between neighbouring tiles (or applies the

@@ -9,7 +9,7 @@
 #   stage: `check.sh build test`, `check.sh dist`, `check.sh sched`, ...
 #
 # Stages: fmt build test bench-compile clippy faults partition trace engine
-#         scale simd dist sched chaos guard
+#         scale simd dist sched chaos benchmark guard
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -70,8 +70,12 @@ stage_scale() {
 }
 
 stage_simd() {
-    echo "==> SIMD/overlap equivalence smoke (2 intra-tile bands, overlap on)"
-    SUBSONIC_INTRA_THREADS=2 cargo test --release -q -p subsonic-integration --test simd_equivalence
+    echo "==> SIMD/overlap equivalence smoke (2 and 3 intra-tile bands, overlap on)"
+    # 3 bands give odd band heights, which is what exercises the overlap-row
+    # logic of the banded LB2D half-step
+    for bands in 2 3; do
+        SUBSONIC_INTRA_THREADS=$bands cargo test --release -q -p subsonic-integration --test simd_equivalence
+    done
 }
 
 stage_dist() {
@@ -107,6 +111,14 @@ stage_chaos() {
         || { echo "chaos soak failed or timed out"; exit 1; }
 }
 
+stage_benchmark() {
+    echo "==> benchmark/ package gate (its own workspace: fmt, clippy, tests, quick smoke, spec)"
+    # benchmark/ is outside the workspace, so no stage above compiles it; it
+    # consumes solver/runner API shapes (e.g. plan()) and must break here,
+    # not in the perf driver
+    bash benchmark/check.sh
+}
+
 stage_guard() {
     echo "==> bench regression guard"
     # A fresh quick report proves the reproduce binary runs and still emits
@@ -128,7 +140,7 @@ stage_guard() {
     fi
 }
 
-ALL_STAGES=(fmt build test bench-compile clippy faults partition trace engine scale simd dist sched chaos guard)
+ALL_STAGES=(fmt build test bench-compile clippy faults partition trace engine scale simd dist sched chaos benchmark guard)
 
 run_stage() {
     case "$1" in
@@ -146,6 +158,7 @@ run_stage() {
         dist)           stage_dist ;;
         sched)          stage_sched ;;
         chaos)          stage_chaos ;;
+        benchmark)      stage_benchmark ;;
         guard)          stage_guard ;;
         *)
             echo "check.sh: unknown stage '$1'" >&2
