@@ -276,50 +276,45 @@ fn threaded_runners(
     side3: usize,
     steps3: u64,
 ) {
-    // The unsuffixed name always measures the runner's *default* schedule
-    // (2D: overlap on, 3D: overlap off — see `with_overlap` docs); the
-    // suffixed variant isolates what flipping the overlap schedule buys.
-    for (suffix, overlap) in [("", true), ("_nooverlap", false)] {
-        let solver: Arc<dyn Solver2> = Arc::new(LatticeBoltzmann2);
-        let problem = Problem2::new(Geometry2::channel(side2, side2, 2), 2, 2, params());
-        let runner = ThreadedRunner2::new(solver, problem).with_overlap(overlap);
-        // warm-up: first run pays thread spawn + page faults
-        runner.run(2).expect("threaded2 warm-up failed");
-        let t0 = Instant::now();
-        let outcome = runner.run(steps2).expect("threaded2 bench run failed");
-        out.push(PerfEntry {
-            name: format!("threaded2_lb_2x2{suffix}"),
-            value: steps2 as f64 / t0.elapsed().as_secs_f64(),
-            unit: "steps/s".into(),
-        });
-        if let (Some(reg), true) = (metrics, overlap) {
-            let mut total = StepTiming::default();
-            for (_, t) in &outcome.timing {
-                total.merge(t);
-            }
-            total.publish(reg, "exec.threaded2");
-        }
-    }
+    // 4 worker threads each: on a box with fewer cores this oversubscribes,
+    // which `benchmark/`'s P = 2 workloads do not (DESIGN.md, "Compute/halo
+    // overlap").
+    let solver: Arc<dyn Solver2> = Arc::new(LatticeBoltzmann2);
+    let problem = Problem2::new(Geometry2::channel(side2, side2, 2), 2, 2, params());
+    let runner = ThreadedRunner2::new(solver, problem);
+    // warm-up: first run pays thread spawn + page faults
+    runner.run(2).expect("threaded2 warm-up failed");
+    let t0 = Instant::now();
+    let outcome = runner.run(steps2).expect("threaded2 bench run failed");
+    out.push(PerfEntry {
+        name: "threaded2_lb_2x2".into(),
+        value: steps2 as f64 / t0.elapsed().as_secs_f64(),
+        unit: "steps/s".into(),
+    });
+    publish_timing(metrics, &outcome.timing, "exec.threaded2");
 
-    for (suffix, overlap) in [("", false), ("_overlap", true)] {
-        let solver: Arc<dyn Solver3> = Arc::new(LatticeBoltzmann3);
-        let problem = Problem3::new(Geometry3::duct(side3, side3, side3, 2), 2, 2, 1, params());
-        let runner = ThreadedRunner3::new(solver, problem).with_overlap(overlap);
-        runner.run(1).expect("threaded3 warm-up failed");
-        let t0 = Instant::now();
-        let outcome = runner.run(steps3).expect("threaded3 bench run failed");
-        out.push(PerfEntry {
-            name: format!("threaded3_lb_2x2x1{suffix}"),
-            value: steps3 as f64 / t0.elapsed().as_secs_f64(),
-            unit: "steps/s".into(),
-        });
-        if let (Some(reg), false) = (metrics, overlap) {
-            let mut total = StepTiming::default();
-            for (_, t) in &outcome.timing {
-                total.merge(t);
-            }
-            total.publish(reg, "exec.threaded3");
+    let solver: Arc<dyn Solver3> = Arc::new(LatticeBoltzmann3);
+    let problem = Problem3::new(Geometry3::duct(side3, side3, side3, 2), 2, 2, 1, params());
+    let runner = ThreadedRunner3::new(solver, problem);
+    runner.run(1).expect("threaded3 warm-up failed");
+    let t0 = Instant::now();
+    let outcome = runner.run(steps3).expect("threaded3 bench run failed");
+    out.push(PerfEntry {
+        name: "threaded3_lb_2x2x1".into(),
+        value: steps3 as f64 / t0.elapsed().as_secs_f64(),
+        unit: "steps/s".into(),
+    });
+    publish_timing(metrics, &outcome.timing, "exec.threaded3");
+}
+
+/// Publishes the summed per-tile timing of a threaded run under `prefix`.
+fn publish_timing(metrics: Option<&MetricsRegistry>, timing: &[(usize, StepTiming)], prefix: &str) {
+    if let Some(reg) = metrics {
+        let mut total = StepTiming::default();
+        for (_, t) in timing {
+            total.merge(t);
         }
+        total.publish(reg, prefix);
     }
 }
 
@@ -656,9 +651,7 @@ mod tests {
             "halo3_pack_w2",
             "halo3_roundtrip_w2",
             "threaded2_lb_2x2",
-            "threaded2_lb_2x2_nooverlap",
             "threaded3_lb_2x2x1",
-            "threaded3_lb_2x2x1_overlap",
             "cluster_sim_events",
             "scale_events_per_s_shared",
             "scale_events_per_s_switched",

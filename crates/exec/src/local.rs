@@ -6,31 +6,35 @@
 //! the identical decomposed computation without threads — the reference
 //! implementation for equivalence tests, and the `T_1` measurement.
 
+use crate::dim::{Dim, D2, D3};
 use crate::gather::{GlobalFields2, GlobalFields3};
-use crate::problem::{Problem2, Problem3};
 use std::sync::Arc;
-use subsonic_grid::{Face2, Face3};
-use subsonic_solvers::{Solver2, Solver3, StepOp, TileState2, TileState3};
+use subsonic_solvers::StepOp;
 
-/// Sequential multi-tile runner for 2D problems.
-pub struct LocalRunner2 {
-    solver: Arc<dyn Solver2>,
-    problem: Problem2,
+/// Sequential multi-tile runner, one type for 2D and 3D problems.
+pub struct LocalRunner<D: Dim> {
+    solver: Arc<D::Solver>,
+    problem: D::Problem,
     active: Vec<usize>,
-    tiles: Vec<Option<TileState2>>,
+    tiles: Vec<Option<D::Tile>>,
     /// Exchange messages `(receiver, face, strip)` of one stage, kept across
     /// steps so the strips are refilled in place instead of reallocated.
-    msgs: Vec<(usize, Face2, Vec<f64>)>,
+    msgs: Vec<(usize, D::Face, Vec<f64>)>,
 }
 
-impl LocalRunner2 {
+/// Sequential multi-tile runner for 2D problems.
+pub type LocalRunner2 = LocalRunner<D2>;
+
+/// Sequential multi-tile runner for 3D problems.
+pub type LocalRunner3 = LocalRunner<D3>;
+
+impl<D: Dim> LocalRunner<D> {
     /// Builds all active tiles of `problem`.
-    pub fn new(solver: Arc<dyn Solver2>, problem: Problem2) -> Self {
-        let active = problem.active_tiles();
-        let mut tiles: Vec<Option<TileState2>> =
-            (0..problem.decomp.tiles()).map(|_| None).collect();
+    pub fn new(solver: Arc<D::Solver>, problem: D::Problem) -> Self {
+        let active = D::active_tiles(&problem);
+        let mut tiles: Vec<Option<D::Tile>> = (0..D::tiles(&problem)).map(|_| None).collect();
         for &id in &active {
-            tiles[id] = Some(problem.make_tile(solver.as_ref(), id));
+            tiles[id] = Some(D::make_tile(&problem, &solver, id));
         }
         Self {
             solver,
@@ -47,24 +51,26 @@ impl LocalRunner2 {
     }
 
     /// Immutable access to a tile.
-    pub fn tile(&self, id: usize) -> Option<&TileState2> {
+    pub fn tile(&self, id: usize) -> Option<&D::Tile> {
         self.tiles[id].as_ref()
     }
 
     /// Mutable access to a tile (e.g. to inject a perturbation in tests).
-    pub fn tile_mut(&mut self, id: usize) -> Option<&mut TileState2> {
+    pub fn tile_mut(&mut self, id: usize) -> Option<&mut D::Tile> {
         self.tiles[id].as_mut()
     }
 
     /// Runs one integration step on every active tile.
     pub fn step(&mut self) {
-        let plan = self.solver.plan();
-        for op in plan {
+        for op in D::plan(&self.solver) {
             match *op {
                 StepOp::Compute(k) => {
                     for &id in &self.active {
-                        self.solver
-                            .compute(self.tiles[id].as_mut().expect("active tile missing"), k);
+                        D::compute(
+                            &self.solver,
+                            self.tiles[id].as_mut().expect("active tile missing"),
+                            k,
+                        );
                     }
                 }
                 StepOp::Exchange(x) => self.exchange(x),
@@ -73,13 +79,13 @@ impl LocalRunner2 {
     }
 
     fn exchange(&mut self, xch: usize) {
-        let d = &self.problem.decomp;
-        for stage in 0..2 {
+        // one stage per axis: `FACES` lists each stage's faces contiguously
+        for stage in D::FACES.chunk_by(|&a, &b| D::stage(a) == D::stage(b)) {
             // pack (immutably), then deliver (mutably)
             let mut sent = 0;
             for &id in &self.active {
-                for f in Face2::ALL.iter().copied().filter(|f| f.stage() == stage) {
-                    if let Some(nb) = d.neighbor(id, f) {
+                for &f in stage {
+                    if let Some(nb) = D::neighbor(&self.problem, id, f) {
                         if let Some(nb_tile) = self.tiles[nb].as_ref() {
                             if sent == self.msgs.len() {
                                 self.msgs.push((id, f, Vec::new()));
@@ -87,14 +93,15 @@ impl LocalRunner2 {
                             let msg = &mut self.msgs[sent];
                             (msg.0, msg.1) = (id, f);
                             msg.2.clear();
-                            self.solver.pack(nb_tile, xch, f.opposite(), &mut msg.2);
+                            D::pack(&self.solver, nb_tile, xch, D::opposite(f), &mut msg.2);
                             sent += 1;
                         }
                     }
                 }
             }
             for (id, f, buf) in &self.msgs[..sent] {
-                self.solver.unpack(
+                D::unpack(
+                    &self.solver,
                     self.tiles[*id].as_mut().expect("active tile missing"),
                     xch,
                     *f,
@@ -111,125 +118,41 @@ impl LocalRunner2 {
         }
     }
 
-    /// Gathers the global fields.
-    pub fn gather(&self) -> GlobalFields2 {
-        GlobalFields2::gather(
-            self.problem.geom.nx(),
-            self.problem.geom.ny(),
-            self.problem.params.rho0,
-            self.active
-                .iter()
-                .map(|&id| self.tiles[id].as_ref().expect("active tile missing")),
-        )
+    /// The active tiles, in id order.
+    fn active_tile_refs(&self) -> impl Iterator<Item = &D::Tile> {
+        self.active
+            .iter()
+            .map(|&id| self.tiles[id].as_ref().expect("active tile missing"))
     }
 
     /// Consumes the runner, returning the active tiles.
-    pub fn into_tiles(self) -> Vec<TileState2> {
+    pub fn into_tiles(self) -> Vec<D::Tile> {
         self.tiles.into_iter().flatten().collect()
     }
 }
 
-/// Sequential multi-tile runner for 3D problems.
-pub struct LocalRunner3 {
-    solver: Arc<dyn Solver3>,
-    problem: Problem3,
-    active: Vec<usize>,
-    tiles: Vec<Option<TileState3>>,
+impl LocalRunner<D2> {
+    /// Gathers the global fields.
+    pub fn gather(&self) -> GlobalFields2 {
+        let (geom, rho0) = (&self.problem.geom, self.problem.params.rho0);
+        GlobalFields2::gather(geom.nx(), geom.ny(), rho0, self.active_tile_refs())
+    }
 }
 
-impl LocalRunner3 {
-    /// Builds all active tiles of `problem`.
-    pub fn new(solver: Arc<dyn Solver3>, problem: Problem3) -> Self {
-        let active = problem.active_tiles();
-        let mut tiles: Vec<Option<TileState3>> =
-            (0..problem.decomp.tiles()).map(|_| None).collect();
-        for &id in &active {
-            tiles[id] = Some(problem.make_tile(solver.as_ref(), id));
-        }
-        Self {
-            solver,
-            problem,
-            active,
-            tiles,
-        }
-    }
-
-    /// Tile ids being integrated.
-    pub fn active(&self) -> &[usize] {
-        &self.active
-    }
-
-    /// Immutable access to a tile.
-    pub fn tile(&self, id: usize) -> Option<&TileState3> {
-        self.tiles[id].as_ref()
-    }
-
-    /// Runs one integration step on every active tile.
-    pub fn step(&mut self) {
-        let plan = self.solver.plan();
-        for op in plan {
-            match *op {
-                StepOp::Compute(k) => {
-                    for &id in &self.active {
-                        self.solver
-                            .compute(self.tiles[id].as_mut().expect("active tile missing"), k);
-                    }
-                }
-                StepOp::Exchange(x) => self.exchange(x),
-            }
-        }
-    }
-
-    fn exchange(&mut self, xch: usize) {
-        let d = &self.problem.decomp;
-        for stage in 0..3 {
-            let mut msgs: Vec<(usize, Face3, Vec<f64>)> = Vec::new();
-            for &id in &self.active {
-                for f in Face3::ALL.iter().copied().filter(|f| f.stage() == stage) {
-                    if let Some(nb) = d.neighbor(id, f) {
-                        if let Some(nb_tile) = self.tiles[nb].as_ref() {
-                            let mut buf = Vec::new();
-                            self.solver.pack(nb_tile, xch, f.opposite(), &mut buf);
-                            msgs.push((id, f, buf));
-                        }
-                    }
-                }
-            }
-            for (id, f, buf) in msgs {
-                self.solver.unpack(
-                    self.tiles[id].as_mut().expect("active tile missing"),
-                    xch,
-                    f,
-                    &buf,
-                );
-            }
-        }
-    }
-
-    /// Runs `n` steps.
-    pub fn run(&mut self, n: usize) {
-        for _ in 0..n {
-            self.step();
-        }
-    }
-
+impl LocalRunner<D3> {
     /// Gathers the global fields.
     pub fn gather(&self) -> GlobalFields3 {
-        GlobalFields3::gather(
-            self.problem.geom.dims(),
-            self.problem.params.rho0,
-            self.active
-                .iter()
-                .map(|&id| self.tiles[id].as_ref().expect("active tile missing")),
-        )
+        let (geom, rho0) = (&self.problem.geom, self.problem.params.rho0);
+        GlobalFields3::gather(geom.dims(), rho0, self.active_tile_refs())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::problem::Problem2;
     use subsonic_grid::Geometry2;
-    use subsonic_solvers::{FiniteDifference2, FluidParams, LatticeBoltzmann2};
+    use subsonic_solvers::{FiniteDifference2, FluidParams, LatticeBoltzmann2, Solver2};
 
     fn poiseuille_problem(nx: usize, ny: usize, px: usize, py: usize) -> Problem2 {
         let mut params = FluidParams::lattice_units(0.05);

@@ -1,19 +1,20 @@
 //! Runtime-agnostic tile stepping: one integration step against an abstract
 //! halo endpoint.
 //!
-//! [`ThreadedRunner2`](crate::threaded::ThreadedRunner2) fuses its step loop
-//! with crossbeam channels, buffer recycling and compute/halo overlap — fast,
-//! but welded to one transport. The multi-process runtime needs the *same*
-//! step semantics over TCP sockets, reliable UDP, or in-memory links, so this
-//! module factors the per-step plan execution out behind the [`Halo2`] trait:
-//! a runner implements `send`/`recv` for its wire and gets a step loop whose
-//! results are bitwise identical to the threaded runner's (same staged
-//! exchange order, same compute sequence — pinned by tests).
+//! [`ThreadedRunner`](crate::threaded::ThreadedRunner) owns its transport:
+//! crossbeam channels with buffer recycling, and a fused exchange+compute
+//! schedule that needs a non-blocking send and a deferrable receive. The
+//! multi-process runtime needs the *same* step semantics over TCP sockets,
+//! reliable UDP, or in-memory links, so this module runs the per-step plan
+//! behind the [`Halo2`] trait: a runner implements `send`/`recv` for its wire
+//! and gets a step loop whose results are bitwise identical to the threaded
+//! runner's (same staged exchange order, same compute sequence — pinned by
+//! tests).
 //!
 //! The exchange runs in face stages (x axis, then y), posting every send of a
-//! stage before receiving that stage, exactly like the non-overlapped path of
-//! the threaded runner. Corner ghosts are forwarded transitively by the
-//! staged order, so no diagonal neighbours are needed.
+//! stage before receiving that stage, exactly like the plain (unfused)
+//! schedule of the threaded runner. Corner ghosts are forwarded transitively
+//! by the staged order, so no diagonal neighbours are needed.
 
 use crate::timing::StepTiming;
 use std::io;
@@ -86,7 +87,6 @@ pub fn step_tile2(
         }
     }
     timing.steps += 1;
-    tile.step += 1;
     Ok(())
 }
 
@@ -94,6 +94,7 @@ pub fn step_tile2(
 mod tests {
     #![allow(clippy::unwrap_used)]
     use super::*;
+    use crate::checkpoint::dump_tile2;
     use crate::problem::Problem2;
     use crate::threaded::ThreadedRunner2;
     use std::collections::HashMap;
@@ -221,5 +222,14 @@ mod tests {
             None,
             "abstract stepper diverged from the threaded runner"
         );
+        // the whole tile state, step counter included: what a net worker
+        // ships in a dump must be what the threaded runner would have
+        for (t, want) in tiles.iter().zip(&reference.tiles) {
+            assert_eq!(
+                t.step, steps,
+                "the solver's last phase counts the step, once"
+            );
+            assert!(dump_tile2(t) == dump_tile2(want), "dump bytes differ");
+        }
     }
 }

@@ -1,4 +1,5 @@
-//! Thread-per-subregion parallel runner.
+//! Thread-per-subregion parallel runner, one [`ThreadedRunner<D>`] for 2D
+//! and 3D problems (see [`Dim`]).
 //!
 //! Each active subregion runs on its own OS thread; halo strips travel over
 //! unbounded crossbeam channels — the in-process analogue of the paper's
@@ -6,7 +7,9 @@
 //! first-in-first-out channels for writing data in each direction between two
 //! processes", section 4.2). Communication is asynchronous and
 //! first-come-first-served within an exchange stage, which is the policy the
-//! paper recommends in Appendix C.
+//! paper recommends in Appendix C. The exchange runs in one stage per axis
+//! (x, y, then z in 3D) so edge and corner ghosts fill transitively without
+//! diagonal messages.
 //!
 //! Halo buffers are recycled: every data channel is paired with a return
 //! channel, the receiver sends each consumed buffer back, and the sender
@@ -14,6 +17,16 @@
 //! per directed edge, so the steady-state exchange performs no heap
 //! allocation; [`StepTiming`] counts messages, doubles and buffer
 //! allocations/reuses so tests can assert both properties exactly.
+//!
+//! When the solver declares `overlapped_phase(x) == Some(p)` and its plan has
+//! `Exchange(x)` immediately followed by `Compute(p)`, the worker runs the
+//! pair as one *fused* schedule: it posts all halo sends, computes the
+//! interior while the final exchange stage is still in flight, then unpacks
+//! that stage and applies the boundary remainder. A solver that declares
+//! nothing (e.g. `ScalarReference2/3`) gets the plain staged exchange
+//! followed by the whole compute phase. Results are bitwise identical either
+//! way; which schedule runs is a property of the solver, not an option of
+//! the runner (DESIGN.md, "Compute/halo overlap", has the measurement).
 //!
 //! The runner also implements the synchronisation machinery of section 5 /
 //! Appendix B as a *migration drill*: a monitor picks a synchronisation step
@@ -26,7 +39,7 @@
 //! drill produces exactly the fields of an undisturbed run, which the
 //! integration tests assert.
 //!
-//! Finally, [`ThreadedRunner2::run_supervised`] is the crash-recovery mode:
+//! Finally, [`ThreadedRunner::run_supervised`] is the crash-recovery mode:
 //! the run is cut into segments of `checkpoint_interval` steps, the tiles are
 //! snapshotted in memory at every segment barrier (a coordinated checkpoint),
 //! and a worker that dies — a panic, or a seeded [`KillSpec`] — discards the
@@ -35,10 +48,9 @@
 //! deterministic, a recovered run is *bitwise identical* to an undisturbed
 //! one, which the fault-recovery tests assert property-style.
 
-use crate::checkpoint::{load_tile2, save_tile2};
+use crate::dim::{Dim, D2, D3};
 use crate::error::{note_failure, panic_message, RunError};
-use crate::gather::GlobalFields2;
-use crate::problem::Problem2;
+use crate::gather::{GlobalFields2, GlobalFields3};
 use crate::timing::StepTiming;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Condvar, Mutex};
@@ -47,15 +59,11 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use subsonic_grid::Face2;
 use subsonic_obs::{Category, FlightRecorder, TrackRecorder};
-use subsonic_solvers::{Solver2, StepOp, TileState2};
+use subsonic_solvers::StepOp;
 
 /// No synchronisation requested.
 const NO_SYNC: u64 = u64::MAX;
-
-/// Flight-recorder process id for this runner's tracks.
-const TRACE_PID: u32 = 2;
 
 /// Track id for the supervisor timeline (far above any real tile id).
 const SUPERVISOR_TID: u32 = u32::MAX;
@@ -83,8 +91,7 @@ pub struct DrillReport {
     pub dump_path: PathBuf,
 }
 
-/// Supervisor policy for [`ThreadedRunner2::run_supervised`] (and the 3D
-/// counterpart).
+/// Supervisor policy for [`ThreadedRunner::run_supervised`].
 #[derive(Debug, Clone)]
 pub struct SupervisorConfig {
     /// Steps between in-memory coordinated checkpoints: the supervisor runs
@@ -124,10 +131,10 @@ pub struct KillSpec {
     pub panic: bool,
 }
 
-/// Result of a threaded run.
-pub struct RunOutcome2 {
+/// Result of a threaded run (also the output of one supervised segment).
+pub struct RunOutcome<D: Dim> {
     /// Final tiles, in active-id order.
-    pub tiles: Vec<TileState2>,
+    pub tiles: Vec<D::Tile>,
     /// Per-tile timing, `(tile_id, timing)`. Under supervision this counts
     /// only committed segments — work thrown away by a rollback is excluded,
     /// exactly like the cluster simulation's per-process accounting.
@@ -138,22 +145,33 @@ pub struct RunOutcome2 {
     pub restarts: u32,
 }
 
-impl RunOutcome2 {
+/// Result of a 2D threaded run.
+pub type RunOutcome2 = RunOutcome<D2>;
+
+/// Result of a 3D threaded run.
+pub type RunOutcome3 = RunOutcome<D3>;
+
+impl RunOutcome<D2> {
     /// Gathers the global fields from the final tiles.
     pub fn gather(&self, nx: usize, ny: usize, rho0: f64) -> GlobalFields2 {
         GlobalFields2::gather(nx, ny, rho0, self.tiles.iter())
     }
 }
 
-struct Barrier {
-    state: Mutex<(usize, u64)>, // (paused count, resume epoch)
-    cv: Condvar,
+impl RunOutcome<D3> {
+    /// Gathers the global fields from the final tiles.
+    pub fn gather(&self, dims: (usize, usize, usize), rho0: f64) -> GlobalFields3 {
+        GlobalFields3::gather(dims, rho0, self.tiles.iter())
+    }
 }
 
+/// Published steps, the announced synchronisation step, and the pause
+/// barrier of Appendix B.
 struct Control {
     published: Vec<AtomicU64>,
     sync_step: AtomicU64,
-    barrier: Barrier,
+    paused: Mutex<(usize, u64)>, // (paused count, resume epoch)
+    cv: Condvar,
 }
 
 impl Control {
@@ -161,10 +179,8 @@ impl Control {
         Self {
             published: (0..n).map(|_| AtomicU64::new(0)).collect(),
             sync_step: AtomicU64::new(NO_SYNC),
-            barrier: Barrier {
-                state: Mutex::new((0, 0)),
-                cv: Condvar::new(),
-            },
+            paused: Mutex::new((0, 0)),
+            cv: Condvar::new(),
         }
     }
 
@@ -178,71 +194,68 @@ impl Control {
 
     /// Worker-side: pause at the barrier until the monitor resumes everyone.
     fn pause(&self) {
-        let mut st = self.barrier.state.lock();
+        let mut st = self.paused.lock();
         let epoch = st.1;
         st.0 += 1;
-        self.barrier.cv.notify_all();
+        self.cv.notify_all();
         while st.1 == epoch {
-            self.barrier.cv.wait(&mut st);
+            self.cv.wait(&mut st);
         }
     }
 
     /// Monitor-side: wait until `n` workers are paused.
     fn wait_all_paused(&self, n: usize) {
-        let mut st = self.barrier.state.lock();
+        let mut st = self.paused.lock();
         while st.0 < n {
-            self.barrier.cv.wait(&mut st);
+            self.cv.wait(&mut st);
         }
     }
 
     /// Monitor-side: release all paused workers (the CONT signal).
     fn resume_all(&self) {
-        let mut st = self.barrier.state.lock();
+        let mut st = self.paused.lock();
         st.0 = 0;
         st.1 += 1;
-        self.barrier.cv.notify_all();
+        self.cv.notify_all();
         // clear the sync request so workers run freely again
         self.sync_step.store(NO_SYNC, Ordering::SeqCst);
     }
 }
 
-/// Output of one supervised segment (or a whole unsupervised run).
-struct Segment2 {
-    tiles: Vec<TileState2>,
-    timing: Vec<(usize, StepTiming)>,
-    drill: Option<DrillReport>,
+/// (face, data in, buffer-returns out)
+type RxEdge<F> = (F, Receiver<Vec<f64>>, Sender<Vec<f64>>);
+/// (face, data out, buffer-returns in)
+type TxEdge<F> = (F, Sender<Vec<f64>>, Receiver<Vec<f64>>);
+
+/// One worker's halo links: its receivers (data rx + buffer-return tx per
+/// face) and its senders into each neighbour's ghost (data tx of
+/// `(nb, f.opposite())` + the matching buffer-return rx).
+struct Endpoints<F> {
+    rx: Vec<RxEdge<F>>,
+    tx: Vec<TxEdge<F>>,
 }
 
 /// One thread per subregion, channels as sockets.
-pub struct ThreadedRunner2 {
-    solver: Arc<dyn Solver2>,
-    problem: Problem2,
+pub struct ThreadedRunner<D: Dim> {
+    solver: Arc<D::Solver>,
+    problem: D::Problem,
     recorder: FlightRecorder,
-    overlap: bool,
 }
 
-impl ThreadedRunner2 {
+/// The 2D threaded runner (trace pid 2, tracks named `threaded2`).
+pub type ThreadedRunner2 = ThreadedRunner<D2>;
+
+/// The 3D threaded runner (trace pid 3, tracks named `threaded3`).
+pub type ThreadedRunner3 = ThreadedRunner<D3>;
+
+impl<D: Dim> ThreadedRunner<D> {
     /// Creates a runner for `problem` using `solver`.
-    pub fn new(solver: Arc<dyn Solver2>, problem: Problem2) -> Self {
+    pub fn new(solver: Arc<D::Solver>, problem: D::Problem) -> Self {
         Self {
             solver,
             problem,
             recorder: FlightRecorder::disabled(),
-            overlap: true,
         }
-    }
-
-    /// Enables or disables compute/halo overlap (default: on).
-    ///
-    /// When the solver declares [`Solver2::overlapped_phase`]`(x) == Some(p)`
-    /// and the plan has `Exchange(x)` immediately followed by `Compute(p)`,
-    /// the worker posts *all* halo sends, computes the interior band while
-    /// the final exchange stage is still in flight, then unpacks it and
-    /// applies the boundary bands. Results are bitwise identical either way
-    /// (pinned by `overlap_matches_nonoverlap_bitwise_*`).
-    pub fn with_overlap(mut self, on: bool) -> Self {
-        self.overlap = on;
-        self
     }
 
     /// Attaches a flight recorder: each worker gets a wall-clock track
@@ -260,14 +273,14 @@ impl ThreadedRunner2 {
     fn tile_track(&self, id: usize) -> TrackRecorder {
         if self.recorder.is_enabled() {
             self.recorder
-                .track(TRACE_PID, id as u32, "threaded2", &format!("tile {id}"))
+                .track(D::TRACE_PID, id as u32, D::TRACK, &format!("tile {id}"))
         } else {
             TrackRecorder::disabled()
         }
     }
 
     /// Runs `steps` integration steps on all active tiles in parallel.
-    pub fn run(&self, steps: u64) -> Result<RunOutcome2, RunError> {
+    pub fn run(&self, steps: u64) -> Result<RunOutcome<D>, RunError> {
         self.run_with_drill(steps, None)
     }
 
@@ -276,18 +289,11 @@ impl ThreadedRunner2 {
         &self,
         steps: u64,
         drill: Option<MigrationDrill>,
-    ) -> Result<RunOutcome2, RunError> {
+    ) -> Result<RunOutcome<D>, RunError> {
         if let Some(d) = drill.as_ref() {
             std::fs::create_dir_all(&d.dump_dir)?;
         }
-        let tiles = self.initial_tiles();
-        let seg = self.run_segment(tiles, 0, steps, drill, Vec::new())?;
-        Ok(RunOutcome2 {
-            tiles: seg.tiles,
-            timing: seg.timing,
-            drill: seg.drill,
-            restarts: 0,
-        })
+        self.run_segment(self.initial_tiles(), 0, steps, drill, Vec::new())
     }
 
     /// Runs `steps` steps under crash-recovery supervision: the run proceeds
@@ -302,7 +308,7 @@ impl ThreadedRunner2 {
         steps: u64,
         cfg: &SupervisorConfig,
         kill: Option<KillSpec>,
-    ) -> Result<RunOutcome2, RunError> {
+    ) -> Result<RunOutcome<D>, RunError> {
         self.run_supervised_kills(steps, cfg, kill.as_slice())
     }
 
@@ -315,8 +321,8 @@ impl ThreadedRunner2 {
         steps: u64,
         cfg: &SupervisorConfig,
         kills: &[KillSpec],
-    ) -> Result<RunOutcome2, RunError> {
-        let active = self.problem.active_tiles();
+    ) -> Result<RunOutcome<D>, RunError> {
+        let active = D::active_tiles(&self.problem);
         let mut snapshot = self.initial_tiles();
         let interval = cfg.checkpoint_interval.max(1);
         let mut timing: Vec<(usize, StepTiming)> = active
@@ -327,7 +333,7 @@ impl ThreadedRunner2 {
         let mut done = 0u64;
         let mut supervisor =
             self.recorder
-                .track(TRACE_PID, SUPERVISOR_TID, "threaded2", "supervisor");
+                .track(D::TRACE_PID, SUPERVISOR_TID, D::TRACK, "supervisor");
         let mut replaying = false;
         // How many times the *current* segment window has already failed:
         // a kill arms only when its window runs at exactly its attempt index,
@@ -383,7 +389,7 @@ impl ThreadedRunner2 {
                 }
             }
         }
-        Ok(RunOutcome2 {
+        Ok(RunOutcome {
             tiles: snapshot,
             timing,
             drill: None,
@@ -392,11 +398,10 @@ impl ThreadedRunner2 {
     }
 
     /// Builds the step-0 tiles in active-id order.
-    fn initial_tiles(&self) -> Vec<TileState2> {
-        self.problem
-            .active_tiles()
+    fn initial_tiles(&self) -> Vec<D::Tile> {
+        D::active_tiles(&self.problem)
             .iter()
-            .map(|&id| self.problem.make_tile(self.solver.as_ref(), id))
+            .map(|&id| D::make_tile(&self.problem, &self.solver, id))
             .collect()
     }
 
@@ -406,13 +411,13 @@ impl ThreadedRunner2 {
     /// [`RunError::Disconnected`].
     fn run_segment(
         &self,
-        tiles_in: Vec<TileState2>,
+        tiles_in: Vec<D::Tile>,
         start: u64,
         end: u64,
         drill: Option<MigrationDrill>,
         kills: Vec<KillSpec>,
-    ) -> Result<Segment2, RunError> {
-        let active = self.problem.active_tiles();
+    ) -> Result<RunOutcome<D>, RunError> {
+        let active = D::active_tiles(&self.problem);
         let n = active.len();
         let index_of: HashMap<usize, usize> =
             active.iter().enumerate().map(|(k, &id)| (id, k)).collect();
@@ -422,13 +427,13 @@ impl ThreadedRunner2 {
         // receiver hands consumed buffers back to the sender, which reuses
         // them for the next message on that edge. In steady state no halo
         // buffer is ever allocated (at most two circulate per edge).
-        let mut senders: HashMap<(usize, Face2), Sender<Vec<f64>>> = HashMap::new();
-        let mut receivers: HashMap<(usize, Face2), Receiver<Vec<f64>>> = HashMap::new();
-        let mut ret_senders: HashMap<(usize, Face2), Sender<Vec<f64>>> = HashMap::new();
-        let mut ret_receivers: HashMap<(usize, Face2), Receiver<Vec<f64>>> = HashMap::new();
+        let mut senders: HashMap<(usize, D::Face), Sender<Vec<f64>>> = HashMap::new();
+        let mut receivers: HashMap<(usize, D::Face), Receiver<Vec<f64>>> = HashMap::new();
+        let mut ret_senders: HashMap<(usize, D::Face), Sender<Vec<f64>>> = HashMap::new();
+        let mut ret_receivers: HashMap<(usize, D::Face), Receiver<Vec<f64>>> = HashMap::new();
         for &id in &active {
-            for f in Face2::ALL {
-                if let Some(nb) = self.problem.decomp.neighbor(id, f) {
+            for &f in D::FACES {
+                if let Some(nb) = D::neighbor(&self.problem, id, f) {
                     if index_of.contains_key(&nb) {
                         let (s, r) = unbounded();
                         senders.insert((id, f), s);
@@ -444,29 +449,19 @@ impl ThreadedRunner2 {
         let control = Arc::new(Control::new(n));
         let drill_fired: Mutex<Option<DrillReport>> = Mutex::new(None);
 
-        // Per-worker endpoints: my receivers (face -> data rx + buffer-return
-        // tx), my senders into each neighbour's ghost (face -> data tx of
-        // (nb, f.opposite()) + the matching buffer-return rx).
-        // (face, data in, buffer-returns out) / (face, data out, returns in)
-        type RxEdge = (Face2, Receiver<Vec<f64>>, Sender<Vec<f64>>);
-        type TxEdge = (Face2, Sender<Vec<f64>>, Receiver<Vec<f64>>);
-        struct Endpoints {
-            rx: Vec<RxEdge>,
-            tx: Vec<TxEdge>,
-        }
-        let mut endpoints: Vec<Endpoints> = Vec::with_capacity(n);
+        let mut endpoints: Vec<Endpoints<D::Face>> = Vec::with_capacity(n);
         for &id in &active {
             let mut rx = Vec::new();
             let mut tx = Vec::new();
-            for f in Face2::ALL {
+            for &f in D::FACES {
                 if let Some(r) = receivers.remove(&(id, f)) {
                     let rs = ret_senders.remove(&(id, f)).expect("return sender missing");
                     rx.push((f, r, rs));
                 }
-                if let Some(nb) = self.problem.decomp.neighbor(id, f) {
-                    if let Some(s) = senders.get(&(nb, f.opposite())) {
+                if let Some(nb) = D::neighbor(&self.problem, id, f) {
+                    if let Some(s) = senders.get(&(nb, D::opposite(f))) {
                         let rr = ret_receivers
-                            .remove(&(nb, f.opposite()))
+                            .remove(&(nb, D::opposite(f)))
                             .expect("return receiver missing");
                         tx.push((f, s.clone(), rr));
                     }
@@ -476,10 +471,9 @@ impl ThreadedRunner2 {
         }
         drop(senders);
 
-        let solver = &self.solver;
-        let plan = solver.plan();
-        let overlap = self.overlap;
-        let mut results: Vec<Option<(TileState2, StepTiming)>> = (0..n).map(|_| None).collect();
+        let solver: &D::Solver = &self.solver;
+        let plan = D::plan(solver);
+        let mut results: Vec<Option<(D::Tile, StepTiming)>> = (0..n).map(|_| None).collect();
         let mut failure: Option<RunError> = None;
 
         std::thread::scope(|scope| {
@@ -494,7 +488,7 @@ impl ThreadedRunner2 {
                 let drill_fired = &drill_fired;
                 let mut track = self.tile_track(id);
                 handles.push(
-                    scope.spawn(move || -> Result<(TileState2, StepTiming), RunError> {
+                    scope.spawn(move || -> Result<(D::Tile, StepTiming), RunError> {
                         let mut timing = StepTiming::default();
                         // Stage-filtered halves of the halo exchange. The
                         // staged protocol forwards corners transitively:
@@ -503,13 +497,14 @@ impl ThreadedRunner2 {
                         // every pack must run before the interior compute
                         // starts; only the final stage's receive may be
                         // deferred behind it.
-                        let send_stage = |tile: &TileState2,
+                        let send_stage = |tile: &D::Tile,
                                           x: usize,
                                           stage: usize,
                                           timing: &mut StepTiming|
                          -> Result<Duration, RunError> {
                             let mut pack = Duration::ZERO;
-                            for (f, tx, ret) in ep.tx.iter().filter(|(f, ..)| f.stage() == stage) {
+                            for (f, tx, ret) in ep.tx.iter().filter(|(f, ..)| D::stage(*f) == stage)
+                            {
                                 let mut buf = match ret.try_recv() {
                                     Ok(mut b) => {
                                         timing.buf_reuses += 1;
@@ -522,7 +517,7 @@ impl ThreadedRunner2 {
                                     }
                                 };
                                 let p0 = Instant::now();
-                                solver.pack(tile, x, *f, &mut buf);
+                                D::pack(solver, tile, x, *f, &mut buf);
                                 pack += p0.elapsed();
                                 timing.msgs_sent += 1;
                                 timing.doubles_sent += buf.len() as u64;
@@ -531,14 +526,15 @@ impl ThreadedRunner2 {
                             }
                             Ok(pack)
                         };
-                        let recv_stage = |tile: &mut TileState2,
+                        let recv_stage = |tile: &mut D::Tile,
                                           x: usize,
                                           stage: usize|
                          -> Result<(), RunError> {
-                            for (f, rx, ret) in ep.rx.iter().filter(|(f, ..)| f.stage() == stage) {
+                            for (f, rx, ret) in ep.rx.iter().filter(|(f, ..)| D::stage(*f) == stage)
+                            {
                                 let buf =
                                     rx.recv().map_err(|_| RunError::Disconnected { tile: id })?;
-                                solver.unpack(tile, x, *f, &buf);
+                                D::unpack(solver, tile, x, *f, &buf);
                                 // hand the buffer back for reuse; a peer that
                                 // already finished its run has dropped the
                                 // other end, in which case the buffer is
@@ -548,13 +544,13 @@ impl ThreadedRunner2 {
                             Ok(())
                         };
                         // Highest stage this tile actually has edges on: the
-                        // overlapped schedule hides the interior compute
-                        // behind that stage's receive.
+                        // fused schedule hides the interior compute behind
+                        // that stage's receive.
                         let last_stage = ep
                             .rx
                             .iter()
-                            .map(|(f, ..)| f.stage())
-                            .chain(ep.tx.iter().map(|(f, ..)| f.stage()))
+                            .map(|(f, ..)| D::stage(*f))
+                            .chain(ep.tx.iter().map(|(f, ..)| D::stage(*f)))
                             .max()
                             .unwrap_or(0);
                         for s in start..end {
@@ -591,11 +587,12 @@ impl ThreadedRunner2 {
                                 if let Some(d) = drill.as_ref() {
                                     if d.tile == id {
                                         // migrate: save state, "move host", restore
-                                        let path =
-                                            d.dump_dir.join(format!("tile{id}_step{s}.dump"));
+                                        let path = d
+                                            .dump_dir
+                                            .join(format!("{}{id}_step{s}.dump", D::DUMP_PREFIX));
                                         let d0 = Instant::now();
-                                        match save_tile2(&tile, &path)
-                                            .and_then(|bytes| Ok((bytes, load_tile2(&path)?)))
+                                        match D::save(&tile, &path)
+                                            .and_then(|bytes| Ok((bytes, D::load(&path)?)))
                                         {
                                             Ok((bytes, restored)) => {
                                                 tile = restored;
@@ -627,7 +624,7 @@ impl ThreadedRunner2 {
                                 match plan[op_i] {
                                     StepOp::Compute(p) => {
                                         let t0 = Instant::now();
-                                        solver.compute(&mut tile, p);
+                                        D::compute(solver, &mut tile, p);
                                         let t1 = Instant::now();
                                         timing.t_calc += t1 - t0;
                                         track.span_wall(Category::Compute, "compute", t0, t1);
@@ -636,16 +633,12 @@ impl ThreadedRunner2 {
                                         // Fuse `Exchange(x); Compute(p)` into the
                                         // overlapped schedule when the solver
                                         // declares the pair safe to split.
-                                        let fused = if overlap {
-                                            solver.overlapped_phase(x).filter(|&p| {
-                                                matches!(
-                                                    plan.get(op_i + 1),
-                                                    Some(StepOp::Compute(q)) if *q == p
-                                                )
-                                            })
-                                        } else {
-                                            None
-                                        };
+                                        let fused = D::overlapped_phase(solver, x).filter(|&p| {
+                                            matches!(
+                                                plan.get(op_i + 1),
+                                                Some(StepOp::Compute(q)) if *q == p
+                                            )
+                                        });
                                         let t0 = Instant::now();
                                         // Pack time is a sub-component of the
                                         // t_com windows below; it is accumulated
@@ -666,7 +659,7 @@ impl ThreadedRunner2 {
                                             timing.t_com += t1 - t0;
                                             track.span_wall(Category::Halo, "halo send", t0, t1);
                                             let c0 = Instant::now();
-                                            solver.compute_interior(&mut tile, p);
+                                            D::compute_interior(solver, &mut tile, p);
                                             let c1 = Instant::now();
                                             timing.t_calc += c1 - c0;
                                             track.span_wall(
@@ -681,7 +674,7 @@ impl ThreadedRunner2 {
                                             timing.t_com += r1 - r0;
                                             track.span_wall(Category::Halo, "halo recv", r0, r1);
                                             let b0 = Instant::now();
-                                            solver.compute_boundary(&mut tile, p);
+                                            D::compute_boundary(solver, &mut tile, p);
                                             let b1 = Instant::now();
                                             timing.t_calc += b1 - b0;
                                             track.span_wall(
@@ -766,27 +759,61 @@ impl ThreadedRunner2 {
             tiles.push(tile);
             timing.push((active[k], t));
         }
-        Ok(Segment2 {
+        Ok(RunOutcome {
             tiles,
             timing,
             drill: drill_fired.into_inner(),
+            restarts: 0,
         })
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     #![allow(clippy::unwrap_used)]
     use super::*;
     use crate::local::LocalRunner2;
-    use subsonic_grid::Geometry2;
-    use subsonic_solvers::{FiniteDifference2, FluidParams, LatticeBoltzmann2};
+    use crate::problem::Problem2;
+    use subsonic_grid::{Face2, Geometry2};
+    use subsonic_solvers::{
+        FiniteDifference2, FluidParams, LatticeBoltzmann2, ScalarReference2, Solver2,
+    };
 
     fn problem(px: usize, py: usize) -> Problem2 {
         let mut params = FluidParams::lattice_units(0.05);
         params.body_force[0] = 1e-5;
         Problem2::new(Geometry2::channel(24, 16, 2), px, py, params)
             .with_init(|x, y| (1.0 + 1e-4 * ((x * 7 + y * 13) % 5) as f64, 0.0, 0.0))
+    }
+
+    /// Directed halo links between active tiles: one per (tile, face) with an
+    /// active neighbour.
+    pub(crate) fn directed_edges<D: Dim>(p: &D::Problem) -> u64 {
+        let active = D::active_tiles(p);
+        active
+            .iter()
+            .flat_map(|&id| D::FACES.iter().map(move |&f| D::neighbor(p, id, f)))
+            .filter(|nb| nb.is_some_and(|nb| active.contains(&nb)))
+            .count() as u64
+    }
+
+    /// Names of every span a traced 3-step run records (after checking that
+    /// the tracks carry the dimension's process name).
+    pub(crate) fn span_names<D: Dim>(
+        solver: Arc<D::Solver>,
+        problem: D::Problem,
+    ) -> std::collections::HashSet<&'static str> {
+        let rec = FlightRecorder::enabled(4096);
+        ThreadedRunner::<D>::new(solver, problem)
+            .with_recorder(&rec)
+            .run(3)
+            .unwrap();
+        let tracks = rec.finished_tracks();
+        assert!(tracks.iter().all(|t| t.process == D::TRACK));
+        tracks
+            .iter()
+            .flat_map(|t| t.events.iter().map(|e| e.name))
+            .collect()
     }
 
     #[test]
@@ -815,32 +842,49 @@ mod tests {
         assert_eq!(a.first_difference(&b), None);
     }
 
-    /// Compute/halo overlap must not change a single bit: the interior
-    /// sweep runs off data the exchange never touches, and every pack is
-    /// posted before the compute starts. Pinned against both the
-    /// non-overlapped runner and the serial reference.
+    /// The fused and the plain schedule must not differ in a single bit: the
+    /// interior sweep runs off data the exchange never touches, and every
+    /// pack is posted before the compute starts. The fast solvers declare an
+    /// overlapped phase and run fused; `ScalarReference2` declares none and
+    /// runs the plain staged exchange. Both are pinned to the serial
+    /// reference.
     #[test]
     fn overlap_matches_nonoverlap_bitwise() {
-        for solver in [
-            Arc::new(LatticeBoltzmann2) as Arc<dyn Solver2>,
-            Arc::new(FiniteDifference2) as Arc<dyn Solver2>,
-        ] {
-            let mut local = LocalRunner2::new(Arc::clone(&solver), problem(2, 2));
+        let pairs: [(Arc<dyn Solver2>, Arc<dyn Solver2>); 2] = [
+            (
+                Arc::new(LatticeBoltzmann2),
+                Arc::new(ScalarReference2(LatticeBoltzmann2)),
+            ),
+            (
+                Arc::new(FiniteDifference2),
+                Arc::new(ScalarReference2(FiniteDifference2)),
+            ),
+        ];
+        for (fast, scalar) in pairs {
+            let mut local = LocalRunner2::new(Arc::clone(&fast), problem(2, 2));
             local.run(10);
             let a = local.gather();
-            let on = ThreadedRunner2::new(Arc::clone(&solver), problem(2, 2))
-                .with_overlap(true)
-                .run(10)
-                .unwrap()
-                .gather(24, 16, 1.0);
-            let off = ThreadedRunner2::new(Arc::clone(&solver), problem(2, 2))
-                .with_overlap(false)
-                .run(10)
-                .unwrap()
-                .gather(24, 16, 1.0);
-            assert_eq!(a.first_difference(&on), None);
-            assert_eq!(a.first_difference(&off), None);
+            for solver in [fast, scalar] {
+                let b = ThreadedRunner2::new(solver, problem(2, 2))
+                    .run(10)
+                    .unwrap()
+                    .gather(24, 16, 1.0);
+                assert_eq!(a.first_difference(&b), None);
+            }
         }
+    }
+
+    /// Pins the selection rule: the schedule follows what the solver
+    /// declares. A fast solver runs fused (interior/boundary spans, no plain
+    /// `exchange` span); `ScalarReference2` forwards no split and runs plain.
+    #[test]
+    fn schedule_follows_the_solver_declaration() {
+        let fused = span_names::<D2>(Arc::new(LatticeBoltzmann2), problem(2, 1));
+        assert!(fused.contains("compute interior") && fused.contains("compute boundary"));
+        assert!(!fused.contains("exchange"));
+        let plain = span_names::<D2>(Arc::new(ScalarReference2(LatticeBoltzmann2)), problem(2, 1));
+        assert!(plain.contains("exchange") && plain.contains("compute"));
+        assert!(!plain.contains("compute interior") && !plain.contains("compute boundary"));
     }
 
     #[test]
@@ -902,18 +946,7 @@ mod tests {
         // Zero steady-state allocation: at most two buffers ever circulate
         // per directed edge, no matter how many steps run.
         let solver: Arc<dyn Solver2> = Arc::new(FiniteDifference2);
-        let p = problem(2, 2);
-        let active = p.active_tiles();
-        let mut edges = 0u64;
-        for &id in &active {
-            for f in Face2::ALL {
-                if let Some(nb) = p.decomp.neighbor(id, f) {
-                    if active.contains(&nb) {
-                        edges += 1;
-                    }
-                }
-            }
-        }
+        let edges = directed_edges::<D2>(&problem(2, 2));
         let out = ThreadedRunner2::new(Arc::clone(&solver), problem(2, 2))
             .run(30)
             .unwrap();
@@ -942,18 +975,7 @@ mod tests {
     #[test]
     fn recorder_adds_no_hot_path_allocations() {
         let solver: Arc<dyn Solver2> = Arc::new(FiniteDifference2);
-        let p = problem(2, 2);
-        let active = p.active_tiles();
-        let mut edges = 0u64;
-        for &id in &active {
-            for f in Face2::ALL {
-                if let Some(nb) = p.decomp.neighbor(id, f) {
-                    if active.contains(&nb) {
-                        edges += 1;
-                    }
-                }
-            }
-        }
+        let edges = directed_edges::<D2>(&problem(2, 2));
         let totals = |out: &RunOutcome2| {
             let mut total = StepTiming::default();
             for (_, t) in &out.timing {
@@ -996,7 +1018,7 @@ mod tests {
         let tracks = rec.finished_tracks();
         assert_eq!(tracks.len(), 4, "one track per tile");
         for t in &tracks {
-            assert_eq!(t.pid, TRACE_PID);
+            assert_eq!(t.pid, D2::TRACE_PID);
             assert!(t.events.iter().any(|e| e.cat == Category::Compute));
             assert!(t.events.iter().any(|e| e.cat == Category::Halo));
         }

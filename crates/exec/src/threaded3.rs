@@ -1,628 +1,22 @@
-//! Thread-per-subregion runner for 3D problems (companion to
-//! [`crate::threaded`]). Halo exchange runs in three stages (x, y, z) so
-//! edge and corner ghosts fill transitively without diagonal messages.
-//!
-//! Supports the same crash-recovery supervision as the 2D runner: segments
-//! of `checkpoint_interval` steps with in-memory coordinated checkpoints at
-//! the barriers, seeded [`KillSpec`] faults, and bitwise-identical replay
-//! from the last snapshot.
+//! 3D tests of the generic threaded runner ([`crate::threaded`]): the same
+//! pins as its 2D tests, on a duct with three exchange stages.
 
-use crate::checkpoint3::{load_tile3, save_tile3};
-use crate::error::{note_failure, panic_message, RunError};
-use crate::gather::GlobalFields3;
-use crate::problem::Problem3;
-use crate::threaded::{DrillReport, KillSpec, MigrationDrill, SupervisorConfig};
-use crate::timing::StepTiming;
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::{Condvar, Mutex};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
-use subsonic_grid::Face3;
-use subsonic_obs::{Category, FlightRecorder, TrackRecorder};
-use subsonic_solvers::{Solver3, StepOp, TileState3};
+#![cfg(test)]
 
-const NO_SYNC: u64 = u64::MAX;
-
-/// Flight-recorder process id for the 3D runner's tracks.
-const TRACE_PID: u32 = 3;
-
-/// Track id for the supervisor timeline (far above any real tile id).
-const SUPERVISOR_TID: u32 = u32::MAX;
-
-/// Result of a 3D threaded run.
-pub struct RunOutcome3 {
-    /// Final tiles, in active-id order.
-    pub tiles: Vec<TileState3>,
-    /// Per-tile timing, `(tile_id, timing)`. Under supervision this counts
-    /// only committed segments.
-    pub timing: Vec<(usize, StepTiming)>,
-    /// Drill report, if one was requested and fired.
-    pub drill: Option<DrillReport>,
-    /// Segment replays performed by the supervisor (0 for unsupervised runs).
-    pub restarts: u32,
-}
-
-impl RunOutcome3 {
-    /// Gathers the global fields from the final tiles.
-    pub fn gather(&self, dims: (usize, usize, usize), rho0: f64) -> GlobalFields3 {
-        GlobalFields3::gather(dims, rho0, self.tiles.iter())
-    }
-}
-
-struct Control {
-    published: Vec<AtomicU64>,
-    sync_step: AtomicU64,
-    state: Mutex<(usize, u64)>, // (paused, epoch)
-    cv: Condvar,
-}
-
-impl Control {
-    fn new(n: usize) -> Self {
-        Self {
-            published: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            sync_step: AtomicU64::new(NO_SYNC),
-            state: Mutex::new((0, 0)),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn max_published(&self) -> u64 {
-        self.published
-            .iter()
-            .map(|a| a.load(Ordering::SeqCst))
-            .max()
-            .unwrap_or(0)
-    }
-
-    fn pause(&self) {
-        let mut st = self.state.lock();
-        let epoch = st.1;
-        st.0 += 1;
-        self.cv.notify_all();
-        while st.1 == epoch {
-            self.cv.wait(&mut st);
-        }
-    }
-
-    fn wait_all_paused(&self, n: usize) {
-        let mut st = self.state.lock();
-        while st.0 < n {
-            self.cv.wait(&mut st);
-        }
-    }
-
-    fn resume_all(&self) {
-        let mut st = self.state.lock();
-        st.0 = 0;
-        st.1 += 1;
-        self.cv.notify_all();
-        self.sync_step.store(NO_SYNC, Ordering::SeqCst);
-    }
-}
-
-/// Output of one supervised segment (or a whole unsupervised run).
-struct Segment3 {
-    tiles: Vec<TileState3>,
-    timing: Vec<(usize, StepTiming)>,
-    drill: Option<DrillReport>,
-}
-
-/// One thread per 3D subregion, channels as sockets.
-pub struct ThreadedRunner3 {
-    solver: Arc<dyn Solver3>,
-    problem: Problem3,
-    recorder: FlightRecorder,
-    overlap: bool,
-}
-
-impl ThreadedRunner3 {
-    /// Creates a runner.
-    pub fn new(solver: Arc<dyn Solver3>, problem: Problem3) -> Self {
-        Self {
-            solver,
-            problem,
-            recorder: FlightRecorder::disabled(),
-            overlap: false,
-        }
-    }
-
-    /// Enables or disables compute/halo overlap (default: off in 3D); see
-    /// [`ThreadedRunner2::with_overlap`](crate::threaded::ThreadedRunner2::with_overlap).
-    /// With overlap on, the interior slab computes while the z-stage halo
-    /// (the last of the three staged exchanges) is in flight. Unlike 2D —
-    /// where the ghost frame is a few percent of a tile and overlap is the
-    /// measured default — a practical 3D tile is boundary-heavy (a width-1
-    /// frame of a 12×12×24 tile is ~35% of its sites), so the split
-    /// interior/frame sweeps cost more than the receive they hide unless
-    /// spare cores run the neighbours truly concurrently. Benches measure
-    /// both schedules (`threaded3_*` vs `threaded3_*_overlap`); results are
-    /// bitwise identical either way.
-    pub fn with_overlap(mut self, on: bool) -> Self {
-        self.overlap = on;
-        self
-    }
-
-    /// Attaches a flight recorder (wall-clock tracks per worker, same
-    /// zero-cost-when-disabled contract as the 2D runner).
-    pub fn with_recorder(mut self, recorder: &FlightRecorder) -> Self {
-        self.recorder = recorder.clone();
-        self
-    }
-
-    /// Opens a per-tile trace track (inert when the recorder is disabled).
-    fn tile_track(&self, id: usize) -> TrackRecorder {
-        if self.recorder.is_enabled() {
-            self.recorder
-                .track(TRACE_PID, id as u32, "threaded3", &format!("tile {id}"))
-        } else {
-            TrackRecorder::disabled()
-        }
-    }
-
-    /// Runs `steps` integration steps on all active tiles in parallel.
-    pub fn run(&self, steps: u64) -> Result<RunOutcome3, RunError> {
-        self.run_with_drill(steps, None)
-    }
-
-    /// Runs with an optional mid-run migration drill.
-    pub fn run_with_drill(
-        &self,
-        steps: u64,
-        drill: Option<MigrationDrill>,
-    ) -> Result<RunOutcome3, RunError> {
-        if let Some(d) = drill.as_ref() {
-            std::fs::create_dir_all(&d.dump_dir)?;
-        }
-        let tiles = self.initial_tiles();
-        let seg = self.run_segment(tiles, 0, steps, drill, Vec::new())?;
-        Ok(RunOutcome3 {
-            tiles: seg.tiles,
-            timing: seg.timing,
-            drill: seg.drill,
-            restarts: 0,
-        })
-    }
-
-    /// Runs `steps` steps under crash-recovery supervision; see
-    /// [`ThreadedRunner2::run_supervised`](crate::threaded::ThreadedRunner2::run_supervised).
-    pub fn run_supervised(
-        &self,
-        steps: u64,
-        cfg: &SupervisorConfig,
-        kill: Option<KillSpec>,
-    ) -> Result<RunOutcome3, RunError> {
-        self.run_supervised_kills(steps, cfg, kill.as_slice())
-    }
-
-    /// Like [`run_supervised`](Self::run_supervised), but with any number of
-    /// seeded kills, including kills armed on a replay attempt
-    /// ([`KillSpec::attempt`] > 0) — a crash during recovery.
-    pub fn run_supervised_kills(
-        &self,
-        steps: u64,
-        cfg: &SupervisorConfig,
-        kills: &[KillSpec],
-    ) -> Result<RunOutcome3, RunError> {
-        let active = self.problem.active_tiles();
-        let mut snapshot = self.initial_tiles();
-        let interval = cfg.checkpoint_interval.max(1);
-        let mut timing: Vec<(usize, StepTiming)> = active
-            .iter()
-            .map(|&id| (id, StepTiming::default()))
-            .collect();
-        let mut restarts = 0u32;
-        let mut done = 0u64;
-        let mut supervisor =
-            self.recorder
-                .track(TRACE_PID, SUPERVISOR_TID, "threaded3", "supervisor");
-        let mut replaying = false;
-        // Retry index of the current segment window; a kill arms only when
-        // its window runs at exactly its attempt index (fires at most once).
-        let mut window_attempt = 0u32;
-        while done < steps {
-            let end = (done + interval).min(steps);
-            let armed: Vec<KillSpec> = kills
-                .iter()
-                .filter(|kl| kl.at_step >= done && kl.at_step < end && kl.attempt == window_attempt)
-                .cloned()
-                .collect();
-            let seg0 = Instant::now();
-            match self.run_segment(snapshot.clone(), done, end, None, armed) {
-                Ok(seg) => {
-                    snapshot = seg.tiles;
-                    for (acc, (_, t)) in timing.iter_mut().zip(seg.timing) {
-                        acc.1.append(&t);
-                    }
-                    done = end;
-                    window_attempt = 0;
-                    if replaying {
-                        supervisor.span_wall_arg(
-                            Category::Recovery,
-                            "replay segment",
-                            seg0,
-                            Instant::now(),
-                            Some(("end_step", end as f64)),
-                        );
-                        replaying = false;
-                    }
-                    supervisor.instant_wall(
-                        Category::Checkpoint,
-                        "checkpoint commit",
-                        Instant::now(),
-                    );
-                }
-                Err(e) => {
-                    supervisor.instant_wall(Category::Fault, "segment failed", Instant::now());
-                    replaying = true;
-                    window_attempt += 1;
-                    restarts += 1;
-                    if restarts > cfg.max_restarts {
-                        return Err(RunError::RetriesExhausted {
-                            attempts: restarts,
-                            last: Box::new(e),
-                        });
-                    }
-                }
-            }
-        }
-        Ok(RunOutcome3 {
-            tiles: snapshot,
-            timing,
-            drill: None,
-            restarts,
-        })
-    }
-
-    fn initial_tiles(&self) -> Vec<TileState3> {
-        self.problem
-            .active_tiles()
-            .iter()
-            .map(|&id| self.problem.make_tile(self.solver.as_ref(), id))
-            .collect()
-    }
-
-    /// Runs global steps `start..end` from `tiles_in`, one tile per active id.
-    fn run_segment(
-        &self,
-        tiles_in: Vec<TileState3>,
-        start: u64,
-        end: u64,
-        drill: Option<MigrationDrill>,
-        kills: Vec<KillSpec>,
-    ) -> Result<Segment3, RunError> {
-        let active = self.problem.active_tiles();
-        let n = active.len();
-        let index_of: HashMap<usize, usize> =
-            active.iter().enumerate().map(|(k, &id)| (id, k)).collect();
-
-        // Data channels paired with buffer-return channels, exactly as in the
-        // 2D runner: consumed halo buffers flow back to their sender for
-        // reuse, so the steady-state exchange allocates nothing.
-        let mut senders: HashMap<(usize, Face3), Sender<Vec<f64>>> = HashMap::new();
-        let mut receivers: HashMap<(usize, Face3), Receiver<Vec<f64>>> = HashMap::new();
-        let mut ret_senders: HashMap<(usize, Face3), Sender<Vec<f64>>> = HashMap::new();
-        let mut ret_receivers: HashMap<(usize, Face3), Receiver<Vec<f64>>> = HashMap::new();
-        for &id in &active {
-            for f in Face3::ALL {
-                if let Some(nb) = self.problem.decomp.neighbor(id, f) {
-                    if index_of.contains_key(&nb) {
-                        let (s, r) = unbounded();
-                        senders.insert((id, f), s);
-                        receivers.insert((id, f), r);
-                        let (rs, rr) = unbounded();
-                        ret_senders.insert((id, f), rs);
-                        ret_receivers.insert((id, f), rr);
-                    }
-                }
-            }
-        }
-
-        // (face, data in, buffer-returns out) / (face, data out, returns in)
-        type RxEdge = (Face3, Receiver<Vec<f64>>, Sender<Vec<f64>>);
-        type TxEdge = (Face3, Sender<Vec<f64>>, Receiver<Vec<f64>>);
-        struct Endpoints {
-            rx: Vec<RxEdge>,
-            tx: Vec<TxEdge>,
-        }
-        let mut endpoints: Vec<Endpoints> = Vec::with_capacity(n);
-        for &id in &active {
-            let mut rx = Vec::new();
-            let mut tx = Vec::new();
-            for f in Face3::ALL {
-                if let Some(r) = receivers.remove(&(id, f)) {
-                    let rs = ret_senders.remove(&(id, f)).expect("return sender missing");
-                    rx.push((f, r, rs));
-                }
-                if let Some(nb) = self.problem.decomp.neighbor(id, f) {
-                    if let Some(s) = senders.get(&(nb, f.opposite())) {
-                        let rr = ret_receivers
-                            .remove(&(nb, f.opposite()))
-                            .expect("return receiver missing");
-                        tx.push((f, s.clone(), rr));
-                    }
-                }
-            }
-            endpoints.push(Endpoints { rx, tx });
-        }
-        drop(senders);
-
-        let control = Arc::new(Control::new(n));
-        let drill_fired: Mutex<Option<DrillReport>> = Mutex::new(None);
-        let solver = &self.solver;
-        let plan = solver.plan();
-        let overlap = self.overlap;
-        let mut results: Vec<Option<(TileState3, StepTiming)>> = (0..n).map(|_| None).collect();
-        let mut failure: Option<RunError> = None;
-
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(n);
-            let mut tiles_in = tiles_in;
-            for (k, &id) in active.iter().enumerate() {
-                let mut tile = tiles_in.remove(0);
-                let ep = endpoints.remove(0);
-                let control = Arc::clone(&control);
-                let drill = drill.clone();
-                let kills = kills.clone();
-                let drill_fired = &drill_fired;
-                let mut track = self.tile_track(id);
-                handles.push(
-                    scope.spawn(move || -> Result<(TileState3, StepTiming), RunError> {
-                        let mut timing = StepTiming::default();
-                        // Stage-filtered halves of the halo exchange (the 3D
-                        // protocol forwards edges/corners transitively through
-                        // the x → y → z stages, so every pack must precede the
-                        // interior compute; only the final stage's receive may
-                        // be deferred behind it — see the 2D runner).
-                        let send_stage = |tile: &TileState3,
-                                          x: usize,
-                                          stage: usize,
-                                          timing: &mut StepTiming|
-                         -> Result<Duration, RunError> {
-                            let mut pack = Duration::ZERO;
-                            for (f, tx, ret) in ep.tx.iter().filter(|(f, ..)| f.stage() == stage) {
-                                let mut buf = match ret.try_recv() {
-                                    Ok(mut b) => {
-                                        timing.buf_reuses += 1;
-                                        b.clear();
-                                        b
-                                    }
-                                    Err(_) => {
-                                        timing.buf_allocs += 1;
-                                        Vec::new()
-                                    }
-                                };
-                                let p0 = Instant::now();
-                                solver.pack(tile, x, *f, &mut buf);
-                                pack += p0.elapsed();
-                                timing.msgs_sent += 1;
-                                timing.doubles_sent += buf.len() as u64;
-                                tx.send(buf)
-                                    .map_err(|_| RunError::Disconnected { tile: id })?;
-                            }
-                            Ok(pack)
-                        };
-                        let recv_stage = |tile: &mut TileState3,
-                                          x: usize,
-                                          stage: usize|
-                         -> Result<(), RunError> {
-                            for (f, rx, ret) in ep.rx.iter().filter(|(f, ..)| f.stage() == stage) {
-                                let buf =
-                                    rx.recv().map_err(|_| RunError::Disconnected { tile: id })?;
-                                solver.unpack(tile, x, *f, &buf);
-                                let _ = ret.send(buf);
-                            }
-                            Ok(())
-                        };
-                        // Highest stage this tile has edges on; the overlapped
-                        // schedule hides the interior behind its receive.
-                        let last_stage = ep
-                            .rx
-                            .iter()
-                            .map(|(f, ..)| f.stage())
-                            .chain(ep.tx.iter().map(|(f, ..)| f.stage()))
-                            .max()
-                            .unwrap_or(0);
-                        for s in start..end {
-                            control.published[k].store(s, Ordering::SeqCst);
-                            // seeded fault injection: this worker dies here
-                            if let Some(kl) =
-                                kills.iter().find(|kl| kl.tile == id && kl.at_step == s)
-                            {
-                                if kl.panic {
-                                    panic!("injected fault: tile {id} killed at step {s}");
-                                }
-                                return Err(RunError::Injected { tile: id, step: s });
-                            }
-                            // Hold once at the arm step so workers cannot outrun
-                            // the monitor's sync-step announcement (same guard as
-                            // the 2D runner — Appendix B's margin assumes it).
-                            if let Some(d) = drill.as_ref() {
-                                if s == d.arm_step {
-                                    while control.sync_step.load(Ordering::SeqCst) == NO_SYNC {
-                                        std::thread::yield_now();
-                                    }
-                                }
-                            }
-                            if control.sync_step.load(Ordering::SeqCst) == s {
-                                let mut drill_err: Option<RunError> = None;
-                                if let Some(d) = drill.as_ref() {
-                                    if d.tile == id {
-                                        let path =
-                                            d.dump_dir.join(format!("tile3_{id}_step{s}.dump"));
-                                        let d0 = Instant::now();
-                                        match save_tile3(&tile, &path)
-                                            .and_then(|bytes| Ok((bytes, load_tile3(&path)?)))
-                                        {
-                                            Ok((bytes, restored)) => {
-                                                tile = restored;
-                                                track.span_wall_arg(
-                                                    Category::Checkpoint,
-                                                    "migration dump",
-                                                    d0,
-                                                    Instant::now(),
-                                                    Some(("bytes", bytes as f64)),
-                                                );
-                                                *drill_fired.lock() = Some(DrillReport {
-                                                    sync_step: s,
-                                                    dump_bytes: bytes,
-                                                    dump_path: path,
-                                                });
-                                            }
-                                            Err(e) => drill_err = Some(RunError::Checkpoint(e)),
-                                        }
-                                    }
-                                }
-                                control.pause();
-                                if let Some(e) = drill_err {
-                                    return Err(e);
-                                }
-                            }
-                            let mut op_i = 0;
-                            while op_i < plan.len() {
-                                match plan[op_i] {
-                                    StepOp::Compute(p) => {
-                                        let t0 = Instant::now();
-                                        solver.compute(&mut tile, p);
-                                        let t1 = Instant::now();
-                                        timing.t_calc += t1 - t0;
-                                        track.span_wall(Category::Compute, "compute", t0, t1);
-                                    }
-                                    StepOp::Exchange(x) => {
-                                        // Fuse `Exchange(x); Compute(p)` into the
-                                        // overlapped schedule when safe.
-                                        let fused = if overlap {
-                                            solver.overlapped_phase(x).filter(|&p| {
-                                                matches!(
-                                                    plan.get(op_i + 1),
-                                                    Some(StepOp::Compute(q)) if *q == p
-                                                )
-                                            })
-                                        } else {
-                                            None
-                                        };
-                                        let t0 = Instant::now();
-                                        // pack time: sub-component of the t_com
-                                        // windows, accumulated into t_pack only
-                                        let mut pack = Duration::ZERO;
-                                        if let Some(p) = fused {
-                                            for stage in 0..last_stage {
-                                                pack += send_stage(&tile, x, stage, &mut timing)?;
-                                                recv_stage(&mut tile, x, stage)?;
-                                            }
-                                            pack += send_stage(&tile, x, last_stage, &mut timing)?;
-                                            let t1 = Instant::now();
-                                            timing.t_com += t1 - t0;
-                                            track.span_wall(Category::Halo, "halo send", t0, t1);
-                                            let c0 = Instant::now();
-                                            solver.compute_interior(&mut tile, p);
-                                            let c1 = Instant::now();
-                                            timing.t_calc += c1 - c0;
-                                            track.span_wall(
-                                                Category::Compute,
-                                                "compute interior",
-                                                c0,
-                                                c1,
-                                            );
-                                            let r0 = Instant::now();
-                                            recv_stage(&mut tile, x, last_stage)?;
-                                            let r1 = Instant::now();
-                                            timing.t_com += r1 - r0;
-                                            track.span_wall(Category::Halo, "halo recv", r0, r1);
-                                            let b0 = Instant::now();
-                                            solver.compute_boundary(&mut tile, p);
-                                            let b1 = Instant::now();
-                                            timing.t_calc += b1 - b0;
-                                            track.span_wall(
-                                                Category::Compute,
-                                                "compute boundary",
-                                                b0,
-                                                b1,
-                                            );
-                                            op_i += 1; // the fused Compute is done
-                                        } else {
-                                            for stage in 0..=last_stage {
-                                                pack += send_stage(&tile, x, stage, &mut timing)?;
-                                                recv_stage(&mut tile, x, stage)?;
-                                            }
-                                            let t1 = Instant::now();
-                                            timing.t_com += t1 - t0;
-                                            track.span_wall(Category::Halo, "exchange", t0, t1);
-                                        }
-                                        timing.t_pack += pack;
-                                    }
-                                }
-                                op_i += 1;
-                            }
-                            timing.steps += 1;
-                        }
-                        control.published[k].store(end, Ordering::SeqCst);
-                        Ok((tile, timing))
-                    }),
-                );
-            }
-
-            if let Some(d) = drill.as_ref() {
-                loop {
-                    let m = control.max_published();
-                    if m >= d.arm_step {
-                        let sync = m + 2;
-                        if sync >= end {
-                            // Too late; announce the unreachable step anyway
-                            // so workers gated at the arm step are released.
-                            control.sync_step.store(sync, Ordering::SeqCst);
-                            break;
-                        }
-                        control.sync_step.store(sync, Ordering::SeqCst);
-                        control.wait_all_paused(n);
-                        control.resume_all();
-                        break;
-                    }
-                    std::thread::yield_now();
-                }
-            }
-
-            for (k, h) in handles.into_iter().enumerate() {
-                match h.join() {
-                    Ok(Ok(pair)) => results[k] = Some(pair),
-                    Ok(Err(e)) => note_failure(&mut failure, e),
-                    Err(payload) => note_failure(
-                        &mut failure,
-                        RunError::WorkerPanic {
-                            tile: active[k],
-                            message: panic_message(payload),
-                        },
-                    ),
-                }
-            }
-        });
-
-        if let Some(e) = failure {
-            return Err(e);
-        }
-        let mut tiles = Vec::with_capacity(n);
-        let mut timing = Vec::with_capacity(n);
-        for (k, r) in results.into_iter().enumerate() {
-            let (tile, t) = r.expect("worker result missing without a recorded failure");
-            tiles.push(tile);
-            timing.push((active[k], t));
-        }
-        Ok(Segment3 {
-            tiles,
-            timing,
-            drill: drill_fired.into_inner(),
-        })
-    }
-}
-
-#[cfg(test)]
 mod tests {
     #![allow(clippy::unwrap_used)]
-    use super::*;
+    use crate::dim::{Dim, D3};
     use crate::local::LocalRunner3;
-    use subsonic_grid::Geometry3;
-    use subsonic_solvers::{FiniteDifference3, FluidParams, LatticeBoltzmann3};
+    use crate::problem::Problem3;
+    use crate::threaded::tests::{directed_edges, span_names};
+    use crate::threaded::{KillSpec, MigrationDrill, SupervisorConfig, ThreadedRunner3};
+    use crate::timing::StepTiming;
+    use std::sync::Arc;
+    use subsonic_grid::{Face3, Geometry3};
+    use subsonic_obs::{Category, FlightRecorder};
+    use subsonic_solvers::{
+        FiniteDifference3, FluidParams, LatticeBoltzmann3, ScalarReference3, Solver3, StepOp,
+    };
 
     fn problem(px: usize, py: usize, pz: usize) -> Problem3 {
         let mut params = FluidParams::lattice_units(0.05);
@@ -644,31 +38,48 @@ mod tests {
         assert_eq!(a.first_difference(&b), None, "threaded 3D diverged");
     }
 
-    /// Overlapped 3D schedule (interior slab hidden behind the z-stage halo)
-    /// is bitwise identical to the non-overlapped runner and the serial
+    /// The fused 3D schedule (interior slab hidden behind the z-stage halo,
+    /// run by the fast solvers) and the plain one (`ScalarReference3`
+    /// forwards no split) are both bitwise identical to the serial
     /// reference, for both solver families.
     #[test]
     fn overlap3_matches_nonoverlap_bitwise() {
-        for solver in [
-            Arc::new(LatticeBoltzmann3) as Arc<dyn Solver3>,
-            Arc::new(FiniteDifference3) as Arc<dyn Solver3>,
-        ] {
-            let mut local = LocalRunner3::new(Arc::clone(&solver), problem(2, 1, 2));
+        let pairs: [(Arc<dyn Solver3>, Arc<dyn Solver3>); 2] = [
+            (
+                Arc::new(LatticeBoltzmann3),
+                Arc::new(ScalarReference3(LatticeBoltzmann3)),
+            ),
+            (
+                Arc::new(FiniteDifference3),
+                Arc::new(ScalarReference3(FiniteDifference3)),
+            ),
+        ];
+        for (fast, scalar) in pairs {
+            let mut local = LocalRunner3::new(Arc::clone(&fast), problem(2, 1, 2));
             local.run(6);
             let a = local.gather();
-            let on = ThreadedRunner3::new(Arc::clone(&solver), problem(2, 1, 2))
-                .with_overlap(true)
-                .run(6)
-                .unwrap()
-                .gather((12, 10, 10), 1.0);
-            let off = ThreadedRunner3::new(Arc::clone(&solver), problem(2, 1, 2))
-                .with_overlap(false)
-                .run(6)
-                .unwrap()
-                .gather((12, 10, 10), 1.0);
-            assert_eq!(a.first_difference(&on), None);
-            assert_eq!(a.first_difference(&off), None);
+            for solver in [fast, scalar] {
+                let b = ThreadedRunner3::new(solver, problem(2, 1, 2))
+                    .run(6)
+                    .unwrap()
+                    .gather((12, 10, 10), 1.0);
+                assert_eq!(a.first_difference(&b), None);
+            }
         }
+    }
+
+    /// 3D pin of the selection rule (see the 2D test of the same name).
+    #[test]
+    fn schedule3_follows_the_solver_declaration() {
+        let fused = span_names::<D3>(Arc::new(LatticeBoltzmann3), problem(2, 1, 1));
+        assert!(fused.contains("compute interior") && fused.contains("compute boundary"));
+        assert!(!fused.contains("exchange"));
+        let plain = span_names::<D3>(
+            Arc::new(ScalarReference3(LatticeBoltzmann3)),
+            problem(2, 1, 1),
+        );
+        assert!(plain.contains("exchange") && plain.contains("compute"));
+        assert!(!plain.contains("compute interior") && !plain.contains("compute boundary"));
     }
 
     #[test]
@@ -734,18 +145,7 @@ mod tests {
         // Same pool-bound invariant as the 2D runner's test: enabling the
         // recorder must keep buf_allocs within two per directed edge.
         let solver: Arc<dyn Solver3> = Arc::new(LatticeBoltzmann3);
-        let p = problem(2, 1, 2);
-        let active = p.active_tiles();
-        let mut edges = 0u64;
-        for &id in &active {
-            for f in Face3::ALL {
-                if let Some(nb) = p.decomp.neighbor(id, f) {
-                    if active.contains(&nb) {
-                        edges += 1;
-                    }
-                }
-            }
-        }
+        let edges = directed_edges::<D3>(&problem(2, 1, 2));
         let rec = FlightRecorder::enabled(4096);
         let traced = ThreadedRunner3::new(Arc::clone(&solver), problem(2, 1, 2))
             .with_recorder(&rec)
@@ -765,7 +165,7 @@ mod tests {
         assert!(b.t_pack.as_nanos() > 0);
         let tracks = rec.finished_tracks();
         assert_eq!(tracks.len(), 4);
-        assert!(tracks.iter().all(|t| t.pid == TRACE_PID));
+        assert!(tracks.iter().all(|t| t.pid == D3::TRACE_PID));
         assert!(tracks
             .iter()
             .all(|t| t.events.iter().any(|e| e.cat == Category::Halo)));

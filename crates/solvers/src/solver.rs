@@ -43,7 +43,11 @@ pub trait Solver2: Send + Sync {
     /// [`Solver2::compute_interior`] while halo messages are still in flight —
     /// and a boundary remainder ([`Solver2::compute_boundary`]) run after
     /// unpacking. The two parts together must be bitwise identical to
-    /// [`Solver2::compute`] of that phase. Default: no overlap.
+    /// [`Solver2::compute`] of that phase. Declaring a phase is the whole
+    /// selection: the threaded runner runs `Exchange(xch); Compute(p)` fused
+    /// for a solver that returns `Some(p)` here and as the plain staged
+    /// exchange for one that returns `None` — it has no switch of its own.
+    /// Default: no overlap.
     fn overlapped_phase(&self, _xch: usize) -> Option<usize> {
         None
     }
@@ -138,7 +142,8 @@ pub trait Solver3: Send + Sync {
 /// scalar-reference kernels, so the original row-slice loops can be driven
 /// through any runner unchanged (equivalence tests, `node_rate_*_scalar`
 /// ablation benches). Overlap is intentionally not forwarded: the scalar
-/// reference is the plain non-overlapped schedule.
+/// reference is the plain non-overlapped schedule, and the one solver that
+/// keeps the threaded runner's unfused branch under test.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ScalarReference2<S>(pub S);
 

@@ -70,7 +70,7 @@ stage_scale() {
 }
 
 stage_simd() {
-    echo "==> SIMD/overlap equivalence smoke (2 and 3 intra-tile bands, overlap on)"
+    echo "==> SIMD/schedule equivalence smoke (2 and 3 intra-tile bands)"
     # 3 bands give odd band heights, which is what exercises the overlap-row
     # logic of the banded LB2D half-step
     for bands in 2 3; do
@@ -143,6 +143,12 @@ stage_guard() {
 ALL_STAGES=(fmt build test bench-compile clippy faults partition trace engine scale simd dist sched chaos benchmark guard)
 
 run_stage() {
+    local t0=$SECONDS
+    dispatch_stage "$1"
+    echo "<== $1: $((SECONDS - t0)) s"
+}
+
+dispatch_stage() {
     case "$1" in
         fmt)            stage_fmt ;;
         build)          stage_build ;;
@@ -172,10 +178,10 @@ if (( $# == 0 )); then
     for s in "${ALL_STAGES[@]}"; do
         run_stage "$s"
     done
-    echo "All checks passed."
+    echo "All checks passed in $SECONDS s."
 else
     for s in "$@"; do
         run_stage "$s"
     done
-    echo "Requested stage(s) passed: $*"
+    echo "Requested stage(s) passed in $SECONDS s: $*"
 fi

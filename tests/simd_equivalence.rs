@@ -1,7 +1,7 @@
 //! SIMD/scalar and compute-overlap equivalence properties.
 //!
 //! The PR-6 kernel rewrite (SoA lanes for the autovectorizer, swap-free
-//! streaming, run-specialized row kernels) and the threaded runners'
+//! streaming, run-specialized row kernels) and the threaded runner's
 //! compute/halo overlap are *pure scheduling/codegen* changes: every one
 //! of them must reproduce the scalar reference bit for bit. These
 //! properties pin that across random domain sizes, decompositions,
@@ -9,7 +9,7 @@
 //! and 3D:
 //!
 //! * default (vectorized) kernels vs [`ScalarReference2`]/[`ScalarReference3`]
-//! * overlap-enabled threaded runs vs overlap-disabled vs serial
+//! * threaded runs on the fused and on the plain exchange schedule vs serial
 //! * intra-tile row/plane banding vs the single-band sweep
 //! * the LB2D row-pipelined half-step vs the plane-by-plane scalar oracle,
 //!   whole padded state and dump bytes, down to tiles shallower than the
@@ -52,6 +52,36 @@ fn geom3(nx: usize, ny: usize, nz: usize, obstacle: bool) -> Geometry3 {
         g.set(x0, y0.max(3).min(ny - 3), z0.max(3).min(nz - 3), Cell::Wall);
     }
     g
+}
+
+/// A default (vectorized) solver and its scalar reference, FD or LB.
+fn solvers2(fd: bool) -> (Arc<dyn Solver2>, Arc<dyn Solver2>) {
+    if fd {
+        (
+            Arc::new(FiniteDifference2),
+            Arc::new(ScalarReference2(FiniteDifference2)),
+        )
+    } else {
+        (
+            Arc::new(LatticeBoltzmann2),
+            Arc::new(ScalarReference2(LatticeBoltzmann2)),
+        )
+    }
+}
+
+/// 3D counterpart of [`solvers2`].
+fn solvers3(fd: bool) -> (Arc<dyn Solver3>, Arc<dyn Solver3>) {
+    if fd {
+        (
+            Arc::new(FiniteDifference3),
+            Arc::new(ScalarReference3(FiniteDifference3)),
+        )
+    } else {
+        (
+            Arc::new(LatticeBoltzmann3),
+            Arc::new(ScalarReference3(LatticeBoltzmann3)),
+        )
+    }
 }
 
 fn problem2(nx: usize, ny: usize, px: usize, py: usize, obstacle: bool, seed: usize) -> Problem2 {
@@ -195,17 +225,7 @@ proptest! {
         steps in 2usize..5,
         seed in 0usize..16,
     ) {
-        let (simd, scalar): (Arc<dyn Solver2>, Arc<dyn Solver2>) = if fd {
-            (
-                Arc::new(FiniteDifference2),
-                Arc::new(ScalarReference2(FiniteDifference2)),
-            )
-        } else {
-            (
-                Arc::new(LatticeBoltzmann2),
-                Arc::new(ScalarReference2(LatticeBoltzmann2)),
-            )
-        };
+        let (simd, scalar) = solvers2(fd);
         let mut a = LocalRunner2::new(simd, problem2(nx, ny, 1, 1, obstacle, seed));
         let mut b = LocalRunner2::new(scalar, problem2(nx, ny, 1, 1, obstacle, seed));
         a.run(steps);
@@ -223,17 +243,7 @@ proptest! {
         fd in any::<bool>(),
         seed in 0usize..16,
     ) {
-        let (simd, scalar): (Arc<dyn Solver3>, Arc<dyn Solver3>) = if fd {
-            (
-                Arc::new(FiniteDifference3),
-                Arc::new(ScalarReference3(FiniteDifference3)),
-            )
-        } else {
-            (
-                Arc::new(LatticeBoltzmann3),
-                Arc::new(ScalarReference3(LatticeBoltzmann3)),
-            )
-        };
+        let (simd, scalar) = solvers3(fd);
         let mut a = LocalRunner3::new(simd, problem3(nx, ny, nz, 1, 1, 1, obstacle, seed));
         let mut b = LocalRunner3::new(scalar, problem3(nx, ny, nz, 1, 1, 1, obstacle, seed));
         a.run(3);
@@ -241,9 +251,10 @@ proptest! {
         prop_assert_eq!(a.gather().first_difference(&b.gather()), None);
     }
 
-    /// Threaded 2D runs with compute/halo overlap are bitwise identical to
-    /// non-overlapped runs and to the serial reference, over random
-    /// decompositions.
+    /// Threaded 2D runs are bitwise identical to the serial reference on
+    /// both exchange schedules — fused (the fast solvers declare an
+    /// overlapped phase) and plain (`ScalarReference2` declares none) — over
+    /// random decompositions.
     #[test]
     fn overlap2_matches_nonoverlap_bitwise(
         px in 1usize..4,
@@ -252,33 +263,24 @@ proptest! {
         seed in 0usize..16,
     ) {
         let (nx, ny) = (24, 16);
-        let solver: Arc<dyn Solver2> = if fd {
-            Arc::new(FiniteDifference2)
-        } else {
-            Arc::new(LatticeBoltzmann2)
-        };
+        let (fast, scalar) = solvers2(fd);
         let mut serial = LocalRunner2::new(
-            Arc::clone(&solver),
+            Arc::clone(&fast),
             problem2(nx, ny, px, py, false, seed),
         );
         serial.run(6);
         let a = serial.gather();
-        let on = ThreadedRunner2::new(Arc::clone(&solver), problem2(nx, ny, px, py, false, seed))
-            .with_overlap(true)
-            .run(6)
-            .unwrap()
-            .gather(nx, ny, 1.0);
-        let off = ThreadedRunner2::new(Arc::clone(&solver), problem2(nx, ny, px, py, false, seed))
-            .with_overlap(false)
-            .run(6)
-            .unwrap()
-            .gather(nx, ny, 1.0);
-        prop_assert_eq!(a.first_difference(&on), None);
-        prop_assert_eq!(a.first_difference(&off), None);
+        for solver in [fast, scalar] {
+            let b = ThreadedRunner2::new(solver, problem2(nx, ny, px, py, false, seed))
+                .run(6)
+                .unwrap()
+                .gather(nx, ny, 1.0);
+            prop_assert_eq!(a.first_difference(&b), None);
+        }
     }
 
-    /// 3D overlap pin: the interior slab hides behind the z-stage halo and
-    /// the result still matches the serial reference bitwise.
+    /// 3D schedule pin: fused (the interior slab hides behind the z-stage
+    /// halo) and plain both match the serial reference bitwise.
     #[test]
     fn overlap3_matches_nonoverlap_bitwise(
         px in 1usize..3,
@@ -287,35 +289,20 @@ proptest! {
         seed in 0usize..16,
     ) {
         let (nx, ny, nz) = (12, 10, 10);
-        let solver: Arc<dyn Solver3> = if fd {
-            Arc::new(FiniteDifference3)
-        } else {
-            Arc::new(LatticeBoltzmann3)
-        };
+        let (fast, scalar) = solvers3(fd);
         let mut serial = LocalRunner3::new(
-            Arc::clone(&solver),
+            Arc::clone(&fast),
             problem3(nx, ny, nz, px, 1, pz, false, seed),
         );
         serial.run(4);
         let a = serial.gather();
-        let on = ThreadedRunner3::new(
-            Arc::clone(&solver),
-            problem3(nx, ny, nz, px, 1, pz, false, seed),
-        )
-        .with_overlap(true)
-        .run(4)
-        .unwrap()
-        .gather((nx, ny, nz), 1.0);
-        let off = ThreadedRunner3::new(
-            Arc::clone(&solver),
-            problem3(nx, ny, nz, px, 1, pz, false, seed),
-        )
-        .with_overlap(false)
-        .run(4)
-        .unwrap()
-        .gather((nx, ny, nz), 1.0);
-        prop_assert_eq!(a.first_difference(&on), None);
-        prop_assert_eq!(a.first_difference(&off), None);
+        for solver in [fast, scalar] {
+            let b = ThreadedRunner3::new(solver, problem3(nx, ny, nz, px, 1, pz, false, seed))
+                .run(4)
+                .unwrap()
+                .gather((nx, ny, nz), 1.0);
+            prop_assert_eq!(a.first_difference(&b), None);
+        }
     }
 }
 
