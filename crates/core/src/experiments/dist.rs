@@ -7,7 +7,9 @@
 //! `ThreadedRunner2` fields *bitwise* — distribution and recovery are
 //! required to be invisible in the physics. The faulted run is recorded and
 //! replayed without sockets as a determinism check, and its measured
-//! recovery cost is compared against the calibrated [`RecoveryModel`].
+//! recovery cost is compared against the calibrated [`RecoveryModel`]. Each
+//! case also prints its anatomy — the job's fixed costs, read off the spans
+//! the runtime records — so a fixed cost that creeps back shows here.
 //!
 //! Worker hosting follows the environment: when `SUBSONIC_NET_WORKER_BIN`
 //! is set (the `reproduce` binary points it at itself), the faulted run uses
@@ -23,7 +25,7 @@ use subsonic_grid::Geometry2;
 use subsonic_model::RecoveryModel;
 use subsonic_net::supervisor::{replay, ProcessHost};
 use subsonic_net::{run_problem, NetConfig, NetKill, NetOutcome, ThreadHost, TransportKind};
-use subsonic_obs::FlightRecorder;
+use subsonic_obs::{FlightRecorder, TrackData};
 use subsonic_solvers::{FluidParams, LatticeBoltzmann2, Solver2};
 
 struct DistCase {
@@ -31,6 +33,21 @@ struct DistCase {
     outcome: NetOutcome,
     wall_s: f64,
     bitwise: bool,
+    /// The tracks this case's job recorded (supervisor and workers).
+    tracks: Vec<TrackData>,
+}
+
+/// Mean duration, ms, of the spans called `name` on the supervisor's track
+/// (`workers == false`) or on the workers' tracks; `None` if there is none.
+fn mean_span_ms(tracks: &[TrackData], workers: bool, name: &str) -> Option<f64> {
+    let spans: Vec<f64> = tracks
+        .iter()
+        .filter(|t| (t.process == "supervisor") != workers)
+        .flat_map(|t| &t.events)
+        .filter(|e| e.name == name && !e.is_instant())
+        .map(|e| e.dur_us / 1e3)
+        .collect();
+    (!spans.is_empty()).then(|| spans.iter().sum::<f64>() / spans.len() as f64)
 }
 
 fn dist_problem(nx: usize, ny: usize) -> Problem2 {
@@ -52,6 +69,7 @@ fn run_case(
     label: &'static str,
     recorder: &FlightRecorder,
 ) -> Result<DistCase, subsonic_net::NetError> {
+    let recorded = recorder.finished_tracks().len();
     let t0 = Instant::now();
     let outcome = if cfg.transport == TransportKind::Tcp
         && std::env::var("SUBSONIC_NET_WORKER_BIN").is_ok()
@@ -69,6 +87,7 @@ fn run_case(
         outcome,
         wall_s,
         bitwise,
+        tracks: recorder.finished_tracks().split_off(recorded),
     })
 }
 
@@ -85,8 +104,13 @@ pub fn e_dist_obs(quick: bool, obs: Option<&ObsSession>) -> ExperimentResult {
         "dist",
         "multi-process runtime: sockets, SIGKILL recovery, record/replay",
     );
-    let disabled = FlightRecorder::disabled();
-    let recorder = obs.map(|o| &o.recorder).unwrap_or(&disabled);
+    // the anatomy table reads spans, so something always records: the
+    // session's recorder when it traces, else one of our own
+    let own = FlightRecorder::enabled(1024);
+    let recorder = obs
+        .map(|o| &o.recorder)
+        .filter(|r| r.is_enabled())
+        .unwrap_or(&own);
 
     let (nx, ny, steps, interval) = if quick {
         (24, 16, 12, 4)
@@ -195,6 +219,31 @@ pub fn e_dist_obs(quick: bool, obs: Option<&ObsSession>) -> ExperimentResult {
         ]);
     }
     r.tables.push(table);
+
+    // where each job's fixed costs went, from the runtime's own spans
+    let mut anatomy = Table::new(
+        "job anatomy from the recorded spans, ms",
+        &[
+            "variant",
+            "setup (entry → first Run)",
+            "ship (worker dump + SegDone, mean)",
+            "persist (cut → disk, mean)",
+            "teardown (Done → return)",
+        ],
+    );
+    for c in &cases {
+        let ms = |workers, name| {
+            mean_span_ms(&c.tracks, workers, name).map_or("-".to_string(), |v| format!("{v:.2}"))
+        };
+        anatomy.push_row(vec![
+            c.label.to_string(),
+            ms(false, "job setup"),
+            ms(true, "checkpoint ship"),
+            ms(false, "cut persist"),
+            ms(false, "teardown"),
+        ]);
+    }
+    r.tables.push(anatomy);
 
     // model comparison: predict the faulted run's extra wall-clock from the
     // clean run's step rate plus the measured detection+restart latency,
@@ -313,6 +362,6 @@ mod tests {
                 .map(|c| format!("{}: {}", c.name, c.detail))
                 .collect::<Vec<_>>()
         );
-        assert_eq!(r.tables.len(), 2);
+        assert_eq!(r.tables.len(), 3);
     }
 }

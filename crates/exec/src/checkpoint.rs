@@ -370,21 +370,57 @@ pub fn load_tile2(path: &Path) -> Result<TileState2, DumpError> {
     restore_tile2(&bytes)
 }
 
-/// Atomically persists pre-encoded, sealed dump bytes (2D or 3D) to `path`.
-///
-/// This is the checkpoint-shipping path of the multi-process supervisor: the
-/// bytes arrived over a control socket already sealed by the worker, so the
-/// checksum is verified before anything touches the disk — a corrupted ship
-/// must never replace a good checkpoint.
-pub fn save_dump_bytes(path: &Path, bytes: &[u8]) -> Result<(), DumpError> {
-    verify(bytes)?;
-    write_atomic(path, bytes)?;
-    Ok(())
+/// Pre-encoded dump bytes (2D or 3D) whose checksum trailer has been
+/// verified — the form a checkpoint shipped over a control socket takes
+/// before the multi-process supervisor may adopt it as a rollback target or
+/// write it over a good file. Verifying ([`SealedDump::new`]) and persisting
+/// ([`SealedDump::persist`]) are separate steps, so the supervisor can check
+/// a cut the moment it arrives and write it while the workers run on; the
+/// type is what guarantees that only verified bytes ever reach the disk.
+pub struct SealedDump(Vec<u8>);
+
+impl SealedDump {
+    /// Verifies the checksum of `bytes` (already sealed by the worker).
+    pub fn new(bytes: Vec<u8>) -> Result<SealedDump, DumpError> {
+        verify(&bytes)?;
+        Ok(SealedDump(bytes))
+    }
+
+    /// Dumps `t`: bytes this process sealed itself need no second look.
+    pub fn of_tile2(t: &TileState2) -> SealedDump {
+        SealedDump(dump_tile2(t))
+    }
+
+    /// The sealed bytes, trailer included.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.0
+    }
+
+    /// The sealed bytes, for shipping.
+    pub fn into_bytes(self) -> Vec<u8> {
+        self.0
+    }
+
+    /// The checksum the dump is sealed with: a fingerprint of the whole
+    /// tile state that costs nothing to read.
+    pub fn seal(&self) -> u64 {
+        let mut trailer = [0u8; 8];
+        trailer.copy_from_slice(&self.0[self.0.len() - 8..]);
+        u64::from_le_bytes(trailer)
+    }
+
+    /// Atomically persists the dump to `path` (temp file, fsync, rename,
+    /// directory fsync): a corrupted ship can never replace a good
+    /// checkpoint, and a crash leaves the old file or the new one.
+    pub fn persist(&self, path: &Path) -> Result<(), DumpError> {
+        write_atomic(path, &self.0)?;
+        Ok(())
+    }
 }
 
 /// Reads raw dump bytes from `path`, verifying the checksum trailer but not
-/// decoding the payload — the counterpart of [`save_dump_bytes`] for shipping
-/// a stored checkpoint back out over a wire.
+/// decoding the payload — the counterpart of [`SealedDump::persist`] for
+/// shipping a stored checkpoint back out over a wire.
 pub fn load_dump_bytes(path: &Path) -> Result<Vec<u8>, DumpError> {
     let mut bytes = Vec::new();
     std::fs::File::open(path)?.read_to_end(&mut bytes)?;

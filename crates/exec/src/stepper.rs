@@ -6,10 +6,11 @@
 //! schedule that needs a non-blocking send and a deferrable receive. The
 //! multi-process runtime needs the *same* step semantics over TCP sockets,
 //! reliable UDP, or in-memory links, so this module runs the per-step plan
-//! behind the [`Halo2`] trait: a runner implements `send`/`recv` for its wire
-//! and gets a step loop whose results are bitwise identical to the threaded
-//! runner's (same staged exchange order, same compute sequence — pinned by
-//! tests).
+//! behind the [`Halo2`] trait: a runner implements `send`/`recv_into` for its
+//! wire and gets a step loop whose results are bitwise identical to the
+//! threaded runner's (same staged exchange order, same compute sequence —
+//! pinned by tests). Strips travel in caller-owned buffers in both
+//! directions, so a step allocates nothing once its buffers have grown.
 //!
 //! The exchange runs in face stages (x axis, then y), posting every send of a
 //! stage before receiving that stage, exactly like the plain (unfused)
@@ -24,10 +25,10 @@ use subsonic_solvers::{Solver2, StepOp, TileState2};
 
 /// One worker's view of its halo links for a 2D tile.
 ///
-/// `send` must not block indefinitely on a healthy peer; `recv` blocks until
-/// the strip for `(xch, face)` arrives (frames may arrive out of order on a
-/// shared link — implementations buffer and match). Both surface transport
-/// death as an `io::Error`, which aborts the step cleanly.
+/// `send` must not block indefinitely on a healthy peer; `recv_into` blocks
+/// until the strip for `(xch, face)` arrives (frames may arrive out of order
+/// on a shared link — implementations buffer and match). Both surface
+/// transport death as an `io::Error`, which aborts the step cleanly.
 pub trait Halo2 {
     /// Whether this tile has a neighbour across `face`.
     fn has_neighbor(&self, face: Face2) -> bool;
@@ -36,20 +37,24 @@ pub trait Halo2 {
     /// it at `face.opposite()`).
     fn send(&mut self, xch: usize, face: Face2, data: &[f64]) -> io::Result<()>;
 
-    /// Receives the strip arriving across the tile's own `face` for `xch`.
-    fn recv(&mut self, xch: usize, face: Face2) -> io::Result<Vec<f64>>;
+    /// Receives the strip arriving across the tile's own `face` for `xch`
+    /// into `strip`, replacing its contents (and free to keep its old
+    /// allocation for a later strip).
+    fn recv_into(&mut self, xch: usize, face: Face2, strip: &mut Vec<f64>) -> io::Result<()>;
 }
 
 /// Runs one full integration step of `solver`'s plan on `tile`, moving halo
 /// strips through `halo`. Accumulates calc/com wall time and message counts
-/// into `timing`. `pack_buf` is the caller's send buffer, refilled for every
-/// strip; handing the same one to every step keeps the loop allocation-free.
+/// into `timing`. `strip` is the caller's strip buffer, refilled for every
+/// strip packed and every strip received (a stage's sends are all posted
+/// before its first receive, so one buffer serves both); handing the same
+/// one to every step keeps the loop allocation-free.
 pub fn step_tile2(
     solver: &dyn Solver2,
     tile: &mut TileState2,
     halo: &mut impl Halo2,
     timing: &mut StepTiming,
-    pack_buf: &mut Vec<f64>,
+    strip: &mut Vec<f64>,
 ) -> io::Result<()> {
     for op in solver.plan() {
         match *op {
@@ -66,19 +71,19 @@ pub fn step_tile2(
                     // forward transitively: stage-1 strips span stage-0 ghosts)
                     for face in Face2::ALL {
                         if face.stage() == stage && halo.has_neighbor(face) {
-                            pack_buf.clear();
+                            strip.clear();
                             let p0 = Instant::now();
-                            solver.pack(tile, x, face, pack_buf);
+                            solver.pack(tile, x, face, strip);
                             timing.t_pack += p0.elapsed();
                             timing.msgs_sent += 1;
-                            timing.doubles_sent += pack_buf.len() as u64;
-                            halo.send(x, face, pack_buf)?;
+                            timing.doubles_sent += strip.len() as u64;
+                            halo.send(x, face, strip)?;
                         }
                     }
                     for face in Face2::ALL {
                         if face.stage() == stage && halo.has_neighbor(face) {
-                            let data = halo.recv(x, face)?;
-                            solver.unpack(tile, x, face, &data);
+                            halo.recv_into(x, face, strip)?;
+                            solver.unpack(tile, x, face, strip);
                         }
                     }
                 }
@@ -123,13 +128,14 @@ mod tests {
                 .send((xch, face.opposite(), data.to_vec()))
                 .map_err(|_| io::Error::new(io::ErrorKind::BrokenPipe, "peer gone"))
         }
-        fn recv(&mut self, xch: usize, face: Face2) -> io::Result<Vec<f64>> {
+        fn recv_into(&mut self, xch: usize, face: Face2, strip: &mut Vec<f64>) -> io::Result<()> {
             if let Some(at) = self
                 .inbox
                 .iter()
                 .position(|(x, f, _)| *x == xch && *f == face)
             {
-                return Ok(self.inbox.remove(at).2);
+                *strip = self.inbox.remove(at).2;
+                return Ok(());
             }
             loop {
                 let frame = self
@@ -137,7 +143,8 @@ mod tests {
                     .recv()
                     .map_err(|_| io::Error::new(io::ErrorKind::UnexpectedEof, "peer gone"))?;
                 if frame.0 == xch && frame.1 == face {
-                    return Ok(frame.2);
+                    *strip = frame.2;
+                    return Ok(());
                 }
                 self.inbox.push(frame);
             }
@@ -195,14 +202,14 @@ mod tests {
                         inbox: Vec::new(),
                     };
                     let mut timing = StepTiming::default();
-                    let mut pack_buf = Vec::new();
+                    let mut strip = Vec::new();
                     for _ in 0..steps {
                         step_tile2(
                             solver.as_ref(),
                             &mut tile,
                             &mut halo,
                             &mut timing,
-                            &mut pack_buf,
+                            &mut strip,
                         )
                         .unwrap();
                     }

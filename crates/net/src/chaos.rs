@@ -220,8 +220,10 @@ impl ChaosSpec {
             return None;
         }
         let seed = u64_of(&mut b)?;
+        // counts come off the wire: reserve for what the bytes can hold (a
+        // window is 36 bytes, a partition at least 20), never for the claim
         let nw = u32_of(&mut b)? as usize;
-        let mut windows = Vec::with_capacity(nw);
+        let mut windows = Vec::with_capacity(nw.min(b.len() / 36));
         for _ in 0..nw {
             windows.push(MsgWindow {
                 from: u32_of(&mut b)?,
@@ -234,7 +236,7 @@ impl ChaosSpec {
             });
         }
         let np = u32_of(&mut b)? as usize;
-        let mut partitions = Vec::with_capacity(np);
+        let mut partitions = Vec::with_capacity(np.min(b.len() / 20));
         for _ in 0..np {
             let at_ms = u64_of(&mut b)?;
             let until_ms = u64_of(&mut b)?;

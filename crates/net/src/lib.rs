@@ -8,17 +8,25 @@
 //!
 //! * **Bootstrap** — the supervisor binds a control socket and writes its
 //!   port to a *port file* in the run directory (the paper's handshake:
-//!   "each process writes its port number to a file"). Workers poll for the
-//!   file, dial in, and identify themselves; the supervisor ships each one
-//!   its tile as sealed checkpoint bytes (init closures never cross process
-//!   boundaries).
+//!   "each process writes its port number to a file") before it spawns
+//!   anyone, then spawns every worker at once. Workers read the file, dial
+//!   in, and identify themselves; the supervisor takes the `Hello`s in
+//!   arrival order and ships each worker its tile as sealed checkpoint bytes
+//!   (init closures never cross process boundaries). Nothing on this path
+//!   polls: accepts complete on the connection, and closing a link ends the
+//!   readers on both of its sides at once.
 //! * **Transports** — the halo data plane is pluggable ([`TransportKind`]):
 //!   loopback TCP streams, reliable UDP reusing the RFC 6298 retransmission
 //!   state machine from `subsonic-cluster` (Appendix D), or in-memory
-//!   channels for sockets-free replay.
+//!   channels for sockets-free replay. A halo strip leaves in one write and
+//!   is read straight into its frame buffer (header, then the exact length),
+//!   all in buffers that are reused; a reader thread per link blocks on its
+//!   socket, so the step loop never touches one.
 //! * **Recovery** — workers checkpoint every interval; the supervisor
-//!   commits a coordinated cut when all workers report, and persists it
-//!   (torn-write-safe). When a worker dies — really dies, SIGKILL — the
+//!   verifies each checkpoint as it arrives, adopts the coordinated cut when
+//!   all workers have reported, releases the next segment, and persists the
+//!   cut (torn-write-safe) while the workers compute — recovery ships the
+//!   cut from memory. When a worker dies — really dies, SIGKILL — the
 //!   supervisor respawns it, ships the last committed checkpoint to every
 //!   worker, rebuilds the mesh under a new epoch, and replays. Recovery is
 //!   bitwise: the final fields equal an uninterrupted single-process run.

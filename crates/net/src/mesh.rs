@@ -1,10 +1,15 @@
 //! The worker-to-worker data plane: one mesh of frame links per epoch.
 //!
 //! A [`Mesh`] is what a worker sees after the bootstrap dance: a sender per
-//! neighbouring worker plus one merged event stream of inbound frames.
-//! Reader threads (one per link) normalise every transport to that shape, so
-//! the step loop never polls sockets. Peer death surfaces as a
-//! [`MeshEvent::Gone`] (TCP reset / dropped channel); the UDP plane has no
+//! neighbouring worker plus one merged event stream of inbound frames. One
+//! reader thread per link blocks on its socket and normalises every
+//! transport to that shape. The thread is what makes "post every send of a
+//! stage, then receive" deadlock-free for any strip size: a strip larger
+//! than a socket buffer only leaves the sender because the peer's reader is
+//! draining it while the peer itself is still sending. Consumed frame
+//! buffers go back to the reader ([`Mesh::recycle`]), so the steady state
+//! allocates nothing per frame. Peer death surfaces as a
+//! [`MeshEvent::Gone`] (TCP reset / closed channel); the UDP plane has no
 //! connection state and relies on the supervisor's abort directive instead.
 //!
 //! Meshes are epoch-scoped. A rollback tears the whole mesh down and builds
@@ -15,7 +20,7 @@
 //! after it.
 
 use crate::chaos::WireFaults;
-use crate::link::{tcp_link, FrameRx, FrameTx, Link, Switchboard};
+use crate::link::{tcp_link, Acceptor, FrameRx, FrameTx, Link, Switchboard, BLOCK};
 use crate::wire::{decode_msg, encode_msg, Msg, TransportKind};
 use crate::NetError;
 use std::collections::HashMap;
@@ -26,6 +31,10 @@ use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// How often a mesh build waiting for dials re-checks its abort flag and
+/// deadline; a dial itself ends the wait at once.
+const ABORT_POLL: Duration = Duration::from_millis(50);
 
 /// One event from the merged inbound stream.
 #[derive(Debug)]
@@ -48,6 +57,9 @@ pub enum MeshEvent {
 pub struct Mesh {
     pub(crate) tx: HashMap<u32, Box<dyn FrameTx>>,
     pub(crate) events: Receiver<MeshEvent>,
+    /// Buffer-return edge to each link's reader.
+    pub(crate) returns: HashMap<u32, Sender<Vec<u8>>>,
+    /// Stops the UDP service thread, which has no link to see closed.
     pub(crate) shutdown: Arc<AtomicBool>,
     pub(crate) threads: Vec<JoinHandle<()>>,
 }
@@ -79,19 +91,34 @@ impl Mesh {
         }
     }
 
-    /// Tears the mesh down: unblocks reader threads and joins them.
-    pub fn teardown(mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        self.tx.clear(); // drop senders so peers see EOF promptly
-        for t in self.threads.drain(..) {
-            let _ = t.join();
+    /// Hands the buffer of a consumed [`MeshEvent::Frame`] back to the
+    /// reader of `from`'s link, which receives its next frame into it.
+    pub fn recycle(&mut self, from: u32, payload: Vec<u8>) {
+        if let Some(returns) = self.returns.get(&from) {
+            let _ = returns.send(payload);
         }
+    }
+
+    /// Tears the mesh down: closes every link, then joins the readers. This
+    /// is what dropping a mesh does; the call names the intent.
+    pub fn teardown(self) {}
+
+    /// Installs an established link: its sender, and a reader thread feeding
+    /// `events`.
+    fn install(&mut self, peer: u32, link: Link, events: &Sender<MeshEvent>) {
+        let (returns_tx, returns) = channel();
+        self.tx.insert(peer, link.tx);
+        self.returns.insert(peer, returns_tx);
+        self.threads
+            .push(spawn_reader(peer, link.rx, events.clone(), returns));
     }
 }
 
 impl Drop for Mesh {
     fn drop(&mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
+        // closing the senders first is what ends the readers: each is
+        // blocked on a link that now reports EOF (and the peers see it too)
         self.tx.clear();
         for t in self.threads.drain(..) {
             let _ = t.join();
@@ -115,11 +142,9 @@ impl MeshBinding {
     /// no port — the OS picks one).
     pub fn bind(kind: TransportKind, addr: &str) -> Result<MeshBinding, NetError> {
         match kind {
-            TransportKind::Tcp => {
-                let listener = TcpListener::bind((addr, 0)).map_err(NetError::Io)?;
-                listener.set_nonblocking(true).map_err(NetError::Io)?;
-                Ok(MeshBinding::Tcp(listener))
-            }
+            TransportKind::Tcp => Ok(MeshBinding::Tcp(
+                TcpListener::bind((addr, 0)).map_err(NetError::Io)?,
+            )),
             TransportKind::Udp => Ok(MeshBinding::Udp(crate::udp::UdpBinding::bind(addr)?)),
             TransportKind::Mem => Ok(MeshBinding::Mem),
         }
@@ -155,38 +180,27 @@ pub struct MeshSpec<'a> {
     pub faults: Option<Arc<WireFaults>>,
 }
 
-/// Spawns the reader thread for one established link.
+/// Spawns the reader thread for one established link: a blocking read per
+/// frame, into a buffer the consumer handed back when there is one. The
+/// thread ends when the link does — closed from either side.
 fn spawn_reader(
     peer: u32,
     mut rx: Box<dyn FrameRx>,
     events: Sender<MeshEvent>,
-    shutdown: Arc<AtomicBool>,
+    returns: Receiver<Vec<u8>>,
 ) -> JoinHandle<()> {
     std::thread::spawn(move || loop {
-        if shutdown.load(Ordering::SeqCst) {
+        let mut payload = returns.try_recv().unwrap_or_default();
+        let event = match rx.recv_into(BLOCK, &mut payload) {
+            Ok(()) => MeshEvent::Frame {
+                from: peer,
+                payload,
+            },
+            Err(_) => MeshEvent::Gone { from: peer },
+        };
+        let gone = matches!(event, MeshEvent::Gone { .. });
+        if events.send(event).is_err() || gone {
             return;
-        }
-        match rx.recv(Duration::from_millis(50)) {
-            Ok(payload) => {
-                if events
-                    .send(MeshEvent::Frame {
-                        from: peer,
-                        payload,
-                    })
-                    .is_err()
-                {
-                    return;
-                }
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::TimedOut | io::ErrorKind::WouldBlock
-                ) => {}
-            Err(_) => {
-                let _ = events.send(MeshEvent::Gone { from: peer });
-                return;
-            }
         }
     })
 }
@@ -207,43 +221,37 @@ pub fn connect(
     let t0 = Instant::now();
     let (events_tx, events_rx) = channel();
     let shutdown = Arc::new(AtomicBool::new(false));
-    let mut tx: HashMap<u32, Box<dyn FrameTx>> = HashMap::new();
-    let mut threads = Vec::new();
+    let listener = match binding {
+        MeshBinding::Udp(udp_binding) => {
+            return crate::udp::build_mesh(udp_binding, spec, events_tx, events_rx, shutdown);
+        }
+        MeshBinding::Tcp(listener) => Some(listener),
+        MeshBinding::Mem => None,
+    };
+    // from here on an early return drops `mesh`, which closes the links
+    // installed so far and joins their readers
+    let mut mesh = Mesh {
+        tx: HashMap::new(),
+        events: events_rx,
+        returns: HashMap::new(),
+        shutdown,
+        threads: Vec::new(),
+    };
 
-    #[allow(clippy::too_many_arguments)]
-    fn install(
-        peer: u32,
-        link: Link,
-        tx: &mut HashMap<u32, Box<dyn FrameTx>>,
-        threads: &mut Vec<JoinHandle<()>>,
-        events_tx: &Sender<MeshEvent>,
-        shutdown: &Arc<AtomicBool>,
-    ) {
-        tx.insert(peer, link.tx);
-        threads.push(spawn_reader(
-            peer,
-            link.rx,
-            events_tx.clone(),
-            Arc::clone(shutdown),
-        ));
-    }
-
-    match binding {
-        MeshBinding::Mem => {
+    match listener {
+        None => {
             let sw = switchboard
                 .ok_or_else(|| NetError::Protocol("mem transport requires a switchboard".into()))?;
             for &p in spec.peers {
                 let link = sw.connect(spec.epoch, spec.me, p, spec.me).ok_or_else(|| {
                     NetError::Protocol(format!("switchboard link to {p} already taken"))
                 })?;
-                install(p, link, &mut tx, &mut threads, &events_tx, &shutdown);
+                mesh.install(p, link, &events_tx);
             }
         }
-        MeshBinding::Udp(udp_binding) => {
-            return crate::udp::build_mesh(udp_binding, spec, events_tx, events_rx, shutdown);
-        }
-        MeshBinding::Tcp(listener) => {
-            // dial every lower-id neighbour
+        Some(listener) => {
+            // dial every lower-id neighbour; its listener was bound before
+            // its port was published, so only a dead peer makes this retry
             for &p in spec.peers.iter().filter(|&&p| p < spec.me) {
                 let port = *spec.ports.get(p as usize).ok_or_else(|| {
                     NetError::Protocol(format!("port map has no entry for worker {p}"))
@@ -267,61 +275,45 @@ pub fn connect(
                         epoch: spec.epoch,
                     }))
                     .map_err(NetError::Io)?;
-                install(p, link, &mut tx, &mut threads, &events_tx, &shutdown);
+                mesh.install(p, link, &events_tx);
             }
-            // accept every higher-id neighbour
+            // accept every higher-id neighbour, woken by the dial itself
             let mut expected: Vec<u32> = spec
                 .peers
                 .iter()
                 .copied()
                 .filter(|&p| p > spec.me)
                 .collect();
-            while !expected.is_empty() {
-                if abort() {
-                    return Err(NetError::Timeout("mesh build aborted"));
-                }
-                if t0.elapsed() > spec.deadline {
-                    return Err(NetError::Timeout("mesh accept"));
-                }
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        let mut link = tcp_link(stream).map_err(NetError::Io)?;
-                        // first frame must identify the dialler and epoch
-                        let ident = link.rx.recv(Duration::from_secs(5));
-                        match ident.ok().and_then(|f| decode_msg(&f).ok()) {
-                            Some(Msg::Identify { worker, epoch }) if epoch == spec.epoch => {
+            if !expected.is_empty() {
+                let acceptor = Acceptor::start(listener).map_err(NetError::Io)?;
+                while !expected.is_empty() {
+                    if abort() {
+                        return Err(NetError::Timeout("mesh build aborted"));
+                    }
+                    if t0.elapsed() > spec.deadline {
+                        return Err(NetError::Timeout("mesh accept"));
+                    }
+                    match acceptor.next(ABORT_POLL) {
+                        // the first frame must identify the dialler and epoch
+                        Ok((first, link)) => match decode_msg(&first) {
+                            Ok(Msg::Identify { worker, epoch }) if epoch == spec.epoch => {
                                 if let Some(at) = expected.iter().position(|&w| w == worker) {
                                     expected.remove(at);
-                                    install(
-                                        worker,
-                                        link,
-                                        &mut tx,
-                                        &mut threads,
-                                        &events_tx,
-                                        &shutdown,
-                                    );
+                                    mesh.install(worker, link, &events_tx);
                                 }
                                 // an unexpected id is dropped on the floor
                             }
                             // stale epoch or garbage: drop the connection
                             _ => {}
-                        }
+                        },
+                        Err(e) if e.kind() == io::ErrorKind::TimedOut => {}
+                        Err(e) => return Err(NetError::Io(e)),
                     }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(10));
-                    }
-                    Err(e) => return Err(NetError::Io(e)),
                 }
             }
         }
     }
-
-    Ok(Mesh {
-        tx,
-        events: events_rx,
-        shutdown,
-        threads,
-    })
+    Ok(mesh)
 }
 
 #[cfg(test)]

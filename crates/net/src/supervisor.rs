@@ -3,10 +3,15 @@
 //!
 //! The supervisor is the only stateful authority in the job. Workers hold a
 //! tile and a mesh; the supervisor holds the *committed* cut — one sealed
-//! checkpoint per worker, persisted torn-write-safe in the run directory —
-//! plus the retry budgets and the fault schedule. Execution is segment-at-
-//! a-time: broadcast `Run`, collect a `SegDone` from everyone, persist the
-//! new cut, advance. Any death inside a segment voids the whole segment:
+//! checkpoint per worker, in memory and, torn-write-safe, in the run
+//! directory — plus the retry budgets and the fault schedule. Execution is
+//! segment-at-a-time: broadcast `Run`, collect a `SegDone` from everyone
+//! (each checkpoint verified as it arrives), adopt the new cut, broadcast
+//! the next `Run`, and only then write the adopted cut to disk, while the
+//! workers compute. Recovery ships the in-memory cut, so the write is off
+//! the critical path; cut *k* is still on disk before cut *k + 1* is
+//! adopted, and the last one before the job returns.
+//! Any death inside a segment voids the whole segment:
 //! kill detection (pause-fence `Paused` report, control-link EOF, or
 //! heartbeat silence) triggers the recovery sequence — respawn the victim,
 //! ship every worker its committed checkpoint, rebuild the mesh under
@@ -32,7 +37,7 @@
 //! fault schedule and compares logs.
 
 use crate::chaos::ChaosSpec;
-use crate::link::{mem_pair, tcp_link, FrameRx, FrameTx, Link, Switchboard};
+use crate::link::{mem_pair, spawn_msg_reader, Acceptor, FrameRx, FrameTx, Link, Switchboard};
 use crate::record::{FaultKind, FaultRecord, RunRecord};
 use crate::wire::{
     decode_msg, encode_msg, Msg, SolverKind, TransportKind, WorkerConfig, NO_NEIGHBOR, NO_PAUSE,
@@ -40,7 +45,6 @@ use crate::wire::{
 use crate::worker::{face_index, make_solver, worker_run};
 use crate::NetError;
 use std::collections::{BTreeSet, HashMap};
-use std::io;
 use std::net::TcpListener;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -50,8 +54,8 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use subsonic_cluster::fault::FaultPlan;
-use subsonic_exec::checkpoint::{dump_tile2, restore_tile2, save_dump_bytes};
-use subsonic_exec::{GlobalFields2, Problem2, StepTiming};
+use subsonic_exec::checkpoint::{restore_tile2, SealedDump};
+use subsonic_exec::{DumpError, GlobalFields2, Problem2, StepTiming};
 use subsonic_grid::Face2;
 use subsonic_obs::{decode_tracks, Category, FlightRecorder};
 
@@ -59,6 +63,13 @@ use subsonic_obs::{decode_tracks, Category, FlightRecorder};
 const PHASE_DEADLINE: Duration = Duration::from_secs(120);
 /// Heartbeat silence after which a worker is declared dead mid-segment.
 const HEARTBEAT_TIMEOUT: Duration = Duration::from_secs(20);
+/// Longest a stepping worker stays silent on its control link: it sends
+/// `Progress` once this long has passed since its last control frame (a
+/// step slower than this reports every step). 200× below the timeout, so
+/// the supervisor sleeps through a segment instead of waking per step.
+pub(crate) const PROGRESS_PERIOD: Duration = Duration::from_millis(100);
+/// Bound on a spawned worker dialling in and saying `Hello`.
+const HANDSHAKE_DEADLINE: Duration = Duration::from_secs(30);
 
 /// The host interface workers bind and dial on. Defaults to loopback;
 /// `SUBSONIC_NET_ADDR` overrides it for multi-interface machines.
@@ -208,17 +219,29 @@ pub struct NetOutcome {
 /// stands in for SIGKILL.
 type ThreadWorker = (JoinHandle<Result<(), NetError>>, Arc<AtomicBool>);
 
+/// Moves the links of `ids` out of a host's launched-but-uncollected list.
+fn take_ready(ready: &mut Vec<(u32, Link)>, ids: &[u32]) -> Vec<(u32, Link)> {
+    let (taken, rest) = std::mem::take(ready)
+        .into_iter()
+        .partition(|(w, _)| ids.contains(w));
+    *ready = rest;
+    taken
+}
+
 /// How workers are hosted: as OS processes or as in-process threads.
 pub trait WorkerHost {
-    /// Spawns (or respawns) worker `id`, returning its control link with the
-    /// `Hello` handshake already verified.
-    fn spawn(&mut self, id: u32) -> Result<Link, NetError>;
-    /// Spawns worker `id` on the host's *fallback* substrate — graceful
-    /// degradation for a quarantined flapper. Defaults to a plain spawn;
+    /// Starts (or restarts) worker `id` without waiting for it to come up,
+    /// so several can boot at once and the caller can work meanwhile.
+    fn launch(&mut self, id: u32) -> Result<(), NetError>;
+    /// Starts worker `id` on the host's *fallback* substrate — graceful
+    /// degradation for a quarantined flapper. Defaults to a plain launch;
     /// [`ProcessHost`] hosts the tile on an in-process thread instead.
-    fn spawn_fallback(&mut self, id: u32) -> Result<Link, NetError> {
-        self.spawn(id)
+    fn launch_fallback(&mut self, id: u32) -> Result<(), NetError> {
+        self.launch(id)
     }
+    /// Waits for the launched workers `ids` and returns their control links,
+    /// `Hello` verified, in whatever order they came up.
+    fn collect(&mut self, ids: &[u32]) -> Result<Vec<(u32, Link)>, NetError>;
     /// Forcibly kills worker `id` — SIGKILL for processes, hard-abort for
     /// threads. The worker gets no chance to say goodbye.
     fn kill(&mut self, id: u32);
@@ -235,7 +258,8 @@ pub trait WorkerHost {
 
 /// Hosts workers as real OS processes speaking loopback TCP, bootstrapped by
 /// the paper's port-file handshake: the supervisor writes `control=<port>`
-/// into `<run_dir>/ports`; spawned workers poll for it and dial in.
+/// into `<run_dir>/ports`; spawned workers read it and dial in. An acceptor
+/// thread owns the listener, so waiting for a worker ends on its dial.
 ///
 /// Quarantined workers degrade onto in-process threads (`fallback`): the
 /// tile keeps running over the same real sockets, but there is no separate
@@ -244,9 +268,11 @@ pub struct ProcessHost {
     bin: PathBuf,
     args: Vec<String>,
     run_dir: PathBuf,
-    listener: TcpListener,
+    acceptor: Acceptor,
     children: HashMap<u32, Child>,
     fallback: HashMap<u32, ThreadWorker>,
+    /// Control links of launched fallback workers not yet collected.
+    ready: Vec<(u32, Link)>,
 }
 
 impl ProcessHost {
@@ -256,7 +282,6 @@ impl ProcessHost {
         std::fs::create_dir_all(&run_dir).map_err(NetError::Io)?;
         let listener =
             TcpListener::bind((default_host_addr().as_str(), 0)).map_err(NetError::Io)?;
-        listener.set_nonblocking(true).map_err(NetError::Io)?;
         let port = listener.local_addr().map_err(NetError::Io)?.port();
         // atomic publish: workers must never read a half-written port file
         let tmp = run_dir.join("ports.tmp");
@@ -266,9 +291,10 @@ impl ProcessHost {
             bin,
             args,
             run_dir,
-            listener,
+            acceptor: Acceptor::start(listener).map_err(NetError::Io)?,
             children: HashMap::new(),
             fallback: HashMap::new(),
+            ready: Vec::new(),
         })
     }
 
@@ -286,7 +312,7 @@ impl ProcessHost {
 }
 
 impl WorkerHost for ProcessHost {
-    fn spawn(&mut self, id: u32) -> Result<Link, NetError> {
+    fn launch(&mut self, id: u32) -> Result<(), NetError> {
         let child = Command::new(&self.bin)
             .args(&self.args)
             .env("SUBSONIC_NET_DIR", &self.run_dir)
@@ -296,35 +322,10 @@ impl WorkerHost for ProcessHost {
             .spawn()
             .map_err(NetError::Io)?;
         self.children.insert(id, child);
-        // accept until this worker's Hello arrives (spawns are serial, but
-        // verify identity anyway)
-        let t0 = Instant::now();
-        loop {
-            if t0.elapsed() > Duration::from_secs(30) {
-                return Err(NetError::Timeout("worker handshake"));
-            }
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    let mut link = tcp_link(stream).map_err(NetError::Io)?;
-                    let hello = link
-                        .rx
-                        .recv(Duration::from_secs(5))
-                        .ok()
-                        .and_then(|f| decode_msg(&f).ok());
-                    match hello {
-                        Some(Msg::Hello { worker }) if worker == id => return Ok(link),
-                        _ => {} // stray dial: drop it
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-                Err(e) => return Err(NetError::Io(e)),
-            }
-        }
+        Ok(())
     }
 
-    fn spawn_fallback(&mut self, id: u32) -> Result<Link, NetError> {
+    fn launch_fallback(&mut self, id: u32) -> Result<(), NetError> {
         if let Some((handle, hard)) = self.fallback.remove(&id) {
             hard.store(true, Ordering::SeqCst);
             let _ = handle.join();
@@ -340,7 +341,34 @@ impl WorkerHost for ProcessHost {
         let worker_hard = Arc::clone(&hard);
         let handle = std::thread::spawn(move || worker_run(worker_end, id, None, worker_hard));
         self.fallback.insert(id, (handle, hard));
-        Ok(sup_end)
+        self.ready.push((id, sup_end));
+        Ok(())
+    }
+
+    fn collect(&mut self, ids: &[u32]) -> Result<Vec<(u32, Link)>, NetError> {
+        let mut links = take_ready(&mut self.ready, ids);
+        // the processes dial in on their own schedule: take each `Hello` as
+        // it arrives and match it by the worker id it carries
+        let deadline = Instant::now() + HANDSHAKE_DEADLINE;
+        while links.len() < ids.len() {
+            let left = deadline.saturating_duration_since(Instant::now());
+            let (first, link) = match self.acceptor.next(left) {
+                Ok(dial) => dial,
+                Err(e) if e.kind() == std::io::ErrorKind::TimedOut => {
+                    return Err(NetError::Timeout("worker handshake"))
+                }
+                Err(e) => return Err(NetError::Io(e)),
+            };
+            match decode_msg(&first) {
+                Ok(Msg::Hello { worker })
+                    if ids.contains(&worker) && links.iter().all(|(w, _)| *w != worker) =>
+                {
+                    links.push((worker, link))
+                }
+                _ => {} // stray dial: drop it
+            }
+        }
+        Ok(links)
     }
 
     fn kill(&mut self, id: u32) {
@@ -374,6 +402,8 @@ impl WorkerHost for ProcessHost {
 pub struct ThreadHost {
     switchboard: Arc<Switchboard>,
     workers: HashMap<u32, ThreadWorker>,
+    /// Control links of launched workers not yet collected.
+    ready: Vec<(u32, Link)>,
 }
 
 impl ThreadHost {
@@ -382,6 +412,7 @@ impl ThreadHost {
         ThreadHost {
             switchboard: Arc::new(Switchboard::default()),
             workers: HashMap::new(),
+            ready: Vec::new(),
         }
     }
 }
@@ -393,7 +424,7 @@ impl Default for ThreadHost {
 }
 
 impl WorkerHost for ThreadHost {
-    fn spawn(&mut self, id: u32) -> Result<Link, NetError> {
+    fn launch(&mut self, id: u32) -> Result<(), NetError> {
         if let Some((handle, hard)) = self.workers.remove(&id) {
             hard.store(true, Ordering::SeqCst);
             let _ = handle.join();
@@ -404,9 +435,14 @@ impl WorkerHost for ThreadHost {
         let sw = Arc::clone(&self.switchboard);
         let handle = std::thread::spawn(move || worker_run(worker_end, id, Some(sw), worker_hard));
         self.workers.insert(id, (handle, hard));
+        self.ready.push((id, sup_end));
+        Ok(())
+    }
+
+    fn collect(&mut self, ids: &[u32]) -> Result<Vec<(u32, Link)>, NetError> {
         // the worker's Hello arrives on the event stream; identity is
         // guaranteed by construction here
-        Ok(sup_end)
+        Ok(take_ready(&mut self.ready, ids))
     }
 
     fn kill(&mut self, id: u32) {
@@ -433,44 +469,66 @@ impl WorkerHost for ThreadHost {
 // ---------------------------------------------------------------------------
 // Supervisor proper
 
+/// What a control-link reader hands the supervisor: `(worker, life, ..)`.
 enum Event {
     Msg(u32, u32, Msg),
+    /// A `SegDone` for the given epoch, its checkpoint already verified by
+    /// the reader that received it — in parallel across workers, while the
+    /// other reports are still in flight.
+    Report(u32, u32, u32, Result<SegReport, DumpError>),
     Gone(u32, u32),
 }
 
+/// Per-worker data a committed segment reports. Only a verified checkpoint
+/// gets in here, so only verified checkpoints can become part of a cut.
+struct SegReport {
+    ckpt: SealedDump,
+    log: Vec<u8>,
+    timing: StepTiming,
+    chaos: [u64; 4],
+}
+
+/// Reads one control link into the merged event stream ([`spawn_msg_reader`]),
+/// ending with a `Gone` when the link does — the worker died, or the
+/// supervisor dropped its sending half. A `SegDone` is turned into a
+/// [`Event::Report`] here, its checkpoint verified on this thread.
 fn spawn_sup_reader(
     worker: u32,
     life: u32,
-    mut rx: Box<dyn FrameRx>,
+    rx: Box<dyn FrameRx>,
     events: Sender<Event>,
-    shutdown: Arc<AtomicBool>,
 ) -> JoinHandle<()> {
-    std::thread::spawn(move || loop {
-        if shutdown.load(Ordering::SeqCst) {
-            return;
+    spawn_msg_reader(rx, events, move |msg| match msg {
+        Some(Msg::SegDone {
+            epoch,
+            ckpt,
+            log,
+            t_calc_us,
+            t_com_us,
+            msgs_sent,
+            doubles_sent,
+            chaos_loss,
+            chaos_dup,
+            chaos_reorder,
+            chaos_part,
+            ..
+        }) => {
+            let report = SealedDump::new(ckpt).map(|ckpt| SegReport {
+                ckpt,
+                log,
+                timing: StepTiming {
+                    t_calc: Duration::from_micros(t_calc_us),
+                    t_com: Duration::from_micros(t_com_us),
+                    msgs_sent,
+                    doubles_sent,
+                    ..StepTiming::default()
+                },
+                chaos: [chaos_loss, chaos_dup, chaos_reorder, chaos_part],
+            });
+            Event::Report(worker, life, epoch, report)
         }
-        match rx.recv(Duration::from_millis(100)) {
-            Ok(frame) => match decode_msg(&frame) {
-                Ok(msg) => {
-                    if events.send(Event::Msg(worker, life, msg)).is_err() {
-                        return;
-                    }
-                }
-                Err(_) => {
-                    let _ = events.send(Event::Gone(worker, life));
-                    return;
-                }
-            },
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::TimedOut | io::ErrorKind::WouldBlock
-                ) => {}
-            Err(_) => {
-                let _ = events.send(Event::Gone(worker, life));
-                return;
-            }
-        }
+        Some(msg) => Event::Msg(worker, life, msg),
+        None => Event::Gone(worker, life),
     })
 }
 
@@ -485,7 +543,6 @@ struct Sup<'a> {
     events: Receiver<Event>,
     events_tx: Sender<Event>,
     readers: Vec<JoinHandle<()>>,
-    shutdown: Arc<AtomicBool>,
     host: &'a mut dyn WorkerHost,
     next_life: u32,
 }
@@ -516,14 +573,14 @@ impl<'a> Sup<'a> {
                 return Err(NetError::Timeout("supervisor phase"));
             }
             match self.events.recv_timeout(Duration::from_millis(50)) {
-                Ok(Event::Msg(w, life, msg)) => {
-                    if self.conns[w as usize].life == life {
-                        return Ok(Event::Msg(w, life, msg));
-                    }
-                }
                 Ok(Event::Gone(w, life)) => {
                     if self.conns[w as usize].life == life && self.conns[w as usize].alive {
                         return Ok(Event::Gone(w, life));
+                    }
+                }
+                Ok(event @ (Event::Msg(w, life, _) | Event::Report(w, life, ..))) => {
+                    if self.conns[w as usize].life == life {
+                        return Ok(event);
                     }
                 }
                 Err(RecvTimeoutError::Timeout) => {}
@@ -534,28 +591,45 @@ impl<'a> Sup<'a> {
         }
     }
 
-    /// Spawns (or respawns) worker `w` — on the fallback substrate when
-    /// `fallback` is set — and installs its connection/reader.
-    fn spawn_worker(&mut self, w: u32, fallback: bool) -> Result<(), NetError> {
-        let link = if fallback {
-            self.host.spawn_fallback(w)?
-        } else {
-            self.host.spawn(w)?
-        };
-        let life = self.next_life;
-        self.next_life += 1;
-        self.readers.push(spawn_sup_reader(
-            w,
-            life,
-            link.rx,
-            self.events_tx.clone(),
-            Arc::clone(&self.shutdown),
-        ));
-        self.conns[w as usize] = Conn {
-            tx: link.tx,
-            life,
-            alive: true,
-        };
+    /// Brings up the workers `ids` — on the fallback substrate where
+    /// `quarantined` — and installs their connections and readers: launch
+    /// them all, run `meanwhile` while they boot, then take their `Hello`s in
+    /// whatever order they arrive. The first spawn, a respawn and a
+    /// migration all come through here.
+    fn spawn_workers(
+        &mut self,
+        ids: &[u32],
+        quarantined: &[u32],
+        meanwhile: impl FnOnce() -> Result<(), NetError>,
+    ) -> Result<(), NetError> {
+        for &w in ids {
+            if quarantined.contains(&w) {
+                self.host.launch_fallback(w)?;
+            } else {
+                self.host.launch(w)?;
+            }
+        }
+        meanwhile()?;
+        let links = self.host.collect(ids)?;
+        if links.len() != ids.len() {
+            return Err(NetError::Protocol(format!(
+                "{} of {} launched workers came up",
+                links.len(),
+                ids.len()
+            )));
+        }
+        for (w, link) in links {
+            let life = self.next_life;
+            self.next_life += 1;
+            self.readers
+                .push(spawn_sup_reader(w, life, link.rx, self.events_tx.clone()));
+            // replacing the connection drops — closes — the old incarnation's
+            self.conns[w as usize] = Conn {
+                tx: link.tx,
+                life,
+                alive: true,
+            };
+        }
         Ok(())
     }
 
@@ -572,7 +646,7 @@ impl<'a> Sup<'a> {
                     ports[w as usize] = port;
                     have[w as usize] = true;
                 }
-                Event::Msg(..) => {}
+                Event::Msg(..) | Event::Report(..) => {}
                 Event::Gone(w, _) => return Ok(Some(w)),
             }
         }
@@ -589,20 +663,12 @@ impl<'a> Sup<'a> {
                 Event::Msg(w, _, Msg::MeshReady { epoch: e }) if e == epoch => {
                     ready[w as usize] = true;
                 }
-                Event::Msg(..) => {}
+                Event::Msg(..) | Event::Report(..) => {}
                 Event::Gone(w, _) => return Ok(Some(w)),
             }
         }
         Ok(None)
     }
-}
-
-/// Per-worker data a committed segment reports.
-struct SegReport {
-    ckpt: Vec<u8>,
-    log: Vec<u8>,
-    timing: StepTiming,
-    chaos: [u64; 4],
 }
 
 /// Runs `problem` to `cfg.steps` across one worker per active tile under
@@ -615,6 +681,7 @@ pub fn run_problem(
     host: &mut dyn WorkerHost,
     recorder: &FlightRecorder,
 ) -> Result<NetOutcome, NetError> {
+    let t_entry = Instant::now();
     if cfg.steps == 0 || cfg.interval == 0 {
         return Err(NetError::Protocol("steps and interval must be > 0".into()));
     }
@@ -644,28 +711,16 @@ pub fn run_problem(
         out
     };
 
-    // the committed cut: sealed checkpoint bytes per worker, persisted
-    let mut ckpts: Vec<Vec<u8>> = active
-        .iter()
-        .map(|&t| dump_tile2(&problem.make_tile(solver.as_ref(), t)))
-        .collect();
-    let ckpt_path = |w: u32| cfg.run_dir.join(format!("ckpt_w{w}.dump"));
-    for (w, bytes) in ckpts.iter().enumerate() {
-        save_dump_bytes(&ckpt_path(w as u32), bytes)?;
-    }
-
     let (events_tx, events) = channel();
-    let shutdown = Arc::new(AtomicBool::new(false));
     let mut sup = Sup {
         conns: Vec::new(),
         events,
         events_tx,
         readers: Vec::new(),
-        shutdown: Arc::clone(&shutdown),
         host,
         next_life: 1,
     };
-    // placeholder conns so spawn_worker can index-assign
+    // placeholder conns so spawn_workers can index-assign
     for _ in 0..n {
         let (dead_end, _) = mem_pair();
         sup.conns.push(Conn {
@@ -691,34 +746,47 @@ pub fn run_problem(
         faults: chaos_spec.clone(),
     };
 
-    let t_spawn = Instant::now();
-    for w in 0..n {
-        sup.spawn_worker(w, false)?;
-    }
-    for w in 0..n {
-        let init = Msg::Init {
-            cfg: worker_cfg(w, 0, 0),
-            ckpt: ckpts[w as usize].clone(),
-        };
-        sup.send(w, &init)?;
-    }
-    track.span_wall(Category::Sync, "worker spawn", t_spawn, Instant::now());
+    // the committed cut: one sealed checkpoint per worker. The copy in
+    // memory is what recovery ships; the copy in the run directory trails it
+    // by at most one cut (see `drive`)
+    let mut ckpts: Vec<SealedDump> = Vec::new();
+    let all: Vec<u32> = (0..n).collect();
+    let result = (|| {
+        // children first: the initial cut is produced while they boot, and
+        // their `Hello`s are taken in arrival order
+        sup.spawn_workers(&all, &[], || {
+            for &t in &active {
+                let tile = problem.make_tile(solver.as_ref(), t);
+                ckpts.push(SealedDump::of_tile2(&tile));
+            }
+            Ok(())
+        })?;
+        for w in 0..n {
+            let init = Msg::Init {
+                cfg: worker_cfg(w, 0, 0),
+                ckpt: ckpts[w as usize].as_bytes().to_vec(),
+            };
+            sup.send(w, &init)?;
+        }
+        drive(
+            &mut sup,
+            problem,
+            cfg,
+            &mut track,
+            &worker_cfg,
+            &mut ckpts,
+            n,
+            t_entry,
+        )
+    })();
 
-    let result = drive(
-        &mut sup,
-        problem,
-        cfg,
-        &mut track,
-        &worker_cfg,
-        &ckpt_path,
-        &mut ckpts,
-        n,
-    );
-
-    // merge worker tracks, then tear the plumbing down regardless of outcome:
-    // control links drop FIRST so workers still idling (error paths) see EOF
-    // and exit instead of running out their idle deadline under reap's join
-    shutdown.store(true, Ordering::SeqCst);
+    // tear the plumbing down regardless of outcome. Dropping a control
+    // link's sender closes the link: the reader here and the worker's reader
+    // both see EOF at once, so a worker still idling (error paths) exits
+    // instead of running out its idle deadline under reap's join, and the
+    // joins below wait for nothing but the exits themselves. On the success
+    // path every worker has written its `Tracks` and `drive` has read them,
+    // so the close discards nothing.
     sup.conns.clear();
     for r in sup.readers.drain(..) {
         let _ = r.join();
@@ -726,27 +794,49 @@ pub fn run_problem(
     for w in 0..n {
         sup.host.reap(w);
     }
-    let (tracks, mut outcome) = result?;
+    let (tracks, outcome, t_done) = result?;
     for t in tracks {
         recorder.adopt(t);
     }
+    track.span_wall(Category::Sync, "teardown", t_done, Instant::now());
     track.instant_wall(Category::Sync, "run done", Instant::now());
     track.finish();
-
-    // final fields from the committed cut
-    let tiles: Vec<_> = ckpts
-        .iter()
-        .map(|b| restore_tile2(b))
-        .collect::<Result<_, _>>()?;
-    outcome.fields = GlobalFields2::gather(problem.geom.nx(), problem.geom.ny(), 1.0, tiles.iter());
     Ok(outcome)
 }
 
-type WorkerCfgFn<'f> = &'f dyn Fn(u32, u32, u64) -> WorkerConfig;
-type CkptPathFn<'f> = &'f dyn Fn(u32) -> PathBuf;
+/// Where worker `w`'s piece of the committed cut lives in the run directory.
+fn ckpt_path(run_dir: &Path, w: usize) -> PathBuf {
+    run_dir.join(format!("ckpt_w{w}.dump"))
+}
 
-/// The segment/recovery loop. Returns worker tracks plus the outcome with
-/// everything except `fields` filled in.
+/// Writes a cut to the run directory, worker by worker, each file temp →
+/// fsync → rename → directory fsync.
+fn persist_cut(
+    run_dir: &Path,
+    ckpts: &[SealedDump],
+    track: &mut subsonic_obs::TrackRecorder,
+) -> Result<(), NetError> {
+    let t0 = Instant::now();
+    for (w, ckpt) in ckpts.iter().enumerate() {
+        ckpt.persist(&ckpt_path(run_dir, w))?;
+    }
+    track.span_wall(Category::Checkpoint, "cut persist", t0, Instant::now());
+    Ok(())
+}
+
+type WorkerCfgFn<'f> = &'f dyn Fn(u32, u32, u64) -> WorkerConfig;
+
+/// The segment/recovery loop, from the first mesh build to the workers'
+/// last frames. Returns the worker tracks, the outcome, and when `Done` went
+/// out.
+///
+/// The cut is adopted in memory the moment its last piece is in (each piece
+/// was verified on arrival) and written to disk only after the next `Run` —
+/// or `Done` — has left, so the workers compute through the fsyncs. Nothing
+/// reads the files back during a job: recovery ships `ckpts`. The order on
+/// disk is still strict — the write happens before the next cut can be
+/// adopted, and the last one before this function returns — and a write
+/// error still fails the job.
 #[allow(clippy::too_many_arguments)]
 fn drive(
     sup: &mut Sup<'_>,
@@ -754,10 +844,10 @@ fn drive(
     cfg: &NetConfig,
     track: &mut subsonic_obs::TrackRecorder,
     worker_cfg: WorkerCfgFn<'_>,
-    ckpt_path: CkptPathFn<'_>,
-    ckpts: &mut [Vec<u8>],
+    ckpts: &mut [SealedDump],
     n: u32,
-) -> Result<(Vec<subsonic_obs::TrackData>, NetOutcome), NetError> {
+    t_entry: Instant,
+) -> Result<(Vec<subsonic_obs::TrackData>, NetOutcome, Instant), NetError> {
     let retry = cfg.retry;
     let mut epoch = 0u32;
     let mut committed = 0u64;
@@ -781,6 +871,11 @@ fn drive(
     // checkpoint-ship round, one mesh rebuild, no matter how many died
     let mut pending: Vec<u32> = Vec::new();
     let mut t_detect = Instant::now();
+    // the cut in `ckpts` is newer than what the run directory holds — true
+    // of the initial cut too, which is written like any other: once the
+    // workers are stepping
+    let mut unpersisted = true;
+    let mut setup_done = false;
 
     // declares w dead wherever detected: kill it, record the fault, queue
     // it for the next recovery round
@@ -844,13 +939,13 @@ fn drive(
                     quarantined.push(v);
                     track.instant_wall(Category::Recovery, "worker quarantined", Instant::now());
                 }
-                sup.spawn_worker(v, quarantined.contains(&v))?;
             }
+            sup.spawn_workers(&batch, &quarantined, || Ok(()))?;
             let t_ship = Instant::now();
             for &v in &batch {
                 let init = Msg::Init {
                     cfg: worker_cfg(v, epoch, committed),
-                    ckpt: ckpts[v as usize].clone(),
+                    ckpt: ckpts[v as usize].as_bytes().to_vec(),
                 };
                 sup.send(v, &init)?;
             }
@@ -859,7 +954,7 @@ fn drive(
                     let rb = Msg::Rollback {
                         epoch,
                         step: committed,
-                        ckpt: ckpts[w as usize].clone(),
+                        ckpt: ckpts[w as usize].as_bytes().to_vec(),
                     };
                     sup.send(w, &rb)?;
                 }
@@ -908,10 +1003,10 @@ fn drive(
             sup.conns[m.worker as usize].alive = false;
             sup.host.kill(m.worker);
             sup.host.reap(m.worker);
-            sup.spawn_worker(m.worker, quarantined.contains(&m.worker))?;
+            sup.spawn_workers(&[m.worker], &quarantined, || Ok(()))?;
             let init = Msg::Init {
                 cfg: worker_cfg(m.worker, epoch, committed),
-                ckpt: ckpts[m.worker as usize].clone(),
+                ckpt: ckpts[m.worker as usize].as_bytes().to_vec(),
             };
             sup.send(m.worker, &init)?;
             for w in 0..n {
@@ -919,7 +1014,7 @@ fn drive(
                     let rb = Msg::Rollback {
                         epoch,
                         step: committed,
-                        ckpt: ckpts[w as usize].clone(),
+                        ckpt: ckpts[w as usize].as_bytes().to_vec(),
                     };
                     sup.send(w, &rb)?;
                 }
@@ -971,6 +1066,15 @@ fn drive(
                 },
             )?;
         }
+        if !setup_done {
+            track.span_wall(Category::Sync, "job setup", t_entry, Instant::now());
+            setup_done = true;
+        }
+        // the workers are stepping: now the adopted cut goes to disk
+        if unpersisted {
+            persist_cut(&cfg.run_dir, ckpts, track)?;
+            unpersisted = false;
+        }
 
         // collect the segment
         let deadline = Instant::now() + PHASE_DEADLINE;
@@ -1008,35 +1112,6 @@ fn drive(
                             declare_dead!(w, step);
                             abort_once!(w);
                         }
-                        Msg::SegDone {
-                            epoch: e,
-                            ckpt,
-                            log,
-                            t_calc_us,
-                            t_com_us,
-                            msgs_sent,
-                            doubles_sent,
-                            chaos_loss,
-                            chaos_dup,
-                            chaos_reorder,
-                            chaos_part,
-                            ..
-                        } if e == epoch => {
-                            let mut timing = StepTiming {
-                                t_calc: Duration::from_micros(t_calc_us),
-                                t_com: Duration::from_micros(t_com_us),
-                                msgs_sent,
-                                doubles_sent,
-                                ..StepTiming::default()
-                            };
-                            timing.steps = until - committed;
-                            reports[w as usize] = Some(SegReport {
-                                ckpt,
-                                log,
-                                timing,
-                                chaos: [chaos_loss, chaos_dup, chaos_reorder, chaos_part],
-                            });
-                        }
                         Msg::SegFailed { epoch: e, .. } if e == epoch => {
                             failed[w as usize] = true;
                             abort_once!(w);
@@ -1044,6 +1119,13 @@ fn drive(
                         _ => {} // Hello, Progress, stale-epoch traffic
                     }
                 }
+                Event::Report(w, _, e, report) if e == epoch => {
+                    // a checkpoint that fails its seal fails the job
+                    let mut report = report?;
+                    report.timing.steps = until - committed;
+                    reports[w as usize] = Some(report);
+                }
+                Event::Report(..) => {} // a voided epoch's report
                 Event::Gone(w, _) => {
                     // an uncommanded death (or the fence kill's EOF racing
                     // the Paused report)
@@ -1089,7 +1171,7 @@ fn drive(
                 let rb = Msg::Rollback {
                     epoch,
                     step: committed,
-                    ckpt: ckpts[w as usize].clone(),
+                    ckpt: ckpts[w as usize].as_bytes().to_vec(),
                 };
                 sup.send(w, &rb)?;
             }
@@ -1103,14 +1185,14 @@ fn drive(
             continue 'job;
         }
 
-        // commit the cut
+        // adopt the cut: every piece is in and was verified on arrival, so
+        // from here on it is what a rollback ships
         let t_commit = Instant::now();
         let mut seg_timing = StepTiming::default();
         for w in 0..n {
             let report = reports[w as usize]
                 .take()
                 .ok_or_else(|| NetError::Protocol("segment report missing".into()))?;
-            save_dump_bytes(&ckpt_path(w), &report.ckpt)?;
             ckpts[w as usize] = report.ckpt;
             logs[w as usize].extend_from_slice(&report.log);
             seg_timing.merge(&report.timing);
@@ -1135,16 +1217,28 @@ fn drive(
         committed = until;
         window_attempt = 0;
         window_soft = 0;
+        unpersisted = true;
     }
 
-    // shut the workers down and collect their tracks
+    // shut the workers down; while they ship their tracks and exit, write
+    // the last cut and gather the final fields from it
     sup.broadcast(&Msg::Done, None);
+    let t_done = Instant::now();
+    if unpersisted {
+        persist_cut(&cfg.run_dir, ckpts, track)?;
+    }
+    let tiles: Vec<_> = ckpts
+        .iter()
+        .map(|c| restore_tile2(c.as_bytes()))
+        .collect::<Result<_, _>>()?;
+    let fields = GlobalFields2::gather(problem.geom.nx(), problem.geom.ny(), 1.0, tiles.iter());
+    drop(tiles);
     let deadline = Instant::now() + PHASE_DEADLINE;
     let mut blobs: Vec<Option<Vec<u8>>> = (0..n).map(|_| None).collect();
     while blobs.iter().any(|b| b.is_none()) {
         match sup.next(deadline) {
             Ok(Event::Msg(w, _, Msg::Tracks { blob })) => blobs[w as usize] = Some(blob),
-            Ok(Event::Msg(..)) => {}
+            Ok(Event::Msg(..) | Event::Report(..)) => {}
             Ok(Event::Gone(w, _)) => {
                 // a worker that dies before shipping tracks loses them
                 sup.conns[w as usize].alive = false;
@@ -1171,13 +1265,16 @@ fn drive(
         transport: cfg.transport,
         faults: faults.clone(),
         logs: logs.clone(),
-        final_hashes: ckpts.iter().map(|c| crate::record::fnv1a(c)).collect(),
+        final_hashes: ckpts
+            .iter()
+            .map(|c| crate::record::fnv1a(c.as_bytes()))
+            .collect(),
     });
 
     Ok((
         tracks,
         NetOutcome {
-            fields: GlobalFields2::gather(1, 1, 1.0, std::iter::empty()),
+            fields,
             restarts,
             migrations: migrations_run,
             window_retries,
@@ -1189,6 +1286,7 @@ fn drive(
             timing: total_timing,
             record,
         },
+        t_done,
     ))
 }
 

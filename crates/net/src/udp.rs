@@ -364,6 +364,7 @@ pub(crate) fn build_mesh(
     Ok(Mesh {
         tx,
         events: events_rx,
+        returns: HashMap::new(),
         shutdown,
         threads: vec![service],
     })

@@ -10,7 +10,7 @@
 //! instead of mis-parsing.
 
 use crate::chaos::ChaosSpec;
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 
 /// Protocol version carried in every frame.
 pub const PROTOCOL_VERSION: u8 = 1;
@@ -111,7 +111,8 @@ pub enum Msg {
     /// Worker → supervisor: heartbeat after completing `step`.
     Progress { epoch: u32, step: u64 },
     /// Worker → supervisor: segment finished at `step`; carries the sealed
-    /// tile checkpoint, the state hash after the final step, the record-log
+    /// tile checkpoint, its seal (a fingerprint of the state after the final
+    /// step, free to read off the checkpoint), the record-log
     /// chunk for the segment, the segment's calc/com split, and the wire
     /// faults injected since the segment started (deltas from segment start,
     /// so voided executions never pollute committed totals).
@@ -251,16 +252,18 @@ impl<'a> Dec<'a> {
         let n = self.u32()? as usize;
         Ok(self.take(n)?.to_vec())
     }
-    fn doubles(&mut self) -> Result<Vec<f64>, CodecError> {
+    /// Replaces `out`'s contents with the next length-prefixed strip; `out`
+    /// grows by what the frame holds, never by what the length field claims.
+    fn doubles_into(&mut self, out: &mut Vec<f64>) -> Result<(), CodecError> {
         let n = self.u32()? as usize;
         let raw = self.take(n * 8)?;
-        let mut out = Vec::with_capacity(n);
-        for c in raw.chunks_exact(8) {
+        out.clear();
+        out.extend(raw.chunks_exact(8).map(|c| {
             let mut a = [0u8; 8];
             a.copy_from_slice(c);
-            out.push(f64::from_bits(u64::from_le_bytes(a)));
-        }
-        Ok(out)
+            f64::from_bits(u64::from_le_bytes(a))
+        }));
+        Ok(())
     }
 }
 
@@ -339,9 +342,101 @@ fn cfg_from(d: &mut Dec<'_>) -> Result<WorkerConfig, CodecError> {
     })
 }
 
+/// The fixed fields of a decoded [`Msg::Halo`] frame; the strip lands in the
+/// caller's buffer beside them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HaloHeader {
+    /// Mesh epoch the strip belongs to.
+    pub epoch: u32,
+    /// Step the strip was packed in.
+    pub step: u64,
+    /// Exchange index within the step's plan.
+    pub xch: u8,
+    /// The **sender's** face index.
+    pub face: u8,
+}
+
+const TAG_HALO: u8 = 14;
+
+fn halo_to(e: &mut Enc, epoch: u32, step: u64, xch: u8, face: u8, data: &[f64]) {
+    e.u8(TAG_HALO);
+    e.u32(epoch);
+    e.u64(step);
+    e.u8(xch);
+    e.u8(face);
+    e.doubles(data);
+}
+
+/// Opens a frame that must be a halo: version, tag, fixed fields. The strip
+/// is next in `d`.
+fn halo_open(payload: &[u8]) -> Result<(Dec<'_>, HaloHeader), CodecError> {
+    let mut d = Dec {
+        buf: payload,
+        at: 0,
+    };
+    let ver = d.u8()?;
+    if ver != PROTOCOL_VERSION {
+        return Err(CodecError::BadVersion(ver));
+    }
+    match d.u8()? {
+        TAG_HALO => {}
+        t => return Err(CodecError::BadTag(t)),
+    }
+    let h = HaloHeader {
+        epoch: d.u32()?,
+        step: d.u64()?,
+        xch: d.u8()?,
+        face: d.u8()?,
+    };
+    Ok((d, h))
+}
+
+/// Reads which strip a halo frame carries without touching the strip — what
+/// a receiver needs to file a frame that arrived ahead of its turn. Any
+/// other message is a [`CodecError::BadTag`].
+pub fn halo_header(payload: &[u8]) -> Result<HaloHeader, CodecError> {
+    halo_open(payload).map(|(_, h)| h)
+}
+
+/// Encodes one halo strip into `buf`, replacing its contents: the bytes
+/// `encode_msg(&Msg::Halo { .. })` produces, without building the `Msg` or a
+/// fresh buffer — the per-step path of a worker.
+pub fn encode_halo_into(buf: &mut Vec<u8>, epoch: u32, step: u64, xch: u8, face: u8, data: &[f64]) {
+    let mut e = Enc {
+        buf: std::mem::take(buf),
+    };
+    e.buf.clear();
+    e.buf.reserve(HALO_FIXED + data.len() * 8);
+    e.u8(PROTOCOL_VERSION);
+    halo_to(&mut e, epoch, step, xch, face, data);
+    *buf = e.buf;
+}
+
+/// Decodes a halo frame, replacing `data`'s contents with the strip (its
+/// allocation is reused). Any other message is a [`CodecError::BadTag`].
+pub fn decode_halo_into(payload: &[u8], data: &mut Vec<f64>) -> Result<HaloHeader, CodecError> {
+    let (mut d, h) = halo_open(payload)?;
+    d.doubles_into(data)?;
+    Ok(h)
+}
+
+/// Bytes of a halo frame besides the strip: version, tag, header, count.
+const HALO_FIXED: usize = 2 + 4 + 8 + 1 + 1 + 4;
+
 /// Encodes `msg` into a frame payload (no length prefix).
 pub fn encode_msg(msg: &Msg) -> Vec<u8> {
-    let mut e = Enc { buf: Vec::new() };
+    // the bulk of a big message is one blob: reserving for it up front
+    // spares the doubling copies (and their slack) on a 1.7 MB checkpoint
+    let bulk = match msg {
+        Msg::Init { ckpt, .. } | Msg::Rollback { ckpt, .. } => ckpt.len(),
+        Msg::SegDone { ckpt, log, .. } => ckpt.len() + log.len(),
+        Msg::Tracks { blob } => blob.len(),
+        Msg::Halo { data, .. } => data.len() * 8,
+        _ => 0,
+    };
+    let mut e = Enc {
+        buf: Vec::with_capacity(bulk + 128),
+    };
     e.u8(PROTOCOL_VERSION);
     match msg {
         Msg::Hello { worker } => {
@@ -450,14 +545,7 @@ pub fn encode_msg(msg: &Msg) -> Vec<u8> {
             xch,
             face,
             data,
-        } => {
-            e.u8(14);
-            e.u32(*epoch);
-            e.u64(*step);
-            e.u8(*xch);
-            e.u8(*face);
-            e.doubles(data);
-        }
+        } => halo_to(&mut e, *epoch, *step, *xch, *face, data),
         Msg::Identify { worker, epoch } => {
             e.u8(15);
             e.u32(*worker);
@@ -491,7 +579,8 @@ pub fn decode_msg(payload: &[u8]) -> Result<Msg, CodecError> {
         3 => {
             let epoch = d.u32()?;
             let n = d.u32()? as usize;
-            let mut ports = Vec::with_capacity(n);
+            // reserve for what the frame can hold, not for what it claims
+            let mut ports = Vec::with_capacity(n.min(payload.len() / 2));
             for _ in 0..n {
                 ports.push(d.u16()?);
             }
@@ -539,13 +628,17 @@ pub fn decode_msg(payload: &[u8]) -> Result<Msg, CodecError> {
         },
         12 => Msg::Done,
         13 => Msg::Tracks { blob: d.bytes()? },
-        14 => Msg::Halo {
-            epoch: d.u32()?,
-            step: d.u64()?,
-            xch: d.u8()?,
-            face: d.u8()?,
-            data: d.doubles()?,
-        },
+        TAG_HALO => {
+            let mut data = Vec::new();
+            let h = decode_halo_into(payload, &mut data)?;
+            Msg::Halo {
+                epoch: h.epoch,
+                step: h.step,
+                xch: h.xch,
+                face: h.face,
+                data,
+            }
+        }
         15 => Msg::Identify {
             worker: d.u32()?,
             epoch: d.u32()?,
@@ -554,12 +647,39 @@ pub fn decode_msg(payload: &[u8]) -> Result<Msg, CodecError> {
     })
 }
 
-/// Writes one length-prefixed frame.
+/// Writes one length-prefixed frame with a single vectored write of
+/// `[length, payload]` — one syscall and, under `TCP_NODELAY`, one segment
+/// train, so the peer's reader wakes once per frame — resuming wherever a
+/// short write stopped. Nothing is staged: the payload leaves from the
+/// caller's buffer.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    let len = payload.len() as u32;
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(payload)?;
-    w.flush()
+    if payload.len() > MAX_FRAME {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("frame of {} bytes exceeds cap", payload.len()),
+        ));
+    }
+    let header = (payload.len() as u32).to_le_bytes();
+    let total = header.len() + payload.len();
+    let mut sent = 0;
+    loop {
+        let head = &header[sent.min(header.len())..];
+        let body = &payload[sent.saturating_sub(header.len())..];
+        match w.write_vectored(&[IoSlice::new(head), IoSlice::new(body)]) {
+            Ok(0) => {
+                return Err(io::Error::new(
+                    io::ErrorKind::WriteZero,
+                    "link accepted no bytes",
+                ))
+            }
+            Ok(n) => sent += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+        if sent >= total {
+            return w.flush();
+        }
+    }
 }
 
 /// Reads one length-prefixed frame (blocking; the caller arranges timeouts
@@ -696,6 +816,256 @@ mod tests {
         assert_eq!(read_frame(&mut r).unwrap(), a);
         assert_eq!(read_frame(&mut r).unwrap(), b);
         assert!(read_frame(&mut r).is_err()); // clean EOF surfaces as an error
+    }
+
+    /// A writer that takes at most `cap` bytes per call and counts calls.
+    struct Trickle {
+        cap: usize,
+        wire: Vec<u8>,
+        vectored_calls: usize,
+        plain_calls: usize,
+    }
+
+    impl Trickle {
+        fn new(cap: usize) -> Trickle {
+            Trickle {
+                cap,
+                wire: Vec::new(),
+                vectored_calls: 0,
+                plain_calls: 0,
+            }
+        }
+    }
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.plain_calls += 1;
+            let n = buf.len().min(self.cap);
+            self.wire.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.vectored_calls += 1;
+            let mut left = self.cap;
+            for b in bufs {
+                let n = b.len().min(left);
+                self.wire.extend_from_slice(&b[..n]);
+                left -= n;
+            }
+            Ok(self.cap - left)
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn framed(payload: &[u8]) -> Vec<u8> {
+        let mut wire = (payload.len() as u32).to_le_bytes().to_vec();
+        wire.extend_from_slice(payload);
+        wire
+    }
+
+    #[test]
+    fn a_frame_is_one_vectored_write() {
+        let halo = encode_msg(&Msg::Halo {
+            epoch: 0,
+            step: 0,
+            xch: 0,
+            face: 0,
+            data: vec![0.5; 3456],
+        });
+        assert_eq!(halo.len(), 27_668);
+        for payload in [&halo[..], &[]] {
+            let mut w = Trickle::new(usize::MAX);
+            write_frame(&mut w, payload).unwrap();
+            assert_eq!((w.vectored_calls, w.plain_calls), (1, 0));
+            assert_eq!(w.wire, framed(payload));
+        }
+    }
+
+    #[test]
+    fn short_writes_resume_across_the_header_boundary() {
+        // a shipped checkpoint: 1.7 MB
+        let payload: Vec<u8> = (0..1_741_904u32).map(|i| ((i * 31) >> 3) as u8).collect();
+        let want = framed(&payload);
+        for cap in [1, 3, 4, 5, 4096] {
+            let mut w = Trickle::new(cap);
+            write_frame(&mut w, &payload).unwrap();
+            assert!(w.wire == want, "cap {cap}: bytes on the wire differ");
+            assert_eq!(w.plain_calls, 0);
+        }
+        let mut stuck = Trickle::new(0);
+        let err = write_frame(&mut stuck, b"x").unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::WriteZero);
+    }
+
+    /// splitmix64: the tests' own source of arbitrary bytes.
+    fn mix(x: &mut u64) -> u64 {
+        *x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *x;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|d| d.to_bits()).collect()
+    }
+
+    /// Every kind of message, with blobs long enough to mutate inside.
+    fn one_of_each(seed: &mut u64) -> Vec<Msg> {
+        let mut blob = |n: usize| (0..n).map(|_| mix(seed) as u8).collect::<Vec<u8>>();
+        vec![
+            Msg::Hello { worker: 3 },
+            Msg::Init {
+                cfg: sample_cfg(),
+                ckpt: blob(40),
+            },
+            Msg::DataPort { epoch: 1, port: 9 },
+            Msg::PortMap {
+                epoch: 1,
+                ports: vec![40001, 40002, 0, 40004],
+            },
+            Msg::MeshReady { epoch: 1 },
+            Msg::Run {
+                epoch: 1,
+                from: 10,
+                until: 20,
+                pause_at: NO_PAUSE,
+            },
+            Msg::Paused { epoch: 1, step: 13 },
+            Msg::Progress { epoch: 1, step: 14 },
+            Msg::SegDone {
+                epoch: 1,
+                step: 20,
+                state_hash: 7,
+                ckpt: blob(33),
+                log: blob(9),
+                t_calc_us: 1,
+                t_com_us: 2,
+                msgs_sent: 3,
+                doubles_sent: 4,
+                chaos_loss: 5,
+                chaos_dup: 6,
+                chaos_reorder: 7,
+                chaos_part: 8,
+            },
+            Msg::SegFailed { epoch: 1, step: 17 },
+            Msg::Abort { epoch: 1 },
+            Msg::Rollback {
+                epoch: 2,
+                step: 10,
+                ckpt: blob(21),
+            },
+            Msg::Done,
+            Msg::Tracks { blob: blob(17) },
+            Msg::Halo {
+                epoch: 2,
+                step: 11,
+                xch: 1,
+                face: 3,
+                data: vec![1.5, -2.25, 0.0, f64::MIN_POSITIVE],
+            },
+            Msg::Identify {
+                worker: 1,
+                epoch: 2,
+            },
+        ]
+    }
+
+    /// Runs every decoder over `input`: each must return — `Ok` or a typed
+    /// error, never a panic — and a strip can only be as long as the bytes
+    /// that were there to fill it, whatever a length field claims.
+    fn decoders_hold(input: &[u8]) {
+        let _ = decode_msg(input);
+        let _ = halo_header(input);
+        let mut strip = Vec::new();
+        let _ = decode_halo_into(input, &mut strip);
+        // 4 is `Vec`'s smallest non-empty capacity for an 8-byte element
+        assert!(strip.capacity() <= (input.len() / 8).max(4));
+        if let Ok(Msg::Halo { data, .. }) = decode_msg(input) {
+            assert!(data.len() <= input.len() / 8);
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn halo_fast_path_is_the_generic_codec(
+            seed in proptest::prelude::any::<u64>(),
+            len in 0usize..4096,
+        ) {
+            let mut s = seed;
+            let (epoch, step) = (mix(&mut s) as u32, mix(&mut s));
+            let (xch, face) = (mix(&mut s) as u8, mix(&mut s) as u8);
+            // arbitrary bit patterns: NaNs and subnormals must survive too
+            let data: Vec<f64> = (0..len).map(|_| f64::from_bits(mix(&mut s))).collect();
+            let want = encode_msg(&Msg::Halo { epoch, step, xch, face, data: data.clone() });
+
+            // encode: byte-identical, into a dirty reused buffer
+            let mut frame = vec![0xee; mix(&mut s) as usize % 64];
+            encode_halo_into(&mut frame, epoch, step, xch, face, &data);
+            proptest::prop_assert!(frame == want);
+
+            // decode: same fields, same bits, into a dirty reused buffer
+            let mut strip = vec![f64::NAN; mix(&mut s) as usize % 64];
+            let h = decode_halo_into(&want, &mut strip).unwrap();
+            proptest::prop_assert_eq!(h, HaloHeader { epoch, step, xch, face });
+            proptest::prop_assert_eq!(halo_header(&want).unwrap(), h);
+            proptest::prop_assert!(bits(&strip) == bits(&data));
+            match decode_msg(&want).unwrap() {
+                Msg::Halo { epoch: e, step: st, xch: x, face: f, data: d } => {
+                    proptest::prop_assert_eq!((e, st, x, f), (epoch, step, xch, face));
+                    proptest::prop_assert!(bits(&d) == bits(&data));
+                }
+                other => panic!("decoded {other:?}"),
+            }
+        }
+
+        #[test]
+        fn arbitrary_bytes_never_panic_a_decoder(
+            seed in proptest::prelude::any::<u64>(),
+            len in 0usize..600,
+        ) {
+            let mut s = seed;
+            let mut input: Vec<u8> = (0..len).map(|_| mix(&mut s) as u8).collect();
+            decoders_hold(&input);
+            // the same bytes behind a plausible version and tag get further in
+            if len >= 2 {
+                input[0] = PROTOCOL_VERSION;
+                input[1] = (mix(&mut s) % 17) as u8;
+                decoders_hold(&input);
+            }
+        }
+
+        #[test]
+        fn one_bad_byte_never_panics_a_decoder(seed in proptest::prelude::any::<u64>()) {
+            let mut s = seed;
+            for msg in one_of_each(&mut s) {
+                let valid = encode_msg(&msg);
+                let at = mix(&mut s) as usize % valid.len();
+                let mut mutated = valid.clone();
+                mutated[at] = mix(&mut s) as u8;
+                decoders_hold(&mutated);
+                // a length field blown up to its maximum
+                mutated[at] = 0xff;
+                decoders_hold(&mutated);
+                decoders_hold(&valid[..at]);
+            }
+        }
+    }
+
+    #[test]
+    fn a_hostile_count_reserves_nothing() {
+        // a chaos spec claiming u32::MAX fault windows (154 GB of them)
+        let mut spec = vec![1u8];
+        spec.extend_from_slice(&[0; 8]);
+        spec.extend_from_slice(&[0xff; 4]);
+        assert!(ChaosSpec::from_bytes(&spec).is_none());
+        // a port map claiming u32::MAX ports
+        let mut ports = vec![PROTOCOL_VERSION, 3];
+        ports.extend_from_slice(&1u32.to_le_bytes());
+        ports.extend_from_slice(&[0xff; 4]);
+        assert!(matches!(decode_msg(&ports), Err(CodecError::Truncated)));
     }
 
     #[test]

@@ -17,16 +17,23 @@
 //! every receive and every fence hold — either way the peers observe a dead
 //! link, not a goodbye.
 //!
-//! A control-reader thread decodes supervisor frames into a queue and flips
-//! the `soft` abort flag the moment an `Abort`/`Rollback` arrives, so a
-//! worker blocked in the middle of a halo receive notices within one poll
-//! interval without the step loop touching the control socket.
+//! A control-reader thread blocks on the control link, decodes supervisor
+//! frames into a queue and flips the `soft` abort flag the moment an
+//! `Abort`/`Rollback` arrives, so a worker blocked in the middle of a halo
+//! receive notices within one poll interval without the step loop touching
+//! the control socket. The step loop itself allocates nothing once its
+//! buffers have grown ([`HaloBufs`]) and reports `Progress` at most once per
+//! [`PROGRESS_PERIOD`].
 
 use crate::chaos::WireFaults;
-use crate::link::{FrameTx, Link, Switchboard};
+use crate::link::{spawn_msg_reader, FrameTx, Link, Switchboard};
 use crate::mesh::{connect, Mesh, MeshBinding, MeshEvent, MeshSpec};
-use crate::record::{fnv1a, push_entry, state_hash2, LogEntry};
-use crate::wire::{decode_msg, encode_msg, Msg, SolverKind, WorkerConfig, NO_NEIGHBOR};
+use crate::record::{push_entry, state_hash2, LogEntry};
+use crate::supervisor::PROGRESS_PERIOD;
+use crate::wire::{
+    decode_halo_into, encode_halo_into, encode_msg, halo_header, Msg, SolverKind, WorkerConfig,
+    NO_NEIGHBOR,
+};
 use crate::NetError;
 use std::collections::HashMap;
 use std::io;
@@ -34,7 +41,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use subsonic_exec::checkpoint::{dump_tile2, restore_tile2};
+use subsonic_exec::checkpoint::{restore_tile2, SealedDump};
 use subsonic_exec::{step_tile2, Halo2, StepTiming};
 use subsonic_grid::Face2;
 use subsonic_obs::{encode_tracks, Category, FlightRecorder};
@@ -97,6 +104,21 @@ enum CtrlEvent {
     Lost,
 }
 
+/// The worker's reused buffers. They outlive segments and meshes, so once
+/// each has grown to the largest strip the step loop allocates nothing.
+#[derive(Default)]
+struct HaloBufs {
+    /// `step_tile2`'s strip: every strip is packed into it and decoded into it.
+    strip: Vec<f64>,
+    /// The outgoing halo frame.
+    frame: Vec<u8>,
+    /// Inbound frames that arrived ahead of their turn, still encoded, with
+    /// the peer whose reader gets the buffer back.
+    inbox: HashMap<(u64, u8, u8), (u32, Vec<u8>)>,
+    /// Steps during which `strip` or `frame` had to grow.
+    allocs: u64,
+}
+
 /// The halo endpoint a segment steps against: frames in/out of the mesh,
 /// with an inbox so a fast peer running ahead never confuses a slow one.
 struct MeshHalo<'a> {
@@ -105,11 +127,24 @@ struct MeshHalo<'a> {
     /// Step currently being computed (set by the caller before each step).
     step: u64,
     neighbors: [Option<u32>; 4],
-    inbox: HashMap<(u64, u8, u8), Vec<f64>>,
+    frame: &'a mut Vec<u8>,
+    inbox: &'a mut HashMap<(u64, u8, u8), (u32, Vec<u8>)>,
     soft: &'a AtomicBool,
     hard: &'a AtomicBool,
     record: bool,
     log: Vec<u8>,
+}
+
+impl MeshHalo<'_> {
+    /// Decodes a frame known to carry the wanted strip and gives its buffer
+    /// back to the link it came over.
+    fn consume(&mut self, from: u32, payload: Vec<u8>, strip: &mut Vec<f64>) -> io::Result<()> {
+        let decoded = decode_halo_into(&payload, strip);
+        self.mesh.recycle(from, payload);
+        decoded
+            .map(|_| ())
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+    }
 }
 
 impl Halo2 for MeshHalo<'_> {
@@ -121,21 +156,24 @@ impl Halo2 for MeshHalo<'_> {
         let peer = self.neighbors[face_index(face)].ok_or_else(|| {
             io::Error::new(io::ErrorKind::NotConnected, "no neighbour across face")
         })?;
-        let frame = encode_msg(&Msg::Halo {
-            epoch: self.epoch,
-            step: self.step,
-            xch: xch as u8,
-            face: face_index(face) as u8,
-            data: data.to_vec(),
-        });
-        self.mesh.send(peer, &frame)
+        encode_halo_into(
+            self.frame,
+            self.epoch,
+            self.step,
+            xch as u8,
+            face_index(face) as u8,
+            data,
+        );
+        self.mesh.send(peer, self.frame)
     }
 
-    fn recv(&mut self, xch: usize, face: Face2) -> io::Result<Vec<f64>> {
+    fn recv_into(&mut self, xch: usize, face: Face2, strip: &mut Vec<f64>) -> io::Result<()> {
         let want = (self.step, xch as u8, face_index(face) as u8);
         let t0 = Instant::now();
+        let mut arrived = self.inbox.remove(&want);
         loop {
-            if let Some(data) = self.inbox.remove(&want) {
+            if let Some((from, payload)) = arrived.take() {
+                self.consume(from, payload, strip)?;
                 if self.record {
                     push_entry(
                         &mut self.log,
@@ -143,12 +181,12 @@ impl Halo2 for MeshHalo<'_> {
                             step: self.step,
                             xch: want.1,
                             face: want.2,
-                            len: data.len() as u32,
-                            hash: hash_doubles(&data),
+                            len: strip.len() as u32,
+                            hash: hash_doubles(strip),
                         },
                     );
                 }
-                return Ok(data);
+                return Ok(());
             }
             if self.hard.load(Ordering::SeqCst) || self.soft.load(Ordering::SeqCst) {
                 return Err(io::Error::new(
@@ -163,24 +201,22 @@ impl Halo2 for MeshHalo<'_> {
                 ));
             }
             match self.mesh.recv(Duration::from_millis(50)) {
-                Ok(MeshEvent::Frame { payload, .. }) => {
-                    if let Ok(Msg::Halo {
-                        epoch,
-                        step,
-                        xch,
-                        face,
-                        data,
-                    }) = decode_msg(&payload)
-                    {
-                        if epoch != self.epoch {
-                            continue; // stale world
-                        }
-                        // the sender names *its* face; we unpack at ours
-                        let mine = match face_from_index(face) {
-                            Some(f) => face_index(f.opposite()) as u8,
-                            None => continue,
-                        };
-                        self.inbox.insert((step, xch, mine), data);
+                Ok(MeshEvent::Frame { from, payload }) => {
+                    let Ok(h) = halo_header(&payload) else {
+                        continue; // not a halo: nothing else travels here
+                    };
+                    if h.epoch != self.epoch {
+                        continue; // stale world
+                    }
+                    // the sender names *its* face; we unpack at ours
+                    let Some(mine) = face_from_index(h.face) else {
+                        continue;
+                    };
+                    let key = (h.step, h.xch, face_index(mine.opposite()) as u8);
+                    if key == want {
+                        arrived = Some((from, payload));
+                    } else {
+                        self.inbox.insert(key, (from, payload));
                     }
                 }
                 Ok(MeshEvent::Gone { from }) => {
@@ -199,13 +235,34 @@ impl Halo2 for MeshHalo<'_> {
 }
 
 enum SegEnd {
-    Committed,
+    /// Reported `SegDone`; carries when the stepping ended and the
+    /// checkpoint's dump-and-ship began.
+    Committed(Instant),
     Aborted(u64),
     Killed,
 }
 
-fn ctrl_send(tx: &mut Box<dyn FrameTx>, msg: &Msg) -> Result<(), NetError> {
-    tx.send(&encode_msg(msg)).map_err(NetError::Io)
+/// The control link's sending half, remembering when it last spoke.
+struct Ctrl {
+    tx: Box<dyn FrameTx>,
+    last_sent: Instant,
+}
+
+impl Ctrl {
+    fn send(&mut self, msg: &Msg) -> Result<(), NetError> {
+        self.last_sent = Instant::now();
+        self.tx.send(&encode_msg(msg)).map_err(NetError::Io)
+    }
+
+    /// The heartbeat: reports `step` done unless the supervisor heard from
+    /// this worker within the last [`PROGRESS_PERIOD`] anyway. A step slower
+    /// than the period still reports every step.
+    fn progress(&mut self, epoch: u32, step: u64) -> Result<(), NetError> {
+        if self.last_sent.elapsed() < PROGRESS_PERIOD {
+            return Ok(());
+        }
+        self.send(&Msg::Progress { epoch, step })
+    }
 }
 
 /// Pulls the next control event, honouring the idle deadline and kill flag.
@@ -235,13 +292,14 @@ fn run_segment(
     solver: &dyn Solver2,
     tile: &mut TileState2,
     mesh: &mut Mesh,
+    bufs: &mut HaloBufs,
     cfg: &WorkerConfig,
     faults: &WireFaults,
     epoch: u32,
     from: u64,
     until: u64,
     pause_at: u64,
-    ctrl: &mut Box<dyn FrameTx>,
+    ctrl: &mut Ctrl,
     soft: &AtomicBool,
     hard: &AtomicBool,
 ) -> Result<SegEnd, NetError> {
@@ -252,19 +310,22 @@ fn run_segment(
     let neighbors: [Option<u32>; 4] =
         cfg.neighbors
             .map(|n| if n == NO_NEIGHBOR { None } else { Some(n) });
+    // frames parked by a voided execution of this window must not meet its
+    // re-run (their mesh is gone with them)
+    bufs.inbox.clear();
     let mut halo = MeshHalo {
         mesh,
         epoch,
         step: from,
         neighbors,
-        inbox: HashMap::new(),
+        frame: &mut bufs.frame,
+        inbox: &mut bufs.inbox,
         soft,
         hard,
         record: cfg.record,
         log: Vec::new(),
     };
     let mut timing = StepTiming::default();
-    let mut pack_buf = Vec::new();
     for s in from..until {
         if hard.load(Ordering::SeqCst) {
             return Ok(SegEnd::Killed);
@@ -274,7 +335,7 @@ fn run_segment(
         }
         if s == pause_at {
             // the kill fence: report position and hold for the supervisor
-            ctrl_send(ctrl, &Msg::Paused { epoch, step: s })?;
+            ctrl.send(&Msg::Paused { epoch, step: s })?;
             let t_hold = Instant::now();
             loop {
                 std::thread::sleep(Duration::from_millis(5));
@@ -291,10 +352,14 @@ fn run_segment(
         }
         halo.step = s;
         faults.set_step(s);
-        match step_tile2(solver, tile, &mut halo, &mut timing, &mut pack_buf) {
+        let held = bufs.strip.capacity() + halo.frame.capacity();
+        match step_tile2(solver, tile, &mut halo, &mut timing, &mut bufs.strip) {
             Ok(()) => {}
             Err(_) if hard.load(Ordering::SeqCst) => return Ok(SegEnd::Killed),
             Err(_) => return Ok(SegEnd::Aborted(s)),
+        }
+        if bufs.strip.capacity() + halo.frame.capacity() != held {
+            bufs.allocs += 1;
         }
         if cfg.record {
             push_entry(
@@ -305,29 +370,27 @@ fn run_segment(
                 },
             );
         }
-        ctrl_send(ctrl, &Msg::Progress { epoch, step: s + 1 })?;
+        ctrl.progress(epoch, s + 1)?;
     }
-    let ckpt = dump_tile2(tile);
+    let t_stepped = Instant::now();
+    let ckpt = SealedDump::of_tile2(tile);
     let chaos = faults.counts();
-    ctrl_send(
-        ctrl,
-        &Msg::SegDone {
-            epoch,
-            step: until,
-            state_hash: fnv1a(&ckpt),
-            ckpt,
-            log: std::mem::take(&mut halo.log),
-            t_calc_us: timing.t_calc.as_micros() as u64,
-            t_com_us: timing.t_com.as_micros() as u64,
-            msgs_sent: timing.msgs_sent,
-            doubles_sent: timing.doubles_sent,
-            chaos_loss: chaos[0] - chaos_base[0],
-            chaos_dup: chaos[1] - chaos_base[1],
-            chaos_reorder: chaos[2] - chaos_base[2],
-            chaos_part: chaos[3] - chaos_base[3],
-        },
-    )?;
-    Ok(SegEnd::Committed)
+    ctrl.send(&Msg::SegDone {
+        epoch,
+        step: until,
+        state_hash: ckpt.seal(),
+        ckpt: ckpt.into_bytes(),
+        log: std::mem::take(&mut halo.log),
+        t_calc_us: timing.t_calc.as_micros() as u64,
+        t_com_us: timing.t_com.as_micros() as u64,
+        msgs_sent: timing.msgs_sent,
+        doubles_sent: timing.doubles_sent,
+        chaos_loss: chaos[0] - chaos_base[0],
+        chaos_dup: chaos[1] - chaos_base[1],
+        chaos_reorder: chaos[2] - chaos_base[2],
+        chaos_part: chaos[3] - chaos_base[3],
+    })?;
+    Ok(SegEnd::Committed(t_stepped))
 }
 
 /// Runs the worker state machine over an already-connected control link.
@@ -345,45 +408,27 @@ pub fn worker_run(
     let mut track = recorder.track(worker + 1, 0, "net-worker", "main");
     let t_hello = Instant::now();
 
-    let mut ctrl_tx = link.tx;
-    let mut ctrl_rx = link.rx;
+    let mut ctrl = Ctrl {
+        tx: link.tx,
+        last_sent: Instant::now(),
+    };
     let (q_tx, q): (Sender<CtrlEvent>, Receiver<CtrlEvent>) = channel();
     let soft = Arc::new(AtomicBool::new(false));
     let reader_soft = Arc::clone(&soft);
-    let reader_hard = Arc::clone(&hard);
-    let reader = std::thread::spawn(move || loop {
-        if reader_hard.load(Ordering::SeqCst) {
-            return;
-        }
-        match ctrl_rx.recv(Duration::from_millis(100)) {
-            Ok(frame) => match decode_msg(&frame) {
-                Ok(msg) => {
-                    if matches!(msg, Msg::Abort { .. } | Msg::Rollback { .. }) {
-                        reader_soft.store(true, Ordering::SeqCst);
-                    }
-                    if q_tx.send(CtrlEvent::Msg(msg)).is_err() {
-                        return;
-                    }
-                }
-                Err(_) => {
-                    let _ = q_tx.send(CtrlEvent::Lost);
-                    return;
-                }
-            },
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::TimedOut | io::ErrorKind::WouldBlock
-                ) => {}
-            Err(_) => {
-                let _ = q_tx.send(CtrlEvent::Lost);
-                return;
+    // blocks on the link; ends when the link does — closed by the
+    // supervisor, or by this worker dropping `ctrl` below
+    let reader = spawn_msg_reader(link.rx, q_tx, move |msg| match msg {
+        Some(msg) => {
+            if matches!(msg, Msg::Abort { .. } | Msg::Rollback { .. }) {
+                reader_soft.store(true, Ordering::SeqCst);
             }
+            CtrlEvent::Msg(msg)
         }
+        None => CtrlEvent::Lost,
     });
 
     let result = worker_loop(
-        &mut ctrl_tx,
+        &mut ctrl,
         &q,
         worker,
         switchboard,
@@ -393,16 +438,16 @@ pub fn worker_run(
         &mut track,
         t_hello,
     );
-    // wake the reader so it notices the dead queue and exits
-    hard.store(true, Ordering::SeqCst);
-    drop(q);
+    // close the link (the last frame this worker had to say, `Tracks`, is
+    // written; nothing inbound is needed any more): the reader sees EOF
+    drop(ctrl);
     let _ = reader.join();
     result
 }
 
 #[allow(clippy::too_many_arguments)]
 fn worker_loop(
-    ctrl_tx: &mut Box<dyn FrameTx>,
+    ctrl: &mut Ctrl,
     q: &Receiver<CtrlEvent>,
     worker: u32,
     switchboard: Option<Arc<Switchboard>>,
@@ -412,7 +457,7 @@ fn worker_loop(
     track: &mut subsonic_obs::TrackRecorder,
     t_hello: Instant,
 ) -> Result<(), NetError> {
-    ctrl_send(ctrl_tx, &Msg::Hello { worker })?;
+    ctrl.send(&Msg::Hello { worker })?;
     let (cfg, ckpt) = loop {
         // nothing but Init is valid pre-init; drop anything else
         if let Msg::Init { cfg, ckpt } = next_event(q, hard)? {
@@ -428,6 +473,8 @@ fn worker_loop(
     track.span_wall(Category::Sync, "handshake", t_hello, Instant::now());
     let solver = make_solver(cfg.solver);
     let mut tile = restore_tile2(&ckpt)?;
+    drop(ckpt);
+    let mut bufs = HaloBufs::default();
     let mut epoch = cfg.epoch;
     // one injector for the worker's whole life: the step loop ticks its step
     // clock, each mesh build resets its partition clock, committed segments
@@ -450,7 +497,7 @@ fn worker_loop(
         let t_mesh = Instant::now();
         let binding = MeshBinding::bind(cfg.transport, &cfg.addr)?;
         let port = binding.port()?;
-        ctrl_send(ctrl_tx, &Msg::DataPort { epoch, port })?;
+        ctrl.send(&Msg::DataPort { epoch, port })?;
         let ports = loop {
             match next_event(q, hard)? {
                 Msg::PortMap { epoch: e, ports } if e == epoch => break ports,
@@ -461,7 +508,7 @@ fn worker_loop(
                     continue 'mesh;
                 }
                 Msg::Done => {
-                    return finish(ctrl_tx, recorder, track);
+                    return finish(ctrl, recorder, track);
                 }
                 _ => {} // stale epoch traffic
             }
@@ -490,14 +537,14 @@ fn worker_loop(
                             soft.store(false, Ordering::SeqCst);
                             continue 'mesh;
                         }
-                        None => return finish(ctrl_tx, recorder, track),
+                        None => return finish(ctrl, recorder, track),
                     }
                 }
                 return Err(e);
             }
         };
         track.span_wall(Category::Net, "mesh build", t_mesh, Instant::now());
-        ctrl_send(ctrl_tx, &Msg::MeshReady { epoch })?;
+        ctrl.send(&Msg::MeshReady { epoch })?;
 
         // ---- running phase ----
         loop {
@@ -513,22 +560,28 @@ fn worker_loop(
                         solver.as_ref(),
                         &mut tile,
                         &mut mesh,
+                        &mut bufs,
                         &cfg,
                         &wire_faults,
                         epoch,
                         from,
                         until,
                         pause_at,
-                        ctrl_tx,
+                        ctrl,
                         soft,
                         hard,
                     )?;
                     track.span_wall(Category::Compute, "segment", t_seg, Instant::now());
                     match end {
-                        SegEnd::Committed => {}
+                        SegEnd::Committed(t_stepped) => track.span_wall(
+                            Category::Checkpoint,
+                            "checkpoint ship",
+                            t_stepped,
+                            Instant::now(),
+                        ),
                         SegEnd::Aborted(step) => {
                             track.instant_wall(Category::Fault, "worker failed", Instant::now());
-                            ctrl_send(ctrl_tx, &Msg::SegFailed { epoch, step })?;
+                            ctrl.send(&Msg::SegFailed { epoch, step })?;
                         }
                         SegEnd::Killed => {
                             mesh.teardown();
@@ -546,7 +599,7 @@ fn worker_loop(
                 }
                 Msg::Done => {
                     mesh.teardown();
-                    return finish(ctrl_tx, recorder, track);
+                    return finish(ctrl, recorder, track);
                 }
                 // Abort for the current epoch flips the soft flag in the
                 // reader; stale traffic needs no action either way
@@ -571,14 +624,14 @@ fn wait_rollback(
 }
 
 fn finish(
-    ctrl_tx: &mut Box<dyn FrameTx>,
+    ctrl: &mut Ctrl,
     recorder: &FlightRecorder,
     track: &mut subsonic_obs::TrackRecorder,
 ) -> Result<(), NetError> {
     track.instant_wall(Category::Sync, "run done", Instant::now());
     track.finish();
     let blob = encode_tracks(&recorder.finished_tracks());
-    ctrl_send(ctrl_tx, &Msg::Tracks { blob })?;
+    ctrl.send(&Msg::Tracks { blob })?;
     Ok(())
 }
 
@@ -623,4 +676,131 @@ pub fn process_worker_main() -> Result<(), NetError> {
     };
     let link = crate::link::tcp_link(stream)?;
     worker_run(link, worker, None, Arc::new(AtomicBool::new(false)))
+}
+
+#[cfg(test)]
+mod tests {
+    #![allow(clippy::unwrap_used)]
+    use super::*;
+    use crate::chaos::ChaosSpec;
+    use crate::link::mem_pair;
+    use crate::wire::{decode_msg, TransportKind, NO_PAUSE};
+    use subsonic_exec::Problem2;
+    use subsonic_grid::Geometry2;
+    use subsonic_solvers::FluidParams;
+
+    /// Runs one fault-free segment of `steps` steps on two workers meshed
+    /// over the switchboard and returns each worker's buffer-growth count.
+    fn segment_allocs(steps: u64) -> Vec<u64> {
+        let mut params = FluidParams::lattice_units(0.05);
+        params.body_force[0] = 1.5e-5;
+        let problem = Problem2::new(Geometry2::channel(24, 16, 2), 2, 1, params)
+            .with_init(|x, y| (1.0 + 1e-3 * (x as f64) + 2e-3 * (y as f64), 0.0, 0.0));
+        let solver = make_solver(SolverKind::LatticeBoltzmann);
+        let sw = Switchboard::default();
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..2u32)
+                .map(|me| {
+                    let (problem, solver, sw) = (&problem, &solver, &sw);
+                    scope.spawn(move || {
+                        let peer = 1 - me;
+                        let cfg = WorkerConfig {
+                            worker: me,
+                            nworkers: 2,
+                            solver: SolverKind::LatticeBoltzmann,
+                            transport: TransportKind::Mem,
+                            epoch: 0,
+                            start_step: 0,
+                            // periodic in x: the one peer is on both sides
+                            neighbors: [peer, peer, NO_NEIGHBOR, NO_NEIGHBOR],
+                            record: false,
+                            addr: String::new(),
+                            faults: ChaosSpec::default(),
+                        };
+                        let spec = MeshSpec {
+                            me,
+                            epoch: 0,
+                            peers: &[peer],
+                            ports: &[0, 0],
+                            deadline: MESH_DEADLINE,
+                            addr: "",
+                            faults: None,
+                        };
+                        let mut mesh =
+                            connect(MeshBinding::Mem, &spec, Some(sw), &|| false).unwrap();
+                        let mut tile =
+                            problem.make_tile(solver.as_ref(), problem.active_tiles()[me as usize]);
+                        let mut bufs = HaloBufs::default();
+                        // the far end stays open (and unread) for the segment
+                        let (near, _far) = mem_pair();
+                        let mut ctrl = Ctrl {
+                            tx: near.tx,
+                            last_sent: Instant::now(),
+                        };
+                        let flag = AtomicBool::new(false);
+                        let end = run_segment(
+                            solver.as_ref(),
+                            &mut tile,
+                            &mut mesh,
+                            &mut bufs,
+                            &cfg,
+                            &WireFaults::new(ChaosSpec::default(), me),
+                            0,
+                            0,
+                            steps,
+                            NO_PAUSE,
+                            &mut ctrl,
+                            &flag,
+                            &flag,
+                        )
+                        .unwrap();
+                        assert!(matches!(end, SegEnd::Committed(_)));
+                        assert_eq!(tile.step, steps);
+                        assert!(bufs.inbox.is_empty(), "a committed segment leaves no frame");
+                        bufs.allocs
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        })
+    }
+
+    #[test]
+    fn a_longer_segment_allocates_no_more_buffers() {
+        let short = segment_allocs(50);
+        let long = segment_allocs(100);
+        assert!(
+            short.iter().all(|&allocs| allocs > 0),
+            "the buffers start empty and must grow"
+        );
+        // they grow during the first steps and never again: twice the steps,
+        // the same allocations
+        assert_eq!(short, long);
+    }
+
+    #[test]
+    fn progress_is_sent_only_after_a_silent_period() {
+        let (near, mut far) = mem_pair();
+        let mut ctrl = Ctrl {
+            tx: near.tx,
+            // spoke "in the future": not silent yet, however slow this test runs
+            last_sent: Instant::now() + Duration::from_secs(3600),
+        };
+        ctrl.progress(0, 1).unwrap();
+        let err = far.rx.recv(Duration::from_millis(1)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::TimedOut);
+
+        let silent_since = Instant::now() - PROGRESS_PERIOD;
+        ctrl.last_sent = silent_since;
+        ctrl.progress(0, 2).unwrap();
+        let frame = far.rx.recv(Duration::from_secs(5)).unwrap();
+        assert_eq!(
+            decode_msg(&frame).unwrap(),
+            Msg::Progress { epoch: 0, step: 2 }
+        );
+        assert!(
+            ctrl.last_sent > silent_since,
+            "speaking restarts the period"
+        );
+    }
 }

@@ -274,3 +274,40 @@ fn retries_exhausted_is_reported() {
         other => panic!("expected RetriesExhausted, got {other}"),
     }
 }
+
+#[test]
+fn deferred_cut_is_sealed_on_disk_and_is_the_rollback_target() {
+    // three windows, a kill in the second: the cut adopted after the first
+    // window — written to disk only while the second was already running —
+    // must be what the job rolls back to, and the files the job leaves
+    // behind must be the final cut, sealed
+    let p = problem(2, 2);
+    let (steps, interval) = (12, 4);
+    let want = reference(&p, steps);
+    let dir = run_dir("deferred-cut");
+    let mut cfg = NetConfig::new(TransportKind::Mem, steps, interval, dir.clone());
+    cfg.record = true;
+    cfg.kills = vec![NetKill {
+        worker: 2,
+        at_step: 6,
+        attempt: 0,
+    }];
+    let out = run_threaded(&p, &cfg).expect("mem run with a kill in the second window");
+    assert_eq!(out.restarts, 1);
+    assert_eq!(out.faults[0].rollback_step, interval, "the window's start");
+    assert_eq!(want.first_difference(&out.fields), None);
+
+    let record = out.record.as_ref().expect("record present");
+    assert_eq!(record.final_hashes.len(), 4);
+    for (w, &hash) in record.final_hashes.iter().enumerate() {
+        // load_dump_bytes verifies the seal
+        let on_disk =
+            subsonic_exec::checkpoint::load_dump_bytes(&dir.join(format!("ckpt_w{w}.dump")))
+                .expect("sealed final checkpoint on disk");
+        assert_eq!(
+            subsonic_net::record::fnv1a(&on_disk),
+            hash,
+            "worker {w}: the file is not the final cut"
+        );
+    }
+}
