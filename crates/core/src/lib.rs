@@ -47,7 +47,7 @@ pub mod prelude {
         measure_efficiency, ClusterConfig, ClusterSim, MeasureConfig, WorkloadSpec,
     };
     pub use subsonic_exec::{
-        GlobalFields2, GlobalFields3, LocalRunner2, LocalRunner3, Problem2, Problem3, RayonRunner2,
+        GlobalFields2, GlobalFields3, LocalRunner2, LocalRunner3, Problem2, Problem3,
         ThreadedRunner2, ThreadedRunner3,
     };
     pub use subsonic_grid::{geometry::FluePipeSpec, Cell, Decomp2, Decomp3, Geometry2, Geometry3};

@@ -2,18 +2,17 @@
 //!
 //! The solvers, tiles, faces and problems of `subsonic-solvers`/`-grid` come
 //! as 2D/3D twins with identical method names but no common trait. [`Dim`]
-//! names one such family so that a runner is written once —
+//! names one such family so that the step loop and the runners are written
+//! once — [`step_tile<D>`](crate::step::step_tile),
 //! [`ThreadedRunner<D>`](crate::threaded::ThreadedRunner),
 //! [`LocalRunner<D>`](crate::local::LocalRunner) — and monomorphised per
 //! dimension: dispatch stays `dyn Solver2`/`dyn Solver3`, nothing is boxed or
 //! branched on at run time. The trait is sealed; [`D2`] and [`D3`] are its
 //! only implementors and are never constructed.
 
-use crate::checkpoint::{load_tile2, save_tile2, DumpError};
-use crate::checkpoint3::{load_tile3, save_tile3};
+use crate::checkpoint::DumpTile;
 use crate::problem::{Problem2, Problem3};
 use std::hash::Hash;
-use std::path::Path;
 use subsonic_grid::{Face2, Face3};
 use subsonic_solvers::{Solver2, Solver3, StepOp, TileState2, TileState3};
 
@@ -34,8 +33,8 @@ pub enum D3 {}
 pub trait Dim: sealed::Sealed {
     /// The solver trait object (`dyn Solver2` / `dyn Solver3`).
     type Solver: ?Sized + Send + Sync;
-    /// State of one subregion.
-    type Tile: Clone + Send;
+    /// State of one subregion (what a dump file holds).
+    type Tile: Clone + Send + DumpTile;
     /// A face of a subregion.
     type Face: Copy + Eq + Hash + Send + Sync + 'static;
     /// Geometry + decomposition + parameters + initial state.
@@ -78,131 +77,69 @@ pub trait Dim: sealed::Sealed {
     fn neighbor(p: &Self::Problem, id: usize, f: Self::Face) -> Option<usize>;
     /// Builds the step-0 tile of subregion `id`.
     fn make_tile(p: &Self::Problem, s: &Self::Solver, id: usize) -> Self::Tile;
-
-    /// Writes a tile's dump file; returns its size in bytes.
-    fn save(t: &Self::Tile, path: &Path) -> Result<u64, DumpError>;
-    /// Reads a tile back from its dump file.
-    fn load(path: &Path) -> Result<Self::Tile, DumpError>;
 }
 
-impl Dim for D2 {
-    type Solver = dyn Solver2;
-    type Tile = TileState2;
-    type Face = Face2;
-    type Problem = Problem2;
+/// Implements [`Dim`] for one marker by forwarding to that dimension's
+/// solver, tile, face and problem types; the two impls differ only in those
+/// types and the constants.
+macro_rules! impl_dim {
+    ($d:ident, $solver:ident, $tile:ident, $face:ident, $problem:ident,
+     $pid:literal, $track:literal, $prefix:literal) => {
+        impl Dim for $d {
+            type Solver = dyn $solver;
+            type Tile = $tile;
+            type Face = $face;
+            type Problem = $problem;
 
-    const FACES: &'static [Face2] = &Face2::ALL;
-    const TRACE_PID: u32 = 2;
-    const TRACK: &'static str = "threaded2";
-    const DUMP_PREFIX: &'static str = "tile";
+            const FACES: &'static [$face] = &$face::ALL;
+            const TRACE_PID: u32 = $pid;
+            const TRACK: &'static str = $track;
+            const DUMP_PREFIX: &'static str = $prefix;
 
-    fn stage(f: Face2) -> usize {
-        f.stage()
-    }
-    fn opposite(f: Face2) -> Face2 {
-        f.opposite()
-    }
+            fn stage(f: $face) -> usize {
+                f.stage()
+            }
+            fn opposite(f: $face) -> $face {
+                f.opposite()
+            }
 
-    fn plan(s: &dyn Solver2) -> &'static [StepOp] {
-        s.plan()
-    }
-    fn compute(s: &dyn Solver2, t: &mut TileState2, phase: usize) {
-        s.compute(t, phase);
-    }
-    fn overlapped_phase(s: &dyn Solver2, xch: usize) -> Option<usize> {
-        s.overlapped_phase(xch)
-    }
-    fn compute_interior(s: &dyn Solver2, t: &mut TileState2, phase: usize) {
-        s.compute_interior(t, phase);
-    }
-    fn compute_boundary(s: &dyn Solver2, t: &mut TileState2, phase: usize) {
-        s.compute_boundary(t, phase);
-    }
-    fn pack(s: &dyn Solver2, t: &TileState2, xch: usize, f: Face2, out: &mut Vec<f64>) {
-        s.pack(t, xch, f, out);
-    }
-    fn unpack(s: &dyn Solver2, t: &mut TileState2, xch: usize, f: Face2, data: &[f64]) {
-        s.unpack(t, xch, f, data);
-    }
+            fn plan(s: &dyn $solver) -> &'static [StepOp] {
+                s.plan()
+            }
+            fn compute(s: &dyn $solver, t: &mut $tile, phase: usize) {
+                s.compute(t, phase);
+            }
+            fn overlapped_phase(s: &dyn $solver, xch: usize) -> Option<usize> {
+                s.overlapped_phase(xch)
+            }
+            fn compute_interior(s: &dyn $solver, t: &mut $tile, phase: usize) {
+                s.compute_interior(t, phase);
+            }
+            fn compute_boundary(s: &dyn $solver, t: &mut $tile, phase: usize) {
+                s.compute_boundary(t, phase);
+            }
+            fn pack(s: &dyn $solver, t: &$tile, xch: usize, f: $face, out: &mut Vec<f64>) {
+                s.pack(t, xch, f, out);
+            }
+            fn unpack(s: &dyn $solver, t: &mut $tile, xch: usize, f: $face, data: &[f64]) {
+                s.unpack(t, xch, f, data);
+            }
 
-    fn tiles(p: &Problem2) -> usize {
-        p.decomp.tiles()
-    }
-    fn active_tiles(p: &Problem2) -> Vec<usize> {
-        p.active_tiles()
-    }
-    fn neighbor(p: &Problem2, id: usize, f: Face2) -> Option<usize> {
-        p.decomp.neighbor(id, f)
-    }
-    fn make_tile(p: &Problem2, s: &dyn Solver2, id: usize) -> TileState2 {
-        p.make_tile(s, id)
-    }
-
-    fn save(t: &TileState2, path: &Path) -> Result<u64, DumpError> {
-        save_tile2(t, path)
-    }
-    fn load(path: &Path) -> Result<TileState2, DumpError> {
-        load_tile2(path)
-    }
+            fn tiles(p: &$problem) -> usize {
+                p.decomp.tiles()
+            }
+            fn active_tiles(p: &$problem) -> Vec<usize> {
+                p.active_tiles()
+            }
+            fn neighbor(p: &$problem, id: usize, f: $face) -> Option<usize> {
+                p.decomp.neighbor(id, f)
+            }
+            fn make_tile(p: &$problem, s: &dyn $solver, id: usize) -> $tile {
+                p.make_tile(s, id)
+            }
+        }
+    };
 }
 
-impl Dim for D3 {
-    type Solver = dyn Solver3;
-    type Tile = TileState3;
-    type Face = Face3;
-    type Problem = Problem3;
-
-    const FACES: &'static [Face3] = &Face3::ALL;
-    const TRACE_PID: u32 = 3;
-    const TRACK: &'static str = "threaded3";
-    const DUMP_PREFIX: &'static str = "tile3_";
-
-    fn stage(f: Face3) -> usize {
-        f.stage()
-    }
-    fn opposite(f: Face3) -> Face3 {
-        f.opposite()
-    }
-
-    fn plan(s: &dyn Solver3) -> &'static [StepOp] {
-        s.plan()
-    }
-    fn compute(s: &dyn Solver3, t: &mut TileState3, phase: usize) {
-        s.compute(t, phase);
-    }
-    fn overlapped_phase(s: &dyn Solver3, xch: usize) -> Option<usize> {
-        s.overlapped_phase(xch)
-    }
-    fn compute_interior(s: &dyn Solver3, t: &mut TileState3, phase: usize) {
-        s.compute_interior(t, phase);
-    }
-    fn compute_boundary(s: &dyn Solver3, t: &mut TileState3, phase: usize) {
-        s.compute_boundary(t, phase);
-    }
-    fn pack(s: &dyn Solver3, t: &TileState3, xch: usize, f: Face3, out: &mut Vec<f64>) {
-        s.pack(t, xch, f, out);
-    }
-    fn unpack(s: &dyn Solver3, t: &mut TileState3, xch: usize, f: Face3, data: &[f64]) {
-        s.unpack(t, xch, f, data);
-    }
-
-    fn tiles(p: &Problem3) -> usize {
-        p.decomp.tiles()
-    }
-    fn active_tiles(p: &Problem3) -> Vec<usize> {
-        p.active_tiles()
-    }
-    fn neighbor(p: &Problem3, id: usize, f: Face3) -> Option<usize> {
-        p.decomp.neighbor(id, f)
-    }
-    fn make_tile(p: &Problem3, s: &dyn Solver3, id: usize) -> TileState3 {
-        p.make_tile(s, id)
-    }
-
-    fn save(t: &TileState3, path: &Path) -> Result<u64, DumpError> {
-        save_tile3(t, path)
-    }
-    fn load(path: &Path) -> Result<TileState3, DumpError> {
-        load_tile3(path)
-    }
-}
+impl_dim! { D2, Solver2, TileState2, Face2, Problem2, 2, "threaded2", "tile" }
+impl_dim! { D3, Solver3, TileState3, Face3, Problem3, 3, "threaded3", "tile3_" }

@@ -118,26 +118,17 @@ impl GlobalFields3 {
 
     /// Returns the first node where the two gathers differ bitwise.
     pub fn first_difference(&self, other: &Self) -> Option<usize> {
-        for (i, (a, b)) in self.rho.iter().zip(&other.rho).enumerate() {
-            if a.to_bits() != b.to_bits() {
-                return Some(i);
-            }
-        }
-        for (i, (a, b)) in self.vx.iter().zip(&other.vx).enumerate() {
-            if a.to_bits() != b.to_bits() {
-                return Some(i);
-            }
-        }
-        for (i, (a, b)) in self.vy.iter().zip(&other.vy).enumerate() {
-            if a.to_bits() != b.to_bits() {
-                return Some(i);
-            }
-        }
-        for (i, (a, b)) in self.vz.iter().zip(&other.vz).enumerate() {
-            if a.to_bits() != b.to_bits() {
-                return Some(i);
-            }
-        }
-        None
+        [
+            (&self.rho, &other.rho),
+            (&self.vx, &other.vx),
+            (&self.vy, &other.vy),
+            (&self.vz, &other.vz),
+        ]
+        .into_iter()
+        .find_map(|(a, b)| {
+            a.iter()
+                .zip(b)
+                .position(|(x, y)| x.to_bits() != y.to_bits())
+        })
     }
 }

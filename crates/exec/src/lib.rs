@@ -1,46 +1,37 @@
 //! Runners that execute decomposed flow problems for real.
 //!
-//! The execution modes all run the *same* solver plans from
-//! `subsonic-solvers`; the first two are written once over [`Dim`] and
-//! instantiated for 2D and 3D problems:
+//! Everything runs the *same* solver plans from `subsonic-solvers`, written
+//! once over [`Dim`] and instantiated for 2D and 3D problems:
 //!
 //! * [`LocalRunner2`]/[`LocalRunner3`] — all tiles stepped sequentially in one
-//!   thread, halos moved by `memcpy`. With a `1×1` decomposition this is the
-//!   serial program; with more tiles it is the reference for the bitwise
-//!   serial/parallel equivalence tests.
-//! * [`ThreadedRunner2`]/[`ThreadedRunner3`] — one OS thread per subregion,
-//!   halos moved over crossbeam channels (the in-process analogue of the
-//!   paper's TCP/IP sockets), with per-phase `T_calc`/`T_com`
-//!   instrumentation, the Appendix-B synchronisation protocol, and a
-//!   checkpoint/restore "migration drill".
-//! * [`step_tile2`] — one step of one tile against an abstract halo endpoint
-//!   (what `subsonic-net` drives over sockets) — and [`RayonRunner2`], a
-//!   bulk-synchronous ablation on a work-stealing pool; both 2D only.
-//! * checkpointing ([`checkpoint`], [`checkpoint3`]) — binary dump files
-//!   carrying everything a process needs to resume, the in-process equivalent
-//!   of the paper's dump files ("these files contain all the information that
-//!   is needed by a workstation to participate in a distributed computation").
-//!
-//! The cluster-of-workstations *runtime* (hosts, Ethernet, monitoring,
-//! automatic migration) is modelled in `subsonic-cluster`; this crate is the
-//! real data-plane.
+//!   thread, halos moved by `memcpy`: the serial program with a `1×1`
+//!   decomposition, and the reference of every bitwise equivalence test.
+//! * [`step_tile`] — the one step loop: one step of one tile against a
+//!   [`Halo`] endpoint, with the fused exchange+compute schedule wherever the
+//!   solver declares it. Two substrates drive it:
+//! * [`ThreadedRunner2`]/[`ThreadedRunner3`] — one OS thread per subregion
+//!   over crossbeam channels (the in-process analogue of the paper's TCP/IP
+//!   sockets), with the Appendix-B synchronisation protocol, a migration
+//!   drill and crash-recovery supervision; and `subsonic-net`'s worker
+//!   processes over sockets.
+//! * [`checkpoint`] — one binary dump codec for both ranks, the paper's dump
+//!   files ("these files contain all the information that is needed by a
+//!   workstation to participate in a distributed computation").
 //!
 //! Failure handling is typed: worker deaths surface as [`RunError`] instead
-//! of panics, and the supervised runners
-//! ([`ThreadedRunner::run_supervised`](threaded::ThreadedRunner::run_supervised))
-//! recover from them via in-memory coordinated checkpoints.
+//! of panics, and [`ThreadedRunner::run_supervised`] recovers from them via
+//! in-memory coordinated checkpoints. The cluster-of-workstations *runtime*
+//! is modelled in `subsonic-cluster`; this crate is the real data-plane.
 
 #![warn(clippy::unwrap_used)]
 
 pub mod checkpoint;
-pub mod checkpoint3;
 pub mod dim;
 pub mod error;
 pub mod gather;
 pub mod local;
 pub mod problem;
-pub mod rayon_runner;
-pub mod stepper;
+pub mod step;
 pub mod threaded;
 mod threaded3;
 pub mod timing;
@@ -51,8 +42,7 @@ pub use error::RunError;
 pub use gather::{GlobalFields2, GlobalFields3};
 pub use local::{LocalRunner, LocalRunner2, LocalRunner3};
 pub use problem::{Problem2, Problem3};
-pub use rayon_runner::RayonRunner2;
-pub use stepper::{step_tile2, Halo2};
+pub use step::{step_tile, Halo};
 pub use threaded::{
     KillSpec, MigrationDrill, RunOutcome, RunOutcome2, RunOutcome3, SupervisorConfig,
     ThreadedRunner, ThreadedRunner2, ThreadedRunner3,

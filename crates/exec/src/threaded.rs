@@ -1,32 +1,21 @@
 //! Thread-per-subregion parallel runner, one [`ThreadedRunner<D>`] for 2D
 //! and 3D problems (see [`Dim`]).
 //!
-//! Each active subregion runs on its own OS thread; halo strips travel over
+//! Each active subregion runs on its own OS thread, which wraps the one step
+//! loop ([`step_tile`]) in the runner's per-step concerns: publishing its
+//! step, seeded kills, and the migration drill. Halo strips travel over
 //! unbounded crossbeam channels — the in-process analogue of the paper's
 //! TCP/IP sockets ("the TCP/IP protocol behaves as if there are two
 //! first-in-first-out channels for writing data in each direction between two
 //! processes", section 4.2). Communication is asynchronous and
 //! first-come-first-served within an exchange stage, which is the policy the
-//! paper recommends in Appendix C. The exchange runs in one stage per axis
-//! (x, y, then z in 3D) so edge and corner ghosts fill transitively without
-//! diagonal messages.
+//! paper recommends in Appendix C.
 //!
 //! Halo buffers are recycled: every data channel is paired with a return
-//! channel, the receiver sends each consumed buffer back, and the sender
-//! reuses it for the next message on that edge. At most two buffers circulate
-//! per directed edge, so the steady-state exchange performs no heap
-//! allocation; [`StepTiming`] counts messages, doubles and buffer
+//! channel that carries a buffer back for every strip received, and the
+//! sender refills its strip from it. The steady-state exchange performs no
+//! heap allocation; [`StepTiming`] counts messages, doubles and buffer
 //! allocations/reuses so tests can assert both properties exactly.
-//!
-//! When the solver declares `overlapped_phase(x) == Some(p)` and its plan has
-//! `Exchange(x)` immediately followed by `Compute(p)`, the worker runs the
-//! pair as one *fused* schedule: it posts all halo sends, computes the
-//! interior while the final exchange stage is still in flight, then unpacks
-//! that stage and applies the boundary remainder. A solver that declares
-//! nothing (e.g. `ScalarReference2/3`) gets the plain staged exchange
-//! followed by the whole compute phase. Results are bitwise identical either
-//! way; which schedule runs is a property of the solver, not an option of
-//! the runner (DESIGN.md, "Compute/halo overlap", has the measurement).
 //!
 //! The runner also implements the synchronisation machinery of section 5 /
 //! Appendix B as a *migration drill*: a monitor picks a synchronisation step
@@ -48,22 +37,26 @@
 //! deterministic, a recovered run is *bitwise identical* to an undisturbed
 //! one, which the fault-recovery tests assert property-style.
 
+use crate::checkpoint::{load_tile, save_tile};
 use crate::dim::{Dim, D2, D3};
 use crate::error::{note_failure, panic_message, RunError};
 use crate::gather::{GlobalFields2, GlobalFields3};
+use crate::step::{step_tile, Halo};
 use crate::timing::StepTiming;
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
+use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::Instant;
 use subsonic_obs::{Category, FlightRecorder, TrackRecorder};
-use subsonic_solvers::StepOp;
 
 /// No synchronisation requested.
 const NO_SYNC: u64 = u64::MAX;
+
+/// A worker panics only outside these locks, so poisoning is a bug.
+const POISONED: &str = "drill lock poisoned";
 
 /// Track id for the supervisor timeline (far above any real tile id).
 const SUPERVISOR_TID: u32 = u32::MAX;
@@ -165,13 +158,14 @@ impl RunOutcome<D3> {
     }
 }
 
-/// Published steps, the announced synchronisation step, and the pause
-/// barrier of Appendix B.
+/// Published steps, the announced synchronisation step, the pause barrier
+/// of Appendix B, and what the migration drill did.
 struct Control {
     published: Vec<AtomicU64>,
     sync_step: AtomicU64,
     paused: Mutex<(usize, u64)>, // (paused count, resume epoch)
     cv: Condvar,
+    drill: Mutex<Option<DrillReport>>,
 }
 
 impl Control {
@@ -181,44 +175,106 @@ impl Control {
             sync_step: AtomicU64::new(NO_SYNC),
             paused: Mutex::new((0, 0)),
             cv: Condvar::new(),
+            drill: Mutex::new(None),
         }
-    }
-
-    fn max_published(&self) -> u64 {
-        self.published
-            .iter()
-            .map(|a| a.load(Ordering::SeqCst))
-            .max()
-            .unwrap_or(0)
     }
 
     /// Worker-side: pause at the barrier until the monitor resumes everyone.
     fn pause(&self) {
-        let mut st = self.paused.lock();
+        let mut st = self.paused.lock().expect(POISONED);
         let epoch = st.1;
         st.0 += 1;
         self.cv.notify_all();
-        while st.1 == epoch {
-            self.cv.wait(&mut st);
+        drop(self.cv.wait_while(st, |st| st.1 == epoch).expect(POISONED));
+    }
+
+    /// The monitoring program (section 4.1 / 5.1): once any worker reaches
+    /// the arm step, announce the synchronisation step, wait for the global
+    /// pause, "find a free host", send CONT.
+    fn monitor(&self, d: &MigrationDrill, end: u64) {
+        loop {
+            let m = self
+                .published
+                .iter()
+                .map(|a| a.load(Ordering::SeqCst))
+                .max()
+                .unwrap_or(0);
+            if m >= d.arm_step {
+                // Appendix B: everyone posts its step; the largest plus a
+                // margin becomes the synchronisation step (+2 covers the step
+                // in flight at read time). Past the end of the run the drill
+                // is skipped, but the step is still announced so gated
+                // workers are released.
+                let sync = m + 2;
+                self.sync_step.store(sync, Ordering::SeqCst);
+                if sync < end {
+                    let all = self.published.len();
+                    let st = self.paused.lock().expect(POISONED);
+                    let mut st = self.cv.wait_while(st, |st| st.0 < all).expect(POISONED);
+                    // host selection delay would go here; then release all
+                    // paused workers and clear the request
+                    st.0 = 0;
+                    st.1 += 1;
+                    self.cv.notify_all();
+                    self.sync_step.store(NO_SYNC, Ordering::SeqCst);
+                }
+                return;
+            }
+            std::thread::yield_now();
         }
     }
 
-    /// Monitor-side: wait until `n` workers are paused.
-    fn wait_all_paused(&self, n: usize) {
-        let mut st = self.paused.lock();
-        while st.0 < n {
-            self.cv.wait(&mut st);
+    /// Worker-side drill hook before step `s` of tile `id`: hold at the arm
+    /// step until the sync step is announced (Appendix B picks it with a
+    /// margin so it lands in every process's future, which only holds if
+    /// workers cannot outrun the monitor; it is cleared again at resume, so
+    /// later steps must not re-gate), and at the sync step pause — after
+    /// saving and restoring the tile if it is the one that migrates.
+    fn drill_step<D: Dim>(
+        &self,
+        d: &MigrationDrill,
+        tile: &mut D::Tile,
+        id: usize,
+        s: u64,
+        track: &mut TrackRecorder,
+    ) -> Result<(), RunError> {
+        if s == d.arm_step {
+            while self.sync_step.load(Ordering::SeqCst) == NO_SYNC {
+                std::thread::yield_now();
+            }
         }
-    }
-
-    /// Monitor-side: release all paused workers (the CONT signal).
-    fn resume_all(&self) {
-        let mut st = self.paused.lock();
-        st.0 = 0;
-        st.1 += 1;
-        self.cv.notify_all();
-        // clear the sync request so workers run freely again
-        self.sync_step.store(NO_SYNC, Ordering::SeqCst);
+        if self.sync_step.load(Ordering::SeqCst) != s {
+            return Ok(());
+        }
+        // Migrate: save the state, "move host", restore. A failed dump must
+        // still reach the barrier (otherwise the monitor waits forever), so
+        // the error is carried across the pause.
+        let mut migrated = Ok(());
+        if d.tile == id {
+            let path = d
+                .dump_dir
+                .join(format!("{}{id}_step{s}.dump", D::DUMP_PREFIX));
+            let d0 = Instant::now();
+            migrated = save_tile(tile, &path).and_then(|bytes| {
+                *tile = load_tile(&path)?;
+                track.span_wall_arg(
+                    Category::Checkpoint,
+                    "migration dump",
+                    d0,
+                    Instant::now(),
+                    Some(("bytes", bytes as f64)),
+                );
+                let report = DrillReport {
+                    sync_step: s,
+                    dump_bytes: bytes,
+                    dump_path: path,
+                };
+                *self.drill.lock().expect(POISONED) = Some(report);
+                Ok(())
+            });
+        }
+        self.pause();
+        migrated.map_err(RunError::Checkpoint)
     }
 }
 
@@ -226,13 +282,56 @@ impl Control {
 type RxEdge<F> = (F, Receiver<Vec<f64>>, Sender<Vec<f64>>);
 /// (face, data out, buffer-returns in)
 type TxEdge<F> = (F, Sender<Vec<f64>>, Receiver<Vec<f64>>);
+/// One worker's receiving and sending edges.
+type Links<F> = (Vec<RxEdge<F>>, Vec<TxEdge<F>>);
 
-/// One worker's halo links: its receivers (data rx + buffer-return tx per
-/// face) and its senders into each neighbour's ghost (data tx of
-/// `(nb, f.opposite())` + the matching buffer-return rx).
-struct Endpoints<F> {
+/// One worker's halo links over the channel fabric: its receivers (data rx +
+/// buffer-return tx per face) and its senders into each neighbour's ghost
+/// (data tx + the matching buffer-return rx). A sent strip's slot is
+/// refilled with a buffer its receiver handed back (a reuse) or, when none
+/// has come back yet, an empty one (an allocation); a received strip's
+/// predecessor goes back to that strip's sender.
+struct ChannelHalo<F> {
     rx: Vec<RxEdge<F>>,
     tx: Vec<TxEdge<F>>,
+    reuses: u64,
+}
+
+impl<D: Dim> Halo<D> for ChannelHalo<D::Face> {
+    fn has_neighbor(&self, face: D::Face) -> bool {
+        self.tx.iter().any(|e| e.0 == face)
+    }
+
+    fn send(&mut self, _xch: usize, face: D::Face, strip: &mut Vec<f64>) -> io::Result<()> {
+        let (_, data, returned) = self
+            .tx
+            .iter()
+            .find(|e| e.0 == face)
+            .ok_or(io::ErrorKind::NotConnected)?;
+        let refill = match returned.try_recv() {
+            Ok(mut b) => {
+                self.reuses += 1;
+                b.clear();
+                b
+            }
+            Err(_) => Vec::new(),
+        };
+        data.send(std::mem::replace(strip, refill))
+            .map_err(|_| io::ErrorKind::BrokenPipe.into())
+    }
+
+    fn recv_into(&mut self, _xch: usize, face: D::Face, strip: &mut Vec<f64>) -> io::Result<()> {
+        let (_, data, back) = self
+            .rx
+            .iter()
+            .find(|e| e.0 == face)
+            .ok_or(io::ErrorKind::NotConnected)?;
+        let buf = data.recv().map_err(|_| io::ErrorKind::BrokenPipe)?;
+        // hand the old buffer back for reuse; a peer that already finished
+        // its run has dropped the other end, in which case it is simply freed
+        let _ = back.send(std::mem::replace(strip, buf));
+        Ok(())
+    }
 }
 
 /// One thread per subregion, channels as sockets.
@@ -422,137 +521,37 @@ impl<D: Dim> ThreadedRunner<D> {
         let index_of: HashMap<usize, usize> =
             active.iter().enumerate().map(|(k, &id)| (id, k)).collect();
 
-        // Channels: key (receiver tile id, receiver face). Each data channel
-        // is paired with a *return* channel flowing the other way: the
-        // receiver hands consumed buffers back to the sender, which reuses
-        // them for the next message on that edge. In steady state no halo
-        // buffer is ever allocated (at most two circulate per edge).
-        let mut senders: HashMap<(usize, D::Face), Sender<Vec<f64>>> = HashMap::new();
-        let mut receivers: HashMap<(usize, D::Face), Receiver<Vec<f64>>> = HashMap::new();
-        let mut ret_senders: HashMap<(usize, D::Face), Sender<Vec<f64>>> = HashMap::new();
-        let mut ret_receivers: HashMap<(usize, D::Face), Receiver<Vec<f64>>> = HashMap::new();
-        for &id in &active {
+        // One data channel per directed edge, each paired with a *return*
+        // channel that carries buffers back the other way.
+        let mut links: Vec<Links<D::Face>> = (0..n).map(|_| Default::default()).collect();
+        for (k, &id) in active.iter().enumerate() {
             for &f in D::FACES {
-                if let Some(nb) = D::neighbor(&self.problem, id, f) {
-                    if index_of.contains_key(&nb) {
-                        let (s, r) = unbounded();
-                        senders.insert((id, f), s);
-                        receivers.insert((id, f), r);
-                        let (rs, rr) = unbounded();
-                        ret_senders.insert((id, f), rs);
-                        ret_receivers.insert((id, f), rr);
-                    }
-                }
+                let Some(&nk) = D::neighbor(&self.problem, id, f).and_then(|nb| index_of.get(&nb))
+                else {
+                    continue;
+                };
+                let (data_tx, data_rx) = unbounded();
+                let (back_tx, back_rx) = unbounded();
+                links[k].0.push((f, data_rx, back_tx));
+                links[nk].1.push((D::opposite(f), data_tx, back_rx));
             }
         }
 
-        let control = Arc::new(Control::new(n));
-        let drill_fired: Mutex<Option<DrillReport>> = Mutex::new(None);
-
-        let mut endpoints: Vec<Endpoints<D::Face>> = Vec::with_capacity(n);
-        for &id in &active {
-            let mut rx = Vec::new();
-            let mut tx = Vec::new();
-            for &f in D::FACES {
-                if let Some(r) = receivers.remove(&(id, f)) {
-                    let rs = ret_senders.remove(&(id, f)).expect("return sender missing");
-                    rx.push((f, r, rs));
-                }
-                if let Some(nb) = D::neighbor(&self.problem, id, f) {
-                    if let Some(s) = senders.get(&(nb, D::opposite(f))) {
-                        let rr = ret_receivers
-                            .remove(&(nb, D::opposite(f)))
-                            .expect("return receiver missing");
-                        tx.push((f, s.clone(), rr));
-                    }
-                }
-            }
-            endpoints.push(Endpoints { rx, tx });
-        }
-        drop(senders);
-
+        let control = Control::new(n);
         let solver: &D::Solver = &self.solver;
-        let plan = D::plan(solver);
-        let mut results: Vec<Option<(D::Tile, StepTiming)>> = (0..n).map(|_| None).collect();
         let mut failure: Option<RunError> = None;
+        let mut tiles = Vec::with_capacity(n);
+        let mut timing = Vec::with_capacity(n);
 
         std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(n);
-            let mut tiles_in = tiles_in;
-            for (k, &id) in active.iter().enumerate() {
-                let mut tile = tiles_in.remove(0);
-                let ep = endpoints.remove(0);
-                let control = Arc::clone(&control);
-                let drill = drill.clone();
-                let kills = kills.clone();
-                let drill_fired = &drill_fired;
-                let mut track = self.tile_track(id);
-                handles.push(
+            let workers = active.iter().zip(tiles_in).zip(links).enumerate();
+            let handles: Vec<_> = workers
+                .map(|(k, ((&id, mut tile), (rx, tx)))| {
+                    let (control, drill, kills) = (&control, drill.as_ref(), &kills);
+                    let mut track = self.tile_track(id);
                     scope.spawn(move || -> Result<(D::Tile, StepTiming), RunError> {
-                        let mut timing = StepTiming::default();
-                        // Stage-filtered halves of the halo exchange. The
-                        // staged protocol forwards corners transitively:
-                        // stage-1 packs read ghosts written by stage-0
-                        // unpacks *and* pre-compute boundary strips, so
-                        // every pack must run before the interior compute
-                        // starts; only the final stage's receive may be
-                        // deferred behind it.
-                        let send_stage = |tile: &D::Tile,
-                                          x: usize,
-                                          stage: usize,
-                                          timing: &mut StepTiming|
-                         -> Result<Duration, RunError> {
-                            let mut pack = Duration::ZERO;
-                            for (f, tx, ret) in ep.tx.iter().filter(|(f, ..)| D::stage(*f) == stage)
-                            {
-                                let mut buf = match ret.try_recv() {
-                                    Ok(mut b) => {
-                                        timing.buf_reuses += 1;
-                                        b.clear();
-                                        b
-                                    }
-                                    Err(_) => {
-                                        timing.buf_allocs += 1;
-                                        Vec::new()
-                                    }
-                                };
-                                let p0 = Instant::now();
-                                D::pack(solver, tile, x, *f, &mut buf);
-                                pack += p0.elapsed();
-                                timing.msgs_sent += 1;
-                                timing.doubles_sent += buf.len() as u64;
-                                tx.send(buf)
-                                    .map_err(|_| RunError::Disconnected { tile: id })?;
-                            }
-                            Ok(pack)
-                        };
-                        let recv_stage = |tile: &mut D::Tile,
-                                          x: usize,
-                                          stage: usize|
-                         -> Result<(), RunError> {
-                            for (f, rx, ret) in ep.rx.iter().filter(|(f, ..)| D::stage(*f) == stage)
-                            {
-                                let buf =
-                                    rx.recv().map_err(|_| RunError::Disconnected { tile: id })?;
-                                D::unpack(solver, tile, x, *f, &buf);
-                                // hand the buffer back for reuse; a peer that
-                                // already finished its run has dropped the
-                                // other end, in which case the buffer is
-                                // simply freed
-                                let _ = ret.send(buf);
-                            }
-                            Ok(())
-                        };
-                        // Highest stage this tile actually has edges on: the
-                        // fused schedule hides the interior compute behind
-                        // that stage's receive.
-                        let last_stage = ep
-                            .rx
-                            .iter()
-                            .map(|(f, ..)| D::stage(*f))
-                            .chain(ep.tx.iter().map(|(f, ..)| D::stage(*f)))
-                            .max()
-                            .unwrap_or(0);
+                        let (mut timing, mut strip) = (StepTiming::default(), Vec::new());
+                        let mut halo = ChannelHalo { rx, tx, reuses: 0 };
                         for s in start..end {
                             control.published[k].store(s, Ordering::SeqCst);
                             // seeded fault injection: this worker dies here
@@ -565,183 +564,44 @@ impl<D: Dim> ThreadedRunner<D> {
                                 }
                                 return Err(RunError::Injected { tile: id, step: s });
                             }
-                            // Appendix B picks the sync step with a margin so it
-                            // lands in every process's future; that only holds if
-                            // workers cannot outrun the monitor. Hold once, at the
-                            // arm step, until the step is announced (it is cleared
-                            // again at resume, so later steps must not re-gate).
-                            if let Some(d) = drill.as_ref() {
-                                if s == d.arm_step {
-                                    while control.sync_step.load(Ordering::SeqCst) == NO_SYNC {
-                                        std::thread::yield_now();
-                                    }
-                                }
+                            if let Some(d) = drill {
+                                control.drill_step::<D>(d, &mut tile, id, s, &mut track)?;
                             }
-                            // Synchronisation point of section 5: when a sync step
-                            // is announced, run exactly to it and pause.
-                            if control.sync_step.load(Ordering::SeqCst) == s {
-                                // A failed dump must still reach the barrier
-                                // (otherwise the monitor waits forever), so the
-                                // error is carried across the pause.
-                                let mut drill_err: Option<RunError> = None;
-                                if let Some(d) = drill.as_ref() {
-                                    if d.tile == id {
-                                        // migrate: save state, "move host", restore
-                                        let path = d
-                                            .dump_dir
-                                            .join(format!("{}{id}_step{s}.dump", D::DUMP_PREFIX));
-                                        let d0 = Instant::now();
-                                        match D::save(&tile, &path)
-                                            .and_then(|bytes| Ok((bytes, D::load(&path)?)))
-                                        {
-                                            Ok((bytes, restored)) => {
-                                                tile = restored;
-                                                track.span_wall_arg(
-                                                    Category::Checkpoint,
-                                                    "migration dump",
-                                                    d0,
-                                                    Instant::now(),
-                                                    Some(("bytes", bytes as f64)),
-                                                );
-                                                *drill_fired.lock() = Some(DrillReport {
-                                                    sync_step: s,
-                                                    dump_bytes: bytes,
-                                                    dump_path: path,
-                                                });
-                                            }
-                                            Err(e) => drill_err = Some(RunError::Checkpoint(e)),
-                                        }
-                                    }
-                                }
-                                control.pause();
-                                if let Some(e) = drill_err {
-                                    return Err(e);
-                                }
-                            }
-                            // one integration step
-                            let mut op_i = 0;
-                            while op_i < plan.len() {
-                                match plan[op_i] {
-                                    StepOp::Compute(p) => {
-                                        let t0 = Instant::now();
-                                        D::compute(solver, &mut tile, p);
-                                        let t1 = Instant::now();
-                                        timing.t_calc += t1 - t0;
-                                        track.span_wall(Category::Compute, "compute", t0, t1);
-                                    }
-                                    StepOp::Exchange(x) => {
-                                        // Fuse `Exchange(x); Compute(p)` into the
-                                        // overlapped schedule when the solver
-                                        // declares the pair safe to split.
-                                        let fused = D::overlapped_phase(solver, x).filter(|&p| {
-                                            matches!(
-                                                plan.get(op_i + 1),
-                                                Some(StepOp::Compute(q)) if *q == p
-                                            )
-                                        });
-                                        let t0 = Instant::now();
-                                        // Pack time is a sub-component of the
-                                        // t_com windows below; it is accumulated
-                                        // into t_pack only, never added to t_com
-                                        // a second time.
-                                        let mut pack = Duration::ZERO;
-                                        if let Some(p) = fused {
-                                            // Post every send before the compute
-                                            // touches the tile, then hide the
-                                            // interior sweep behind the last
-                                            // stage's receive.
-                                            for stage in 0..last_stage {
-                                                pack += send_stage(&tile, x, stage, &mut timing)?;
-                                                recv_stage(&mut tile, x, stage)?;
-                                            }
-                                            pack += send_stage(&tile, x, last_stage, &mut timing)?;
-                                            let t1 = Instant::now();
-                                            timing.t_com += t1 - t0;
-                                            track.span_wall(Category::Halo, "halo send", t0, t1);
-                                            let c0 = Instant::now();
-                                            D::compute_interior(solver, &mut tile, p);
-                                            let c1 = Instant::now();
-                                            timing.t_calc += c1 - c0;
-                                            track.span_wall(
-                                                Category::Compute,
-                                                "compute interior",
-                                                c0,
-                                                c1,
-                                            );
-                                            let r0 = Instant::now();
-                                            recv_stage(&mut tile, x, last_stage)?;
-                                            let r1 = Instant::now();
-                                            timing.t_com += r1 - r0;
-                                            track.span_wall(Category::Halo, "halo recv", r0, r1);
-                                            let b0 = Instant::now();
-                                            D::compute_boundary(solver, &mut tile, p);
-                                            let b1 = Instant::now();
-                                            timing.t_calc += b1 - b0;
-                                            track.span_wall(
-                                                Category::Compute,
-                                                "compute boundary",
-                                                b0,
-                                                b1,
-                                            );
-                                            op_i += 1; // the fused Compute is done
-                                        } else {
-                                            for stage in 0..=last_stage {
-                                                pack += send_stage(&tile, x, stage, &mut timing)?;
-                                                recv_stage(&mut tile, x, stage)?;
-                                            }
-                                            let t1 = Instant::now();
-                                            timing.t_com += t1 - t0;
-                                            track.span_wall(Category::Halo, "exchange", t0, t1);
-                                        }
-                                        timing.t_pack += pack;
-                                    }
-                                }
-                                op_i += 1;
-                            }
-                            timing.steps += 1;
+                            step_tile::<D>(
+                                solver,
+                                &mut tile,
+                                &mut halo,
+                                &mut timing,
+                                &mut strip,
+                                &mut track,
+                            )
+                            .map_err(|_| RunError::Disconnected { tile: id })?;
                         }
                         // final publish so the monitor sees completion
                         control.published[k].store(end, Ordering::SeqCst);
+                        // every send not refilled from a return allocated
+                        timing.buf_reuses += halo.reuses;
+                        timing.buf_allocs += timing.msgs_sent - halo.reuses;
                         Ok((tile, timing))
-                    }),
-                );
-            }
+                    })
+                })
+                .collect();
 
-            // The monitoring program (section 4.1 / 5.1): arm the drill, pick
-            // the synchronisation step, wait for global pause, "find a free
-            // host", send CONT.
             if let Some(d) = drill.as_ref() {
-                loop {
-                    let m = control.max_published();
-                    if m >= d.arm_step {
-                        // Appendix B: everyone posts its step; the largest
-                        // plus a margin becomes the synchronisation step
-                        // (+2 covers the step in flight at read time).
-                        let sync = m + 2;
-                        if sync >= end {
-                            // Too late in the run; announce the (unreachable)
-                            // step anyway so gated workers are released.
-                            control.sync_step.store(sync, Ordering::SeqCst);
-                            break; // drill skipped
-                        }
-                        control.sync_step.store(sync, Ordering::SeqCst);
-                        control.wait_all_paused(n);
-                        // host selection delay would go here
-                        control.resume_all();
-                        break;
-                    }
-                    std::thread::yield_now();
-                }
+                control.monitor(d, end);
             }
 
-            for (k, h) in handles.into_iter().enumerate() {
+            for (h, &id) in handles.into_iter().zip(&active) {
                 match h.join() {
-                    Ok(Ok(pair)) => results[k] = Some(pair),
+                    Ok(Ok((tile, t))) => {
+                        tiles.push(tile);
+                        timing.push((id, t));
+                    }
                     Ok(Err(e)) => note_failure(&mut failure, e),
                     Err(payload) => note_failure(
                         &mut failure,
                         RunError::WorkerPanic {
-                            tile: active[k],
+                            tile: id,
                             message: panic_message(payload),
                         },
                     ),
@@ -752,17 +612,10 @@ impl<D: Dim> ThreadedRunner<D> {
         if let Some(e) = failure {
             return Err(e);
         }
-        let mut tiles = Vec::with_capacity(n);
-        let mut timing = Vec::with_capacity(n);
-        for (k, r) in results.into_iter().enumerate() {
-            let (tile, t) = r.expect("worker result missing without a recorded failure");
-            tiles.push(tile);
-            timing.push((active[k], t));
-        }
         Ok(RunOutcome {
             tiles,
             timing,
-            drill: drill_fired.into_inner(),
+            drill: control.drill.into_inner().expect(POISONED),
             restarts: 0,
         })
     }
@@ -776,7 +629,7 @@ pub(crate) mod tests {
     use crate::problem::Problem2;
     use subsonic_grid::{Face2, Geometry2};
     use subsonic_solvers::{
-        FiniteDifference2, FluidParams, LatticeBoltzmann2, ScalarReference2, Solver2,
+        FiniteDifference2, FluidParams, LatticeBoltzmann2, ScalarReference2, Solver2, StepOp,
     };
 
     fn problem(px: usize, py: usize) -> Problem2 {

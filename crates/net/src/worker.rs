@@ -42,9 +42,9 @@ use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use subsonic_exec::checkpoint::{restore_tile2, SealedDump};
-use subsonic_exec::{step_tile2, Halo2, StepTiming};
+use subsonic_exec::{step_tile, Halo, StepTiming, D2};
 use subsonic_grid::Face2;
-use subsonic_obs::{encode_tracks, Category, FlightRecorder};
+use subsonic_obs::{encode_tracks, Category, FlightRecorder, TrackRecorder};
 use subsonic_solvers::{FiniteDifference2, LatticeBoltzmann2, Solver2, TileState2};
 
 /// How long a worker waits in any control-plane lull before declaring the
@@ -108,7 +108,7 @@ enum CtrlEvent {
 /// each has grown to the largest strip the step loop allocates nothing.
 #[derive(Default)]
 struct HaloBufs {
-    /// `step_tile2`'s strip: every strip is packed into it and decoded into it.
+    /// `step_tile`'s strip: every strip is packed into it and decoded into it.
     strip: Vec<f64>,
     /// The outgoing halo frame.
     frame: Vec<u8>,
@@ -147,12 +147,12 @@ impl MeshHalo<'_> {
     }
 }
 
-impl Halo2 for MeshHalo<'_> {
+impl Halo<D2> for MeshHalo<'_> {
     fn has_neighbor(&self, face: Face2) -> bool {
         self.neighbors[face_index(face)].is_some()
     }
 
-    fn send(&mut self, xch: usize, face: Face2, data: &[f64]) -> io::Result<()> {
+    fn send(&mut self, xch: usize, face: Face2, strip: &mut Vec<f64>) -> io::Result<()> {
         let peer = self.neighbors[face_index(face)].ok_or_else(|| {
             io::Error::new(io::ErrorKind::NotConnected, "no neighbour across face")
         })?;
@@ -162,7 +162,7 @@ impl Halo2 for MeshHalo<'_> {
             self.step,
             xch as u8,
             face_index(face) as u8,
-            data,
+            strip,
         );
         self.mesh.send(peer, self.frame)
     }
@@ -289,7 +289,7 @@ fn next_event(q: &Receiver<CtrlEvent>, hard: &AtomicBool) -> Result<Msg, NetErro
 
 #[allow(clippy::too_many_arguments)]
 fn run_segment(
-    solver: &dyn Solver2,
+    solver: &(dyn Solver2 + 'static),
     tile: &mut TileState2,
     mesh: &mut Mesh,
     bufs: &mut HaloBufs,
@@ -326,6 +326,8 @@ fn run_segment(
         log: Vec::new(),
     };
     let mut timing = StepTiming::default();
+    // the worker's own track keeps to segment-level spans
+    let mut untraced = TrackRecorder::disabled();
     for s in from..until {
         if hard.load(Ordering::SeqCst) {
             return Ok(SegEnd::Killed);
@@ -353,7 +355,15 @@ fn run_segment(
         halo.step = s;
         faults.set_step(s);
         let held = bufs.strip.capacity() + halo.frame.capacity();
-        match step_tile2(solver, tile, &mut halo, &mut timing, &mut bufs.strip) {
+        let stepped = step_tile::<D2>(
+            solver,
+            tile,
+            &mut halo,
+            &mut timing,
+            &mut bufs.strip,
+            &mut untraced,
+        );
+        match stepped {
             Ok(()) => {}
             Err(_) if hard.load(Ordering::SeqCst) => return Ok(SegEnd::Killed),
             Err(_) => return Ok(SegEnd::Aborted(s)),
