@@ -5,13 +5,17 @@
 //! *real measurement* of this Rust implementation's node rates for the same
 //! four (method, dimension) combinations on the present machine, with the
 //! same normalisation (LB 2D ≡ 1.0).
+//!
+//! A third table splits the LB 2D rate into the parts of one step, on a tile
+//! that fits in L2 and on one that streams from DRAM: the paper's `T_calc`
+//! per node, taken apart. It reports and does not assert.
 
 use crate::report::{Check, ExperimentResult, Table};
 use crate::simulation::{Simulation2, Simulation3};
 use std::time::Instant;
-use subsonic_grid::{Geometry2, Geometry3};
+use subsonic_grid::{Decomp2, Geometry2, Geometry3};
 use subsonic_model::PaperConstants;
-use subsonic_solvers::{FluidParams, MethodKind};
+use subsonic_solvers::{FluidParams, InitialState2, LatticeBoltzmann2, MethodKind, Solver2};
 
 fn rate_2d(method: MethodKind, side: usize, steps: usize) -> f64 {
     let mut params = FluidParams::lattice_units(0.05);
@@ -41,6 +45,43 @@ fn rate_3d(method: MethodKind, side: usize, steps: usize) -> f64 {
     sim.run(steps);
     let dt = t0.elapsed().as_secs_f64();
     (side * side * side * steps) as f64 / dt
+}
+
+/// The parts of one LB2D step, timed through the solver's own entry points.
+const ANATOMY: [&str; 3] = [
+    "relax, interior (compute_interior(_, 0))",
+    "relax, ghost frame + shift (compute_boundary(_, 0))",
+    "half-step: moments, filter, re-synthesis (compute(_, 1))",
+];
+
+/// ns per interior node of each [`ANATOMY`] part on one `nx × ny` channel
+/// tile, averaged over enough steps to touch about `budget` nodes.
+fn lb2_anatomy(nx: usize, ny: usize, budget: usize) -> [f64; 3] {
+    let mut params = FluidParams::lattice_units(0.05);
+    params.body_force[0] = 1e-6;
+    let solver = LatticeBoltzmann2;
+    let decomp = Decomp2::with_periodicity(nx, ny, 1, 1, true, false);
+    let mask = Geometry2::channel(nx, ny, 2).tile_mask(&decomp, 0, solver.halo());
+    let init = InitialState2::uniform(params.rho0);
+    let mut t = solver.make_tile(mask, params, (0, 0), &init);
+    let steps = (budget / (nx * ny)).max(3);
+    let mut s = [0.0; 3];
+    // one untimed step builds the tile's lazy caches and warms the caches
+    for step in 0..=steps {
+        let t0 = Instant::now();
+        solver.compute_interior(&mut t, 0);
+        let t1 = Instant::now();
+        solver.compute_boundary(&mut t, 0);
+        let t2 = Instant::now();
+        solver.compute(&mut t, 1);
+        let t3 = Instant::now();
+        if step > 0 {
+            for (acc, (a, b)) in s.iter_mut().zip([(t0, t1), (t1, t2), (t2, t3)]) {
+                *acc += (b - a).as_secs_f64();
+            }
+        }
+    }
+    s.map(|x| x * 1e9 / (steps * nx * ny) as f64)
 }
 
 /// Runs the T1 experiment.
@@ -94,6 +135,37 @@ pub fn t1(quick: bool) -> ExperimentResult {
     }
     r.tables.push(meas);
 
+    // (c) where an LB 2D step's time goes, in cache and from memory
+    let (dram, budget) = if quick {
+        ((512, 256), 2_000_000)
+    } else {
+        ((1024, 512), 10_000_000)
+    };
+    let l2 = (128, 128);
+    let small = lb2_anatomy(l2.0, l2.1, budget);
+    let large = lb2_anatomy(dram.0, dram.1, budget);
+    let mut anatomy = Table::new(
+        "LB2D step anatomy (ns per interior node; this machine)",
+        &[
+            "part of the step",
+            &format!("{}x{} (L2)", l2.0, l2.1),
+            &format!("{}x{} (DRAM)", dram.0, dram.1),
+            "DRAM / L2",
+        ],
+    );
+    let total = |x: [f64; 3]| x.iter().sum::<f64>();
+    let rows = ANATOMY.iter().zip(small.iter().zip(large));
+    let rows = rows.map(|(label, (&a, b))| (*label, a, b));
+    for (label, a, b) in rows.chain([("whole step", total(small), total(large))]) {
+        anatomy.push_row(vec![
+            label.into(),
+            format!("{a:.2}"),
+            format!("{b:.2}"),
+            format!("{:.2}", b / a),
+        ]);
+    }
+    r.tables.push(anatomy);
+
     r.checks.push(Check::new(
         "3D LB costs more per node than 2D LB (paper ratio 0.51)",
         lb3 < lb2,
@@ -117,6 +189,11 @@ pub fn t1(quick: bool) -> ExperimentResult {
          order of magnitude is checked."
             .into(),
     );
+    r.notes.push(
+        "The anatomy table is reported, not checked: a DRAM / L2 ratio near \
+         1 says the step is bound by instructions, not by memory traffic."
+            .into(),
+    );
     r
 }
 
@@ -130,7 +207,9 @@ mod tests {
         // the hardware-speed check may fail on debug builds; only verify the
         // structural checks here
         assert!(r.checks[0].pass, "{:?}", r.checks[0]);
-        assert_eq!(r.tables.len(), 2);
+        assert_eq!(r.tables.len(), 3);
         assert_eq!(r.tables[0].rows.len(), 4);
+        // three parts of the step plus the whole
+        assert_eq!(r.tables[2].rows.len(), 4);
     }
 }

@@ -529,6 +529,7 @@ impl DumpTile for TileState2 {
             step: h.step,
             // derived caches and scratch; rebuilt lazily by the solver
             shift_links: None,
+            runs: None,
             sweep_rows: Vec::new(),
         })
     }
@@ -578,6 +579,7 @@ impl DumpTile for TileState3 {
             step: h.step,
             // derived from the mask; rebuilt lazily by the solver
             shift_links: None,
+            runs: None,
         })
     }
 }

@@ -31,10 +31,13 @@
 //!
 //! ## Kernel structure (fast vs scalar path)
 //!
-//! As in [`crate::lbm2`]: mask rows are scanned into maximal fluid runs and
-//! handed to branch-free kernels over trimmed sub-slices (autovectorized),
-//! with per-cell fallback elsewhere; identical expressions in identical
-//! association order, so fast and scalar paths agree bitwise. Both update
+//! As in [`crate::lbm2`]: each row's fluid runs come from the tile's run
+//! table ([`crate::kernels::RunTable`]) and go to branch-free kernels over
+//! trimmed sub-slices (autovectorized), with per-cell fallback elsewhere;
+//! identical expressions in identical association order, so fast and scalar
+//! paths agree bitwise. The boundary fix-ups (wall density, boundary
+//! conditions) visit only the cells outside those runs, and the filter takes
+//! the table too, so no fast-path sweep scans the mask. Both update
 //! sweeps take explicit windows, which gives the overlap split for free: the
 //! density update depends on the just-exchanged velocities only in a 1-ring
 //! near the tile edge, so its inner box ([`Solver2::compute_interior`]) can
@@ -43,7 +46,7 @@
 use crate::fields::{Macro2, TileState2};
 use crate::filter::{filter_field2, filter_field2_scalar};
 use crate::init::InitialState2;
-use crate::kernels::{self, Seg};
+use crate::kernels::{self, RunTable, Seg, WindowSegs};
 use crate::params::{FluidParams, MethodKind};
 use crate::plan::StepOp;
 use crate::solver::Solver2;
@@ -174,22 +177,25 @@ fn vel_run(r: &VelRows<'_>, out_vx: &mut [f64], out_vy: &mut [f64], a: usize, b:
     }
 }
 
+/// One row of the momentum update: given the row's fluid segments (the fast
+/// path), runs through [`vel_run`] and other cells through [`vel_cell`];
+/// without them, all per-cell.
 #[inline(always)]
 fn vel_row(
     mrow: &[Cell],
+    segs: Option<WindowSegs<'_>>,
     r: &VelRows<'_>,
     out_vx: &mut [f64],
     out_vy: &mut [f64],
     p: &VelP,
-    fast: bool,
 ) {
-    if !fast {
+    let Some(segs) = segs else {
         for (x, &cell) in mrow.iter().enumerate() {
             vel_cell(x, cell, r, out_vx, out_vy, p);
         }
         return;
-    }
-    for seg in kernels::fluid_segs(mrow) {
+    };
+    for seg in segs {
         match seg {
             Seg::Run(a, b) => vel_run(r, out_vx, out_vy, a, b, p),
             Seg::One(x) => vel_cell(x, mrow[x], r, out_vx, out_vy, p),
@@ -237,15 +243,23 @@ fn den_run(r: &DenRows<'_>, out: &mut [f64], a: usize, b: usize, dt: f64, inv2dx
     }
 }
 
+/// One row of the continuity update; segments as in [`vel_row`].
 #[inline(always)]
-fn den_row(mrow: &[Cell], r: &DenRows<'_>, out: &mut [f64], dt: f64, inv2dx: f64, fast: bool) {
-    if !fast {
+fn den_row(
+    mrow: &[Cell],
+    segs: Option<WindowSegs<'_>>,
+    r: &DenRows<'_>,
+    out: &mut [f64],
+    dt: f64,
+    inv2dx: f64,
+) {
+    let Some(segs) = segs else {
         for (x, &cell) in mrow.iter().enumerate() {
             den_cell(x, cell, r, out, dt, inv2dx);
         }
         return;
-    }
-    for seg in kernels::fluid_segs(mrow) {
+    };
+    for seg in segs {
         match seg {
             Seg::Run(a, b) => den_run(r, out, a, b, dt, inv2dx),
             Seg::One(x) => den_cell(x, mrow[x], r, out, dt, inv2dx),
@@ -260,12 +274,14 @@ pub struct FiniteDifference2;
 impl FiniteDifference2 {
     /// Zero-normal-gradient density on wall nodes: each wall node adjacent to
     /// fluid takes the mean density of its fluid 4-neighbours, so the
-    /// pressure gradient across the wall face vanishes (no-penetration).
-    fn wall_rho(&self, t: &mut TileState2) {
+    /// pressure gradient across the wall face vanishes (no-penetration). The
+    /// fast path visits only the cells outside the non-wall runs.
+    fn wall_rho(&self, t: &mut TileState2, runs: Option<&RunTable>) {
         let nx = t.nx() as isize;
         let ny = t.ny() as isize;
         for j in -1..(ny + 1) {
-            for i in -1..(nx + 1) {
+            let row = runs.map(|r| r.active(j, 0));
+            for i in kernels::cells_outside(row, -1, (nx + 2) as usize) {
                 if !t.mask[(i, j)].is_wall() {
                     continue;
                 }
@@ -291,7 +307,7 @@ impl FiniteDifference2 {
         t: &mut TileState2,
         rows: (isize, isize),
         cols: (isize, isize),
-        fast: bool,
+        runs: Option<&RunTable>,
     ) {
         let p = t.params;
         let vp = VelP {
@@ -309,7 +325,7 @@ impl FiniteDifference2 {
         if span == 0 {
             return;
         }
-        let nb = if fast { kernels::bands_for(j0, j1) } else { 1 };
+        let nb = runs.map_or(1, |_| kernels::bands_for(j0, j1));
         let TileState2 {
             mac, mac_new, mask, ..
         } = t;
@@ -327,10 +343,11 @@ impl FiniteDifference2 {
         if nb <= 1 {
             for j in j0..j1 {
                 let mrow = mask.row_segment(j, i0, span);
+                let segs = runs.map(|rt| rt.fluid(j, 0).segs(i0, span));
                 let r = rows_at(j);
                 let out_vx = mac_new.vx.row_segment_mut(j, i0, span);
                 let out_vy = mac_new.vy.row_segment_mut(j, i0, span);
-                vel_row(mrow, &r, out_vx, out_vy, &vp, fast);
+                vel_row(mrow, segs, &r, out_vx, out_vy, &vp);
             }
             return;
         }
@@ -347,10 +364,11 @@ impl FiniteDifference2 {
                 s.spawn(move |_| {
                     for j in ja..jb {
                         let mrow = mask.row_segment(j, i0, span);
+                        let segs = runs.map(|rt| rt.fluid(j, 0).segs(i0, span));
                         let r = rows_at(j);
                         let out_vx = xb.row_segment_mut(j, i0, span);
                         let out_vy = yb.row_segment_mut(j, i0, span);
-                        vel_row(mrow, &r, out_vx, out_vy, &vp, true);
+                        vel_row(mrow, segs, &r, out_vx, out_vy, &vp);
                     }
                 });
             }
@@ -364,7 +382,7 @@ impl FiniteDifference2 {
         t: &mut TileState2,
         rows: (isize, isize),
         cols: (isize, isize),
-        fast: bool,
+        runs: Option<&RunTable>,
     ) {
         let p = t.params;
         let inv2dx = 1.0 / (2.0 * p.dx);
@@ -374,7 +392,7 @@ impl FiniteDifference2 {
         if span == 0 {
             return;
         }
-        let nb = if fast { kernels::bands_for(j0, j1) } else { 1 };
+        let nb = runs.map_or(1, |_| kernels::bands_for(j0, j1));
         let TileState2 {
             mac, mac_new, mask, ..
         } = t;
@@ -394,9 +412,10 @@ impl FiniteDifference2 {
         if nb <= 1 {
             for j in j0..j1 {
                 let mrow = mask.row_segment(j, i0, span);
+                let segs = runs.map(|rt| rt.fluid(j, 0).segs(i0, span));
                 let r = rows_at(j);
                 let out = new_rho.row_segment_mut(j, i0, span);
-                den_row(mrow, &r, out, p.dt, inv2dx, fast);
+                den_row(mrow, segs, &r, out, p.dt, inv2dx);
             }
             return;
         }
@@ -411,22 +430,26 @@ impl FiniteDifference2 {
                 s.spawn(move |_| {
                     for j in ja..jb {
                         let mrow = mask.row_segment(j, i0, span);
+                        let segs = runs.map(|rt| rt.fluid(j, 0).segs(i0, span));
                         let r = rows_at(j);
                         let out = rb.row_segment_mut(j, i0, span);
-                        den_row(mrow, &r, out, p.dt, inv2dx, true);
+                        den_row(mrow, segs, &r, out, p.dt, inv2dx);
                     }
                 });
             }
         });
     }
 
-    /// Boundary conditions on the new fields, over the 2-deep ghost ring.
-    fn apply_bcs(&self, t: &mut TileState2) {
+    /// Boundary conditions on the new fields, over the 2-deep ghost ring
+    /// (fluid cells keep theirs, so the fast path visits only the cells
+    /// outside the fluid runs).
+    fn apply_bcs(&self, t: &mut TileState2, runs: Option<&RunTable>) {
         let nx = t.nx() as isize;
         let ny = t.ny() as isize;
         let p = t.params;
         for j in -2..(ny + 2) {
-            for i in -2..(nx + 2) {
+            let row = runs.map(|r| r.fluid(j, 0));
+            for i in kernels::cells_outside(row, -2, (nx + 4) as usize) {
                 match t.mask[(i, j)] {
                     Cell::Fluid => {}
                     Cell::Wall => {
@@ -462,17 +485,17 @@ impl FiniteDifference2 {
         }
     }
 
-    fn run_phase(&self, t: &mut TileState2, phase: usize, fast: bool) {
+    fn run_phase(&self, t: &mut TileState2, phase: usize, runs: Option<&RunTable>) {
         let nx = t.nx() as isize;
         let ny = t.ny() as isize;
         match phase {
             0 => {
-                self.wall_rho(t);
-                self.calc_velocity(t, (0, ny), (0, nx), fast);
+                self.wall_rho(t, runs);
+                self.calc_velocity(t, (0, ny), (0, nx), runs);
             }
-            1 => self.calc_density(t, (0, ny), (0, nx), fast),
+            1 => self.calc_density(t, (0, ny), (0, nx), runs),
             2 => {
-                self.apply_bcs(t);
+                self.apply_bcs(t, runs);
                 let eps = t.params.filter_eps;
                 if eps != 0.0 {
                     let TileState2 {
@@ -482,10 +505,10 @@ impl FiniteDifference2 {
                         ..
                     } = t;
                     let sx = &mut scratch[0];
-                    if fast {
-                        filter_field2(&mut mac_new.rho, sx, mask, eps, 2);
-                        filter_field2(&mut mac_new.vx, sx, mask, eps, 2);
-                        filter_field2(&mut mac_new.vy, sx, mask, eps, 2);
+                    if let Some(runs) = runs {
+                        filter_field2(&mut mac_new.rho, sx, runs, eps, 2);
+                        filter_field2(&mut mac_new.vx, sx, runs, eps, 2);
+                        filter_field2(&mut mac_new.vy, sx, runs, eps, 2);
                     } else {
                         filter_field2_scalar(&mut mac_new.rho, sx, mask, eps, 2);
                         filter_field2_scalar(&mut mac_new.vx, sx, mask, eps, 2);
@@ -521,11 +544,11 @@ impl Solver2 for FiniteDifference2 {
     }
 
     fn compute(&self, t: &mut TileState2, phase: usize) {
-        self.run_phase(t, phase, true);
+        t.with_run_table(|t, runs| self.run_phase(t, phase, Some(runs)));
     }
 
     fn compute_scalar(&self, t: &mut TileState2, phase: usize) {
-        self.run_phase(t, phase, false);
+        self.run_phase(t, phase, None);
     }
 
     fn overlapped_phase(&self, xch: usize) -> Option<usize> {
@@ -538,7 +561,7 @@ impl Solver2 for FiniteDifference2 {
         assert_eq!(phase, 1, "only the density update overlaps an exchange");
         let (r0, r1) = Self::inner_box(t.ny() as isize);
         let (c0, c1) = Self::inner_box(t.nx() as isize);
-        self.calc_density(t, (r0, r1), (c0, c1), true);
+        t.with_run_table(|t, runs| self.calc_density(t, (r0, r1), (c0, c1), Some(runs)));
     }
 
     fn compute_boundary(&self, t: &mut TileState2, phase: usize) {
@@ -547,10 +570,13 @@ impl Solver2 for FiniteDifference2 {
         let ny = t.ny() as isize;
         let (r0, r1) = Self::inner_box(ny);
         let (c0, c1) = Self::inner_box(nx);
-        self.calc_density(t, (0, r0), (0, nx), true);
-        self.calc_density(t, (r1, ny), (0, nx), true);
-        self.calc_density(t, (r0, r1), (0, c0), true);
-        self.calc_density(t, (r0, r1), (c1, nx), true);
+        t.with_run_table(|t, runs| {
+            let runs = Some(runs);
+            self.calc_density(t, (0, r0), (0, nx), runs);
+            self.calc_density(t, (r1, ny), (0, nx), runs);
+            self.calc_density(t, (r0, r1), (0, c0), runs);
+            self.calc_density(t, (r0, r1), (c1, nx), runs);
+        });
     }
 
     fn pack(&self, t: &TileState2, xch: usize, face: Face2, out: &mut Vec<f64>) {
@@ -622,6 +648,7 @@ impl Solver2 for FiniteDifference2 {
             offset,
             step: 0,
             shift_links: None,
+            runs: None,
             sweep_rows: Vec::new(),
         }
     }

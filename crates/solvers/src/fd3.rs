@@ -6,16 +6,17 @@
 //! paper's 3D FD communication count.
 //!
 //! Kernel structure follows [`crate::fd2`] as well: windowed sweeps with
-//! per-row fluid-run specialization (branch-free trimmed-slice kernels for
-//! the autovectorizer, identical association order so fast == scalar
-//! bitwise), plane-banded multithreading within a tile, and an overlap split
+//! per-row fluid-run specialization off the tile's run table (branch-free
+//! trimmed-slice kernels for the autovectorizer, identical association order
+//! so fast == scalar bitwise), boundary fix-ups over the cells outside the
+//! runs only, plane-banded multithreading within a tile, and an overlap split
 //! where the inner box of the density update runs while the velocity halo
 //! exchange is in flight.
 
 use crate::fields::{Macro3, TileState3};
 use crate::filter::{filter_field3, filter_field3_scalar};
 use crate::init::InitialState3;
-use crate::kernels::{self, Seg};
+use crate::kernels::{self, RunTable, Seg, WindowSegs};
 use crate::params::{FluidParams, MethodKind};
 use crate::plan::StepOp;
 use crate::solver::Solver3;
@@ -165,23 +166,26 @@ fn vel_run3(
     }
 }
 
+/// One row of the momentum update: given the row's fluid segments (the fast
+/// path), runs through [`vel_run3`] and other cells through [`vel_cell3`];
+/// without them, all per-cell.
 #[inline(always)]
 fn vel_row3(
     mrow: &[Cell],
+    segs: Option<WindowSegs<'_>>,
     r: &VelRows3<'_>,
     out_vx: &mut [f64],
     out_vy: &mut [f64],
     out_vz: &mut [f64],
     p: &VelP3,
-    fast: bool,
 ) {
-    if !fast {
+    let Some(segs) = segs else {
         for (x, &cell) in mrow.iter().enumerate() {
             vel_cell3(x, cell, r, out_vx, out_vy, out_vz, p);
         }
         return;
-    }
-    for seg in kernels::fluid_segs(mrow) {
+    };
+    for seg in segs {
         match seg {
             Seg::Run(a, b) => vel_run3(r, out_vx, out_vy, out_vz, a, b, p),
             Seg::One(x) => vel_cell3(x, mrow[x], r, out_vx, out_vy, out_vz, p),
@@ -239,15 +243,23 @@ fn den_run3(r: &DenRows3<'_>, out: &mut [f64], a: usize, b: usize, dt: f64, inv2
     }
 }
 
+/// One row of the continuity update; segments as in [`vel_row3`].
 #[inline(always)]
-fn den_row3(mrow: &[Cell], r: &DenRows3<'_>, out: &mut [f64], dt: f64, inv2dx: f64, fast: bool) {
-    if !fast {
+fn den_row3(
+    mrow: &[Cell],
+    segs: Option<WindowSegs<'_>>,
+    r: &DenRows3<'_>,
+    out: &mut [f64],
+    dt: f64,
+    inv2dx: f64,
+) {
+    let Some(segs) = segs else {
         for (x, &cell) in mrow.iter().enumerate() {
             den_cell3(x, cell, r, out, dt, inv2dx);
         }
         return;
-    }
-    for seg in kernels::fluid_segs(mrow) {
+    };
+    for seg in segs {
         match seg {
             Seg::Run(a, b) => den_run3(r, out, a, b, dt, inv2dx),
             Seg::One(x) => den_cell3(x, mrow[x], r, out, dt, inv2dx),
@@ -256,13 +268,16 @@ fn den_row3(mrow: &[Cell], r: &DenRows3<'_>, out: &mut [f64], dt: f64, inv2dx: f
 }
 
 impl FiniteDifference3 {
-    fn wall_rho(&self, t: &mut TileState3) {
+    /// Zero-normal-gradient wall density, as in [`crate::fd2`]; the fast
+    /// path visits only the cells outside the non-wall runs.
+    fn wall_rho(&self, t: &mut TileState3, runs: Option<&RunTable>) {
         let nx = t.nx() as isize;
         let ny = t.ny() as isize;
         let nz = t.nz() as isize;
         for k in -1..(nz + 1) {
             for j in -1..(ny + 1) {
-                for i in -1..(nx + 1) {
+                let row = runs.map(|r| r.active(j, k));
+                for i in kernels::cells_outside(row, -1, (nx + 2) as usize) {
                     if !t.mask[(i, j, k)].is_wall() {
                         continue;
                     }
@@ -290,7 +305,7 @@ impl FiniteDifference3 {
         planes: (isize, isize),
         rows: (isize, isize),
         cols: (isize, isize),
-        fast: bool,
+        runs: Option<&RunTable>,
     ) {
         let p = t.params;
         let vp = VelP3 {
@@ -308,7 +323,7 @@ impl FiniteDifference3 {
         if span == 0 {
             return;
         }
-        let nb = if fast { kernels::bands_for(k0, k1) } else { 1 };
+        let nb = runs.map_or(1, |_| kernels::bands_for(k0, k1));
         let TileState3 {
             mac, mac_new, mask, ..
         } = t;
@@ -326,11 +341,12 @@ impl FiniteDifference3 {
             for k in k0..k1 {
                 for j in j0..j1 {
                     let mrow = mask.row_segment(j, k, i0, span);
+                    let segs = runs.map(|rt| rt.fluid(j, k).segs(i0, span));
                     let r = rows_at(j, k);
                     let out_vx = mac_new.vx.row_segment_mut(j, k, i0, span);
                     let out_vy = mac_new.vy.row_segment_mut(j, k, i0, span);
                     let out_vz = mac_new.vz.row_segment_mut(j, k, i0, span);
-                    vel_row3(mrow, &r, out_vx, out_vy, out_vz, &vp, fast);
+                    vel_row3(mrow, segs, &r, out_vx, out_vy, out_vz, &vp);
                 }
             }
             return;
@@ -351,11 +367,12 @@ impl FiniteDifference3 {
                     for k in ka..kb {
                         for j in j0..j1 {
                             let mrow = mask.row_segment(j, k, i0, span);
+                            let segs = runs.map(|rt| rt.fluid(j, k).segs(i0, span));
                             let r = rows_at(j, k);
                             let out_vx = xb.row_segment_mut(j, k, i0, span);
                             let out_vy = yb.row_segment_mut(j, k, i0, span);
                             let out_vz = zb.row_segment_mut(j, k, i0, span);
-                            vel_row3(mrow, &r, out_vx, out_vy, out_vz, &vp, true);
+                            vel_row3(mrow, segs, &r, out_vx, out_vy, out_vz, &vp);
                         }
                     }
                 });
@@ -371,7 +388,7 @@ impl FiniteDifference3 {
         planes: (isize, isize),
         rows: (isize, isize),
         cols: (isize, isize),
-        fast: bool,
+        runs: Option<&RunTable>,
     ) {
         let p = t.params;
         let inv2dx = 1.0 / (2.0 * p.dx);
@@ -382,7 +399,7 @@ impl FiniteDifference3 {
         if span == 0 {
             return;
         }
-        let nb = if fast { kernels::bands_for(k0, k1) } else { 1 };
+        let nb = runs.map_or(1, |_| kernels::bands_for(k0, k1));
         let TileState3 {
             mac, mac_new, mask, ..
         } = t;
@@ -408,9 +425,10 @@ impl FiniteDifference3 {
             for k in k0..k1 {
                 for j in j0..j1 {
                     let mrow = mask.row_segment(j, k, i0, span);
+                    let segs = runs.map(|rt| rt.fluid(j, k).segs(i0, span));
                     let r = rows_at(j, k);
                     let out = new_rho.row_segment_mut(j, k, i0, span);
-                    den_row3(mrow, &r, out, p.dt, inv2dx, fast);
+                    den_row3(mrow, segs, &r, out, p.dt, inv2dx);
                 }
             }
             return;
@@ -427,9 +445,10 @@ impl FiniteDifference3 {
                     for k in ka..kb {
                         for j in j0..j1 {
                             let mrow = mask.row_segment(j, k, i0, span);
+                            let segs = runs.map(|rt| rt.fluid(j, k).segs(i0, span));
                             let r = rows_at(j, k);
                             let out = rb.row_segment_mut(j, k, i0, span);
-                            den_row3(mrow, &r, out, p.dt, inv2dx, true);
+                            den_row3(mrow, segs, &r, out, p.dt, inv2dx);
                         }
                     }
                 });
@@ -437,14 +456,17 @@ impl FiniteDifference3 {
         });
     }
 
-    fn apply_bcs(&self, t: &mut TileState3) {
+    /// Boundary conditions on the new fields over the 2-deep ghost ring; the
+    /// fast path visits only the cells outside the fluid runs.
+    fn apply_bcs(&self, t: &mut TileState3, runs: Option<&RunTable>) {
         let nx = t.nx() as isize;
         let ny = t.ny() as isize;
         let nz = t.nz() as isize;
         let p = t.params;
         for k in -2..(nz + 2) {
             for j in -2..(ny + 2) {
-                for i in -2..(nx + 2) {
+                let row = runs.map(|r| r.fluid(j, k));
+                for i in kernels::cells_outside(row, -2, (nx + 4) as usize) {
                     match t.mask[(i, j, k)] {
                         Cell::Fluid => {}
                         Cell::Wall => {
@@ -482,18 +504,18 @@ impl FiniteDifference3 {
         }
     }
 
-    fn run_phase(&self, t: &mut TileState3, phase: usize, fast: bool) {
+    fn run_phase(&self, t: &mut TileState3, phase: usize, runs: Option<&RunTable>) {
         let nx = t.nx() as isize;
         let ny = t.ny() as isize;
         let nz = t.nz() as isize;
         match phase {
             0 => {
-                self.wall_rho(t);
-                self.calc_velocity(t, (0, nz), (0, ny), (0, nx), fast);
+                self.wall_rho(t, runs);
+                self.calc_velocity(t, (0, nz), (0, ny), (0, nx), runs);
             }
-            1 => self.calc_density(t, (0, nz), (0, ny), (0, nx), fast),
+            1 => self.calc_density(t, (0, nz), (0, ny), (0, nx), runs),
             2 => {
-                self.apply_bcs(t);
+                self.apply_bcs(t, runs);
                 let eps = t.params.filter_eps;
                 if eps != 0.0 {
                     let TileState3 {
@@ -505,11 +527,11 @@ impl FiniteDifference3 {
                     let (sx, rest) = scratch.split_at_mut(1);
                     let sx = &mut sx[0];
                     let sy = &mut rest[0];
-                    if fast {
-                        filter_field3(&mut mac_new.rho, sx, sy, mask, eps, 2);
-                        filter_field3(&mut mac_new.vx, sx, sy, mask, eps, 2);
-                        filter_field3(&mut mac_new.vy, sx, sy, mask, eps, 2);
-                        filter_field3(&mut mac_new.vz, sx, sy, mask, eps, 2);
+                    if let Some(runs) = runs {
+                        filter_field3(&mut mac_new.rho, sx, sy, runs, eps, 2);
+                        filter_field3(&mut mac_new.vx, sx, sy, runs, eps, 2);
+                        filter_field3(&mut mac_new.vy, sx, sy, runs, eps, 2);
+                        filter_field3(&mut mac_new.vz, sx, sy, runs, eps, 2);
                     } else {
                         filter_field3_scalar(&mut mac_new.rho, sx, sy, mask, eps, 2);
                         filter_field3_scalar(&mut mac_new.vx, sx, sy, mask, eps, 2);
@@ -546,11 +568,11 @@ impl Solver3 for FiniteDifference3 {
     }
 
     fn compute(&self, t: &mut TileState3, phase: usize) {
-        self.run_phase(t, phase, true);
+        t.with_run_table(|t, runs| self.run_phase(t, phase, Some(runs)));
     }
 
     fn compute_scalar(&self, t: &mut TileState3, phase: usize) {
-        self.run_phase(t, phase, false);
+        self.run_phase(t, phase, None);
     }
 
     fn overlapped_phase(&self, xch: usize) -> Option<usize> {
@@ -564,7 +586,7 @@ impl Solver3 for FiniteDifference3 {
         let (p0, p1) = Self::inner_box(t.nz() as isize);
         let (r0, r1) = Self::inner_box(t.ny() as isize);
         let (c0, c1) = Self::inner_box(t.nx() as isize);
-        self.calc_density(t, (p0, p1), (r0, r1), (c0, c1), true);
+        t.with_run_table(|t, runs| self.calc_density(t, (p0, p1), (r0, r1), (c0, c1), Some(runs)));
     }
 
     fn compute_boundary(&self, t: &mut TileState3, phase: usize) {
@@ -575,12 +597,15 @@ impl Solver3 for FiniteDifference3 {
         let (p0, p1) = Self::inner_box(nz);
         let (r0, r1) = Self::inner_box(ny);
         let (c0, c1) = Self::inner_box(nx);
-        self.calc_density(t, (0, p0), (0, ny), (0, nx), true);
-        self.calc_density(t, (p1, nz), (0, ny), (0, nx), true);
-        self.calc_density(t, (p0, p1), (0, r0), (0, nx), true);
-        self.calc_density(t, (p0, p1), (r1, ny), (0, nx), true);
-        self.calc_density(t, (p0, p1), (r0, r1), (0, c0), true);
-        self.calc_density(t, (p0, p1), (r0, r1), (c1, nx), true);
+        t.with_run_table(|t, runs| {
+            let runs = Some(runs);
+            self.calc_density(t, (0, p0), (0, ny), (0, nx), runs);
+            self.calc_density(t, (p1, nz), (0, ny), (0, nx), runs);
+            self.calc_density(t, (p0, p1), (0, r0), (0, nx), runs);
+            self.calc_density(t, (p0, p1), (r1, ny), (0, nx), runs);
+            self.calc_density(t, (p0, p1), (r0, r1), (0, c0), runs);
+            self.calc_density(t, (p0, p1), (r0, r1), (c1, nx), runs);
+        });
     }
 
     fn pack(&self, t: &TileState3, xch: usize, face: Face3, out: &mut Vec<f64>) {
@@ -660,6 +685,7 @@ impl Solver3 for FiniteDifference3 {
             offset,
             step: 0,
             shift_links: None,
+            runs: None,
         }
     }
 }

@@ -1,5 +1,6 @@
 //! Field storage for one subregion ("tile") of the decomposed problem.
 
+use crate::kernels::RunTable;
 use crate::params::FluidParams;
 use crate::qlattice::{E2, E3, Q2, Q3};
 use serde::{Deserialize, Serialize};
@@ -164,6 +165,11 @@ pub struct TileState2 {
     /// `mask`, never serialized).
     #[serde(skip)]
     pub shift_links: Option<ShiftLinks2>,
+    /// Lazily built run table of `mask`, the source of every fast-path
+    /// kernel's runs (derived from `mask`, never serialized; kernels borrow
+    /// it through [`TileState2::with_run_table`]).
+    #[serde(skip)]
+    pub runs: Option<RunTable>,
     /// Lazily built row workspace of the LB macroscopic → filter →
     /// re-synthesis sweep, one buffer per intra-tile band (LB only; pure
     /// scratch, never serialized — the layout is private to `lbm2`).
@@ -191,6 +197,19 @@ impl TileState2 {
     pub fn nodes(&self) -> usize {
         self.nx() * self.ny()
     }
+
+    /// Runs `f` on the tile and the run table of its mask, built on first
+    /// use. The table is lent to `f`, so `f` can write any field while it
+    /// reads the runs; inside `f` the tile's own cache is empty.
+    pub fn with_run_table<R>(&mut self, f: impl FnOnce(&mut Self, &RunTable) -> R) -> R {
+        let runs = self
+            .runs
+            .take()
+            .unwrap_or_else(|| RunTable::build2(&self.mask));
+        let out = f(self, &runs);
+        self.runs = Some(runs);
+        out
+    }
 }
 
 /// The full state of one 3D subregion.
@@ -217,6 +236,9 @@ pub struct TileState3 {
     /// `mask`, never serialized).
     #[serde(skip)]
     pub shift_links: Option<ShiftLinks3>,
+    /// Lazily built run table of `mask`; see [`TileState2::runs`].
+    #[serde(skip)]
+    pub runs: Option<RunTable>,
 }
 
 impl TileState3 {
@@ -243,6 +265,18 @@ impl TileState3 {
     /// Interior node count.
     pub fn nodes(&self) -> usize {
         self.nx() * self.ny() * self.nz()
+    }
+
+    /// Runs `f` on the tile and the run table of its mask, built on first
+    /// use; see [`TileState2::with_run_table`].
+    pub fn with_run_table<R>(&mut self, f: impl FnOnce(&mut Self, &RunTable) -> R) -> R {
+        let runs = self
+            .runs
+            .take()
+            .unwrap_or_else(|| RunTable::build3(&self.mask));
+        let out = f(self, &runs);
+        self.runs = Some(runs);
+        out
     }
 }
 

@@ -22,26 +22,30 @@
 //!
 //! ## Fast vs scalar path
 //!
-//! [`filter_field2`]/[`filter_field3`] are the production kernels: each row
-//! is first copied through, then the cells whose whole 5-wide window lies in
-//! a fluid run are overwritten by a branch-free stencil loop over trimmed
-//! sub-slices (which autovectorizes); with
-//! [`crate::kernels::intra_threads`] > 1 the 2D passes split into row bands
-//! and the 3D passes into plane bands. The 3D serial sweep is additionally
-//! cache-blocked: the three axis passes are interleaved along k so the x- and
-//! y-filtered slabs are consumed while still cache-resident instead of three
-//! full-volume round trips (the z-pass trails the pipeline by two slabs, the
-//! stencil reach). [`filter_field2_scalar`]/[`filter_field3_scalar`] keep the
-//! original per-cell formulation; both paths evaluate the identical stencil
-//! expression, and the equivalence tests pin them bitwise equal.
+//! [`filter_field2`]/[`filter_field3`] are the production kernels. They take
+//! the tile's [`RunTable`] instead of its mask and scan no mask: the cells
+//! whose whole 5-wide window lies in one fluid run are the table's fluid runs
+//! shrunk by the stencil reach (x-pass) or its across runs (y- and z-pass),
+//! clipped to the output window. Those cells get a branch-free stencil loop
+//! over trimmed sub-slices (which autovectorizes), and only the cells between
+//! them are copied through. With [`crate::kernels::intra_threads`] > 1 the 2D
+//! passes split into row bands and the 3D passes into plane bands. The 3D
+//! serial sweep is additionally cache-blocked: the three axis passes are
+//! interleaved along k so the x- and y-filtered slabs are consumed while
+//! still cache-resident instead of three full-volume round trips (the z-pass
+//! trails the pipeline by two slabs, the stencil reach).
+//! [`filter_field2_scalar`]/[`filter_field3_scalar`] keep the original
+//! per-cell formulation over the mask; both paths evaluate the identical
+//! stencil expression, and the equivalence tests pin them bitwise equal.
 //!
 //! The fast row kernels are multi-field ([`filter_rows_x`],
-//! [`filter_rows_across`]): fields that share a mask share one run scan per
-//! row. The plane-level entry points above use them one field at a time; the
-//! 2D lattice Boltzmann half-step calls them directly, a row at a time with
-//! ρ, Vx, Vy together, out of a ring of rows instead of a scratch plane.
+//! [`filter_rows_across`]): fields that share a mask share one list of
+//! stencil ranges per row. The plane-level entry points above use them one
+//! field at a time; the 2D lattice Boltzmann half-step calls them directly, a
+//! row at a time with ρ, Vx, Vy together, out of a ring of rows instead of a
+//! scratch plane.
 
-use crate::kernels;
+use crate::kernels::{self, RunTable};
 use rayon;
 use subsonic_grid::{Cell, PaddedGrid2, PaddedGrid3};
 
@@ -99,108 +103,112 @@ fn stencil_run(d: &mut [f64], s: [&[f64]; 5], eps: f64) {
     }
 }
 
-/// Fast along-row pass over `N` fields that share one mask row: passthrough
-/// copy, then a branch-free stencil over every maximal all-fluid window run.
-/// A cell `x` gets the stencil iff its window `msk[x..x+5]` lies inside a
-/// maximal fluid run `[a, b)`, i.e. `x ∈ [a, b-4)` — exactly the cells
-/// [`filter_row_x`] stencils. The mask is scanned once; each run is applied
-/// to every field in turn (the fields of a tile share their geometry, so the
-/// LB half-step filters ρ, Vx, Vy of a row with one scan).
+/// Copies passthrough cells between stencil ranges. Most such gaps are
+/// empty (a fluid row's one run covers the whole window), and skipping them
+/// saves a `memcpy` call per field and gap, which small tiles notice.
+#[inline(always)]
+fn pass_through(d: &mut [f64], s: &[f64]) {
+    if !d.is_empty() {
+        d.copy_from_slice(s);
+    }
+}
+
+/// Cells to either side of the centre that the 5-wide stencil reads: the
+/// `trim` that turns a row's fluid runs into its x-stencil ranges
+/// ([`crate::kernels::RowRuns::clip`]).
+pub(crate) const REACH: usize = 2;
+
+/// Fast along-row pass over `N` fields that share one mask row. `src` spans
+/// `[x0-2, x0+n+2)` of the input rows and `dst` `[x0, x0+n)` of the output
+/// rows; `stencil` gives, in increasing order, the ranges of `dst` whose
+/// 5-wide window lies inside one fluid run (a fluid row of the run table
+/// clipped with [`REACH`]) — exactly the cells [`filter_row_x`] stencils.
+/// Those get a branch-free stencil loop, and only the cells between them are
+/// copied through. Each range is applied to every field in turn (the fields
+/// of a tile share their geometry, so the LB half-step filters ρ, Vx, Vy of
+/// a row off one run list).
 #[inline(always)]
 pub(crate) fn filter_rows_x<const N: usize>(
     mut dst: [&mut [f64]; N],
     src: [&[f64]; N],
-    msk: &[Cell],
+    stencil: impl IntoIterator<Item = (usize, usize)>,
     eps: f64,
 ) {
-    let n = msk.len() - 4;
-    for (d, s) in dst.iter_mut().zip(src) {
-        d.copy_from_slice(&s[2..n + 2]);
+    let mut done = 0;
+    for (lo, hi) in stencil {
+        for (d, s) in dst.iter_mut().zip(src) {
+            pass_through(&mut d[done..lo], &s[done + 2..lo + 2]);
+            stencil_run(
+                &mut d[lo..hi],
+                std::array::from_fn(|o| &s[lo + o..hi + o]),
+                eps,
+            );
+        }
+        done = hi;
     }
-    let mut a = 0;
-    while a < n + 4 {
-        if !msk[a].is_fluid() {
-            a += 1;
-            continue;
-        }
-        let mut b = a + 1;
-        while b < n + 4 && msk[b].is_fluid() {
-            b += 1;
-        }
-        let lo = a;
-        let hi = b.saturating_sub(4).min(n);
-        if lo < hi {
-            for (d, s) in dst.iter_mut().zip(src) {
-                stencil_run(
-                    &mut d[lo..hi],
-                    std::array::from_fn(|o| &s[lo + o..hi + o]),
-                    eps,
-                );
-            }
-        }
-        a = b;
+    for (d, s) in dst.iter_mut().zip(src) {
+        let n = d.len();
+        pass_through(&mut d[done..], &s[done + 2..n + 2]);
     }
 }
 
-/// Fast across-row pass over `N` fields sharing the five mask rows (see
-/// [`filter_rows_x`]); the window here is the same x in five parallel rows.
+/// Fast across-row pass over `N` fields (see [`filter_rows_x`]): the window
+/// is the same x in five parallel rows, and `stencil` the ranges where all
+/// five mask rows are fluid (an across row of the run table, clipped).
 #[inline(always)]
 pub(crate) fn filter_rows_across<const N: usize>(
     mut dst: [&mut [f64]; N],
     s: [[&[f64]; 5]; N],
-    m: [&[Cell]; 5],
+    stencil: impl IntoIterator<Item = (usize, usize)>,
     eps: f64,
 ) {
-    let n = m[2].len();
-    for (d, s) in dst.iter_mut().zip(s) {
-        d.copy_from_slice(s[2]);
-    }
-    let all_fluid = |x: usize| {
-        m[0][x].is_fluid()
-            && m[1][x].is_fluid()
-            && m[2][x].is_fluid()
-            && m[3][x].is_fluid()
-            && m[4][x].is_fluid()
-    };
-    let mut a = 0;
-    while a < n {
-        if !all_fluid(a) {
-            a += 1;
-            continue;
-        }
-        let mut b = a + 1;
-        while b < n && all_fluid(b) {
-            b += 1;
-        }
+    let mut done = 0;
+    for (lo, hi) in stencil {
         for (d, s) in dst.iter_mut().zip(s) {
-            stencil_run(&mut d[a..b], s.map(|r| &r[a..b]), eps);
+            pass_through(&mut d[done..lo], &s[2][done..lo]);
+            stencil_run(&mut d[lo..hi], s.map(|r| &r[lo..hi]), eps);
         }
-        a = b;
+        done = hi;
+    }
+    for (d, s) in dst.iter_mut().zip(s) {
+        let n = d.len();
+        pass_through(&mut d[done..], &s[2][done..n]);
     }
 }
 
 /// Single-field form of [`filter_rows_x`].
 #[inline(always)]
-fn filter_row_x_fast(dst: &mut [f64], src: &[f64], msk: &[Cell], eps: f64) {
-    filter_rows_x([dst], [src], msk, eps);
+fn filter_row_x_fast(
+    dst: &mut [f64],
+    src: &[f64],
+    stencil: impl IntoIterator<Item = (usize, usize)>,
+    eps: f64,
+) {
+    filter_rows_x([dst], [src], stencil, eps);
 }
 
 /// Single-field form of [`filter_rows_across`].
 #[inline(always)]
-fn filter_row_across_fast(dst: &mut [f64], s: [&[f64]; 5], m: [&[Cell]; 5], eps: f64) {
-    filter_rows_across([dst], [s], m, eps);
+fn filter_row_across_fast(
+    dst: &mut [f64],
+    s: [&[f64]; 5],
+    stencil: impl IntoIterator<Item = (usize, usize)>,
+    eps: f64,
+) {
+    filter_rows_across([dst], [s], stencil, eps);
 }
 
 /// Applies the two-pass 2D filter to `u` in place, using `sx` as scratch
-/// (fast path: run-specialized rows, row-banded when intra-tile threads are
-/// configured; bitwise identical to [`filter_field2_scalar`]).
+/// (fast path: stencil ranges from the tile's run table `runs`, row-banded
+/// when intra-tile threads are configured; bitwise identical to
+/// [`filter_field2_scalar`] on the mask `runs` was built from).
 ///
 /// Output region: `[-ring, n+ring)` on both axes. Requires `u` valid on
 /// `[-ring-2, n+ring+2)` and the grids' halo to be at least `ring + 2`.
 pub fn filter_field2(
     u: &mut PaddedGrid2<f64>,
     sx: &mut PaddedGrid2<f64>,
-    mask: &PaddedGrid2<Cell>,
+    runs: &RunTable,
     eps: f64,
     ring: isize,
 ) {
@@ -221,7 +229,7 @@ pub fn filter_field2(
             filter_row_x_fast(
                 sx.row_segment_mut(j, -ring, span),
                 u.row_segment(j, -ring - 2, span + 4),
-                mask.row_segment(j, -ring - 2, span + 4),
+                runs.fluid(j, 0).clip(-ring, span, REACH),
                 eps,
             );
         }
@@ -238,7 +246,7 @@ pub fn filter_field2(
                         filter_row_x_fast(
                             band.row_segment_mut(j, -ring, span),
                             u_in.row_segment(j, -ring - 2, span + 4),
-                            mask.row_segment(j, -ring - 2, span + 4),
+                            runs.fluid(j, 0).clip(-ring, span, REACH),
                             eps,
                         );
                     }
@@ -255,7 +263,7 @@ pub fn filter_field2(
             filter_row_across_fast(
                 u.row_segment_mut(j, -ring, span),
                 std::array::from_fn(|o| sx.row_segment(j + o as isize - 2, -ring, span)),
-                std::array::from_fn(|o| mask.row_segment(j + o as isize - 2, -ring, span)),
+                runs.across_y(j, 0).clip(-ring, span, 0),
                 eps,
             );
         }
@@ -274,9 +282,7 @@ pub fn filter_field2(
                             std::array::from_fn(|o| {
                                 sx_in.row_segment(j + o as isize - 2, -ring, span)
                             }),
-                            std::array::from_fn(|o| {
-                                mask.row_segment(j + o as isize - 2, -ring, span)
-                            }),
+                            runs.across_y(j, 0).clip(-ring, span, 0),
                             eps,
                         );
                     }
@@ -320,10 +326,11 @@ pub fn filter_field2_scalar(
     }
 }
 
-/// Applies the three-pass 3D filter to `u` in place, using `sx`/`sy` scratch.
-/// Serial: a k-pipelined cache-blocked sweep (see module docs). With
-/// intra-tile threads: three plane-banded passes. Bitwise identical to
-/// [`filter_field3_scalar`] either way.
+/// Applies the three-pass 3D filter to `u` in place, using `sx`/`sy` scratch
+/// and the tile's run table `runs`. Serial: a k-pipelined cache-blocked
+/// sweep (see module docs). With intra-tile threads: three plane-banded
+/// passes. Bitwise identical to [`filter_field3_scalar`] on the mask `runs`
+/// was built from, either way.
 ///
 /// Output region: `[-ring, n+ring)` on all axes. Requires `u` valid on
 /// `[-ring-2, n+ring+2)` and halo at least `ring + 2`.
@@ -331,7 +338,7 @@ pub fn filter_field3(
     u: &mut PaddedGrid3<f64>,
     sx: &mut PaddedGrid3<f64>,
     sy: &mut PaddedGrid3<f64>,
-    mask: &PaddedGrid3<Cell>,
+    runs: &RunTable,
     eps: f64,
     ring: isize,
 ) {
@@ -356,7 +363,7 @@ pub fn filter_field3(
                 filter_row_x_fast(
                     sx.row_segment_mut(j, kk, -ring, span),
                     u.row_segment(j, kk, -ring - 2, span + 4),
-                    mask.row_segment(j, kk, -ring - 2, span + 4),
+                    runs.fluid(j, kk).clip(-ring, span, REACH),
                     eps,
                 );
             }
@@ -364,7 +371,7 @@ pub fn filter_field3(
                 filter_row_across_fast(
                     sy.row_segment_mut(j, kk, -ring, span),
                     std::array::from_fn(|o| sx.row_segment(j + o as isize - 2, kk, -ring, span)),
-                    std::array::from_fn(|o| mask.row_segment(j + o as isize - 2, kk, -ring, span)),
+                    runs.across_y(j, kk).clip(-ring, span, 0),
                     eps,
                 );
             }
@@ -374,9 +381,7 @@ pub fn filter_field3(
                     filter_row_across_fast(
                         u.row_segment_mut(j, k, -ring, span),
                         std::array::from_fn(|o| sy.row_segment(j, k + o as isize - 2, -ring, span)),
-                        std::array::from_fn(|o| {
-                            mask.row_segment(j, k + o as isize - 2, -ring, span)
-                        }),
+                        runs.across_z(j, k).clip(-ring, span, 0),
                         eps,
                     );
                 }
@@ -402,7 +407,7 @@ pub fn filter_field3(
                             filter_row_x_fast(
                                 band.row_segment_mut(j, k, -ring, span),
                                 u_in.row_segment(j, k, -ring - 2, span + 4),
-                                mask.row_segment(j, k, -ring - 2, span + 4),
+                                runs.fluid(j, k).clip(-ring, span, REACH),
                                 eps,
                             );
                         }
@@ -426,9 +431,7 @@ pub fn filter_field3(
                                 std::array::from_fn(|o| {
                                     sx_in.row_segment(j + o as isize - 2, k, -ring, span)
                                 }),
-                                std::array::from_fn(|o| {
-                                    mask.row_segment(j + o as isize - 2, k, -ring, span)
-                                }),
+                                runs.across_y(j, k).clip(-ring, span, 0),
                                 eps,
                             );
                         }
@@ -453,9 +456,7 @@ pub fn filter_field3(
                                 std::array::from_fn(|o| {
                                     sy_in.row_segment(j, k + o as isize - 2, -ring, span)
                                 }),
-                                std::array::from_fn(|o| {
-                                    mask.row_segment(j, k + o as isize - 2, -ring, span)
-                                }),
+                                runs.across_z(j, k).clip(-ring, span, 0),
                                 eps,
                             );
                         }
@@ -532,7 +533,7 @@ mod tests {
         let mask = all_fluid2(8, 8, 4);
         let mut u = PaddedGrid2::new(8, 8, 4, 3.25f64);
         let mut sx = u.clone();
-        filter_field2(&mut u, &mut sx, &mask, 0.02, 2);
+        filter_field2(&mut u, &mut sx, &RunTable::build2(&mask), 0.02, 2);
         for j in -2..10 {
             for i in -2..10 {
                 assert!((u[(i, j)] - 3.25).abs() < 1e-14);
@@ -548,7 +549,7 @@ mod tests {
         let mut u = PaddedGrid2::from_fn(8, 8, 4, |i, j| 2.0 * i as f64 - 0.5 * j as f64);
         let want = u.clone();
         let mut sx = u.clone();
-        filter_field2(&mut u, &mut sx, &mask, 0.03, 2);
+        filter_field2(&mut u, &mut sx, &RunTable::build2(&mask), 0.03, 2);
         for j in 0..8 {
             for i in 0..8 {
                 assert!((u[(i, j)] - want[(i, j)]).abs() < 1e-12);
@@ -562,7 +563,7 @@ mod tests {
         let eps = 0.02;
         let mut u = PaddedGrid2::from_fn(16, 16, 4, |i, _| if i % 2 == 0 { 1.0 } else { -1.0 });
         let mut sx = u.clone();
-        filter_field2(&mut u, &mut sx, &mask, eps, 2);
+        filter_field2(&mut u, &mut sx, &RunTable::build2(&mask), eps, 2);
         // (-1)^i mode in x is an eigenvector with gain 1-16eps; uniform in y.
         let g = nyquist_gain(eps);
         for j in 0..16 {
@@ -580,7 +581,7 @@ mod tests {
         let mut u = PaddedGrid2::from_fn(8, 8, 4, |i, j| ((i * i) as f64) * 0.1 + j as f64);
         let want = u.clone();
         let mut sx = u.clone();
-        filter_field2(&mut u, &mut sx, &mask, 0.02, 0);
+        filter_field2(&mut u, &mut sx, &RunTable::build2(&mask), 0.02, 0);
         // cells whose 5-point stencils contain (3,3) keep their raw value in
         // the corresponding pass; the wall cell itself is fully unchanged
         assert_eq!(u[(3, 3)], want[(3, 3)]);
@@ -592,7 +593,7 @@ mod tests {
         let mut u = PaddedGrid3::new(6, 6, 6, 4, 1.5f64);
         let mut sx = u.clone();
         let mut sy = u.clone();
-        filter_field3(&mut u, &mut sx, &mut sy, &mask, 0.02, 2);
+        filter_field3(&mut u, &mut sx, &mut sy, &RunTable::build3(&mask), 0.02, 2);
         for k in -2..8 {
             for j in -2..8 {
                 for i in -2..8 {
@@ -609,7 +610,7 @@ mod tests {
         let mut u = PaddedGrid3::from_fn(8, 8, 8, 3, |_, j, _| if j % 2 == 0 { 1.0 } else { -1.0 });
         let mut sx = u.clone();
         let mut sy = u.clone();
-        filter_field3(&mut u, &mut sx, &mut sy, &mask, eps, 0);
+        filter_field3(&mut u, &mut sx, &mut sy, &RunTable::build3(&mask), eps, 0);
         let g = nyquist_gain(eps);
         assert!((u[(4, 4, 4)] - g).abs() < 1e-12);
         assert!((u[(4, 3, 4)] + g).abs() < 1e-12);
@@ -642,7 +643,7 @@ mod tests {
             let mut b = a.clone();
             let mut sa = PaddedGrid2::new(19, 13, 4, 0.0f64);
             let mut sb = sa.clone();
-            filter_field2(&mut a, &mut sa, &mask, 0.0175, ring);
+            filter_field2(&mut a, &mut sa, &RunTable::build2(&mask), 0.0175, ring);
             filter_field2_scalar(&mut b, &mut sb, &mask, 0.0175, ring);
             assert_eq!(a, b, "ring {ring}");
         }
@@ -663,7 +664,14 @@ mod tests {
             let mut sya = sxa.clone();
             let mut sxb = sxa.clone();
             let mut syb = sxa.clone();
-            filter_field3(&mut a, &mut sxa, &mut sya, &mask, 0.02, ring);
+            filter_field3(
+                &mut a,
+                &mut sxa,
+                &mut sya,
+                &RunTable::build3(&mask),
+                0.02,
+                ring,
+            );
             filter_field3_scalar(&mut b, &mut sxb, &mut syb, &mask, 0.02, ring);
             assert_eq!(a, b, "ring {ring}");
         }
@@ -671,15 +679,15 @@ mod tests {
 
     #[test]
     fn banded_filter_matches_serial_bitwise() {
-        let mask = obstacle_mask2();
+        let runs = RunTable::build2(&obstacle_mask2());
         let mut a = PaddedGrid2::from_fn(19, 13, 4, |i, j| i as f64 * 0.3 + (j as f64).cos());
         let mut b = a.clone();
         let mut sa = PaddedGrid2::new(19, 13, 4, 0.0f64);
         let mut sb = sa.clone();
         crate::kernels::set_intra_threads(1);
-        filter_field2(&mut a, &mut sa, &mask, 0.02, 2);
+        filter_field2(&mut a, &mut sa, &runs, 0.02, 2);
         crate::kernels::set_intra_threads(4);
-        filter_field2(&mut b, &mut sb, &mask, 0.02, 2);
+        filter_field2(&mut b, &mut sb, &runs, 0.02, 2);
         crate::kernels::set_intra_threads(1);
         assert_eq!(a, b);
     }

@@ -37,19 +37,23 @@
 //!
 //! Each grid is one dense f64 plane per quantity (structure-of-arrays: nine
 //! population planes, three macroscopic planes), so the unit-stride direction
-//! of every sweep is a flat `&[f64]`. The fast path scans each mask row into
-//! maximal `Fluid` runs ([`crate::kernels::fluid_segs`]) and hands every run
-//! to a branch-free straight-line kernel over trimmed sub-slices, which the
-//! autovectorizer turns into SIMD lanes; boundary cells fall back to the
-//! per-cell scalar kernel. Both paths evaluate identical floating-point
-//! expressions in identical association order, so `compute` and
-//! [`Solver2::compute_scalar`] agree bitwise. Streaming is *in place*
-//! (ordered row copies within each population plane plus the cached
-//! [`ShiftLinks2`] fix-ups), eliminating the second population buffer.
+//! of every sweep is a flat `&[f64]`. The fast path scans no mask: every
+//! kernel — relaxation of any window, the moments, both filter passes and
+//! re-synthesis — takes its runs from the tile's [`RunTable`], built once
+//! from the mask, clipped to the kernel's window. Each run goes to a
+//! branch-free straight-line kernel over trimmed sub-slices, which the
+//! autovectorizer turns into SIMD lanes; the window's other cells fall back
+//! to the per-cell scalar kernel. Both paths evaluate identical
+//! floating-point expressions in identical association order, so `compute`
+//! and [`Solver2::compute_scalar`] (which keeps its per-cell mask checks)
+//! agree bitwise. Streaming is *in place* (ordered row copies within each
+//! population plane plus the cached [`ShiftLinks2`] fix-ups), eliminating
+//! the second population buffer.
 //!
-//! An LB kernel is bound by memory traffic per lattice update, so the cycle
-//! is organised by how often it walks a plane (one pass = one plane read or
-//! written once):
+//! The cycle is organised by how often it walks a plane (one pass = one plane
+//! read or written once), although on this layout the step costs about the
+//! same per node from L2 as from DRAM (`reproduce t1`'s anatomy table): it
+//! is bound by instructions per node more than by passes.
 //!
 //! * `Compute(0)` relaxes in place (9 read + 9 written = 18 passes) and
 //!   streams in place (8 moving planes, 16 passes).
@@ -57,8 +61,9 @@
 //!   go into `mac` and, x-filtered, into a 5-row ring; row `jj-2` is then
 //!   y-filtered out of the ring into a one-row buffer, its populations are
 //!   re-synthesised against the still-raw `mac` row, and the buffer replaces
-//!   that row. One mask scan per row serves ρ, Vx and Vy in each filter
-//!   pass. From DRAM that is 9 `f` planes read, 9 written back and 3 `mac`
+//!   that row. One list of stencil ranges per row serves ρ, Vx and Vy in
+//!   each filter pass, and each pass copies only the cells between those
+//!   ranges. From DRAM that is 9 `f` planes read, 9 written back and 3 `mac`
 //!   planes written — 21 passes — because the `f` rows read for the moments
 //!   are still cache-resident two rows later (ring + row set ≈ 0.4 MB at
 //!   `nx = 1024`). There are no full-plane temporaries: LB tiles carry
@@ -78,9 +83,9 @@
 //! same results, just computed on different threads.
 
 use crate::fields::{Macro2, ShiftLinks2, TileState2};
-use crate::filter::{filter_field2_scalar, filter_rows_across, filter_rows_x};
+use crate::filter::{filter_field2_scalar, filter_rows_across, filter_rows_x, REACH};
 use crate::init::InitialState2;
-use crate::kernels::{self, Seg};
+use crate::kernels::{self, RunTable, Seg, WindowSegs};
 use crate::params::{FluidParams, MethodKind};
 use crate::plan::StepOp;
 use crate::qlattice::{eq_poly, feq2, E2, OPP2, Q2, W2};
@@ -218,17 +223,23 @@ fn relax_run(frows: &mut [&mut [f64]; Q2], a: usize, b: usize, p: &RelaxP) {
     }
 }
 
-/// One row of relaxation: fluid runs through the vector kernel, everything
-/// else through the scalar cell kernel (or all-scalar when `fast` is off).
+/// One row of relaxation: given the row's fluid segments (the fast path),
+/// runs through the vector kernel and everything else through the scalar
+/// cell kernel; without them, all-scalar.
 #[inline(always)]
-fn relax_row(mrow: &[Cell], frows: &mut [&mut [f64]; Q2], p: &RelaxP, fast: bool) {
-    if !fast {
+fn relax_row(
+    mrow: &[Cell],
+    segs: Option<WindowSegs<'_>>,
+    frows: &mut [&mut [f64]; Q2],
+    p: &RelaxP,
+) {
+    let Some(segs) = segs else {
         for (x, &cell) in mrow.iter().enumerate() {
             relax_cell(x, cell, frows, p);
         }
         return;
-    }
-    for seg in kernels::fluid_segs(mrow) {
+    };
+    for seg in segs {
         match seg {
             Seg::Run(a, b) => relax_run(frows, a, b, p),
             Seg::One(x) => relax_cell(x, mrow[x], frows, p),
@@ -311,11 +322,17 @@ fn mac_run(frows: &[&[f64]; Q2], out: &mut MacRows<'_>, a: usize, b: usize, p: &
     }
 }
 
-/// One row of macroscopic moments: non-wall runs through the vector kernel,
-/// wall cells through the scalar cell kernel.
+/// One row of macroscopic moments: the row's non-wall runs (`segs`) through
+/// the vector kernel, wall cells through the scalar cell kernel.
 #[inline(always)]
-fn mac_row(mrow: &[Cell], frows: &[&[f64]; Q2], out: &mut MacRows<'_>, p: &MacP) {
-    for seg in kernels::active_segs(mrow) {
+fn mac_row(
+    mrow: &[Cell],
+    segs: WindowSegs<'_>,
+    frows: &[&[f64]; Q2],
+    out: &mut MacRows<'_>,
+    p: &MacP,
+) {
+    for seg in segs {
         match seg {
             Seg::Run(a, b) => mac_run(frows, out, a, b, p),
             Seg::One(x) => mac_cell(x, mrow[x], frows, out, p),
@@ -415,11 +432,18 @@ fn resyn_run(frows: &mut [&mut [f64]; Q2], src: &ResynRows<'_>, a: usize, b: usi
     }
 }
 
-/// One row of re-synthesis: fluid runs through the vector kernel (every
-/// other cell kind keeps its populations, as in [`resyn_cell`]).
+/// One row of re-synthesis: the row's fluid runs (`segs`) through the vector
+/// kernel (every other cell kind keeps its populations, as in
+/// [`resyn_cell`]).
 #[inline(always)]
-fn resyn_row(mrow: &[Cell], frows: &mut [&mut [f64]; Q2], src: &ResynRows<'_>, p: &ResynP) {
-    for seg in kernels::fluid_segs(mrow) {
+fn resyn_row(
+    mrow: &[Cell],
+    segs: WindowSegs<'_>,
+    frows: &mut [&mut [f64]; Q2],
+    src: &ResynRows<'_>,
+    p: &ResynP,
+) {
+    for seg in segs {
         match seg {
             Seg::Run(a, b) => resyn_run(frows, src, a, b, p),
             Seg::One(x) => resyn_cell(x, mrow[x], frows, src, p),
@@ -440,13 +464,13 @@ impl LatticeBoltzmann2 {
         t: &mut TileState2,
         rows: (isize, isize),
         cols: (isize, isize),
-        fast: bool,
+        runs: Option<&RunTable>,
     ) {
         let p = RelaxP::new(&t.params);
         let (j0, j1) = rows;
         let (i0, i1) = cols;
         let span = (i1 - i0) as usize;
-        let nb = if fast { kernels::bands_for(j0, j1) } else { 1 };
+        let nb = runs.map_or(1, |_| kernels::bands_for(j0, j1));
         let TileState2 { f, mask, .. } = t;
         if nb <= 1 {
             for j in j0..j1 {
@@ -454,7 +478,8 @@ impl LatticeBoltzmann2 {
                 let mut fit = f.iter_mut();
                 let mut frows: [&mut [f64]; Q2] =
                     std::array::from_fn(|_| fit.next().unwrap().row_segment_mut(j, i0, span));
-                relax_row(mrow, &mut frows, &p, fast);
+                let segs = runs.map(|r| r.fluid(j, 0).segs(i0, span));
+                relax_row(mrow, segs, &mut frows, &p);
             }
             return;
         }
@@ -476,7 +501,8 @@ impl LatticeBoltzmann2 {
                         let mut frows: [&mut [f64]; Q2] = std::array::from_fn(|_| {
                             bit.next().unwrap().row_segment_mut(j, i0, span)
                         });
-                        relax_row(mrow, &mut frows, &p, true);
+                        let segs = runs.map(|r| r.fluid(j, 0).segs(i0, span));
+                        relax_row(mrow, segs, &mut frows, &p);
                     }
                 });
             }
@@ -624,7 +650,7 @@ impl LatticeBoltzmann2 {
 
     /// The macroscopic → filter → re-synthesis half of the cycle as one
     /// row-pipelined sweep (see [`HalfStep`]), one pipeline per row band.
-    fn half_step(&self, t: &mut TileState2) {
+    fn half_step(&self, t: &mut TileState2, runs: &RunTable) {
         let ny = t.ny() as isize;
         let hs = HalfStep {
             nx: t.nx(),
@@ -633,6 +659,7 @@ impl LatticeBoltzmann2 {
             rp: ResynP::new(&t.params),
             eps: t.params.filter_eps,
             mask: &t.mask,
+            runs,
         };
         let nb = kernels::bands_for(0, ny);
         let rows_len = if hs.eps == 0.0 { 0 } else { hs.rows_len() };
@@ -749,7 +776,9 @@ struct SweepRows<'a> {
 /// inputs and the floating-point expressions are those of the plane-by-plane
 /// oracle (`macroscopic` → `filter_field2_scalar` ×3 → `resynthesize`); only
 /// the order of rows differs, and each `f` row is re-synthesised while the
-/// copy read for its moments two rows earlier is still cache-resident.
+/// copy read for its moments two rows earlier is still cache-resident. Every
+/// kernel takes its runs from the tile's run table; the mask is read only
+/// for the per-cell kernel's cells outside them.
 struct HalfStep<'a> {
     nx: usize,
     ny: isize,
@@ -757,15 +786,36 @@ struct HalfStep<'a> {
     rp: ResynP,
     eps: f64,
     mask: &'a PaddedGrid2<Cell>,
+    runs: &'a RunTable,
 }
 
-impl HalfStep<'_> {
+impl<'a> HalfStep<'a> {
     /// Length of one band's workspace; see [`SweepRows`].
     fn rows_len(&self) -> usize {
         (15 + 3 + 6) * self.nx + 3 * (self.nx + 4)
     }
 
-    fn carve<'a>(&self, rows: &'a mut [f64]) -> SweepRows<'a> {
+    /// Raw moments of row `jj` over `[-2, nx+2)` from its population rows.
+    #[inline(always)]
+    fn moments_row(&self, jj: isize, frows: &[&[f64]; Q2], mut out: MacRows<'_>) {
+        let span = self.nx + 4;
+        let segs = self.runs.active(jj, 0).segs(-2, span);
+        mac_row(
+            self.mask.row_segment(jj, -2, span),
+            segs,
+            frows,
+            &mut out,
+            &self.mp,
+        );
+    }
+
+    /// The interior cells of row `jj` that get the x-stencil.
+    #[inline(always)]
+    fn stencil_x(&self, jj: isize) -> impl Iterator<Item = (usize, usize)> + 'a {
+        self.runs.fluid(jj, 0).clip(0, self.nx, REACH)
+    }
+
+    fn carve<'r>(&self, rows: &'r mut [f64]) -> SweepRows<'r> {
         let (ring, rest) = rows.split_at_mut(15 * self.nx);
         let (out, rest) = rest.split_at_mut(3 * self.nx);
         let (tail, raw) = rest.split_at_mut(6 * self.nx);
@@ -793,13 +843,17 @@ impl HalfStep<'_> {
             ring, tail, raw, ..
         } = self.carve(rows);
         let mut take = |jj: isize, dst: &mut [f64]| {
-            let mrow = self.mask.row_segment(jj, -2, span);
             let mut fit = f.iter();
             let frows: [&[f64]; Q2] =
                 std::array::from_fn(|_| fit.next().unwrap().row_segment(jj, -2, span));
             let [rho, vx, vy] = rows3_mut(raw, span);
-            mac_row(mrow, &frows, &mut MacRows { rho, vx, vy }, &self.mp);
-            filter_rows_x(rows3_mut(dst, nx), rows3(raw, span), mrow, self.eps);
+            self.moments_row(jj, &frows, MacRows { rho, vx, vy });
+            filter_rows_x(
+                rows3_mut(dst, nx),
+                rows3(raw, span),
+                self.stencil_x(jj),
+                self.eps,
+            );
         };
         if ja > 0 {
             for jj in [ja - 2, ja - 1] {
@@ -832,8 +886,7 @@ impl HalfStep<'_> {
             let frows: [&[f64]; Q2] =
                 std::array::from_fn(|_| &*fit.next().unwrap().seg_mut(jj, -2, span));
             let [rho, vx, vy] = mac.each_mut().map(|g| g.seg_mut(jj, -2, span));
-            let mrow = self.mask.row_segment(jj, -2, span);
-            mac_row(mrow, &frows, &mut MacRows { rho, vx, vy }, &self.mp);
+            self.moments_row(jj, &frows, MacRows { rho, vx, vy });
         };
         if self.eps == 0.0 {
             // filter disabled: the half-step is the moments alone
@@ -850,8 +903,12 @@ impl HalfStep<'_> {
             if own.contains(&jj) {
                 moments(&mut mac, &mut f, jj);
                 let raw = mac.each_mut().map(|g| &*g.seg_mut(jj, -2, span));
-                let mrow = self.mask.row_segment(jj, -2, span);
-                filter_rows_x(rows3_mut(&mut ring[at..], nx), raw, mrow, self.eps);
+                filter_rows_x(
+                    rows3_mut(&mut ring[at..], nx),
+                    raw,
+                    self.stencil_x(jj),
+                    self.eps,
+                );
             } else if jj >= jb {
                 let k = (jj - jb) as usize * 3 * nx;
                 ring[at..at + 3 * nx].copy_from_slice(&tail[k..k + 3 * nx]);
@@ -869,7 +926,7 @@ impl HalfStep<'_> {
                         &ring[at..at + nx]
                     })
                 }),
-                std::array::from_fn(|o| self.mask.row_segment(j + o as isize - 2, 0, nx)),
+                self.runs.across_y(j, 0).clip(0, nx, 0),
                 self.eps,
             );
             let [rho_f, vx_f, vy_f] = rows3(out, nx);
@@ -886,7 +943,8 @@ impl HalfStep<'_> {
                 let mut fit = f.iter_mut();
                 let mut frows: [&mut [f64]; Q2] =
                     std::array::from_fn(|_| fit.next().unwrap().seg_mut(j, 0, nx));
-                resyn_row(self.mask.interior_row(j), &mut frows, &src, &self.rp);
+                let segs = self.runs.fluid(j, 0).segs(0, nx);
+                resyn_row(self.mask.interior_row(j), segs, &mut frows, &src, &self.rp);
             }
             for (g, filtered) in mac.iter_mut().zip([rho_f, vx_f, vy_f]) {
                 g.seg_mut(j, 0, nx).copy_from_slice(filtered);
@@ -913,11 +971,13 @@ impl Solver2 for LatticeBoltzmann2 {
         let ny = t.ny() as isize;
         match phase {
             0 => {
-                self.relax_window(t, (-3, ny + 3), (-3, nx + 3), true);
+                t.with_run_table(|t, runs| {
+                    self.relax_window(t, (-3, ny + 3), (-3, nx + 3), Some(runs))
+                });
                 self.shift(t);
             }
             1 => {
-                self.half_step(t);
+                t.with_run_table(|t, runs| self.half_step(t, runs));
                 t.step += 1;
             }
             _ => unreachable!("LBM2 has 2 compute phases"),
@@ -929,7 +989,7 @@ impl Solver2 for LatticeBoltzmann2 {
         let ny = t.ny() as isize;
         match phase {
             0 => {
-                self.relax_window(t, (-3, ny + 3), (-3, nx + 3), false);
+                self.relax_window(t, (-3, ny + 3), (-3, nx + 3), None);
                 self.shift(t);
             }
             1 => {
@@ -952,7 +1012,7 @@ impl Solver2 for LatticeBoltzmann2 {
         let nx = t.nx() as isize;
         let ny = t.ny() as isize;
         // relaxation is pointwise, so interior nodes read no halo data
-        self.relax_window(t, (0, ny), (0, nx), true);
+        t.with_run_table(|t, runs| self.relax_window(t, (0, ny), (0, nx), Some(runs)));
     }
 
     fn compute_boundary(&self, t: &mut TileState2, phase: usize) {
@@ -960,10 +1020,13 @@ impl Solver2 for LatticeBoltzmann2 {
         let nx = t.nx() as isize;
         let ny = t.ny() as isize;
         // the ghost frame around the interior window of compute_interior
-        self.relax_window(t, (-3, 0), (-3, nx + 3), true);
-        self.relax_window(t, (ny, ny + 3), (-3, nx + 3), true);
-        self.relax_window(t, (0, ny), (-3, 0), true);
-        self.relax_window(t, (0, ny), (nx, nx + 3), true);
+        t.with_run_table(|t, runs| {
+            let runs = Some(runs);
+            self.relax_window(t, (-3, 0), (-3, nx + 3), runs);
+            self.relax_window(t, (ny, ny + 3), (-3, nx + 3), runs);
+            self.relax_window(t, (0, ny), (-3, 0), runs);
+            self.relax_window(t, (0, ny), (nx, nx + 3), runs);
+        });
         self.shift(t);
     }
 
@@ -1031,6 +1094,7 @@ impl Solver2 for LatticeBoltzmann2 {
             offset,
             step: 0,
             shift_links: None,
+            runs: None,
             sweep_rows: Vec::new(),
         }
     }
@@ -1203,7 +1267,8 @@ mod tests {
         }
         let nx = a.nx() as isize;
         let ny = a.ny() as isize;
-        solver.relax_window(&mut a, (-3, ny + 3), (-3, nx + 3), true);
+        let runs = RunTable::build2(&a.mask);
+        solver.relax_window(&mut a, (-3, ny + 3), (-3, nx + 3), Some(&runs));
         let mut b = a.clone();
         solver.shift(&mut a);
         shift_reference(&mut b);

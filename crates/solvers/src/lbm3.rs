@@ -1,9 +1,9 @@
 //! The lattice Boltzmann method in 3D (D3Q15, BGK relaxation).
 //!
 //! Mirrors [`crate::lbm2`] — including its kernel structure: one padded f64
-//! plane per population (structure-of-arrays), mask rows scanned into maximal
-//! fluid runs handed to branch-free unrolled kernels over trimmed sub-slices
-//! (autovectorized across x), in-place streaming as ordered row copies plus
+//! plane per population (structure-of-arrays), row runs taken from the
+//! tile's run table and handed to branch-free unrolled kernels over trimmed
+//! sub-slices (autovectorized across x), in-place streaming as ordered row copies plus
 //! the cached [`ShiftLinks3`] fix-ups, and optional plane-band parallelism on
 //! a rayon scope when [`crate::kernels::intra_threads`] > 1. Fast and scalar
 //! paths agree bitwise.
@@ -16,7 +16,7 @@
 use crate::fields::{Macro3, ShiftLinks3, TileState3};
 use crate::filter::{filter_field3, filter_field3_scalar};
 use crate::init::InitialState3;
-use crate::kernels::{self, Seg};
+use crate::kernels::{self, RunTable, Seg, WindowSegs};
 use crate::params::{FluidParams, MethodKind};
 use crate::plan::StepOp;
 use crate::qlattice::{eq_poly, feq3, E3, OPP3, Q3, W3};
@@ -183,15 +183,23 @@ fn relax_run(frows: &mut [&mut [f64]; Q3], a: usize, b: usize, p: &RelaxP3) {
     }
 }
 
+/// One row of relaxation: given the row's fluid segments (the fast path),
+/// runs through the vector kernel and other cells through [`relax_cell`];
+/// without them, all-scalar.
 #[inline(always)]
-fn relax_row(mrow: &[Cell], frows: &mut [&mut [f64]; Q3], p: &RelaxP3, fast: bool) {
-    if !fast {
+fn relax_row(
+    mrow: &[Cell],
+    segs: Option<WindowSegs<'_>>,
+    frows: &mut [&mut [f64]; Q3],
+    p: &RelaxP3,
+) {
+    let Some(segs) = segs else {
         for (x, &cell) in mrow.iter().enumerate() {
             relax_cell(x, cell, frows, p);
         }
         return;
-    }
-    for seg in kernels::fluid_segs(mrow) {
+    };
+    for seg in segs {
         match seg {
             Seg::Run(a, b) => relax_run(frows, a, b, p),
             Seg::One(x) => relax_cell(x, mrow[x], frows, p),
@@ -274,15 +282,24 @@ fn mac_run(frows: &[&[f64]; Q3], out: &mut MacRows3<'_>, a: usize, b: usize, p: 
     }
 }
 
+/// One row of moments: given the row's non-wall segments (the fast path),
+/// runs through [`mac_run`] and wall cells through [`mac_cell`]; without
+/// them, all per-cell.
 #[inline(always)]
-fn mac_row(mrow: &[Cell], frows: &[&[f64]; Q3], out: &mut MacRows3<'_>, p: &MacP3, fast: bool) {
-    if !fast {
+fn mac_row(
+    mrow: &[Cell],
+    segs: Option<WindowSegs<'_>>,
+    frows: &[&[f64]; Q3],
+    out: &mut MacRows3<'_>,
+    p: &MacP3,
+) {
+    let Some(segs) = segs else {
         for (x, &cell) in mrow.iter().enumerate() {
             mac_cell(x, cell, frows, out, p);
         }
         return;
-    }
-    for seg in kernels::active_segs(mrow) {
+    };
+    for seg in segs {
         match seg {
             Seg::Run(a, b) => mac_run(frows, out, a, b, p),
             Seg::One(x) => mac_cell(x, mrow[x], frows, out, p),
@@ -403,21 +420,22 @@ fn resyn_run(frows: &mut [&mut [f64]; Q3], src: &ResynRows3<'_>, a: usize, b: us
     }
 }
 
+/// One row of re-synthesis; segments as in [`relax_row`].
 #[inline(always)]
 fn resyn_row(
     mrow: &[Cell],
+    segs: Option<WindowSegs<'_>>,
     frows: &mut [&mut [f64]; Q3],
     src: &ResynRows3<'_>,
     p: &ResynP3,
-    fast: bool,
 ) {
-    if !fast {
+    let Some(segs) = segs else {
         for (x, &cell) in mrow.iter().enumerate() {
             resyn_cell(x, cell, frows, src, p);
         }
         return;
-    }
-    for seg in kernels::fluid_segs(mrow) {
+    };
+    for seg in segs {
         match seg {
             Seg::Run(a, b) => resyn_run(frows, src, a, b, p),
             Seg::One(x) => resyn_cell(x, mrow[x], frows, src, p),
@@ -438,14 +456,14 @@ impl LatticeBoltzmann3 {
         planes: (isize, isize),
         rows: (isize, isize),
         cols: (isize, isize),
-        fast: bool,
+        runs: Option<&RunTable>,
     ) {
         let p = RelaxP3::new(&t.params);
         let (k0, k1) = planes;
         let (j0, j1) = rows;
         let (i0, i1) = cols;
         let span = (i1 - i0) as usize;
-        let nb = if fast { kernels::bands_for(k0, k1) } else { 1 };
+        let nb = runs.map_or(1, |_| kernels::bands_for(k0, k1));
         let TileState3 { f, mask, .. } = t;
         if nb <= 1 {
             for k in k0..k1 {
@@ -455,7 +473,8 @@ impl LatticeBoltzmann3 {
                     let mut frows: [&mut [f64]; Q3] = std::array::from_fn(|_| {
                         fit.next().unwrap().row_segment_mut(j, k, i0, span)
                     });
-                    relax_row(mrow, &mut frows, &p, fast);
+                    let segs = runs.map(|r| r.fluid(j, k).segs(i0, span));
+                    relax_row(mrow, segs, &mut frows, &p);
                 }
             }
             return;
@@ -479,7 +498,8 @@ impl LatticeBoltzmann3 {
                             let mut frows: [&mut [f64]; Q3] = std::array::from_fn(|_| {
                                 bit.next().unwrap().row_segment_mut(j, k, i0, span)
                             });
-                            relax_row(mrow, &mut frows, &p, true);
+                            let segs = runs.map(|r| r.fluid(j, k).segs(i0, span));
+                            relax_row(mrow, segs, &mut frows, &p);
                         }
                     }
                 });
@@ -546,7 +566,7 @@ impl LatticeBoltzmann3 {
         t.shift_links = Some(links);
     }
 
-    fn macroscopic(&self, t: &mut TileState3, fast: bool) {
+    fn macroscopic(&self, t: &mut TileState3, runs: Option<&RunTable>) {
         let nx = t.nx() as isize;
         let ny = t.ny() as isize;
         let nz = t.nz() as isize;
@@ -564,7 +584,7 @@ impl LatticeBoltzmann3 {
         let (j0, j1) = (-2, ny + 2);
         let i0 = -2;
         let span = (nx + 4) as usize;
-        let nb = if fast { kernels::bands_for(k0, k1) } else { 1 };
+        let nb = runs.map_or(1, |_| kernels::bands_for(k0, k1));
         let TileState3 { mac, f, mask, .. } = t;
         if nb <= 1 {
             for k in k0..k1 {
@@ -579,7 +599,8 @@ impl LatticeBoltzmann3 {
                         vy: mac.vy.row_segment_mut(j, k, i0, span),
                         vz: mac.vz.row_segment_mut(j, k, i0, span),
                     };
-                    mac_row(mrow, &frows, &mut out, &mp, fast);
+                    let segs = runs.map(|r| r.active(j, k).segs(i0, span));
+                    mac_row(mrow, segs, &frows, &mut out, &mp);
                 }
             }
             return;
@@ -612,7 +633,8 @@ impl LatticeBoltzmann3 {
                                 vy: yb.row_segment_mut(j, k, i0, span),
                                 vz: zb.row_segment_mut(j, k, i0, span),
                             };
-                            mac_row(mrow, &frows, &mut out, &mp, true);
+                            let segs = runs.map(|r| r.active(j, k).segs(i0, span));
+                            mac_row(mrow, segs, &frows, &mut out, &mp);
                         }
                     }
                 });
@@ -620,7 +642,7 @@ impl LatticeBoltzmann3 {
         });
     }
 
-    fn filter_and_resynthesize(&self, t: &mut TileState3, fast: bool) {
+    fn filter_and_resynthesize(&self, t: &mut TileState3, runs: Option<&RunTable>) {
         let p = t.params;
         {
             // keep the raw macroscopic fields for the non-equilibrium split
@@ -649,11 +671,11 @@ impl LatticeBoltzmann3 {
             let (sx, rest) = scratch.split_at_mut(1);
             let sx = &mut sx[0];
             let sy = &mut rest[0];
-            if fast {
-                filter_field3(&mut mac.rho, sx, sy, mask, p.filter_eps, 0);
-                filter_field3(&mut mac.vx, sx, sy, mask, p.filter_eps, 0);
-                filter_field3(&mut mac.vy, sx, sy, mask, p.filter_eps, 0);
-                filter_field3(&mut mac.vz, sx, sy, mask, p.filter_eps, 0);
+            if let Some(runs) = runs {
+                filter_field3(&mut mac.rho, sx, sy, runs, p.filter_eps, 0);
+                filter_field3(&mut mac.vx, sx, sy, runs, p.filter_eps, 0);
+                filter_field3(&mut mac.vy, sx, sy, runs, p.filter_eps, 0);
+                filter_field3(&mut mac.vz, sx, sy, runs, p.filter_eps, 0);
             } else {
                 filter_field3_scalar(&mut mac.rho, sx, sy, mask, p.filter_eps, 0);
                 filter_field3_scalar(&mut mac.vx, sx, sy, mask, p.filter_eps, 0);
@@ -661,10 +683,10 @@ impl LatticeBoltzmann3 {
                 filter_field3_scalar(&mut mac.vz, sx, sy, mask, p.filter_eps, 0);
             }
         }
-        self.resynthesize(t, fast);
+        self.resynthesize(t, runs);
     }
 
-    fn resynthesize(&self, t: &mut TileState3, fast: bool) {
+    fn resynthesize(&self, t: &mut TileState3, runs: Option<&RunTable>) {
         let ny = t.ny() as isize;
         let nz = t.nz() as isize;
         let p = t.params;
@@ -676,7 +698,7 @@ impl LatticeBoltzmann3 {
                 0.5 * p.accel_to_lattice(p.body_force[2]),
             ],
         };
-        let nb = if fast { kernels::bands_for(0, nz) } else { 1 };
+        let nb = runs.map_or(1, |_| kernels::bands_for(0, nz));
         let TileState3 {
             mac,
             mac_new,
@@ -702,7 +724,8 @@ impl LatticeBoltzmann3 {
                     let mut fit = f.iter_mut();
                     let mut frows: [&mut [f64]; Q3] =
                         std::array::from_fn(|_| fit.next().unwrap().interior_row_mut(j, k));
-                    resyn_row(mrow, &mut frows, &src, &rp, fast);
+                    let segs = runs.map(|r| r.fluid(j, k).segs(0, mrow.len()));
+                    resyn_row(mrow, segs, &mut frows, &src, &rp);
                 }
             }
             return;
@@ -728,12 +751,37 @@ impl LatticeBoltzmann3 {
                             let mut frows: [&mut [f64]; Q3] = std::array::from_fn(|_| {
                                 bit.next().unwrap().row_segment_mut(j, k, 0, mrow.len())
                             });
-                            resyn_row(mrow, &mut frows, &src, &rp, true);
+                            let segs = runs.map(|r| r.fluid(j, k).segs(0, mrow.len()));
+                            resyn_row(mrow, segs, &mut frows, &src, &rp);
                         }
                     }
                 });
             }
         });
+    }
+}
+
+impl LatticeBoltzmann3 {
+    /// Compute phase `phase`: fast with the tile's run table, the scalar
+    /// oracle without.
+    fn run_phase(&self, t: &mut TileState3, phase: usize, runs: Option<&RunTable>) {
+        let nx = t.nx() as isize;
+        let ny = t.ny() as isize;
+        let nz = t.nz() as isize;
+        match phase {
+            0 => {
+                self.relax_window(t, (-3, nz + 3), (-3, ny + 3), (-3, nx + 3), runs);
+                self.shift(t);
+            }
+            1 => self.macroscopic(t, runs),
+            2 => {
+                if t.params.filter_eps != 0.0 {
+                    self.filter_and_resynthesize(t, runs);
+                }
+                t.step += 1;
+            }
+            _ => unreachable!("LBM3 has 3 compute phases"),
+        }
     }
 }
 
@@ -751,43 +799,11 @@ impl Solver3 for LatticeBoltzmann3 {
     }
 
     fn compute(&self, t: &mut TileState3, phase: usize) {
-        let nx = t.nx() as isize;
-        let ny = t.ny() as isize;
-        let nz = t.nz() as isize;
-        match phase {
-            0 => {
-                self.relax_window(t, (-3, nz + 3), (-3, ny + 3), (-3, nx + 3), true);
-                self.shift(t);
-            }
-            1 => self.macroscopic(t, true),
-            2 => {
-                if t.params.filter_eps != 0.0 {
-                    self.filter_and_resynthesize(t, true);
-                }
-                t.step += 1;
-            }
-            _ => unreachable!("LBM3 has 3 compute phases"),
-        }
+        t.with_run_table(|t, runs| self.run_phase(t, phase, Some(runs)));
     }
 
     fn compute_scalar(&self, t: &mut TileState3, phase: usize) {
-        let nx = t.nx() as isize;
-        let ny = t.ny() as isize;
-        let nz = t.nz() as isize;
-        match phase {
-            0 => {
-                self.relax_window(t, (-3, nz + 3), (-3, ny + 3), (-3, nx + 3), false);
-                self.shift(t);
-            }
-            1 => self.macroscopic(t, false),
-            2 => {
-                if t.params.filter_eps != 0.0 {
-                    self.filter_and_resynthesize(t, false);
-                }
-                t.step += 1;
-            }
-            _ => unreachable!("LBM3 has 3 compute phases"),
-        }
+        self.run_phase(t, phase, None);
     }
 
     fn overlapped_phase(&self, xch: usize) -> Option<usize> {
@@ -800,7 +816,7 @@ impl Solver3 for LatticeBoltzmann3 {
         let ny = t.ny() as isize;
         let nz = t.nz() as isize;
         // relaxation is pointwise, so interior nodes read no halo data
-        self.relax_window(t, (0, nz), (0, ny), (0, nx), true);
+        t.with_run_table(|t, runs| self.relax_window(t, (0, nz), (0, ny), (0, nx), Some(runs)));
     }
 
     fn compute_boundary(&self, t: &mut TileState3, phase: usize) {
@@ -809,12 +825,15 @@ impl Solver3 for LatticeBoltzmann3 {
         let ny = t.ny() as isize;
         let nz = t.nz() as isize;
         // the six ghost slabs around the interior box of compute_interior
-        self.relax_window(t, (-3, 0), (-3, ny + 3), (-3, nx + 3), true);
-        self.relax_window(t, (nz, nz + 3), (-3, ny + 3), (-3, nx + 3), true);
-        self.relax_window(t, (0, nz), (-3, 0), (-3, nx + 3), true);
-        self.relax_window(t, (0, nz), (ny, ny + 3), (-3, nx + 3), true);
-        self.relax_window(t, (0, nz), (0, ny), (-3, 0), true);
-        self.relax_window(t, (0, nz), (0, ny), (nx, nx + 3), true);
+        t.with_run_table(|t, runs| {
+            let runs = Some(runs);
+            self.relax_window(t, (-3, 0), (-3, ny + 3), (-3, nx + 3), runs);
+            self.relax_window(t, (nz, nz + 3), (-3, ny + 3), (-3, nx + 3), runs);
+            self.relax_window(t, (0, nz), (-3, 0), (-3, nx + 3), runs);
+            self.relax_window(t, (0, nz), (ny, ny + 3), (-3, nx + 3), runs);
+            self.relax_window(t, (0, nz), (0, ny), (-3, 0), runs);
+            self.relax_window(t, (0, nz), (0, ny), (nx, nx + 3), runs);
+        });
         self.shift(t);
     }
 
@@ -890,6 +909,7 @@ impl Solver3 for LatticeBoltzmann3 {
             offset,
             step: 0,
             shift_links: None,
+            runs: None,
         }
     }
 }
@@ -1005,7 +1025,14 @@ mod tests {
         let nx = a.nx() as isize;
         let ny = a.ny() as isize;
         let nz = a.nz() as isize;
-        solver.relax_window(&mut a, (-3, nz + 3), (-3, ny + 3), (-3, nx + 3), true);
+        let runs = RunTable::build3(&a.mask);
+        solver.relax_window(
+            &mut a,
+            (-3, nz + 3),
+            (-3, ny + 3),
+            (-3, nx + 3),
+            Some(&runs),
+        );
         let mut b = a.clone();
         solver.shift(&mut a);
         shift_reference(&mut b);

@@ -16,11 +16,13 @@
 # target/ab/ too: benchmark/ is read, never written. Pair i uses seed
 # first-seed + i on both sides. Every run's result line is kept in
 # target/ab/runs/<workload>/, and one verdict table is printed per workload.
+# Exits 1 after the tables if any run was not correct, any operation
+# failed, or any metric reads WORSE or WORSE than bound.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 if (( $# < 2 )); then
-    sed -n '2,18p' "$0" | sed 's/^# \{0,1\}//'
+    sed -n '2,20p' "$0" | sed 's/^# \{0,1\}//'
     exit 2
 fi
 parent_ref=$1
@@ -79,6 +81,7 @@ import json, statistics, sys
 spec_path, runs, parent_ref = sys.argv[1:4]
 spec = json.load(open(spec_path))
 done = [arg.split(":") for arg in sys.argv[4:]]
+failures = []  # why this script exits 1, one line each
 
 def quartiles(xs):
     if len(xs) < 2:
@@ -97,6 +100,8 @@ for workload, pairs in done:
         ops = sum(r["attempted"] for r in rs)
         print(f"  {side}: {ops} operations, {sum(r['failed'] for r in rs)} failed"
               + (f", NOT correct/clean in pairs {bad}" if bad else ", every run correct"))
+        if bad:
+            failures.append(f"{workload}: {side} runs not correct/clean in pairs {bad}")
     print(f"  {'metric':<16} {'parent median [q1, q3]':<38} {'change median [q1, q3]':<38}"
           f" {'change/parent':>13} {'wins':>7}  verdict")
     for m in spec["end_to_end"]:
@@ -118,6 +123,8 @@ for workload, pairs in done:
             verdict = "WORSE than bound"
         else:
             verdict = "no regression"
+        if verdict.startswith("WORSE"):
+            failures.append(f"{workload}: {name} {verdict}")
         ratio = f"{cm / pm:.3f}x" if pm else "-"
         print(f"  {name:<16} {f'{pm:.5g} [{p1:.5g}, {p3:.5g}]':<38}"
               f" {f'{cm:.5g} [{c1:.5g}, {c3:.5g}]':<38} {ratio:>13} {wins:>3}/{pairs:<3}  {verdict}")
@@ -127,4 +134,10 @@ for workload, pairs in done:
             f"{m['name']} {parent[i]['metrics'][m['name']]['value']:.5g}->{change[i]['metrics'][m['name']]['value']:.5g}"
             for m in spec["end_to_end"])
         print(f"    pair {i + 1}: {row}")
+
+if failures:
+    print("\nFAILED:")
+    for line in failures:
+        print(f"  {line}")
+    sys.exit(1)
 EOF

@@ -14,19 +14,22 @@
 //! * the LB2D row-pipelined half-step vs the plane-by-plane scalar oracle,
 //!   whole padded state and dump bytes, down to tiles shallower than the
 //!   pipeline
+//! * the 3D FD and LB fast paths vs their scalar references, whole padded
+//!   state and dump bytes, over random masks
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
-use subsonic_exec::checkpoint::dump_tile2;
+use subsonic_exec::checkpoint::{dump_tile, dump_tile2};
 use subsonic_exec::{
     LocalRunner2, LocalRunner3, Problem2, Problem3, ThreadedRunner2, ThreadedRunner3,
 };
-use subsonic_grid::{Cell, Face2, Geometry2, Geometry3, PaddedGrid2};
+use subsonic_grid::{Cell, Face2, Face3, Geometry2, Geometry3, PaddedGrid2, PaddedGrid3};
 use subsonic_solvers::{
-    kernels, FiniteDifference2, FiniteDifference3, FluidParams, InitialState2, LatticeBoltzmann2,
-    LatticeBoltzmann3, ScalarReference2, ScalarReference3, Solver2, Solver3, StepOp, TileState2,
+    kernels, FiniteDifference2, FiniteDifference3, FluidParams, InitialState2, InitialState3,
+    LatticeBoltzmann2, LatticeBoltzmann3, ScalarReference2, ScalarReference3, Solver2, Solver3,
+    StepOp, TileState2, TileState3,
 };
 
 fn params() -> FluidParams {
@@ -157,6 +160,63 @@ fn bits(g: &PaddedGrid2<f64>) -> Vec<u64> {
     g.raw().iter().map(|v| v.to_bits()).collect()
 }
 
+/// 3D counterpart of [`random_mask2`]: ~1 in 8 cells a wall anywhere, ghosts
+/// included, and optional inlet/outlet planes on the first/last interior
+/// x-plane.
+fn random_mask3(
+    (nx, ny, nz): (usize, usize, usize),
+    halo: usize,
+    inlet: bool,
+    outlet: bool,
+    seed: u64,
+) -> PaddedGrid3<Cell> {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    PaddedGrid3::from_fn(nx, ny, nz, halo, |i, _, _| {
+        if rng.gen_range(0..8) == 0 {
+            Cell::Wall
+        } else if inlet && i == 0 {
+            Cell::Inlet
+        } else if outlet && i == nx as isize - 1 {
+            Cell::Outlet
+        } else {
+            Cell::Fluid
+        }
+    })
+}
+
+/// 3D counterpart of [`step_wrapped`].
+fn step_wrapped3(solver: &dyn Solver3, t: &mut TileState3) {
+    let mut buf = Vec::new();
+    for op in solver.plan() {
+        match *op {
+            StepOp::Compute(k) => solver.compute(t, k),
+            StepOp::Exchange(x) => {
+                for stage in 0..3 {
+                    if [t.nx(), t.ny(), t.nz()][stage] < solver.halo() {
+                        continue;
+                    }
+                    for face in Face3::ALL.into_iter().filter(|f| f.stage() == stage) {
+                        buf.clear();
+                        solver.pack(t, x, face.opposite(), &mut buf);
+                        solver.unpack(t, x, face, &buf);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Every padded plane of a 3D tile — current and next macroscopic fields,
+/// then the populations — as raw bits.
+fn planes3(t: &TileState3) -> Vec<Vec<u64>> {
+    let (m, n) = (&t.mac, &t.mac_new);
+    [&m.rho, &m.vx, &m.vy, &m.vz, &n.rho, &n.vx, &n.vy, &n.vz]
+        .into_iter()
+        .chain(&t.f)
+        .map(|g| g.raw().iter().map(|v| v.to_bits()).collect())
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -208,6 +268,53 @@ proptest! {
             prop_assert_eq!(bits(&a.f[q]), bits(&b.f[q]), "population {} diverged", q);
         }
         prop_assert_eq!(dump_tile2(&a), dump_tile2(&b));
+    }
+
+    /// The 3D fast paths of both solver families — relaxation, moments,
+    /// re-synthesis, the FD sweeps and boundary fix-ups, and the three
+    /// filter passes, all driven by the tile's run table — leave every
+    /// padded plane and the dump bitwise equal to the scalar reference: over
+    /// random masks with walls in the ghosts too, inlet/outlet planes, tiles
+    /// of 1–8 cells per side (shallower than the filter reach), filter on and
+    /// off, and 1–3 plane bands.
+    #[test]
+    fn solvers3_match_scalar_whole_state(
+        nx in 1usize..9,
+        ny in 1usize..9,
+        nz in 1usize..9,
+        fd in any::<bool>(),
+        inlet in any::<bool>(),
+        outlet in any::<bool>(),
+        filter in any::<bool>(),
+        bands in 1usize..4,
+        steps in 1usize..4,
+        seed in any::<u64>(),
+    ) {
+        let mut params = params();
+        params.inlet_velocity[0] = 0.01;
+        params.filter_eps = if filter { 0.02 } else { 0.0 };
+        let init = InitialState3::from_fn(move |i, j, k| {
+            let bump = ((i * 7 + j * 13 + k * 5).rem_euclid(5)) as f64;
+            (1.0 + 1e-3 * bump, 2e-3 * bump, -1e-3 * bump, 1e-3 * bump)
+        });
+        let (fast, oracle) = solvers3(fd);
+        let mask = random_mask3((nx, ny, nz), fast.halo(), inlet, outlet, seed);
+        let mut a = fast.make_tile(mask.clone(), params, (0, 0, 0), &init);
+        let mut b = oracle.make_tile(mask, params, (0, 0, 0), &init);
+        let configured = kernels::intra_threads();
+        kernels::set_intra_threads(bands);
+        for _ in 0..steps {
+            step_wrapped3(fast.as_ref(), &mut a);
+        }
+        kernels::set_intra_threads(configured);
+        for _ in 0..steps {
+            step_wrapped3(oracle.as_ref(), &mut b);
+        }
+        prop_assert_eq!(a.step, steps as u64);
+        for (p, (ga, gb)) in planes3(&a).iter().zip(planes3(&b)).enumerate() {
+            prop_assert_eq!(ga, &gb, "plane {} diverged (fd = {})", p, fd);
+        }
+        prop_assert_eq!(dump_tile(&a), dump_tile(&b));
     }
 }
 
