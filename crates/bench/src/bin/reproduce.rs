@@ -4,80 +4,42 @@
 //!
 //! ```text
 //! reproduce [--quick] [--out DIR] [--trace FILE] [id ...]
-//! reproduce bench [--quick] [--label LABEL] [--out FILE]
 //! reproduce net-worker
 //! ```
 //!
 //! Without ids, runs every experiment in `subsonic::experiments::ALL_IDS`.
-//! Writes one CSV per result table into `DIR` (default `results/`) and a
-//! `summary.md` with all tables and PASS/FAIL shape checks, then prints the
+//! Writes one CSV per result table into `DIR` (default `results/`), a
+//! `summary.md` with all tables and PASS/FAIL shape checks and a
+//! `METRICS.json` dump of the run's metrics registry, then prints the
 //! summary to stdout. With `--trace FILE`, instrumented experiments (the
 //! `faults` recovery run) record a flight-recorder timeline that is exported
 //! as Chrome trace-event JSON — load it at `ui.perfetto.dev`.
 //!
-//! Every run ends with a one-line PASS/FAIL verdict per experiment, and the
-//! process exits nonzero when any shape check failed — CI can gate on the
-//! exit code alone.
+//! Every argument is checked before any experiment runs: an unknown id or
+//! flag, or a flag missing its value, prints the usage and exits 2 without
+//! writing anything. Every run ends with a one-line PASS/FAIL verdict per
+//! experiment, and the process exits 1 when any shape check failed — CI can
+//! gate on the exit code alone.
 //!
 //! The `net-worker` subcommand is not for humans: it turns this binary into
 //! one worker process of the distributed runtime (the `dist` experiment
 //! re-executes itself with it, directed by `SUBSONIC_NET_DIR` /
 //! `SUBSONIC_NET_WORKER` in the environment).
-//!
-//! The `bench` subcommand instead runs the perf-baseline suite
-//! (`subsonic_bench::perf`) and writes a flat JSON report (default
-//! `results/bench.json`) plus a `METRICS.json` registry dump next to it;
-//! the checked-in `BENCH_*.json` files are built from these reports.
 
 use std::io::Write;
 use std::path::PathBuf;
 use subsonic::experiments::{run_experiment_obs, ObsSession, ALL_IDS};
 
-fn bench_usage_error(msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    eprintln!("usage: reproduce bench [--quick] [--label LABEL] [--out FILE]");
-    std::process::exit(2);
+fn usage() {
+    eprintln!("usage: reproduce [--quick] [--out DIR] [--trace FILE] [id ...]");
+    eprintln!("       reproduce net-worker");
+    eprintln!("ids: {}", ALL_IDS.join(" "));
 }
 
-fn run_bench_subcommand(mut args: impl Iterator<Item = String>) {
-    let mut quick = false;
-    let mut label = String::from("local");
-    let mut out = PathBuf::from("results/bench.json");
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--quick" => quick = true,
-            "--label" => {
-                label = args
-                    .next()
-                    .unwrap_or_else(|| bench_usage_error("--label needs a value"))
-            }
-            "--out" => {
-                out = args
-                    .next()
-                    .map(PathBuf::from)
-                    .unwrap_or_else(|| bench_usage_error("--out needs a file"))
-            }
-            "--help" | "-h" => {
-                eprintln!("usage: reproduce bench [--quick] [--label LABEL] [--out FILE]");
-                return;
-            }
-            other => bench_usage_error(&format!("unknown bench option '{other}'")),
-        }
-    }
-    let metrics = subsonic_obs::MetricsRegistry::new();
-    let entries = subsonic_bench::perf::run_suite_obs(quick, Some(&metrics));
-    for e in &entries {
-        println!("{:<24} {:>14.3e} {}", e.name, e.value, e.unit);
-    }
-    let json = subsonic_bench::perf::to_json(&label, &entries);
-    if let Some(dir) = out.parent() {
-        std::fs::create_dir_all(dir).expect("cannot create output dir");
-    }
-    std::fs::write(&out, json).expect("cannot write bench report");
-    eprintln!("wrote {}", out.display());
-    let metrics_path = out.with_file_name("METRICS.json");
-    std::fs::write(&metrics_path, metrics.to_json()).expect("cannot write metrics report");
-    eprintln!("wrote {}", metrics_path.display());
+fn usage_error(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    usage();
+    std::process::exit(2);
 }
 
 fn main() {
@@ -88,10 +50,6 @@ fn main() {
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "bench" if ids.is_empty() && !quick => {
-                run_bench_subcommand(args);
-                return;
-            }
             "net-worker" if ids.is_empty() && !quick => {
                 if let Err(e) = subsonic_net::process_worker_main() {
                     eprintln!("net-worker: {e}");
@@ -100,19 +58,20 @@ fn main() {
                 return;
             }
             "--quick" => quick = true,
-            "--out" => {
-                out_dir = PathBuf::from(args.next().expect("--out needs a directory"));
-            }
-            "--trace" => {
-                trace_out = Some(PathBuf::from(args.next().expect("--trace needs a file")));
-            }
+            "--out" => match args.next() {
+                Some(dir) => out_dir = dir.into(),
+                None => usage_error("--out needs a directory"),
+            },
+            "--trace" => match args.next() {
+                Some(file) => trace_out = Some(file.into()),
+                None => usage_error("--trace needs a file"),
+            },
             "--help" | "-h" => {
-                eprintln!("usage: reproduce [--quick] [--out DIR] [--trace FILE] [id ...]");
-                eprintln!("       reproduce bench [--quick] [--label LABEL] [--out FILE]");
-                eprintln!("ids: {}", ALL_IDS.join(" "));
+                usage();
                 return;
             }
-            other => ids.push(other.to_string()),
+            id if ALL_IDS.contains(&id) => ids.push(id.to_string()),
+            id => usage_error(&format!("unknown experiment id '{id}'")),
         }
     }
     if ids.is_empty() {
@@ -130,32 +89,25 @@ fn main() {
     }
 
     let mut summary = String::from("# Reproduction summary\n\n");
-    let mut verdicts: Vec<(String, bool, usize, f64)> = Vec::new();
+    let mut verdicts: Vec<(String, usize, f64)> = Vec::new();
     for id in &ids {
         let t0 = std::time::Instant::now();
         eprint!("running {id} ... ");
         let _ = std::io::stderr().flush();
-        match run_experiment_obs(id, quick, Some(&obs)) {
-            Some(result) => {
-                let dt = t0.elapsed().as_secs_f64();
-                let ok = result.all_pass();
-                let bad = result.checks.iter().filter(|c| !c.pass).count();
-                eprintln!("{} ({dt:.1} s)", if ok { "PASS" } else { "FAIL" });
-                verdicts.push((id.clone(), ok, bad, dt));
-                let md =
-                    subsonic_bench::emit_result(&result, &out_dir).expect("cannot write results");
-                summary.push_str(&md);
-                summary.push('\n');
-            }
-            None => {
-                eprintln!("unknown experiment id '{id}'");
-                verdicts.push((id.clone(), false, 0, 0.0));
-            }
-        }
+        let result = run_experiment_obs(id, quick, Some(&obs)).expect("every id in ALL_IDS runs");
+        let dt = t0.elapsed().as_secs_f64();
+        let bad = result.checks.iter().filter(|c| !c.pass).count();
+        eprintln!("{} ({dt:.1} s)", if bad == 0 { "PASS" } else { "FAIL" });
+        verdicts.push((id.clone(), bad, dt));
+        let md = subsonic_bench::emit_result(&result, &out_dir).expect("cannot write results");
+        summary.push_str(&md);
+        summary.push('\n');
     }
-    let failures = verdicts.iter().filter(|(_, ok, _, _)| !ok).count();
+    let failures = verdicts.iter().filter(|(_, bad, _)| *bad > 0).count();
     std::fs::create_dir_all(&out_dir).expect("cannot create results dir");
     std::fs::write(out_dir.join("summary.md"), &summary).expect("cannot write summary");
+    std::fs::write(out_dir.join("METRICS.json"), obs.metrics.to_json())
+        .expect("cannot write metrics");
     if let Some(path) = trace_out {
         let json = subsonic_obs::chrome::export(&obs.recorder);
         if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
@@ -168,13 +120,11 @@ fn main() {
     // the one-line-per-experiment verdict block, last so it is what a human
     // (or a CI log tail) sees first
     eprintln!("== verdicts ==");
-    for (id, ok, bad, dt) in &verdicts {
-        if *ok {
+    for (id, bad, dt) in &verdicts {
+        if *bad == 0 {
             eprintln!("PASS {id} ({dt:.1} s)");
-        } else if *bad > 0 {
-            eprintln!("FAIL {id} ({dt:.1} s, {bad} failing check(s))");
         } else {
-            eprintln!("FAIL {id} (unknown experiment id)");
+            eprintln!("FAIL {id} ({dt:.1} s, {bad} failing check(s))");
         }
     }
     if failures > 0 {

@@ -1,16 +1,6 @@
-//! Benchmark support for the `subsonic` workspace.
-//!
-//! The crate hosts two things:
-//!
-//! * Criterion micro-benchmarks (`benches/`): solver node rates (the
-//!   section-7 speed table), halo packing, the event-engine throughput, and
-//!   the Appendix-E page-stride pathology;
-//! * the `reproduce` binary, which runs the experiment drivers of
-//!   `subsonic::experiments` and writes one CSV per table plus a Markdown
-//!   summary into `results/`, and whose `bench` subcommand emits the
-//!   machine-readable perf baseline (see [`perf`]).
-
-pub mod perf;
+//! Output support for the `reproduce` binary, which runs the experiment
+//! drivers of `subsonic::experiments` and writes one CSV per table plus a
+//! Markdown summary into `results/`.
 
 use std::fs;
 use std::path::Path;

@@ -48,7 +48,6 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// What a completed transfer delivers.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -116,7 +115,7 @@ pub enum TransferPayload {
 }
 
 /// Which network connects the workstations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NetworkKindCfg {
     /// Shared-bus Ethernet (processor sharing).
     SharedBus,
@@ -134,7 +133,7 @@ pub enum NetworkKindCfg {
 /// lighter per-message overhead, but "the distributed program must check that
 /// messages are delivered, and resend messages if necessary" — which the
 /// simulated runtime does with an acknowledgement timeout.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Transport {
     /// TCP/IP sockets (the paper's choice): guaranteed delivery, heavier
     /// overhead, geometric retransmission rounds under saturation, give-up
@@ -146,7 +145,7 @@ pub enum Transport {
 }
 
 /// Network parameters.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct NetworkConfig {
     /// Bus or switch.
     pub kind: NetworkKindCfg,

@@ -17,7 +17,6 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Seed salt separating the fault-injection RNG stream from the bus and
 /// user/background streams (see `USER_STREAM_SALT` in `sim`).
@@ -31,7 +30,7 @@ pub const FAULT_STREAM_SALT: u64 = 0xFA17_0000_5EED_0002;
 pub const TRANSPORT_STREAM_SALT: u64 = 0x7A4E_5007_5EED_0003;
 
 /// One injected failure.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum FaultEvent {
     /// The workstation loses power / is rebooted by its owner: the host goes
     /// down, any parallel subprocess on it dies instantly, and the host
@@ -125,7 +124,7 @@ impl FaultEvent {
 }
 
 /// A deterministic schedule of injected failures.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlan {
     /// The failures, in no particular order (the event queue sorts by time).
     pub events: Vec<FaultEvent>,
@@ -260,7 +259,7 @@ impl FaultPlan {
 }
 
 /// Rates for [`FaultPlan::generate`]. Zero / infinite MTBFs disable a class.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct FaultSpec {
     /// Number of hosts faults can land on.
     pub hosts: usize,

@@ -1,10 +1,9 @@
 //! Workstation models: speeds, load averages, nice scheduling.
 
-use serde::{Deserialize, Serialize};
 use subsonic_solvers::MethodKind;
 
 /// The HP9000/700 models of the paper's cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum HostKind {
     /// HP9000/715-50 — the 50 MHz reference machine (16 in the cluster).
     Hp715_50,
@@ -60,7 +59,7 @@ impl HostKind {
 /// is the instantaneous run-queue length, with τ = 60/300/900 s for the
 /// 1/5/15-minute averages. We update lazily: the run-queue length is
 /// piecewise constant between events.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct LoadAvg {
     tau: f64,
     value: f64,
@@ -94,7 +93,7 @@ impl LoadAvg {
 }
 
 /// Dynamic state of one workstation in the simulation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HostState {
     /// Hardware model.
     pub kind: HostKind,

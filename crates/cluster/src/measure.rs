@@ -9,7 +9,6 @@ use crate::host::HostKind;
 use crate::sim::{ClusterConfig, ClusterSim};
 use crate::stats::ClusterStats;
 use crate::workload::WorkloadSpec;
-use serde::{Deserialize, Serialize};
 
 /// Measurement parameters.
 #[derive(Debug, Clone)]
@@ -35,7 +34,7 @@ impl MeasureConfig {
 }
 
 /// One efficiency measurement.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Measurement {
     /// Number of processors.
     pub p: usize,

@@ -1,13 +1,12 @@
 //! Runtime policies: job submission, monitoring, communication ordering.
 
 use crate::host::HostState;
-use serde::{Deserialize, Serialize};
 
 /// Host-selection policy of the job-submit program (section 4.1): "we first
 /// examine the idle-user workstations to see if the fifteen-minute average of
 /// the CPU load is below a pre-set value ... After examining the idle-user
 /// workstations, we examine the active-user workstations."
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct SubmitPolicy {
     /// Seconds of console inactivity before a user counts as idle (paper:
     /// "more than 20 minutes idle time").
@@ -65,7 +64,7 @@ impl SubmitPolicy {
 }
 
 /// The monitoring program (sections 4.1, 5.1).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct MonitorPolicy {
     /// Whether the monitor runs at all.
     pub enabled: bool,
@@ -88,7 +87,7 @@ impl Default for MonitorPolicy {
 }
 
 /// How the monitor decides that a silent host is dead.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DetectorMode {
     /// The classic probe schedule: `max_misses` consecutive unanswered
     /// checks at exponentially backed-off intervals declare the process
@@ -120,7 +119,7 @@ pub enum DetectorMode {
 /// unpunished; a longer one triggers a false-positive restart — the classic
 /// completeness/accuracy trade-off. [`DetectorMode::Accrual`] replaces the
 /// discrete miss count with a continuous suspicion level fed by probe RTTs.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct DetectorPolicy {
     /// Whether failure detection runs at all.
     pub enabled: bool,
@@ -192,7 +191,7 @@ impl DetectorPolicy {
 }
 
 /// Appendix-C ordering of neighbour communication.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CommOrdering {
     /// Asynchronous first-come-first-served (the paper's choice, via
     /// `select()`): "better performance is achieved overall".

@@ -1,10 +1,9 @@
 //! Statistics collected by the cluster simulation.
 
-use serde::{Deserialize, Serialize};
 use subsonic_obs::MetricsRegistry;
 
 /// Per-process accounting.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ProcStats {
     /// Seconds spent computing.
     pub t_calc: f64,
@@ -29,7 +28,7 @@ impl ProcStats {
 
 /// What happened in the user/background layer (the stochastic environment of
 /// section 5.1) — recorded so two runs can be compared event-for-event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BackgroundEventKind {
     /// The console user switched between active and idle.
     UserFlip,
@@ -43,7 +42,7 @@ pub enum BackgroundEventKind {
 /// the background layer draws from its own RNG stream, so two runs with the
 /// same seed but different *policy* settings (comm ordering, checkpoint
 /// schedule, ...) must produce identical traces.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BackgroundEvent {
     /// Simulated time of the event.
     pub t: f64,
@@ -54,7 +53,7 @@ pub struct BackgroundEvent {
 }
 
 /// One completed migration.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct MigrationRecord {
     /// The migrated process.
     pub proc_id: usize,
@@ -86,7 +85,7 @@ impl MigrationRecord {
 /// declared dead (stall outlasting the detector), and the runtime restarted
 /// it on a fresh host from the last coordinated checkpoint, rolling every
 /// process back to the checkpointed step.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct RecoveryRecord {
     /// The process that was restarted.
     pub proc_id: usize,
@@ -124,7 +123,7 @@ impl RecoveryRecord {
 
 /// Counters of the message-level reliable transport (all zero when the run
 /// has no message-level faults and the transport stays disengaged).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TransportStats {
     /// Fresh DATA messages handed to the transport.
     pub data_sent: u64,
@@ -161,7 +160,7 @@ pub struct TransportStats {
 /// crossed [`crate::transport::TransportConfig::max_attempts`] transmissions
 /// without an ACK — the observable symptom of a dead receiver, a partition,
 /// or pathological congestion.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct DeliveryFailureRecord {
     /// Sending process.
     pub from_proc: usize,
@@ -178,7 +177,7 @@ pub struct DeliveryFailureRecord {
 }
 
 /// Aggregate results of a simulation run.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ClusterStats {
     /// Per-process accounting (indexed like the workload tiles).
     pub procs: Vec<ProcStats>,

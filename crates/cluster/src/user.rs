@@ -14,10 +14,9 @@
 //! one migration every 45 minutes, the paper's observed rate.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the per-host user/job model.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct UserModelConfig {
     /// Whether the model runs at all (performance measurements use a quiet
     /// cluster, "to avoid situations where the Ethernet network is

@@ -8,12 +8,11 @@
 //! Message counts also follow the paper: FD sends two messages per neighbour
 //! per step, LB one.
 
-use serde::{Deserialize, Serialize};
 use subsonic_grid::{Decomp2, Decomp3, Face2, Face3};
 use subsonic_solvers::MethodKind;
 
 /// One phase of the per-step plan.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PhaseSpec {
     /// Local computation covering this fraction of the step's node work.
     Compute {
@@ -29,7 +28,7 @@ pub enum PhaseSpec {
 }
 
 /// Per-process workload: subregion size and neighbour links.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WorkloadTile {
     /// Interior nodes `N` of the subregion.
     pub nodes: usize,
@@ -38,7 +37,7 @@ pub struct WorkloadTile {
 }
 
 /// The full decomposed workload.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WorkloadSpec {
     /// Numerical method (sets speeds and byte counts).
     pub method: MethodKind,

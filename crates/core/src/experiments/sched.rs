@@ -21,6 +21,7 @@
 
 use crate::experiments::ObsSession;
 use crate::report::{Check, ExperimentResult, Table};
+use std::time::Instant;
 use subsonic_sched::{
     publish, record_tracks, run, JobTrace, PolicyKind, SchedConfig, SchedOutcome, TenantSpec,
     TraceConfig,
@@ -85,12 +86,15 @@ pub fn e_sched_obs(quick: bool, obs: Option<&ObsSession>) -> ExperimentResult {
             "backfills",
             "migrations",
             "schedule hash",
+            "replay (jobs/s)",
         ],
     );
     let mut outcomes: Vec<SchedOutcome> = Vec::new();
     for policy in PolicyKind::ALL {
         let cfg = SchedConfig::paper_pool(policy, 1);
+        let t0 = Instant::now();
         let out = run(&trace, &cfg);
+        let jobs_per_s = trace.jobs.len() as f64 / t0.elapsed().as_secs_f64();
         // determinism verdict: the identical trace + config must reproduce
         // the schedule bit-for-bit
         let again = run(&trace, &cfg);
@@ -123,6 +127,7 @@ pub fn e_sched_obs(quick: bool, obs: Option<&ObsSession>) -> ExperimentResult {
             out.backfills.to_string(),
             out.migrations.len().to_string(),
             format!("{:#018x}", out.schedule_hash),
+            format!("{jobs_per_s:.0}"),
         ]);
         if let Some(obs) = obs {
             publish(&out, &obs.metrics);
@@ -209,6 +214,11 @@ pub fn e_sched_obs(quick: bool, obs: Option<&ObsSession>) -> ExperimentResult {
     }
     r.tables.push(table);
     r.tables.push(fairness);
+    r.notes.push(
+        "The replay column is the wall-clock rate of the replay engine on this \
+         machine; it is reported, not checked."
+            .into(),
+    );
     r
 }
 

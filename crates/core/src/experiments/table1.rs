@@ -8,11 +8,14 @@
 //!
 //! A third table splits the LB 2D rate into the parts of one step, on a tile
 //! that fits in L2 and on one that streams from DRAM: the paper's `T_calc`
-//! per node, taken apart. It reports and does not assert.
+//! per node, taken apart. A fourth times Appendix E's stride pathology: a
+//! column sweep over rows that are exactly one 4096-byte page long, with and
+//! without the padding the paper adds. Both report and do not assert.
 
 use crate::report::{Check, ExperimentResult, Table};
 use crate::simulation::{Simulation2, Simulation3};
 use std::time::Instant;
+use subsonic_grid::array::{Array2, StridePolicy};
 use subsonic_grid::{Decomp2, Geometry2, Geometry3};
 use subsonic_model::PaperConstants;
 use subsonic_solvers::{FluidParams, InitialState2, LatticeBoltzmann2, MethodKind, Solver2};
@@ -82,6 +85,30 @@ fn lb2_anatomy(nx: usize, ny: usize, budget: usize) -> [f64; 3] {
         }
     }
     s.map(|x| x * 1e9 / (steps * nx * ny) as f64)
+}
+
+/// Row stride in bytes and ns per column sweep of a 512×1024 `Array2<f64>`
+/// laid out by `policy`, over `sweeps` timed sweeps. A row of 512 `f64` is
+/// exactly one 4096-byte page, so walking a column strides by a page
+/// multiple unless the policy pads the row (Appendix E).
+fn column_sweep_ns(policy: StridePolicy, sweeps: usize) -> (usize, f64) {
+    let a = Array2::with_policy(512, 1024, 1.0f64, policy);
+    let sweep = || {
+        let mut acc = 0.0;
+        for x in 0..a.nx() {
+            for y in 0..a.ny() {
+                acc += a[(x, y)];
+            }
+        }
+        std::hint::black_box(acc)
+    };
+    sweep(); // warm-up: page faults and caches
+    let t0 = Instant::now();
+    for _ in 0..sweeps {
+        sweep();
+    }
+    let ns = t0.elapsed().as_secs_f64() * 1e9 / sweeps as f64;
+    (a.stride() * std::mem::size_of::<f64>(), ns)
 }
 
 /// Runs the T1 experiment.
@@ -166,6 +193,29 @@ pub fn t1(quick: bool) -> ExperimentResult {
     }
     r.tables.push(anatomy);
 
+    // (d) Appendix E: a page-multiple row stride vs the padded one
+    let sweeps = if quick { 5 } else { 40 };
+    let tight = column_sweep_ns(StridePolicy::Tight, sweeps);
+    let padded = column_sweep_ns(StridePolicy::AvoidPageMultiples, sweeps);
+    let mut stride = Table::new(
+        "Appendix E column sweep (512x1024 f64; ns per sweep; this machine)",
+        &[
+            "stride policy",
+            "row stride (B)",
+            "ns per sweep",
+            "vs padded",
+        ],
+    );
+    for (label, (bytes, ns)) in [("Tight", tight), ("AvoidPageMultiples", padded)] {
+        stride.push_row(vec![
+            label.into(),
+            bytes.to_string(),
+            format!("{ns:.0}"),
+            format!("{:.2}", ns / padded.1),
+        ]);
+    }
+    r.tables.push(stride);
+
     r.checks.push(Check::new(
         "3D LB costs more per node than 2D LB (paper ratio 0.51)",
         lb3 < lb2,
@@ -194,6 +244,12 @@ pub fn t1(quick: bool) -> ExperimentResult {
          1 says the step is bound by instructions, not by memory traffic."
             .into(),
     );
+    r.notes.push(
+        "The Appendix E table is reported, not checked: the 1994 caches lost \
+         a factor of two or more to a page-multiple stride, and how much a \
+         modern set-associative cache loses depends on the machine."
+            .into(),
+    );
     r
 }
 
@@ -207,9 +263,11 @@ mod tests {
         // the hardware-speed check may fail on debug builds; only verify the
         // structural checks here
         assert!(r.checks[0].pass, "{:?}", r.checks[0]);
-        assert_eq!(r.tables.len(), 3);
+        assert_eq!(r.tables.len(), 4);
         assert_eq!(r.tables[0].rows.len(), 4);
         // three parts of the step plus the whole
         assert_eq!(r.tables[2].rows.len(), 4);
+        // the page-multiple stride and the padded one
+        assert_eq!(r.tables[3].rows.len(), 2);
     }
 }

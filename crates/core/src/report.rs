@@ -1,9 +1,7 @@
 //! Tables, series and experiment results with CSV/Markdown emitters.
 
-use serde::{Deserialize, Serialize};
-
 /// A labelled series of `(x, y)` points — one curve of a figure.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Series {
     /// Legend label (e.g. `"(5x4)"`).
     pub label: String,
@@ -40,7 +38,7 @@ impl Series {
 }
 
 /// A rectangular table: named columns, rows of numbers or text.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Table {
     /// Table title.
     pub title: String,
@@ -125,7 +123,7 @@ impl Table {
 }
 
 /// A named assertion against the paper's expectations.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Check {
     /// What is being checked.
     pub name: String,
@@ -147,7 +145,7 @@ impl Check {
 }
 
 /// The output of one experiment driver.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ExperimentResult {
     /// Experiment id (e.g. `"fig5"`).
     pub id: String,

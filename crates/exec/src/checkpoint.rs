@@ -213,6 +213,11 @@ impl DumpHeader {
 /// A tile type the dump codec writes and restores: [`TileState2`] and
 /// [`TileState3`]. The byte layout is the same for both ranks, with one
 /// extent, one offset and one velocity field per axis.
+///
+/// A dump holds the header fields, `mask`, `mac` and `f`. It leaves out
+/// `mac_new` and `scratch` (temporaries), `shift_links` and `runs` (caches
+/// derived from `mask`) and, in 2D, `sweep_rows` (the LB sweep's row
+/// workspace); [`DumpTile::assemble`] rebuilds them.
 pub trait DumpTile: Sized {
     /// Dimensionality recorded in (and required of) the dump.
     const RANK: usize;

@@ -10,8 +10,8 @@
 //!   [`Halo`] endpoint, with the fused exchange+compute schedule wherever the
 //!   solver declares it. Two substrates drive it:
 //! * [`ThreadedRunner2`]/[`ThreadedRunner3`] — one OS thread per subregion
-//!   over crossbeam channels (the in-process analogue of the paper's TCP/IP
-//!   sockets), with the Appendix-B synchronisation protocol, a migration
+//!   over `std::sync::mpsc` channels (the in-process analogue of the paper's
+//!   TCP/IP sockets), with the Appendix-B synchronisation protocol, a migration
 //!   drill and crash-recovery supervision; and `subsonic-net`'s worker
 //!   processes over sockets.
 //! * [`checkpoint`] — one binary dump codec for both ranks, the paper's dump

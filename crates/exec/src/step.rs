@@ -1,10 +1,11 @@
 //! The step loop: one integration step of one tile against an abstract halo
 //! endpoint, written once for every substrate.
 //!
-//! The threaded runner drives [`step_tile`] over crossbeam channels and the
-//! multi-process runtime (`subsonic-net`) over sockets or in-memory links;
-//! each implements [`Halo<D>`] for its wire and wraps its own concerns —
-//! progress, fault injection, migration, checkpoints — around the call.
+//! The threaded runner drives [`step_tile`] over `std::sync::mpsc` channels
+//! and the multi-process runtime (`subsonic-net`) over sockets or in-memory
+//! links; each implements [`Halo<D>`] for its wire and wraps its own
+//! concerns — progress, fault injection, migration, checkpoints — around the
+//! call.
 //!
 //! The exchange runs in face stages (x, y, then z), every send of a stage
 //! posted before its receives; corner ghosts forward transitively. When the

@@ -4,8 +4,8 @@
 //! Each active subregion runs on its own OS thread, which wraps the one step
 //! loop ([`step_tile`]) in the runner's per-step concerns: publishing its
 //! step, seeded kills, and the migration drill. Halo strips travel over
-//! unbounded crossbeam channels — the in-process analogue of the paper's
-//! TCP/IP sockets ("the TCP/IP protocol behaves as if there are two
+//! unbounded `std::sync::mpsc` channels — the in-process analogue of the
+//! paper's TCP/IP sockets ("the TCP/IP protocol behaves as if there are two
 //! first-in-first-out channels for writing data in each direction between two
 //! processes", section 4.2). Communication is asynchronous and
 //! first-come-first-served within an exchange stage, which is the policy the
@@ -43,11 +43,11 @@ use crate::error::{note_failure, panic_message, RunError};
 use crate::gather::{GlobalFields2, GlobalFields3};
 use crate::step::{step_tile, Halo};
 use crate::timing::StepTiming;
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::collections::HashMap;
 use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 use subsonic_obs::{Category, FlightRecorder, TrackRecorder};
@@ -530,8 +530,8 @@ impl<D: Dim> ThreadedRunner<D> {
                 else {
                     continue;
                 };
-                let (data_tx, data_rx) = unbounded();
-                let (back_tx, back_rx) = unbounded();
+                let (data_tx, data_rx) = channel();
+                let (back_tx, back_rx) = channel();
                 links[k].0.push((f, data_rx, back_tx));
                 links[nk].1.push((D::opposite(f), data_tx, back_rx));
             }

@@ -89,20 +89,6 @@ impl StepTiming {
         self.buf_allocs += other.buf_allocs;
         self.buf_reuses += other.buf_reuses;
     }
-
-    /// Publish this timing into a metrics registry under `prefix.*`.
-    /// Times land as gauges in seconds, counters as counters.
-    pub fn publish(&self, reg: &subsonic_obs::MetricsRegistry, prefix: &str) {
-        reg.gauge_set(&format!("{prefix}.t_calc"), self.t_calc.as_secs_f64(), "s");
-        reg.gauge_set(&format!("{prefix}.t_com"), self.t_com.as_secs_f64(), "s");
-        reg.gauge_set(&format!("{prefix}.t_pack"), self.t_pack.as_secs_f64(), "s");
-        reg.gauge_set(&format!("{prefix}.utilization"), self.utilization(), "");
-        reg.counter_add(&format!("{prefix}.steps"), self.steps);
-        reg.counter_add(&format!("{prefix}.msgs_sent"), self.msgs_sent);
-        reg.counter_add(&format!("{prefix}.doubles_sent"), self.doubles_sent);
-        reg.counter_add(&format!("{prefix}.buf_allocs"), self.buf_allocs);
-        reg.counter_add(&format!("{prefix}.buf_reuses"), self.buf_reuses);
-    }
 }
 
 #[cfg(test)]
@@ -185,28 +171,5 @@ mod tests {
         assert!(total.t_pack <= total.t_com);
         assert_eq!(total.per_step(), Duration::from_secs(2));
         assert!((total.pack_fraction() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn publish_lands_in_registry() {
-        let reg = subsonic_obs::MetricsRegistry::new();
-        let t = StepTiming {
-            t_calc: Duration::from_secs(3),
-            t_com: Duration::from_secs(1),
-            t_pack: Duration::from_millis(100),
-            steps: 7,
-            msgs_sent: 14,
-            doubles_sent: 700,
-            buf_allocs: 2,
-            buf_reuses: 12,
-        };
-        t.publish(&reg, "exec.threaded2");
-        assert_eq!(reg.gauge("exec.threaded2.t_calc"), Some(3.0));
-        assert_eq!(reg.counter("exec.threaded2.msgs_sent"), Some(14));
-        assert_eq!(reg.counter("exec.threaded2.buf_allocs"), Some(2));
-        let util = reg
-            .gauge("exec.threaded2.utilization")
-            .expect("utilization gauge");
-        assert!((util - 0.75).abs() < 1e-12);
     }
 }

@@ -7,13 +7,11 @@
 //! implements exactly that rule; the `page_stride` benchmark measures its
 //! effect on modern hardware.
 
-use serde::{Deserialize, Serialize};
-
 /// Bytes per virtual-memory page assumed by the Appendix-E workaround.
 pub const PAGE_BYTES: usize = 4096;
 
 /// How row storage lengths are chosen relative to the logical row length.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StridePolicy {
     /// Rows are stored back-to-back: stride == logical width.
     #[default]
@@ -49,7 +47,7 @@ impl StridePolicy {
 }
 
 /// A dense 2D array stored row-major with x contiguous: `data[y * stride + x]`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Array2<T> {
     nx: usize,
     ny: usize,
@@ -181,7 +179,7 @@ impl<T> std::ops::IndexMut<(usize, usize)> for Array2<T> {
 }
 
 /// A dense 3D array stored with x contiguous: `data[(z * ny + y) * stride + x]`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Array3<T> {
     nx: usize,
     ny: usize,

@@ -10,10 +10,9 @@
 
 use crate::face::{Face2, Face3};
 use crate::range::{split_even, Extent};
-use serde::{Deserialize, Serialize};
 
 /// The box of global indices covered by one 2D tile.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TileBox2 {
     /// Tile coordinate along x (column), `0..px`.
     pub tx: usize,
@@ -41,7 +40,7 @@ impl TileBox2 {
 }
 
 /// The box of global indices covered by one 3D tile.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TileBox3 {
     /// Tile coordinate along x.
     pub tx: usize,
@@ -75,7 +74,7 @@ impl TileBox3 {
 
 /// Geometry factor `m` of the section-8 efficiency model, with the statistics
 /// our implementation can measure exactly.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MFactor {
     /// Mean number of communicating faces per tile.
     pub mean_faces: f64,
@@ -92,7 +91,7 @@ pub struct MFactor {
 }
 
 /// A `px × py` decomposition of an `nx × ny` grid.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Decomp2 {
     nx: usize,
     ny: usize,
@@ -285,7 +284,7 @@ impl Decomp2 {
 }
 
 /// A `px × py × pz` decomposition of an `nx × ny × nz` grid.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Decomp3 {
     nx: usize,
     ny: usize,

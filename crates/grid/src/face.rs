@@ -6,10 +6,8 @@
 //! diagonal messages. This matches the paper's communication structure, where
 //! each subregion talks only to its face neighbours.
 
-use serde::{Deserialize, Serialize};
-
 /// A face of a 2D subregion.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Face2 {
     /// Negative-x neighbour.
     West,
@@ -68,7 +66,7 @@ impl Face2 {
 }
 
 /// A face of a 3D subregion.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Face3 {
     /// Negative-x neighbour.
     West,

@@ -12,10 +12,9 @@
 use crate::array::{Array2, Array3};
 use crate::decomp::{Decomp2, Decomp3};
 use crate::padded::{PaddedGrid2, PaddedGrid3};
-use serde::{Deserialize, Serialize};
 
 /// The role a grid node plays in the simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Cell {
     /// Ordinary fluid node, updated by the solver.
     #[default]
@@ -43,7 +42,7 @@ impl Cell {
 }
 
 /// A 2D geometry: cell mask plus per-axis periodicity.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Geometry2 {
     mask: Array2<Cell>,
     periodic_x: bool,
@@ -189,7 +188,7 @@ impl Geometry2 {
 /// edge in front of it", a resonant pipe "at the bottom part of the picture",
 /// and an outlet opening. All lengths scale with the domain so small test
 /// domains and paper-scale (800×500) domains share the same shape.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct FluePipeSpec {
     /// Domain width in nodes.
     pub nx: usize,
@@ -311,7 +310,7 @@ impl FluePipeSpec {
 }
 
 /// A 3D geometry: cell mask plus per-axis periodicity.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Geometry3 {
     mask: Array3<Cell>,
     periodic: [bool; 3],

@@ -10,10 +10,9 @@
 //! cycle of the computation."
 
 use crate::array::{Array2, Array3, StridePolicy};
-use serde::{Deserialize, Serialize};
 
 /// A 2D field with `halo` ghost layers around an `nx × ny` interior.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PaddedGrid2<T> {
     nx: usize,
     ny: usize,
@@ -310,7 +309,7 @@ impl<T> std::ops::IndexMut<(isize, isize)> for PaddedGrid2<T> {
 }
 
 /// A 3D field with `halo` ghost layers around an `nx × ny × nz` interior.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PaddedGrid3<T> {
     nx: usize,
     ny: usize,

@@ -1,9 +1,7 @@
 //! One-dimensional extents and even splitting of grid axes across processors.
 
-use serde::{Deserialize, Serialize};
-
 /// A half-open interval `[start, start + len)` of global grid indices.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Extent {
     /// First global index covered by this extent.
     pub start: usize,

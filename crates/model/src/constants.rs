@@ -1,9 +1,7 @@
 //! Calibration constants taken directly from the paper.
 
-use serde::{Deserialize, Serialize};
-
 /// The measured constants of the paper's testbed (section 7 and 8).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct PaperConstants {
     /// Computational speed of the reference HP9000/715-50 workstation for 2D
     /// lattice Boltzmann: "the relative speed of 1.0 corresponds to 39132

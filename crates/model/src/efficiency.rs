@@ -1,9 +1,7 @@
 //! Equations (5)–(21): parallel efficiency of local-interaction problems.
 
-use serde::{Deserialize, Serialize};
-
 /// How the network serialises traffic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NetworkKind {
     /// Shared-bus Ethernet: all processors share the wire, so the per-step
     /// communication time scales with `(P − 1)` (eq. 19).
@@ -55,7 +53,7 @@ pub fn efficiency_point_to_point(n: f64, m: f64, ucalc_over_ucom: f64, dim: u32)
 
 /// The full parametric model, including the small-message-overhead extension
 /// the paper leaves as future work.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct EfficiencyModel {
     /// Problem dimensionality (2 or 3).
     pub dim: u32,

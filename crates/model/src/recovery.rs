@@ -37,10 +37,8 @@
 //! time of an injected fault, it predicts the extra wall-clock the run pays,
 //! which the `faults` experiment compares against the simulated runs.
 
-use serde::{Deserialize, Serialize};
-
 /// Calibrated inputs of the recovery-cost model.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct RecoveryModel {
     /// Wall-clock cost of one coordinated checkpoint round, seconds (`C`).
     pub checkpoint_cost_s: f64,

@@ -19,8 +19,8 @@
 //!   unconditionally.
 //! * [`MetricsRegistry`] — named counters, gauges and log-scale histograms,
 //!   the uniform replacement for ad-hoc counter structs scattered across the
-//!   runners. Subsystems publish into one registry; `reproduce bench` emits
-//!   it as `METRICS.json` next to the `BENCH_*.json` trajectory.
+//!   runners. Subsystems publish into one registry; `reproduce` writes it
+//!   as `METRICS.json` next to the run's CSV tables.
 //! * [`chrome`] — the Chrome trace-event JSON exporter. The output loads in
 //!   Perfetto / `chrome://tracing`: one track per host/worker, spans for
 //!   compute, halo exchange, checkpointing, failure detection and recovery.
@@ -38,5 +38,5 @@ pub mod wire;
 
 pub use metrics::{HistogramSnapshot, MetricsRegistry};
 pub use recorder::{Category, FlightRecorder, TraceEvent, TrackData, TrackRecorder};
-pub use roofline::{KernelProfile, RooflinePoint};
+pub use roofline::KernelProfile;
 pub use wire::{decode_tracks, encode_tracks, WireError};

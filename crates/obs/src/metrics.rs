@@ -4,8 +4,8 @@
 //! `cluster::Measurement`, the recovery records in `cluster::stats`). Those
 //! structs stay — they are the right zero-cost per-thread accumulators — but
 //! they now *publish* into one `MetricsRegistry`, which becomes the uniform
-//! machine-readable surface: `reproduce bench` serialises it as
-//! `METRICS.json` next to the `BENCH_*.json` trajectory.
+//! machine-readable surface: `reproduce` serialises it as `METRICS.json`
+//! next to the run's CSV tables.
 //!
 //! Histograms use log2 buckets (one per power of two), which is the right
 //! shape for the quantities we track — message sizes, step times, recovery
@@ -194,7 +194,7 @@ impl MetricsRegistry {
     ///   "schema": "subsonic-metrics-v1",
     ///   "metrics": {
     ///     "exec.msgs_sent": {"type": "counter", "value": 1234},
-    ///     "bench.node_rate": {"type": "gauge", "unit": "nodes/s", "value": 1.5e7},
+    ///     "sched.fifo.makespan_s": {"type": "gauge", "unit": "s", "value": 5.4e4},
     ///     "cluster.step_time": {"type": "histogram", "unit": "s", "count": 10,
     ///        "sum": 1.2, "min": 0.1, "max": 0.2, "buckets": [[0.0625, 3], ...]}
     ///   }

@@ -8,11 +8,9 @@
 //! than more arithmetic. A [`KernelProfile`] carries the *static*
 //! per-site-update traffic and work counts (hand-counted from the kernel
 //! source, nominal: every `f64` array access counted once, no cache
-//! modelling); combining it with a measured site-update rate yields a
-//! [`RooflinePoint`] — achieved GFLOP/s and GiB/s — that the bench
-//! harness publishes through the [`MetricsRegistry`].
-
-use crate::metrics::MetricsRegistry;
+//! modelling). The benchmark's per-layer report (`benchmark/src/layers.rs`)
+//! multiplies it by a measured site-update rate and sets the result against
+//! the measured copy bandwidth (`solvers.roofline_frac`).
 
 /// Static per-site-update traffic/work profile of one kernel.
 ///
@@ -49,49 +47,10 @@ impl KernelProfile {
     pub fn arithmetic_intensity(&self) -> f64 {
         self.flops / self.bytes_per_update()
     }
-
-    /// Achieved-throughput point at a measured site-update rate
-    /// (site updates per second, e.g. a bench `node_rate`).
-    pub fn at_rate(&self, updates_per_s: f64) -> RooflinePoint {
-        RooflinePoint {
-            name: self.name,
-            updates_per_s,
-            gflops: updates_per_s * self.flops / 1e9,
-            gib_per_s: updates_per_s * self.bytes_per_update() / (1024.0 * 1024.0 * 1024.0),
-            bytes_per_flop: self.bytes_per_flop(),
-        }
-    }
-}
-
-/// One kernel's achieved position under the roofline: update rate plus
-/// the derived arithmetic and bandwidth throughput.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RooflinePoint {
-    /// Kernel name (copied from the profile).
-    pub name: &'static str,
-    /// Measured site updates per second.
-    pub updates_per_s: f64,
-    /// Achieved floating-point throughput, GFLOP/s.
-    pub gflops: f64,
-    /// Achieved (nominal) memory bandwidth, GiB/s.
-    pub gib_per_s: f64,
-    /// Static traffic-per-work ratio of the kernel.
-    pub bytes_per_flop: f64,
-}
-
-impl RooflinePoint {
-    /// Publishes the point as gauges under `roofline.<name>.*`.
-    pub fn publish(&self, reg: &MetricsRegistry) {
-        let p = format!("roofline.{}", self.name);
-        reg.gauge_set(&format!("{p}.updates_per_s"), self.updates_per_s, "1/s");
-        reg.gauge_set(&format!("{p}.achieved_gflops"), self.gflops, "GF/s");
-        reg.gauge_set(&format!("{p}.achieved_gib_per_s"), self.gib_per_s, "GiB/s");
-        reg.gauge_set(&format!("{p}.bytes_per_flop"), self.bytes_per_flop, "B/F");
-    }
 }
 
 /// Hand-counted profiles for the workspace's solver kernels, used by the
-/// bench harness to convert measured node rates into roofline points.
+/// benchmark to convert measured node rates into bytes per second.
 /// Counting rules: one read per distinct `f64` array element touched by a
 /// site update, one write per element stored; add/sub/mul/div = 1 flop.
 pub mod profiles {
@@ -161,28 +120,5 @@ mod tests {
         ] {
             assert!(p.bytes_per_flop() > 0.5, "{} not traffic-dominated", p.name);
         }
-    }
-
-    #[test]
-    fn at_rate_scales_linearly() {
-        let k = profiles::D2Q9_BGK;
-        let p1 = k.at_rate(1e7);
-        let p2 = k.at_rate(2e7);
-        assert!((p2.gflops - 2.0 * p1.gflops).abs() < 1e-9);
-        assert!((p2.gib_per_s - 2.0 * p1.gib_per_s).abs() < 1e-9);
-        // 1e7 updates/s at 130 flop/site = 1.3 GFLOP/s
-        assert!((p1.gflops - 1.3).abs() < 1e-12);
-    }
-
-    #[test]
-    fn publish_lands_in_registry() {
-        let reg = MetricsRegistry::new();
-        profiles::D3Q15_BGK.at_rate(5e6).publish(&reg);
-        let g = reg
-            .gauge("roofline.d3q15_bgk.achieved_gflops")
-            .expect("gauge missing");
-        assert!((g - 5e6 * 230.0 / 1e9).abs() < 1e-12);
-        assert!(reg.gauge("roofline.d3q15_bgk.bytes_per_flop").is_some());
-        assert!(reg.gauge("roofline.d3q15_bgk.achieved_gib_per_s").is_some());
     }
 }

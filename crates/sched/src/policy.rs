@@ -13,10 +13,8 @@
 //! are exactly known in the simulator, so the proof is exact rather than
 //! estimate-based).
 
-use serde::{Deserialize, Serialize};
-
 /// The ordering discipline of the queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PolicyKind {
     /// Strict arrival order; a wide head blocks everything behind it.
     Fifo,

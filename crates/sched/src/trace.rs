@@ -17,7 +17,6 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use subsonic_solvers::MethodKind;
 
 /// Seed salt separating tenant `i`'s arrival stream from tenant `j`'s (and
@@ -25,7 +24,7 @@ use subsonic_solvers::MethodKind;
 pub const TRACE_STREAM_SALT: u64 = 0x5CED_0123_4567_89AB;
 
 /// One tenant's statistical job profile.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct TenantSpec {
     /// Fair-share weight (higher = entitled to more of the cluster).
     pub weight: f64,
@@ -77,7 +76,7 @@ impl TenantSpec {
 }
 
 /// Trace generator configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TraceConfig {
     /// Tenant profiles (index = tenant id).
     pub tenants: Vec<TenantSpec>,
@@ -88,7 +87,7 @@ pub struct TraceConfig {
 }
 
 /// One submitted solver job: a whole decomposition to place.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Job {
     /// Trace-wide id (also the submit order).
     pub id: u32,

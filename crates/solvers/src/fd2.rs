@@ -356,12 +356,12 @@ impl FiniteDifference2 {
         let mut vy_b = mac_new.vy.row_bands_mut(&cuts).into_iter();
         let mask = &*mask;
         let rows_at = &rows_at;
-        rayon::scope(|s| {
+        std::thread::scope(|s| {
             for w in cuts.windows(2) {
                 let (ja, jb) = (w[0], w[1]);
                 let mut xb = vx_b.next().unwrap();
                 let mut yb = vy_b.next().unwrap();
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for j in ja..jb {
                         let mrow = mask.row_segment(j, i0, span);
                         let segs = runs.map(|rt| rt.fluid(j, 0).segs(i0, span));
@@ -423,11 +423,11 @@ impl FiniteDifference2 {
         let mut rho_b = new_rho.row_bands_mut(&cuts).into_iter();
         let mask = &*mask;
         let rows_at = &rows_at;
-        rayon::scope(|s| {
+        std::thread::scope(|s| {
             for w in cuts.windows(2) {
                 let (ja, jb) = (w[0], w[1]);
                 let mut rb = rho_b.next().unwrap();
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for j in ja..jb {
                         let mrow = mask.row_segment(j, i0, span);
                         let segs = runs.map(|rt| rt.fluid(j, 0).segs(i0, span));

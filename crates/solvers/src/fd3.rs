@@ -357,13 +357,13 @@ impl FiniteDifference3 {
         let mut vz_b = mac_new.vz.plane_bands_mut(&cuts).into_iter();
         let mask = &*mask;
         let rows_at = &rows_at;
-        rayon::scope(|s| {
+        std::thread::scope(|s| {
             for w in cuts.windows(2) {
                 let (ka, kb) = (w[0], w[1]);
                 let mut xb = vx_b.next().unwrap();
                 let mut yb = vy_b.next().unwrap();
                 let mut zb = vz_b.next().unwrap();
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for k in ka..kb {
                         for j in j0..j1 {
                             let mrow = mask.row_segment(j, k, i0, span);
@@ -437,11 +437,11 @@ impl FiniteDifference3 {
         let mut rho_b = new_rho.plane_bands_mut(&cuts).into_iter();
         let mask = &*mask;
         let rows_at = &rows_at;
-        rayon::scope(|s| {
+        std::thread::scope(|s| {
             for w in cuts.windows(2) {
                 let (ka, kb) = (w[0], w[1]);
                 let mut rb = rho_b.next().unwrap();
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for k in ka..kb {
                         for j in j0..j1 {
                             let mrow = mask.row_segment(j, k, i0, span);

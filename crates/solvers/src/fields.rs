@@ -3,7 +3,6 @@
 use crate::kernels::RunTable;
 use crate::params::FluidParams;
 use crate::qlattice::{E2, E3, Q2, Q3};
-use serde::{Deserialize, Serialize};
 use subsonic_grid::{Cell, PaddedGrid2, PaddedGrid3};
 
 /// Cached boundary links for the 2D LB streaming step.
@@ -83,7 +82,7 @@ impl ShiftLinks3 {
 }
 
 /// Macroscopic fields of a 2D tile: density and velocity components.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Macro2 {
     /// Fluid density ρ.
     pub rho: PaddedGrid2<f64>,
@@ -105,7 +104,7 @@ impl Macro2 {
 }
 
 /// Macroscopic fields of a 3D tile.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Macro3 {
     /// Fluid density ρ.
     pub rho: PaddedGrid3<f64>,
@@ -136,7 +135,7 @@ impl Macro3 {
 /// subprocess needs — this is exactly the content of the paper's "dump files"
 /// ("these files contain all the information that is needed by a workstation
 /// to participate in a distributed computation", section 4.1).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TileState2 {
     /// Current macroscopic fields.
     pub mac: Macro2,
@@ -163,17 +162,14 @@ pub struct TileState2 {
     pub step: u64,
     /// Lazily built streaming boundary-link cache (LB only; derived from
     /// `mask`, never serialized).
-    #[serde(skip)]
     pub shift_links: Option<ShiftLinks2>,
     /// Lazily built run table of `mask`, the source of every fast-path
     /// kernel's runs (derived from `mask`, never serialized; kernels borrow
     /// it through [`TileState2::with_run_table`]).
-    #[serde(skip)]
     pub runs: Option<RunTable>,
     /// Lazily built row workspace of the LB macroscopic → filter →
     /// re-synthesis sweep, one buffer per intra-tile band (LB only; pure
     /// scratch, never serialized — the layout is private to `lbm2`).
-    #[serde(skip)]
     pub sweep_rows: Vec<Vec<f64>>,
 }
 
@@ -213,7 +209,7 @@ impl TileState2 {
 }
 
 /// The full state of one 3D subregion.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TileState3 {
     /// Current macroscopic fields.
     pub mac: Macro3,
@@ -234,10 +230,8 @@ pub struct TileState3 {
     pub step: u64,
     /// Lazily built streaming boundary-link cache (LB only; derived from
     /// `mask`, never serialized).
-    #[serde(skip)]
     pub shift_links: Option<ShiftLinks3>,
     /// Lazily built run table of `mask`; see [`TileState2::runs`].
-    #[serde(skip)]
     pub runs: Option<RunTable>,
 }
 

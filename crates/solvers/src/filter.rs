@@ -46,7 +46,6 @@
 //! scratch plane.
 
 use crate::kernels::{self, RunTable};
-use rayon;
 use subsonic_grid::{Cell, PaddedGrid2, PaddedGrid3};
 
 /// Damping factor applied to the Nyquist (grid-scale) mode by one pass.
@@ -237,11 +236,11 @@ pub fn filter_field2(
         let cuts = kernels::band_cuts(p1lo, p1hi, nb1);
         let mut bands = sx.row_bands_mut(&cuts).into_iter();
         let u_in = &*u;
-        rayon::scope(|s| {
+        std::thread::scope(|s| {
             for w in cuts.windows(2) {
                 let (ja, jb) = (w[0], w[1]);
                 let mut band = bands.next().unwrap();
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for j in ja..jb {
                         filter_row_x_fast(
                             band.row_segment_mut(j, -ring, span),
@@ -271,11 +270,11 @@ pub fn filter_field2(
         let cuts = kernels::band_cuts(p2lo, p2hi, nb2);
         let mut bands = u.row_bands_mut(&cuts).into_iter();
         let sx_in = &*sx;
-        rayon::scope(|s| {
+        std::thread::scope(|s| {
             for w in cuts.windows(2) {
                 let (ja, jb) = (w[0], w[1]);
                 let mut band = bands.next().unwrap();
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for j in ja..jb {
                         filter_row_across_fast(
                             band.row_segment_mut(j, -ring, span),
@@ -397,11 +396,11 @@ pub fn filter_field3(
     {
         let mut bands = sx.plane_bands_mut(&cuts).into_iter();
         let u_in = &*u;
-        rayon::scope(|s| {
+        std::thread::scope(|s| {
             for w in cuts.windows(2) {
                 let (ka, kb) = (w[0], w[1]);
                 let mut band = bands.next().unwrap();
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for k in ka..kb {
                         for j in (-ring - 2)..(ny + ring + 2) {
                             filter_row_x_fast(
@@ -419,11 +418,11 @@ pub fn filter_field3(
     {
         let mut bands = sy.plane_bands_mut(&cuts).into_iter();
         let sx_in = &*sx;
-        rayon::scope(|s| {
+        std::thread::scope(|s| {
             for w in cuts.windows(2) {
                 let (ka, kb) = (w[0], w[1]);
                 let mut band = bands.next().unwrap();
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for k in ka..kb {
                         for j in -ring..(ny + ring) {
                             filter_row_across_fast(
@@ -444,11 +443,11 @@ pub fn filter_field3(
         let cuts3 = kernels::band_cuts(-ring, nz + ring, kernels::bands_for(-ring, nz + ring));
         let mut bands = u.plane_bands_mut(&cuts3).into_iter();
         let sy_in = &*sy;
-        rayon::scope(|s| {
+        std::thread::scope(|s| {
             for w in cuts3.windows(2) {
                 let (ka, kb) = (w[0], w[1]);
                 let mut band = bands.next().unwrap();
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for k in ka..kb {
                         for j in -ring..(ny + ring) {
                             filter_row_across_fast(

@@ -8,12 +8,11 @@
 //! example.
 
 use crate::params::FluidParams;
-use serde::{Deserialize, Serialize};
 use subsonic_grid::geometry::FluePipeSpec;
 use subsonic_grid::Geometry2;
 
 /// A ready-to-run flue-pipe scenario: geometry, parameters, probe location.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FluePipeScenario {
     /// Geometry specification (Figure-1 or Figure-2 style).
     pub spec: FluePipeSpec,

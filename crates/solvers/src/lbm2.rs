@@ -74,8 +74,8 @@
 //! the scalar oracle behind [`Solver2::compute_scalar`].
 //!
 //! When [`crate::kernels::intra_threads`] > 1, relaxation splits into
-//! disjoint row bands on a rayon scope and the half-step runs one pipeline
-//! per band. A band's pipeline reaches two rows into each neighbour, rows
+//! disjoint row bands, one scoped thread each, and the half-step runs one
+//! pipeline per band. A band's pipeline reaches two rows into each neighbour, rows
 //! that neighbour overwrites (`mac` with filtered values, `f` by
 //! re-synthesis); every band therefore takes its four overlap rows — moments
 //! plus x-filter, into band-private storage — in a first scope that only
@@ -489,12 +489,12 @@ impl LatticeBoltzmann2 {
             .map(|g| g.row_bands_mut(&cuts).into_iter())
             .collect();
         let mask = &*mask;
-        rayon::scope(|s| {
+        std::thread::scope(|s| {
             for w in cuts.windows(2) {
                 let (ja, jb) = (w[0], w[1]);
                 let mut band: [RowBand2<'_, f64>; Q2] =
                     std::array::from_fn(|g| its[g].next().unwrap());
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for j in ja..jb {
                         let mrow = mask.row_segment(j, i0, span);
                         let mut bit = band.iter_mut();
@@ -686,10 +686,10 @@ impl LatticeBoltzmann2 {
             // its own rows, inside rows the neighbouring band rewrites. Those
             // overlap rows are taken first, while every band only reads `f`.
             let f = &*f;
-            rayon::scope(|s| {
+            std::thread::scope(|s| {
                 for (w, rows) in cuts.windows(2).zip(sweep_rows.iter_mut()) {
                     let band = (w[0], w[1]);
-                    s.spawn(move |_| hs.overlap_rows(f, band, rows));
+                    s.spawn(move || hs.overlap_rows(f, band, rows));
                 }
             });
         }
@@ -703,14 +703,14 @@ impl LatticeBoltzmann2 {
             .iter_mut()
             .map(|g| g.row_bands_mut(&own).into_iter())
             .collect();
-        rayon::scope(|s| {
+        std::thread::scope(|s| {
             for (w, rows) in cuts.windows(2).zip(sweep_rows.iter_mut()) {
                 let band = (w[0], w[1]);
                 let mut mac: [RowBand2<'_, f64>; 3] =
                     std::array::from_fn(|c| mac_b[c].next().unwrap());
                 let mut f: [RowBand2<'_, f64>; Q2] =
                     std::array::from_fn(|q| f_b[q].next().unwrap());
-                s.spawn(move |_| hs.sweep(mac.each_mut(), f.each_mut(), band, rows));
+                s.spawn(move || hs.sweep(mac.each_mut(), f.each_mut(), band, rows));
             }
         });
     }

@@ -4,9 +4,9 @@
 //! plane per population (structure-of-arrays), row runs taken from the
 //! tile's run table and handed to branch-free unrolled kernels over trimmed
 //! sub-slices (autovectorized across x), in-place streaming as ordered row copies plus
-//! the cached [`ShiftLinks3`] fix-ups, and optional plane-band parallelism on
-//! a rayon scope when [`crate::kernels::intra_threads`] > 1. Fast and scalar
-//! paths agree bitwise.
+//! the cached [`ShiftLinks3`] fix-ups, and optional plane-band parallelism,
+//! one scoped thread per band, when [`crate::kernels::intra_threads`] > 1.
+//! Fast and scalar paths agree bitwise.
 //!
 //! One message per neighbour per step. Of the 15 populations, 5 cross a given
 //! face per boundary node — the "5 variables per fluid node" of the paper's
@@ -485,12 +485,12 @@ impl LatticeBoltzmann3 {
             .map(|g| g.plane_bands_mut(&cuts).into_iter())
             .collect();
         let mask = &*mask;
-        rayon::scope(|s| {
+        std::thread::scope(|s| {
             for w in cuts.windows(2) {
                 let (ka, kb) = (w[0], w[1]);
                 let mut band: [PlaneBand3<'_, f64>; Q3] =
                     std::array::from_fn(|g| its[g].next().unwrap());
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for k in ka..kb {
                         for j in j0..j1 {
                             let mrow = mask.row_segment(j, k, i0, span);
@@ -612,14 +612,14 @@ impl LatticeBoltzmann3 {
         let mut vz_b = mac.vz.plane_bands_mut(&cuts).into_iter();
         let f = &*f;
         let mask = &*mask;
-        rayon::scope(|s| {
+        std::thread::scope(|s| {
             for w in cuts.windows(2) {
                 let (ka, kb) = (w[0], w[1]);
                 let mut rb = rho_b.next().unwrap();
                 let mut xb = vx_b.next().unwrap();
                 let mut yb = vy_b.next().unwrap();
                 let mut zb = vz_b.next().unwrap();
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for k in ka..kb {
                         for j in j0..j1 {
                             let mrow = mask.row_segment(j, k, i0, span);
@@ -737,12 +737,12 @@ impl LatticeBoltzmann3 {
             .collect();
         let mask = &*mask;
         let src_rows = &src_rows;
-        rayon::scope(|s| {
+        std::thread::scope(|s| {
             for w in cuts.windows(2) {
                 let (ka, kb) = (w[0], w[1]);
                 let mut band: [PlaneBand3<'_, f64>; Q3] =
                     std::array::from_fn(|g| its[g].next().unwrap());
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for k in ka..kb {
                         for j in 0..ny {
                             let mrow = mask.interior_row(j, k);

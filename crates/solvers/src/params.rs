@@ -1,9 +1,7 @@
 //! Physical and numerical parameters shared by the solvers.
 
-use serde::{Deserialize, Serialize};
-
 /// Which numerical method integrates the flow (section 6 of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MethodKind {
     /// Explicit finite differences on the Navier–Stokes equations.
     FiniteDifference,
@@ -28,7 +26,7 @@ impl MethodKind {
 /// spacing `Δx` and time step `Δt`, constrained by the subsonic-resolution
 /// requirement of eq. (4): `Δx ≈ c_s Δt` — the time step must resolve the
 /// acoustic waves, which is exactly why explicit methods suit this problem.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct FluidParams {
     /// Speed of sound `c_s`.
     pub cs: f64,

@@ -34,10 +34,8 @@
 //! ghost ring carry fully settled (post-filter) state, which is what gives
 //! bitwise serial/parallel equivalence.
 
-use serde::{Deserialize, Serialize};
-
 /// One operation of a method's cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StepOp {
     /// Run local compute phase `k` on the tile.
     Compute(usize),

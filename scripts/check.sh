@@ -8,8 +8,8 @@
 #   smokes out as parallel matrix jobs and developers can iterate on one
 #   stage: `check.sh build test`, `check.sh dist`, `check.sh sched`, ...
 #
-# Stages: fmt build test bench-compile clippy faults partition trace engine
-#         scale simd dist sched chaos benchmark guard
+# Stages: fmt build test clippy faults partition trace engine scale simd
+#         dist sched chaos benchmark
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -26,11 +26,6 @@ stage_build() {
 stage_test() {
     echo "==> cargo test -q (including #[ignore]d tests)"
     cargo test -q --workspace -- --include-ignored
-}
-
-stage_bench_compile() {
-    echo "==> cargo bench --no-run"
-    cargo bench --no-run --workspace
 }
 
 stage_clippy() {
@@ -119,28 +114,7 @@ stage_benchmark() {
     bash benchmark/check.sh
 }
 
-stage_guard() {
-    echo "==> bench regression guard"
-    # A fresh quick report proves the reproduce binary runs and still emits
-    # every guarded metric; if it crashes, that is a hard failure here — it
-    # must not hide behind the non-blocking regression path below.
-    timeout -k 5 300 cargo run --release -q -p subsonic-bench --bin reproduce -- \
-        bench --quick --label ci-live --out /tmp/subsonic-bench-live/bench.json \
-        || { echo "bench_guard: reproduce bench crashed or timed out"; exit 1; }
-    # Exit 1 = regression: non-blocking, bench numbers are machine-state
-    # snapshots. Exit >= 2 = harness failure (bad reports, vanished or
-    # uncovered metrics): always blocking.
-    rc=0
-    ./scripts/bench_guard.sh --live /tmp/subsonic-bench-live/bench.json || rc=$?
-    if (( rc == 1 )); then
-        echo "bench_guard: WARNING — guarded metrics regressed (non-blocking)"
-    elif (( rc >= 2 )); then
-        echo "bench_guard: harness failure (exit $rc)"
-        exit "$rc"
-    fi
-}
-
-ALL_STAGES=(fmt build test bench-compile clippy faults partition trace engine scale simd dist sched chaos benchmark guard)
+ALL_STAGES=(fmt build test clippy faults partition trace engine scale simd dist sched chaos benchmark)
 
 run_stage() {
     local t0=$SECONDS
@@ -153,7 +127,6 @@ dispatch_stage() {
         fmt)            stage_fmt ;;
         build)          stage_build ;;
         test)           stage_test ;;
-        bench-compile)  stage_bench_compile ;;
         clippy)         stage_clippy ;;
         faults)         stage_faults ;;
         partition)      stage_partition ;;
@@ -165,7 +138,6 @@ dispatch_stage() {
         sched)          stage_sched ;;
         chaos)          stage_chaos ;;
         benchmark)      stage_benchmark ;;
-        guard)          stage_guard ;;
         *)
             echo "check.sh: unknown stage '$1'" >&2
             echo "stages: ${ALL_STAGES[*]}" >&2

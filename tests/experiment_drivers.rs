@@ -21,7 +21,7 @@ fn run_and_check(id: &str) {
 fn t1_runs() {
     // hardware-speed check tolerated in debug builds: only structure here
     let r = run_experiment("t1", true).unwrap();
-    assert_eq!(r.tables.len(), 3);
+    assert_eq!(r.tables.len(), 4);
     assert!(r.checks[0].pass, "{:?}", r.checks[0]);
 }
 

@@ -413,8 +413,8 @@ proptest! {
     }
 }
 
-/// Intra-tile banding (rayon row bands inside one subregion) is bitwise
-/// identical to the serial sweep. Not a proptest: `set_intra_threads` is a
+/// Intra-tile banding (row bands on scoped threads inside one subregion) is
+/// bitwise identical to the serial sweep. Not a proptest: `set_intra_threads` is a
 /// process-wide knob, so this runs the comparison inside one test body.
 /// (Safe against the proptests above because banded == serial bitwise — a
 /// concurrent reader sees equivalent kernels either way.)
