@@ -1,6 +1,6 @@
 //! Hostile dump bytes. Dumps arrive over sockets (`Init`, `Rollback` and
-//! `SegDone` checkpoints) and from disk, and their FNV trailer is a checksum,
-//! not a MAC: a mutated dump can simply be re-sealed. Whatever the bytes, the
+//! `SegDone` checkpoints) and from disk, and their seal is a checksum, not a
+//! MAC: a mutated dump can simply be re-sealed. Whatever the bytes, the
 //! decoder must answer with a typed `DumpError` — never a panic or an abort,
 //! and never a reservation larger than the input, which this binary's
 //! allocator measures on the decoding thread.
@@ -97,14 +97,33 @@ fn noise(mut seed: u64, len: usize) -> Vec<u8> {
         .collect()
 }
 
-/// Appends the dump trailer: 64-bit FNV-1a over the payload.
+/// Appends the dump trailer the payload's version field asks for: 64-bit
+/// FNV-1a for v2, the v3 seal otherwise — both written out here from the
+/// format's documented spec, not taken from the codec under test.
 fn seal(mut payload: Vec<u8>) -> Vec<u8> {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in &payload {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    payload.extend_from_slice(&h.to_le_bytes());
+    const BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+    let step = |h: u64, x: u64| (h ^ x).wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(31);
+    let sum = if payload.get(8..12) == Some(&2u32.to_le_bytes()[..]) {
+        payload
+            .iter()
+            .fold(BASIS, |h, &b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
+    } else {
+        let mut lanes: Vec<u64> = (0..16).map(|i| BASIS + i).collect();
+        let blocks = payload.chunks_exact(128);
+        let tail = blocks.remainder();
+        for block in blocks {
+            for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+                let mut w = [0u8; 8];
+                w.copy_from_slice(word);
+                *lane = step(*lane, u64::from_le_bytes(w));
+            }
+        }
+        let h = lanes
+            .into_iter()
+            .fold(step(BASIS, payload.len() as u64), step);
+        tail.iter().fold(h, |h, &b| step(h, b as u64))
+    };
+    payload.extend_from_slice(&sum.to_le_bytes());
     payload
 }
 
@@ -150,22 +169,43 @@ fn sample(rank: usize, lbm: bool) -> (Vec<u8>, Vec<(usize, usize)>) {
     (bytes[..bytes.len() - 8].to_vec(), fields)
 }
 
+/// The guard that keeps the proptests below from going vacuous: if `seal`
+/// drifted from the codec's seal, every re-sealed mutation would stop at the
+/// checksum and never reach the decoder.
+#[test]
+fn resealed_samples_restore() {
+    for rank in [2, 3] {
+        for lbm in [false, true] {
+            for version in [2u32, 3] {
+                let (mut payload, _) = sample(rank, lbm);
+                payload[8..12].copy_from_slice(&version.to_le_bytes());
+                let (ok, _) = decode(rank, &seal(payload));
+                assert!(
+                    ok,
+                    "{rank}D lbm={lbm} v{version}: a re-sealed sample failed"
+                );
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// Arbitrary bytes, and arbitrary bytes behind a valid magic, version
-    /// and rank with a valid seal.
+    /// (either sealed one) and rank with a valid seal.
     #[test]
     fn arbitrary_bytes_fail_typed_within_their_own_size(
         seed in any::<u64>(),
         len in 0usize..1024,
         rank in 2usize..4,
+        version in 2usize..4,
         sealed in any::<bool>(),
     ) {
         let mut bytes = noise(seed, len);
         if sealed {
             let mut payload = 0x5355_4253_4f4e_4943u64.to_le_bytes().to_vec();
-            payload.extend_from_slice(&2u32.to_le_bytes());
+            payload.extend_from_slice(&(version as u32).to_le_bytes());
             payload.extend_from_slice(&(rank as u32).to_le_bytes());
             payload.append(&mut bytes);
             bytes = seal(payload);

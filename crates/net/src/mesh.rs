@@ -26,7 +26,6 @@ use crate::NetError;
 use std::collections::HashMap;
 use std::io;
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -60,7 +59,7 @@ pub struct Mesh {
     /// Buffer-return edge to each link's reader.
     pub(crate) returns: HashMap<u32, Sender<Vec<u8>>>,
     /// Stops the UDP service thread, which has no link to see closed.
-    pub(crate) shutdown: Arc<AtomicBool>,
+    pub(crate) service: Option<crate::udp::ServiceStop>,
     pub(crate) threads: Vec<JoinHandle<()>>,
 }
 
@@ -116,7 +115,9 @@ impl Mesh {
 
 impl Drop for Mesh {
     fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
+        if let Some(service) = &self.service {
+            service.stop();
+        }
         // closing the senders first is what ends the readers: each is
         // blocked on a link that now reports EOF (and the peers see it too)
         self.tx.clear();
@@ -220,10 +221,9 @@ pub fn connect(
 ) -> Result<Mesh, NetError> {
     let t0 = Instant::now();
     let (events_tx, events_rx) = channel();
-    let shutdown = Arc::new(AtomicBool::new(false));
     let listener = match binding {
         MeshBinding::Udp(udp_binding) => {
-            return crate::udp::build_mesh(udp_binding, spec, events_tx, events_rx, shutdown);
+            return crate::udp::build_mesh(udp_binding, spec, events_tx, events_rx);
         }
         MeshBinding::Tcp(listener) => Some(listener),
         MeshBinding::Mem => None,
@@ -234,7 +234,7 @@ pub fn connect(
         tx: HashMap::new(),
         events: events_rx,
         returns: HashMap::new(),
-        shutdown,
+        service: None,
         threads: Vec::new(),
     };
 

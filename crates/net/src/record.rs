@@ -21,21 +21,16 @@ use subsonic_solvers::TileState2;
 const MAGIC: u32 = 0x5253_4e52; // "RNSR" — run record
 const VERSION: u32 = 2; // v2: faults carry a kind (kill vs live migration)
 
-/// FNV-1a over a byte slice — the workspace's standing integrity hash.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+/// FNV-1a over a byte slice — the workspace's standing integrity hash, and
+/// the seal of v2 dumps.
+pub use subsonic_exec::checkpoint::fnv1a;
 
 /// Fingerprint of a tile's full state (step, params, mask, every
-/// distribution value) — FNV over its sealed dump encoding, so two tiles
-/// hash equal iff they would checkpoint identically.
+/// distribution value) — the seal of its dump, so two tiles hash equal iff
+/// they would checkpoint identically, and a step hash is the `state_hash`
+/// a segment ending at that step reports.
 pub fn state_hash2(tile: &TileState2) -> u64 {
-    fnv1a(&subsonic_exec::checkpoint::dump_tile2(tile))
+    subsonic_exec::checkpoint::SealedDump::of_tile2(tile).seal()
 }
 
 /// One entry of a worker's record log.

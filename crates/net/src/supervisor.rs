@@ -54,10 +54,11 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use subsonic_cluster::fault::FaultPlan;
-use subsonic_exec::checkpoint::{restore_tile2, SealedDump};
+use subsonic_exec::checkpoint::SealedDump;
 use subsonic_exec::{DumpError, GlobalFields2, Problem2, StepTiming};
 use subsonic_grid::Face2;
 use subsonic_obs::{decode_tracks, Category, FlightRecorder};
+use subsonic_solvers::TileState2;
 
 /// Bound on one supervisor phase (handshake, mesh build, segment).
 const PHASE_DEADLINE: Duration = Duration::from_secs(120);
@@ -1221,15 +1222,17 @@ fn drive(
     }
 
     // shut the workers down; while they ship their tracks and exit, write
-    // the last cut and gather the final fields from it
+    // the last cut and gather the final fields from it. The gather decodes
+    // without a second verify: every piece of the cut was verified when it
+    // arrived
     sup.broadcast(&Msg::Done, None);
     let t_done = Instant::now();
     if unpersisted {
         persist_cut(&cfg.run_dir, ckpts, track)?;
     }
-    let tiles: Vec<_> = ckpts
+    let tiles: Vec<TileState2> = ckpts
         .iter()
-        .map(|c| restore_tile2(c.as_bytes()))
+        .map(SealedDump::restore)
         .collect::<Result<_, _>>()?;
     let fields = GlobalFields2::gather(problem.geom.nx(), problem.geom.ny(), 1.0, tiles.iter());
     drop(tiles);

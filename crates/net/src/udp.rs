@@ -43,6 +43,9 @@ const KIND_ACK: u8 = 1;
 /// Loopback datagrams comfortably carry halo strips; anything bigger is a
 /// protocol bug, not a fragmentation strategy.
 const MAX_DGRAM_PAYLOAD: usize = 60_000;
+/// How long the service thread blocks for a datagram before it scans for
+/// due retransmissions.
+const SERVICE_POLL: Duration = Duration::from_millis(5);
 
 /// A bound UDP endpoint awaiting the port map.
 pub struct UdpBinding {
@@ -275,6 +278,24 @@ impl crate::link::FrameTx for UdpTx {
     }
 }
 
+/// Ends a mesh's service thread: raises its flag, then wakes the thread's
+/// blocking read with an empty datagram to its own port, so a teardown does
+/// not wait out the rest of a [`SERVICE_POLL`].
+pub(crate) struct ServiceStop {
+    flag: Arc<AtomicBool>,
+    socket: UdpSocket,
+}
+
+impl ServiceStop {
+    pub(crate) fn stop(&self) {
+        self.flag.store(true, Ordering::SeqCst);
+        // a lost wake-up costs one poll period, nothing more
+        if let Ok(me) = self.socket.local_addr() {
+            let _ = self.socket.send_to(&[], me);
+        }
+    }
+}
+
 /// Assembles a [`Mesh`] over one UDP socket: per-peer senders plus the
 /// service thread that receives, ACKs and retransmits.
 pub(crate) fn build_mesh(
@@ -282,11 +303,10 @@ pub(crate) fn build_mesh(
     spec: &MeshSpec<'_>,
     events_tx: Sender<MeshEvent>,
     events_rx: Receiver<MeshEvent>,
-    shutdown: Arc<AtomicBool>,
 ) -> Result<Mesh, NetError> {
     let socket = binding.socket;
     socket
-        .set_read_timeout(Some(Duration::from_millis(5)))
+        .set_read_timeout(Some(SERVICE_POLL))
         .map_err(NetError::Io)?;
     let mut peer_port = HashMap::new();
     for &p in spec.peers {
@@ -336,8 +356,12 @@ pub(crate) fn build_mesh(
         );
     }
 
+    let stop = ServiceStop {
+        flag: Arc::new(AtomicBool::new(false)),
+        socket: socket.try_clone().map_err(NetError::Io)?,
+    };
     let service_core = Arc::clone(&core);
-    let service_shutdown = Arc::clone(&shutdown);
+    let service_shutdown = Arc::clone(&stop.flag);
     let service = std::thread::spawn(move || {
         let mut buf = vec![0u8; MAX_DGRAM_PAYLOAD + 64];
         while !service_shutdown.load(Ordering::SeqCst) {
@@ -365,7 +389,7 @@ pub(crate) fn build_mesh(
         tx,
         events: events_rx,
         returns: HashMap::new(),
-        shutdown,
+        service: Some(stop),
         threads: vec![service],
     })
 }
@@ -428,6 +452,40 @@ mod tests {
             MeshEvent::Frame { payload, .. } => payload,
             MeshEvent::Gone { .. } => panic!("unexpected Gone"),
         }
+    }
+
+    #[test]
+    fn teardown_wakes_the_service_thread() {
+        let binding = UdpBinding::bind("127.0.0.1").unwrap();
+        let ports = [binding.port().unwrap()];
+        let spec = MeshSpec {
+            me: 0,
+            epoch: 0,
+            peers: &[],
+            ports: &ports,
+            deadline: Duration::from_secs(5),
+            addr: "127.0.0.1",
+            faults: None,
+        };
+        let (events_tx, events_rx) = std::sync::mpsc::channel();
+        let mesh = build_mesh(binding, &spec, events_tx, events_rx).unwrap();
+        // a read timeout far longer than the test (SO_RCVTIMEO is per
+        // socket, so the clone's setting reaches the service thread): without
+        // the wake-up datagram, dropping the mesh would wait out that read
+        let service = mesh.service.as_ref().unwrap();
+        service
+            .socket
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        // let the service thread finish its current poll and block in a 30 s read
+        std::thread::sleep(Duration::from_millis(50));
+        let t0 = Instant::now();
+        mesh.teardown();
+        assert!(
+            t0.elapsed() < Duration::from_secs(5),
+            "teardown took {:?}",
+            t0.elapsed()
+        );
     }
 
     #[test]

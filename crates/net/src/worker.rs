@@ -41,7 +41,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use subsonic_exec::checkpoint::{restore_tile2, SealedDump};
+use subsonic_exec::checkpoint::{fnv1a_iter, restore_tile2, SealedDump};
 use subsonic_exec::{step_tile, Halo, StepTiming, D2};
 use subsonic_grid::Face2;
 use subsonic_obs::{encode_tracks, Category, FlightRecorder, TrackRecorder};
@@ -87,16 +87,9 @@ pub fn make_solver(kind: SolverKind) -> Arc<dyn Solver2> {
     }
 }
 
-/// FNV-1a over the bit patterns of a strip of doubles.
+/// FNV-1a over the little-endian bytes of a strip of doubles.
 fn hash_doubles(data: &[f64]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for d in data {
-        for b in d.to_bits().to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
+    fnv1a_iter(data.iter().flat_map(|d| d.to_le_bytes()))
 }
 
 enum CtrlEvent {

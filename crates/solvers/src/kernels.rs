@@ -23,8 +23,8 @@
 //!   disjoint row ranges of the *same* grids (see `PaddedGrid2::row_bands_mut`),
 //!   so the split never changes results — each cell is computed by exactly
 //!   one band with identical inputs.
-//! * **SIMD reporting** ([`simd_lanes`]): the f64 lane width the build
-//!   targets, recorded in bench metadata so rates from differently-shaped
+//! * **SIMD reporting** ([`simd_lanes`]): the widest f64 vector the build's
+//!   ISA offers, recorded in bench metadata so rates from differently-shaped
 //!   containers stay comparable.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -59,8 +59,11 @@ pub fn set_intra_threads(n: usize) {
     INTRA_THREADS.store(n.max(1), Ordering::Relaxed);
 }
 
-/// Number of f64 SIMD lanes the build targets (compile-time feature flags,
-/// i.e. what the autovectorizer actually emits — not runtime detection).
+/// Number of f64 lanes in the widest vector register the build's ISA offers
+/// (compile-time feature flags, not runtime detection). This is an upper
+/// bound on what the autovectorizer emits, not the width it uses: on
+/// AVX-512 server cores LLVM's `prefer-256-bit` tuning keeps loops at 4
+/// lanes (ymm) although this reports 8.
 pub const fn simd_lanes() -> usize {
     #[cfg(target_feature = "avx512f")]
     {
