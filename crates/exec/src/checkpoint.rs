@@ -5,9 +5,11 @@
 //! are reused for periodic fault-tolerance saves ("a new simulation is
 //! started from the last state which is saved automatically every 10–20
 //! minutes") and for migration. The format here is one simple little-endian
-//! binary codec for 2D and 3D tiles ([`DumpTile`]): header, parameters,
-//! geometry mask, macroscopic fields, and — for the lattice Boltzmann method
-//! — the populations, every grid written as its padded x-rows.
+//! binary layout for 2D and 3D tiles ([`DumpTile`]), written and read with
+//! the workspace's one byte codec (`subsonic_obs::codec`): header,
+//! parameters, geometry mask, macroscopic fields, and — for the lattice
+//! Boltzmann method — the populations, every grid written as its padded
+//! x-rows.
 //!
 //! Layout (format v3; all integers little-endian):
 //!
@@ -69,6 +71,7 @@ use std::fmt;
 use std::io::{self, Write};
 use std::path::Path;
 use subsonic_grid::{Cell, PaddedGrid2, PaddedGrid3};
+use subsonic_obs::codec::{self, Dec, Enc, Truncated, FNV_BASIS};
 use subsonic_solvers::{FluidParams, Macro2, Macro3, TileState2, TileState3};
 
 const MAGIC: u64 = 0x5355_4253_4f4e_4943; // "SUBSONIC"
@@ -131,6 +134,12 @@ impl std::error::Error for DumpError {
     }
 }
 
+impl From<Truncated> for DumpError {
+    fn from(_: Truncated) -> Self {
+        DumpError::Truncated
+    }
+}
+
 impl From<io::Error> for DumpError {
     fn from(e: io::Error) -> Self {
         DumpError::Io(e)
@@ -166,19 +175,8 @@ pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
     Ok(())
 }
 
-const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// 64-bit FNV-1a over `bytes`: the v2 seal, and the workspace's one FNV-1a.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    fnv1a_iter(bytes.iter().copied())
-}
-
-/// [`fnv1a`] over a stream of bytes, for callers that hold no byte slice.
-pub fn fnv1a_iter(bytes: impl IntoIterator<Item = u8>) -> u64 {
-    bytes.into_iter().fold(FNV_BASIS, |h, b| {
-        (h ^ b as u64).wrapping_mul(0x100_0000_01b3)
-    })
-}
+/// 64-bit FNV-1a, the v2 seal: the workspace's one FNV-1a, re-exported.
+pub use subsonic_obs::codec::fnv1a;
 
 const SEAL_LANES: usize = 16;
 
@@ -221,8 +219,8 @@ pub(crate) fn seal(mut buf: Vec<u8>) -> Vec<u8> {
 
 /// Validates and strips the seal trailer, returning the payload.
 pub(crate) fn verify(bytes: &[u8]) -> Result<&[u8], DumpError> {
-    let (payload, trailer) = bytes.split_last_chunk::<8>().ok_or(DumpError::Truncated)?;
-    if checksum(payload) != u64::from_le_bytes(*trailer) {
+    let (payload, sum) = codec::trailer(bytes)?;
+    if checksum(payload) != sum {
         return Err(DumpError::ChecksumMismatch);
     }
     Ok(payload)
@@ -320,90 +318,48 @@ pub trait DumpTile: Sized {
     ) -> Result<Self, DumpError>;
 }
 
-struct Enc(Vec<u8>);
-
-impl Enc {
-    fn u32(&mut self, v: u32) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-    /// Appends `vs` as one block: a row costs a copy, not a call per value.
-    fn f64s(&mut self, vs: &[f64]) {
-        let at = self.0.len();
-        self.0.resize(at + 8 * vs.len(), 0);
-        for (b, v) in self.0[at..].as_chunks_mut::<8>().0.iter_mut().zip(vs) {
-            *b = v.to_le_bytes();
-        }
-    }
-    fn grid(&mut self, g: &impl PaddedRows<f64>) {
-        for row in g.rows() {
-            self.f64s(row);
-        }
+fn put_grid(e: &mut Enc, g: &impl PaddedRows<f64>) {
+    for row in g.rows() {
+        e.f64s(row);
     }
 }
 
-/// The undecoded rest of a payload.
-#[derive(Clone, Copy)]
-struct Dec<'a>(&'a [u8]);
+fn get_usize(d: &mut Dec) -> Result<usize, DumpError> {
+    usize::try_from(d.u64()?).map_err(|_| DumpError::BadField("tile extents"))
+}
 
-impl<'a> Dec<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], DumpError> {
-        let (head, rest) = self.0.split_at_checked(n).ok_or(DumpError::Truncated)?;
-        self.0 = rest;
-        Ok(head)
-    }
-    fn bytes<const N: usize>(&mut self) -> Result<[u8; N], DumpError> {
-        let mut a = [0u8; N];
-        a.copy_from_slice(self.take(N)?);
-        Ok(a)
-    }
-    fn u32(&mut self) -> Result<u32, DumpError> {
-        Ok(u32::from_le_bytes(self.bytes()?))
-    }
-    fn u64(&mut self) -> Result<u64, DumpError> {
-        Ok(u64::from_le_bytes(self.bytes()?))
-    }
-    fn usize(&mut self) -> Result<usize, DumpError> {
-        usize::try_from(self.u64()?).map_err(|_| DumpError::BadField("tile extents"))
-    }
-    fn f64(&mut self) -> Result<f64, DumpError> {
-        Ok(f64::from_le_bytes(self.bytes()?))
-    }
-    fn grid<T: DumpTile>(&mut self, h: &DumpHeader) -> Result<T::Grid<f64>, DumpError> {
-        let mut g = T::grid(h, 0.0f64);
-        for row in g.rows_mut() {
-            let src = self.take(row.len() * 8)?.as_chunks::<8>().0;
-            for (v, b) in row.iter_mut().zip(src) {
-                *v = f64::from_le_bytes(*b);
-            }
+fn get_grid<T: DumpTile>(d: &mut Dec, h: &DumpHeader) -> Result<T::Grid<f64>, DumpError> {
+    let mut g = T::grid(h, 0.0f64);
+    for row in g.rows_mut() {
+        let src = d.f64s(row.len())?;
+        for (v, x) in row.iter_mut().zip(src) {
+            *v = x;
         }
-        Ok(g)
     }
+    Ok(g)
+}
 
-    /// Checks that the rest of the payload is exactly the body `h` describes
-    /// for a tile of `rank`, *before* anything is allocated from the header
-    /// (the checksum is no MAC: a re-sealed dump can name any extents).
-    /// Returns the population count.
-    fn body_fits(&self, h: &DumpHeader, rank: usize) -> Result<usize, DumpError> {
-        if h.extent[..rank].contains(&0) {
-            return Err(DumpError::BadField("tile extents"));
-        }
-        let len = |nf| {
-            h.body_len(rank, nf)
-                .ok_or(DumpError::BadField("tile extents"))
-        };
-        // the population count follows the mask and the macroscopic fields
-        let mut peek = *self;
-        peek.take(len(0)? - 4)?;
-        let nf = peek.u32()? as usize;
-        let left = self.0.len();
-        match len(nf)? {
-            n if n > left => Err(DumpError::Truncated),
-            n if n < left => Err(DumpError::BadField("payload length")),
-            _ => Ok(nf),
-        }
+/// Checks that the rest of the payload is exactly the body `h` describes
+/// for a tile of `rank`, *before* anything is allocated from the header
+/// (the checksum is no MAC: a re-sealed dump can name any extents).
+/// Returns the population count.
+fn body_fits(d: &Dec, h: &DumpHeader, rank: usize) -> Result<usize, DumpError> {
+    if h.extent[..rank].contains(&0) {
+        return Err(DumpError::BadField("tile extents"));
+    }
+    let len = |nf| {
+        h.body_len(rank, nf)
+            .ok_or(DumpError::BadField("tile extents"))
+    };
+    // the population count follows the mask and the macroscopic fields
+    let mut peek = *d;
+    peek.take(len(0)? - 4)?;
+    let nf = peek.u32()? as usize;
+    let left = d.left();
+    match len(nf)? {
+        n if n > left => Err(DumpError::Truncated),
+        n if n < left => Err(DumpError::BadField("payload length")),
+        _ => Ok(nf),
     }
 }
 
@@ -433,7 +389,7 @@ fn params_to(enc: &mut Enc, p: &FluidParams) {
     enc.f64s(&[p.filter_eps]);
 }
 
-fn params_from(dec: &mut Dec) -> Result<FluidParams, DumpError> {
+fn params_from(dec: &mut Dec) -> Result<FluidParams, Truncated> {
     Ok(FluidParams {
         cs: dec.f64()?,
         nu: dec.f64()?,
@@ -468,11 +424,11 @@ pub fn dump_tile<T: DumpTile>(t: &T) -> Vec<u8> {
         e.0.extend(row.iter().map(|&c| cell_to_u8(c)));
     }
     for g in mac {
-        e.grid(*g);
+        put_grid(&mut e, *g);
     }
     e.u32(pops.len() as u32);
     for g in pops {
-        e.grid(*g);
+        put_grid(&mut e, *g);
     }
     seal(e.0)
 }
@@ -484,7 +440,7 @@ pub fn restore_tile<T: DumpTile>(bytes: &[u8]) -> Result<T, DumpError> {
 
 /// Decodes a payload whose seal has been checked.
 fn decode<T: DumpTile>(payload: &[u8]) -> Result<T, DumpError> {
-    let (mut d, rank) = (Dec(payload), T::RANK);
+    let (mut d, rank) = (Dec::new(payload), T::RANK);
     if d.u64()? != MAGIC {
         return Err(DumpError::NotADump);
     }
@@ -502,11 +458,11 @@ fn decode<T: DumpTile>(payload: &[u8]) -> Result<T, DumpError> {
     let step = d.u64()?;
     let (mut extent, mut offset) = ([1; 3], [0; 3]);
     for n in &mut extent[..rank] {
-        *n = d.usize()?;
+        *n = get_usize(&mut d)?;
     }
-    let halo = d.usize()?;
+    let halo = get_usize(&mut d)?;
     for o in &mut offset[..rank] {
-        *o = d.usize()?;
+        *o = get_usize(&mut d)?;
     }
     let params = params_from(&mut d)?;
     let h = DumpHeader {
@@ -516,7 +472,7 @@ fn decode<T: DumpTile>(payload: &[u8]) -> Result<T, DumpError> {
         offset,
         params,
     };
-    let nf = d.body_fits(&h, rank)?;
+    let nf = body_fits(&d, &h, rank)?;
     let mut mask = T::grid(&h, Cell::Fluid);
     for row in mask.rows_mut() {
         let src = d.take(row.len())?;
@@ -524,13 +480,9 @@ fn decode<T: DumpTile>(payload: &[u8]) -> Result<T, DumpError> {
             *c = cell_from_u8(b)?;
         }
     }
-    let mut fields = Vec::with_capacity(rank + 1 + nf);
-    for k in 0..rank + 1 + nf {
-        if k == rank + 1 {
-            d.u32()?; // the population count, read by `body_fits`
-        }
-        fields.push(d.grid::<T>(&h)?);
-    }
+    let mut fields = d.vec_of(rank + 1, 8, |d| get_grid::<T>(d, &h))?;
+    d.u32()?; // the population count, read by `body_fits`
+    fields.extend(d.vec_of(nf, 8, |d| get_grid::<T>(d, &h))?);
     T::assemble(h, mask, fields)
 }
 
@@ -713,9 +665,7 @@ impl SealedDump {
     /// The checksum the dump is sealed with: a fingerprint of the whole
     /// tile state that costs nothing to read.
     pub fn seal(&self) -> u64 {
-        let mut trailer = [0u8; 8];
-        trailer.copy_from_slice(&self.0[self.0.len() - 8..]);
-        u64::from_le_bytes(trailer)
+        codec::trailer(&self.0).map_or(0, |(_, sum)| sum)
     }
 
     /// Atomically persists the dump to `path` (temp file, fsync, rename,

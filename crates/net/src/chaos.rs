@@ -36,6 +36,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 use subsonic_cluster::fault::{FaultEvent, FaultPlan, TRANSPORT_STREAM_SALT};
+use subsonic_obs::codec::{Dec, Enc, Truncated};
 
 /// `from`/`to` wildcard in a [`MsgWindow`] (matches any worker).
 pub const ANY_WORKER: u32 = u32::MAX;
@@ -172,90 +173,67 @@ impl ChaosSpec {
 
     /// Serialises the spec for the worker config codec.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut b = Vec::new();
-        b.push(1u8); // spec version
-        b.extend_from_slice(&self.seed.to_le_bytes());
-        b.extend_from_slice(&(self.windows.len() as u32).to_le_bytes());
+        let mut e = Enc::default();
+        e.u8(1); // spec version
+        e.u64(self.seed);
+        e.u32(self.windows.len() as u32);
         for w in &self.windows {
-            b.extend_from_slice(&w.from.to_le_bytes());
-            b.extend_from_slice(&w.to.to_le_bytes());
-            b.extend_from_slice(&w.from_step.to_le_bytes());
-            b.extend_from_slice(&w.until_step.to_le_bytes());
-            b.extend_from_slice(&w.loss_ppm.to_le_bytes());
-            b.extend_from_slice(&w.dup_ppm.to_le_bytes());
-            b.extend_from_slice(&w.reorder_ppm.to_le_bytes());
+            e.u32(w.from);
+            e.u32(w.to);
+            e.u64(w.from_step);
+            e.u64(w.until_step);
+            e.u32(w.loss_ppm);
+            e.u32(w.dup_ppm);
+            e.u32(w.reorder_ppm);
         }
-        b.extend_from_slice(&(self.partitions.len() as u32).to_le_bytes());
+        e.u32(self.partitions.len() as u32);
         for p in &self.partitions {
-            b.extend_from_slice(&p.at_ms.to_le_bytes());
-            b.extend_from_slice(&p.until_ms.to_le_bytes());
-            b.extend_from_slice(&(p.island.len() as u32).to_le_bytes());
-            b.extend_from_slice(&p.island);
+            e.u64(p.at_ms);
+            e.u64(p.until_ms);
+            e.bytes(&p.island);
         }
-        b
+        e.0
     }
 
     /// Deserialises a spec (inverse of [`ChaosSpec::to_bytes`]).
     pub fn from_bytes(bytes: &[u8]) -> Option<ChaosSpec> {
-        fn take<'a>(b: &mut &'a [u8], n: usize) -> Option<&'a [u8]> {
-            if b.len() < n {
-                return None;
-            }
-            let (head, tail) = b.split_at(n);
-            *b = tail;
-            Some(head)
-        }
-        fn u32_of(b: &mut &[u8]) -> Option<u32> {
-            let s = take(b, 4)?;
-            Some(u32::from_le_bytes([s[0], s[1], s[2], s[3]]))
-        }
-        fn u64_of(b: &mut &[u8]) -> Option<u64> {
-            let s = take(b, 8)?;
-            let mut a = [0u8; 8];
-            a.copy_from_slice(s);
-            Some(u64::from_le_bytes(a))
-        }
-        let mut b = bytes;
-        if take(&mut b, 1)?[0] != 1 {
+        let mut d = Dec::new(bytes);
+        if d.u8() != Ok(1) {
             return None;
         }
-        let seed = u64_of(&mut b)?;
-        // counts come off the wire: reserve for what the bytes can hold (a
-        // window is 36 bytes, a partition at least 20), never for the claim
-        let nw = u32_of(&mut b)? as usize;
-        let mut windows = Vec::with_capacity(nw.min(b.len() / 36));
-        for _ in 0..nw {
-            windows.push(MsgWindow {
-                from: u32_of(&mut b)?,
-                to: u32_of(&mut b)?,
-                from_step: u64_of(&mut b)?,
-                until_step: u64_of(&mut b)?,
-                loss_ppm: u32_of(&mut b)?,
-                dup_ppm: u32_of(&mut b)?,
-                reorder_ppm: u32_of(&mut b)?,
-            });
-        }
-        let np = u32_of(&mut b)? as usize;
-        let mut partitions = Vec::with_capacity(np.min(b.len() / 20));
-        for _ in 0..np {
-            let at_ms = u64_of(&mut b)?;
-            let until_ms = u64_of(&mut b)?;
-            let len = u32_of(&mut b)? as usize;
-            let island = take(&mut b, len)?.to_vec();
-            partitions.push(PartitionWindow {
-                island,
-                at_ms,
-                until_ms,
-            });
-        }
-        if !b.is_empty() {
-            return None;
-        }
-        Some(ChaosSpec {
-            seed,
-            windows,
-            partitions,
-        })
+        let mut body = || -> Result<ChaosSpec, Truncated> {
+            let seed = d.u64()?;
+            // a window is 36 bytes, a partition at least 20
+            let nw = d.u32()? as usize;
+            let windows = d.vec_of(nw, 36, |d| {
+                Ok::<_, Truncated>(MsgWindow {
+                    from: d.u32()?,
+                    to: d.u32()?,
+                    from_step: d.u64()?,
+                    until_step: d.u64()?,
+                    loss_ppm: d.u32()?,
+                    dup_ppm: d.u32()?,
+                    reorder_ppm: d.u32()?,
+                })
+            })?;
+            let np = d.u32()? as usize;
+            let partitions = d.vec_of(np, 20, |d| {
+                let (at_ms, until_ms) = (d.u64()?, d.u64()?);
+                let island = d.bytes()?.to_vec();
+                Ok::<_, Truncated>(PartitionWindow {
+                    island,
+                    at_ms,
+                    until_ms,
+                })
+            })?;
+            Ok(ChaosSpec {
+                seed,
+                windows,
+                partitions,
+            })
+        };
+        let spec = body().ok()?;
+        (d.left() == 0).then_some(spec)
     }
 }
 
@@ -448,6 +426,9 @@ mod tests {
         assert_eq!(ChaosSpec::from_bytes(&bytes).unwrap(), spec);
         assert!(ChaosSpec::from_bytes(&bytes[..bytes.len() - 1]).is_none());
         assert!(ChaosSpec::compile(&FaultPlan::empty(), 1, 4).is_empty());
+        // the spec bytes, pinned as `(len, fnv1a)`
+        let pin = (bytes.len(), crate::record::fnv1a(&bytes));
+        assert_eq!(pin, (77, 0x0a8d_daa9_853a_b06f));
     }
 
     #[test]

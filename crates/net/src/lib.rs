@@ -116,6 +116,12 @@ impl From<std::io::Error> for NetError {
     }
 }
 
+impl From<subsonic_obs::codec::Truncated> for NetError {
+    fn from(_: subsonic_obs::codec::Truncated) -> Self {
+        NetError::Codec(wire::CodecError::Truncated)
+    }
+}
+
 impl From<wire::CodecError> for NetError {
     fn from(e: wire::CodecError) -> Self {
         NetError::Codec(e)

@@ -35,6 +35,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crate::wire::{decode_msg, write_frame, Msg, MAX_FRAME};
+use subsonic_obs::codec::Dec;
 
 /// The timeout that means "until a frame arrives or the link ends".
 pub const BLOCK: Duration = Duration::MAX;
@@ -161,7 +162,7 @@ impl FrameRx for TcpRx {
         while self.got < HEADER {
             self.got += read_some(&mut self.stream, &mut self.header[self.got..])?;
         }
-        let len = u32::from_le_bytes(self.header) as usize;
+        let len = Dec::new(&self.header).u32()? as usize;
         if len > MAX_FRAME {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,

@@ -13,9 +13,12 @@
 //! (no sockets), re-injecting the recorded faults, and compares the fresh
 //! log byte-for-byte against the recording.
 
-use crate::wire::{SolverKind, TransportKind};
+use crate::wire::{
+    solver_from_u8, solver_to_u8, transport_from_u8, transport_to_u8, SolverKind, TransportKind,
+};
 use crate::NetError;
 use std::path::Path;
+use subsonic_obs::codec::{self, Dec, Enc, Truncated};
 use subsonic_solvers::TileState2;
 
 const MAGIC: u32 = 0x5253_4e52; // "RNSR" — run record
@@ -23,7 +26,7 @@ const VERSION: u32 = 2; // v2: faults carry a kind (kill vs live migration)
 
 /// FNV-1a over a byte slice — the workspace's standing integrity hash, and
 /// the seal of v2 dumps.
-pub use subsonic_exec::checkpoint::fnv1a;
+pub use subsonic_obs::codec::fnv1a;
 
 /// Fingerprint of a tile's full state (step, params, mask, every
 /// distribution value) — the seal of its dump, so two tiles hash equal iff
@@ -50,11 +53,12 @@ pub enum LogEntry {
 
 /// Appends `entry` to a log byte buffer.
 pub fn push_entry(buf: &mut Vec<u8>, entry: &LogEntry) {
-    match entry {
+    let mut e = Enc(std::mem::take(buf));
+    match *entry {
         LogEntry::StepHash { step, hash } => {
-            buf.push(0);
-            buf.extend_from_slice(&step.to_le_bytes());
-            buf.extend_from_slice(&hash.to_le_bytes());
+            e.u8(0);
+            e.u64(step);
+            e.u64(hash);
         }
         LogEntry::Recv {
             step,
@@ -63,56 +67,40 @@ pub fn push_entry(buf: &mut Vec<u8>, entry: &LogEntry) {
             len,
             hash,
         } => {
-            buf.push(1);
-            buf.extend_from_slice(&step.to_le_bytes());
-            buf.push(*xch);
-            buf.push(*face);
-            buf.extend_from_slice(&len.to_le_bytes());
-            buf.extend_from_slice(&hash.to_le_bytes());
+            e.u8(1);
+            e.u64(step);
+            e.u8(xch);
+            e.u8(face);
+            e.u32(len);
+            e.u64(hash);
         }
     }
+    *buf = e.0;
 }
 
+/// Bytes of the shortest log entry (a [`LogEntry::StepHash`]).
+const ENTRY_MIN: usize = 1 + 8 + 8;
+
 /// Decodes a log byte buffer back into entries.
-pub fn decode_log(mut buf: &[u8]) -> Result<Vec<LogEntry>, NetError> {
-    fn take<'a>(buf: &mut &'a [u8], n: usize) -> Result<&'a [u8], NetError> {
-        if buf.len() < n {
-            return Err(NetError::Protocol("record log truncated".into()));
-        }
-        let (head, tail) = buf.split_at(n);
-        *buf = tail;
-        Ok(head)
-    }
-    fn u64_of(b: &[u8]) -> u64 {
-        let mut a = [0u8; 8];
-        a.copy_from_slice(b);
-        u64::from_le_bytes(a)
-    }
-    let mut out = Vec::new();
-    while !buf.is_empty() {
-        let tag = take(&mut buf, 1)?[0];
-        match tag {
-            0 => out.push(LogEntry::StepHash {
-                step: u64_of(take(&mut buf, 8)?),
-                hash: u64_of(take(&mut buf, 8)?),
-            }),
-            1 => {
-                let step = u64_of(take(&mut buf, 8)?);
-                let xch = take(&mut buf, 1)?[0];
-                let face = take(&mut buf, 1)?[0];
-                let len_b = take(&mut buf, 4)?;
-                let len = u32::from_le_bytes([len_b[0], len_b[1], len_b[2], len_b[3]]);
-                let hash = u64_of(take(&mut buf, 8)?);
-                out.push(LogEntry::Recv {
-                    step,
-                    xch,
-                    face,
-                    len,
-                    hash,
-                });
-            }
+pub fn decode_log(buf: &[u8]) -> Result<Vec<LogEntry>, NetError> {
+    let mut d = Dec::new(buf);
+    // room for as many entries as the bytes can hold, so it never grows
+    let mut out = Vec::with_capacity(buf.len() / ENTRY_MIN);
+    while d.left() > 0 {
+        out.push(match d.u8()? {
+            0 => LogEntry::StepHash {
+                step: d.u64()?,
+                hash: d.u64()?,
+            },
+            1 => LogEntry::Recv {
+                step: d.u64()?,
+                xch: d.u8()?,
+                face: d.u8()?,
+                len: d.u32()?,
+                hash: d.u64()?,
+            },
             t => return Err(NetError::Protocol(format!("unknown record log tag {t}"))),
-        }
+        });
     }
     Ok(out)
 }
@@ -176,131 +164,85 @@ pub struct RunRecord {
 impl RunRecord {
     /// Serialises the record.
     pub fn encode(&self) -> Vec<u8> {
-        let mut b = Vec::new();
-        b.extend_from_slice(&MAGIC.to_le_bytes());
-        b.extend_from_slice(&VERSION.to_le_bytes());
-        b.extend_from_slice(&self.nx.to_le_bytes());
-        b.extend_from_slice(&self.ny.to_le_bytes());
-        b.extend_from_slice(&self.px.to_le_bytes());
-        b.extend_from_slice(&self.py.to_le_bytes());
-        b.extend_from_slice(&self.steps.to_le_bytes());
-        b.extend_from_slice(&self.interval.to_le_bytes());
-        b.push(match self.solver {
-            SolverKind::LatticeBoltzmann => 0,
-            SolverKind::FiniteDifference => 1,
-        });
-        b.push(match self.transport {
-            TransportKind::Tcp => 0,
-            TransportKind::Udp => 1,
-            TransportKind::Mem => 2,
-        });
-        b.extend_from_slice(&(self.faults.len() as u32).to_le_bytes());
+        let mut e = Enc::default();
+        e.u32(MAGIC);
+        e.u32(VERSION);
+        e.u64(self.nx);
+        e.u64(self.ny);
+        e.u32(self.px);
+        e.u32(self.py);
+        e.u64(self.steps);
+        e.u64(self.interval);
+        e.u8(solver_to_u8(self.solver));
+        e.u8(transport_to_u8(self.transport));
+        e.u32(self.faults.len() as u32);
         for f in &self.faults {
-            b.push(match f.kind {
+            e.u8(match f.kind {
                 FaultKind::Kill => 0,
                 FaultKind::Migration => 1,
             });
-            b.extend_from_slice(&f.victim.to_le_bytes());
-            b.extend_from_slice(&f.at_step.to_le_bytes());
-            b.extend_from_slice(&f.epoch.to_le_bytes());
-            b.extend_from_slice(&f.rollback_step.to_le_bytes());
+            e.u32(f.victim);
+            e.u64(f.at_step);
+            e.u32(f.epoch);
+            e.u64(f.rollback_step);
         }
-        b.extend_from_slice(&(self.logs.len() as u32).to_le_bytes());
+        e.u32(self.logs.len() as u32);
         for log in &self.logs {
-            b.extend_from_slice(&(log.len() as u64).to_le_bytes());
-            b.extend_from_slice(log);
+            e.u64(log.len() as u64);
+            e.raw(log);
         }
-        for h in &self.final_hashes {
-            b.extend_from_slice(&h.to_le_bytes());
+        for &h in &self.final_hashes {
+            e.u64(h);
         }
-        let sum = fnv1a(&b);
-        b.extend_from_slice(&sum.to_le_bytes());
-        b
+        let sum = fnv1a(&e.0);
+        e.u64(sum);
+        e.0
     }
 
-    /// Deserialises a record, verifying its checksum trailer.
+    /// Deserialises a record, verifying its checksum trailer. The trailer
+    /// is no MAC, so the counts behind it are checked like any others.
     pub fn decode(bytes: &[u8]) -> Result<RunRecord, NetError> {
         fn bad(what: &str) -> NetError {
             NetError::Protocol(format!("run record: {what}"))
         }
-        if bytes.len() < 8 {
-            return Err(bad("truncated"));
-        }
-        let (body, tail) = bytes.split_at(bytes.len() - 8);
-        let mut sum = [0u8; 8];
-        sum.copy_from_slice(tail);
-        if fnv1a(body) != u64::from_le_bytes(sum) {
+        let (body, sum) = codec::trailer(bytes).map_err(|_| bad("truncated"))?;
+        if fnv1a(body) != sum {
             return Err(bad("checksum mismatch"));
         }
-        fn take<'a>(body: &'a [u8], at: &mut usize, n: usize) -> Result<&'a [u8], NetError> {
-            if *at + n > body.len() {
-                return Err(bad("truncated"));
-            }
-            let s = &body[*at..*at + n];
-            *at += n;
-            Ok(s)
-        }
-        fn u32_at(body: &[u8], at: &mut usize) -> Result<u32, NetError> {
-            let b = take(body, at, 4)?;
-            Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-        }
-        fn u64_at(body: &[u8], at: &mut usize) -> Result<u64, NetError> {
-            let b = take(body, at, 8)?;
-            let mut a = [0u8; 8];
-            a.copy_from_slice(b);
-            Ok(u64::from_le_bytes(a))
-        }
-        let mut at = 0usize;
-        if u32_at(body, &mut at)? != MAGIC {
+        let mut d = Dec::new(body);
+        if d.u32()? != MAGIC {
             return Err(bad("not a run record"));
         }
-        let version = u32_at(body, &mut at)?;
-        if version != VERSION {
+        if d.u32()? != VERSION {
             return Err(bad("unsupported version"));
         }
-        let nx = u64_at(body, &mut at)?;
-        let ny = u64_at(body, &mut at)?;
-        let px = u32_at(body, &mut at)?;
-        let py = u32_at(body, &mut at)?;
-        let steps = u64_at(body, &mut at)?;
-        let interval = u64_at(body, &mut at)?;
-        let solver = match take(body, &mut at, 1)?[0] {
-            0 => SolverKind::LatticeBoltzmann,
-            1 => SolverKind::FiniteDifference,
-            _ => return Err(bad("solver kind")),
-        };
-        let transport = match take(body, &mut at, 1)?[0] {
-            0 => TransportKind::Tcp,
-            1 => TransportKind::Udp,
-            2 => TransportKind::Mem,
-            _ => return Err(bad("transport kind")),
-        };
-        let nfaults = u32_at(body, &mut at)? as usize;
-        let mut faults = Vec::with_capacity(nfaults);
-        for _ in 0..nfaults {
-            let kind = match take(body, &mut at, 1)?[0] {
+        let (nx, ny, px, py) = (d.u64()?, d.u64()?, d.u32()?, d.u32()?);
+        let (steps, interval) = (d.u64()?, d.u64()?);
+        let solver = solver_from_u8(d.u8()?)?;
+        let transport = transport_from_u8(d.u8()?)?;
+        let nfaults = d.u32()? as usize;
+        // kind, victim, step, epoch, rollback step
+        let faults = d.vec_of(nfaults, 1 + 4 + 8 + 4 + 8, |d| {
+            let kind = match d.u8()? {
                 0 => FaultKind::Kill,
                 1 => FaultKind::Migration,
                 _ => return Err(bad("fault kind")),
             };
-            faults.push(FaultRecord {
+            Ok(FaultRecord {
                 kind,
-                victim: u32_at(body, &mut at)?,
-                at_step: u64_at(body, &mut at)?,
-                epoch: u32_at(body, &mut at)?,
-                rollback_step: u64_at(body, &mut at)?,
-            });
-        }
-        let nworkers = u32_at(body, &mut at)? as usize;
-        let mut logs = Vec::with_capacity(nworkers);
-        for _ in 0..nworkers {
-            let len = u64_at(body, &mut at)? as usize;
-            logs.push(take(body, &mut at, len)?.to_vec());
-        }
-        let mut final_hashes = Vec::with_capacity(nworkers);
-        for _ in 0..nworkers {
-            final_hashes.push(u64_at(body, &mut at)?);
-        }
+                victim: d.u32()?,
+                at_step: d.u64()?,
+                epoch: d.u32()?,
+                rollback_step: d.u64()?,
+            })
+        })?;
+        let nworkers = d.u32()? as usize;
+        // every worker has a log length here and a final hash after the logs
+        let logs = d.vec_of(nworkers, 8 + 8, |d| {
+            let len = usize::try_from(d.u64()?).map_err(|_| Truncated)?;
+            d.take(len).map(<[u8]>::to_vec)
+        })?;
+        let final_hashes = d.vec_of(nworkers, 8, |d| d.u64())?;
         Ok(RunRecord {
             nx,
             ny,
@@ -423,6 +365,61 @@ mod tests {
         let r = sample();
         let bytes = r.encode();
         assert_eq!(RunRecord::decode(&bytes).unwrap(), r);
+    }
+
+    /// The record bytes, pinned as `(len, fnv1a)`: the sample record and
+    /// its first worker's log.
+    #[test]
+    fn record_bytes_are_pinned() {
+        let r = sample();
+        let pin = |b: &[u8]| (b.len(), fnv1a(b));
+        assert_eq!(
+            [pin(&r.encode()), pin(&r.logs[0])],
+            [(188, 0xcf72_76bf_6e3b_435f), (40, 0x1faf_1271_a217_dd78)]
+        );
+    }
+
+    /// The sample record with the `width` bytes at `at` (which hold `was`)
+    /// set to all ones and the FNV-1a trailer recomputed: a forged count the
+    /// checksum cannot catch.
+    fn forged(at: usize, width: usize, was: u64) -> Vec<u8> {
+        let bytes = sample().encode();
+        let mut body = bytes[..bytes.len() - 8].to_vec();
+        assert_eq!(
+            body[at..at + width],
+            was.to_le_bytes()[..width],
+            "layout drifted"
+        );
+        body[at..at + width].fill(0xff);
+        let sum = fnv1a(&body);
+        body.extend_from_slice(&sum.to_le_bytes());
+        body
+    }
+
+    fn assert_truncated(bytes: &[u8]) {
+        let err = RunRecord::decode(bytes).expect_err("forged record decoded");
+        assert!(
+            matches!(err, NetError::Codec(crate::wire::CodecError::Truncated)),
+            "{err}"
+        );
+    }
+
+    // header: magic, version, nx, ny, px, py, steps, interval, solver,
+    // transport; then the fault count, two 25-byte faults and the worker count
+
+    #[test]
+    fn a_forged_fault_count_is_a_typed_error() {
+        assert_truncated(&forged(50, 4, 2));
+    }
+
+    #[test]
+    fn a_forged_worker_count_is_a_typed_error() {
+        assert_truncated(&forged(104, 4, 2));
+    }
+
+    #[test]
+    fn a_forged_log_length_is_a_typed_error() {
+        assert_truncated(&forged(108, 8, 40));
     }
 
     #[test]

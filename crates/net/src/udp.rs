@@ -36,16 +36,45 @@ use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use subsonic_cluster::transport::{TransportConfig, TransportState};
+use subsonic_obs::codec::{Dec, Enc, Truncated};
 
 const DGRAM_MAGIC: u32 = 0x5544_5031; // "UDP1"
-const KIND_DATA: u8 = 0;
-const KIND_ACK: u8 = 1;
+/// Datagram kind: one frame, to be acknowledged.
+pub const KIND_DATA: u8 = 0;
+/// Datagram kind: the acknowledgement of one DATA sequence number.
+pub const KIND_ACK: u8 = 1;
 /// Loopback datagrams comfortably carry halo strips; anything bigger is a
 /// protocol bug, not a fragmentation strategy.
 const MAX_DGRAM_PAYLOAD: usize = 60_000;
 /// How long the service thread blocks for a datagram before it scans for
 /// due retransmissions.
 const SERVICE_POLL: Duration = Duration::from_millis(5);
+
+/// Bytes of a datagram besides its payload.
+const DGRAM_FIXED: usize = 4 + 4 + 1 + 4 + 8;
+
+/// One datagram: magic, mesh epoch, kind ([`KIND_DATA`] or [`KIND_ACK`]),
+/// sending worker, per-peer sequence number, then the payload (a whole
+/// frame for DATA, nothing for an ACK).
+pub fn encode_dgram(epoch: u32, kind: u8, from: u32, seq: u64, payload: &[u8]) -> Vec<u8> {
+    let mut e = Enc(Vec::with_capacity(DGRAM_FIXED + payload.len()));
+    e.u32(DGRAM_MAGIC);
+    e.u32(epoch);
+    e.u8(kind);
+    e.u32(from);
+    e.u64(seq);
+    e.raw(payload);
+    e.0
+}
+
+/// [`encode_dgram`]'s fields back: `(epoch, kind, from, seq, payload)`, or
+/// `None` for anything too short or without the magic (garbage on the port).
+pub fn decode_dgram(buf: &[u8]) -> Option<(u32, u8, u32, u64, &[u8])> {
+    let mut d = Dec::new(buf);
+    let mut fields = || Ok::<_, Truncated>((d.u32()?, d.u32()?, d.u8()?, d.u32()?, d.u64()?));
+    let (magic, epoch, kind, from, seq) = fields().ok()?;
+    (magic == DGRAM_MAGIC).then(|| (epoch, kind, from, seq, d.rest()))
+}
 
 /// A bound UDP endpoint awaiting the port map.
 pub struct UdpBinding {
@@ -100,14 +129,7 @@ impl Core {
     }
 
     fn dgram(&self, kind: u8, seq: u64, payload: &[u8]) -> Vec<u8> {
-        let mut b = Vec::with_capacity(payload.len() + 21);
-        b.extend_from_slice(&DGRAM_MAGIC.to_le_bytes());
-        b.extend_from_slice(&self.epoch.to_le_bytes());
-        b.push(kind);
-        b.extend_from_slice(&self.me.to_le_bytes());
-        b.extend_from_slice(&seq.to_le_bytes());
-        b.extend_from_slice(payload);
-        b
+        encode_dgram(self.epoch, kind, self.me, seq, payload)
     }
 
     fn send_to_peer(&self, peer: u32, dgram: &[u8]) {
@@ -205,20 +227,12 @@ impl Core {
 
     /// Handles one inbound datagram, delivering in-order frames to `events`.
     fn on_dgram(&mut self, buf: &[u8], events: &Sender<MeshEvent>) {
-        if buf.len() < 21 {
-            return;
+        let Some((epoch, kind, from, seq, payload)) = decode_dgram(buf) else {
+            return; // garbage
+        };
+        if epoch != self.epoch {
+            return; // a stale pre-rollback world
         }
-        let magic = u32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]);
-        let epoch = u32::from_le_bytes([buf[4], buf[5], buf[6], buf[7]]);
-        if magic != DGRAM_MAGIC || epoch != self.epoch {
-            return; // garbage or a stale pre-rollback world
-        }
-        let kind = buf[8];
-        let from = u32::from_le_bytes([buf[9], buf[10], buf[11], buf[12]]);
-        let mut seq_b = [0u8; 8];
-        seq_b.copy_from_slice(&buf[13..21]);
-        let seq = u64::from_le_bytes(seq_b);
-        let payload = &buf[21..];
         match kind {
             KIND_DATA => {
                 // always re-ACK — the ACK itself may have been lost
@@ -452,6 +466,19 @@ mod tests {
             MeshEvent::Frame { payload, .. } => payload,
             MeshEvent::Gone { .. } => panic!("unexpected Gone"),
         }
+    }
+
+    /// The datagram bytes, pinned as `(len, fnv1a)`: one DATA datagram
+    /// carrying a halo frame and its ACK.
+    #[test]
+    fn datagram_bytes_are_pinned() {
+        let data = encode_dgram(2, KIND_DATA, 1, 7, &halo(3));
+        let ack = encode_dgram(2, KIND_ACK, 0, 7, &[]);
+        let pin = |b: &[u8]| (b.len(), crate::record::fnv1a(b));
+        assert_eq!(
+            [pin(&data), pin(&ack)],
+            [(105, 0xbb73_b36b_c8e0_e336), (21, 0x92e5_63c6_9f33_0613)]
+        );
     }
 
     #[test]

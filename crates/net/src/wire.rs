@@ -4,13 +4,15 @@
 //! frame (`u32` little-endian length, then payload) whose payload decodes to
 //! a [`Msg`]. One enum covers both planes: the control protocol between the
 //! supervisor and its workers (handshake, port map, run/rollback/commit) and
-//! the worker-to-worker halo traffic. The encoding is the same hand-rolled
-//! little-endian style as the checkpoint format — no reflection, no schema
-//! evolution, a version byte up front so a mismatched peer fails loudly
-//! instead of mis-parsing.
+//! the worker-to-worker halo traffic. Frames are written and read with the
+//! workspace's one little-endian codec, `subsonic_obs::codec`, as the
+//! checkpoint format is — no reflection, no schema evolution, a version byte
+//! up front so a mismatched peer fails loudly instead of mis-parsing, and
+//! every decoded count checked against the bytes that back it.
 
 use crate::chaos::ChaosSpec;
 use std::io::{self, IoSlice, Read, Write};
+use subsonic_obs::codec::{Dec, Enc, Truncated};
 
 /// Protocol version carried in every frame.
 pub const PROTOCOL_VERSION: u8 = 1;
@@ -188,93 +190,20 @@ impl std::fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-struct Enc {
-    buf: Vec<u8>,
-}
-
-impl Enc {
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-    fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn bytes(&mut self, v: &[u8]) {
-        self.u32(v.len() as u32);
-        self.buf.extend_from_slice(v);
-    }
-    fn doubles(&mut self, v: &[f64]) {
-        self.u32(v.len() as u32);
-        for d in v {
-            self.buf.extend_from_slice(&d.to_bits().to_le_bytes());
-        }
+impl From<Truncated> for CodecError {
+    fn from(_: Truncated) -> Self {
+        CodecError::Truncated
     }
 }
 
-struct Dec<'a> {
-    buf: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Dec<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
-        if self.at + n > self.buf.len() {
-            return Err(CodecError::Truncated);
-        }
-        let s = &self.buf[self.at..self.at + n];
-        self.at += n;
-        Ok(s)
-    }
-    fn u8(&mut self) -> Result<u8, CodecError> {
-        Ok(self.take(1)?[0])
-    }
-    fn u16(&mut self) -> Result<u16, CodecError> {
-        let b = self.take(2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-    fn u32(&mut self) -> Result<u32, CodecError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-    fn u64(&mut self) -> Result<u64, CodecError> {
-        let b = self.take(8)?;
-        let mut a = [0u8; 8];
-        a.copy_from_slice(b);
-        Ok(u64::from_le_bytes(a))
-    }
-    fn bytes(&mut self) -> Result<Vec<u8>, CodecError> {
-        let n = self.u32()? as usize;
-        Ok(self.take(n)?.to_vec())
-    }
-    /// Replaces `out`'s contents with the next length-prefixed strip; `out`
-    /// grows by what the frame holds, never by what the length field claims.
-    fn doubles_into(&mut self, out: &mut Vec<f64>) -> Result<(), CodecError> {
-        let n = self.u32()? as usize;
-        let raw = self.take(n * 8)?;
-        out.clear();
-        out.extend(raw.chunks_exact(8).map(|c| {
-            let mut a = [0u8; 8];
-            a.copy_from_slice(c);
-            f64::from_bits(u64::from_le_bytes(a))
-        }));
-        Ok(())
-    }
-}
-
-fn solver_to_u8(s: SolverKind) -> u8 {
+pub(crate) fn solver_to_u8(s: SolverKind) -> u8 {
     match s {
         SolverKind::LatticeBoltzmann => 0,
         SolverKind::FiniteDifference => 1,
     }
 }
 
-fn solver_from_u8(v: u8) -> Result<SolverKind, CodecError> {
+pub(crate) fn solver_from_u8(v: u8) -> Result<SolverKind, CodecError> {
     match v {
         0 => Ok(SolverKind::LatticeBoltzmann),
         1 => Ok(SolverKind::FiniteDifference),
@@ -282,7 +211,7 @@ fn solver_from_u8(v: u8) -> Result<SolverKind, CodecError> {
     }
 }
 
-fn transport_to_u8(t: TransportKind) -> u8 {
+pub(crate) fn transport_to_u8(t: TransportKind) -> u8 {
     match t {
         TransportKind::Tcp => 0,
         TransportKind::Udp => 1,
@@ -290,7 +219,7 @@ fn transport_to_u8(t: TransportKind) -> u8 {
     }
 }
 
-fn transport_from_u8(v: u8) -> Result<TransportKind, CodecError> {
+pub(crate) fn transport_from_u8(v: u8) -> Result<TransportKind, CodecError> {
     match v {
         0 => Ok(TransportKind::Tcp),
         1 => Ok(TransportKind::Udp),
@@ -326,8 +255,8 @@ fn cfg_from(d: &mut Dec<'_>) -> Result<WorkerConfig, CodecError> {
         *n = d.u32()?;
     }
     let record = d.u8()? != 0;
-    let addr = String::from_utf8(d.bytes()?).map_err(|_| CodecError::BadField("addr"))?;
-    let faults = ChaosSpec::from_bytes(&d.bytes()?).ok_or(CodecError::BadField("chaos spec"))?;
+    let addr = std::str::from_utf8(d.bytes()?).map_err(|_| CodecError::BadField("addr"))?;
+    let faults = ChaosSpec::from_bytes(d.bytes()?).ok_or(CodecError::BadField("chaos spec"))?;
     Ok(WorkerConfig {
         worker,
         nworkers,
@@ -337,7 +266,7 @@ fn cfg_from(d: &mut Dec<'_>) -> Result<WorkerConfig, CodecError> {
         start_step,
         neighbors,
         record,
-        addr,
+        addr: addr.to_owned(),
         faults,
     })
 }
@@ -364,16 +293,14 @@ fn halo_to(e: &mut Enc, epoch: u32, step: u64, xch: u8, face: u8, data: &[f64]) 
     e.u64(step);
     e.u8(xch);
     e.u8(face);
-    e.doubles(data);
+    e.u32(data.len() as u32);
+    e.f64s(data);
 }
 
 /// Opens a frame that must be a halo: version, tag, fixed fields. The strip
 /// is next in `d`.
 fn halo_open(payload: &[u8]) -> Result<(Dec<'_>, HaloHeader), CodecError> {
-    let mut d = Dec {
-        buf: payload,
-        at: 0,
-    };
+    let mut d = Dec::new(payload);
     let ver = d.u8()?;
     if ver != PROTOCOL_VERSION {
         return Err(CodecError::BadVersion(ver));
@@ -402,21 +329,23 @@ pub fn halo_header(payload: &[u8]) -> Result<HaloHeader, CodecError> {
 /// `encode_msg(&Msg::Halo { .. })` produces, without building the `Msg` or a
 /// fresh buffer — the per-step path of a worker.
 pub fn encode_halo_into(buf: &mut Vec<u8>, epoch: u32, step: u64, xch: u8, face: u8, data: &[f64]) {
-    let mut e = Enc {
-        buf: std::mem::take(buf),
-    };
-    e.buf.clear();
-    e.buf.reserve(HALO_FIXED + data.len() * 8);
+    let mut e = Enc(std::mem::take(buf));
+    e.0.clear();
+    e.0.reserve(HALO_FIXED + data.len() * 8);
     e.u8(PROTOCOL_VERSION);
     halo_to(&mut e, epoch, step, xch, face, data);
-    *buf = e.buf;
+    *buf = e.0;
 }
 
 /// Decodes a halo frame, replacing `data`'s contents with the strip (its
-/// allocation is reused). Any other message is a [`CodecError::BadTag`].
+/// allocation is reused, and grows by what the frame holds, never by what
+/// the length field claims). Any other message is a [`CodecError::BadTag`].
 pub fn decode_halo_into(payload: &[u8], data: &mut Vec<f64>) -> Result<HaloHeader, CodecError> {
     let (mut d, h) = halo_open(payload)?;
-    d.doubles_into(data)?;
+    let n = d.u32()? as usize;
+    let strip = d.f64s(n)?;
+    data.clear();
+    data.extend(strip);
     Ok(h)
 }
 
@@ -434,9 +363,7 @@ pub fn encode_msg(msg: &Msg) -> Vec<u8> {
         Msg::Halo { data, .. } => data.len() * 8,
         _ => 0,
     };
-    let mut e = Enc {
-        buf: Vec::with_capacity(bulk + 128),
-    };
+    let mut e = Enc(Vec::with_capacity(bulk + 128));
     e.u8(PROTOCOL_VERSION);
     match msg {
         Msg::Hello { worker } => {
@@ -457,8 +384,8 @@ pub fn encode_msg(msg: &Msg) -> Vec<u8> {
             e.u8(3);
             e.u32(*epoch);
             e.u32(ports.len() as u32);
-            for p in ports {
-                e.u16(*p);
+            for &p in ports {
+                e.u16(p);
             }
         }
         Msg::MeshReady { epoch } => {
@@ -552,15 +479,12 @@ pub fn encode_msg(msg: &Msg) -> Vec<u8> {
             e.u32(*epoch);
         }
     }
-    e.buf
+    e.0
 }
 
 /// Decodes a frame payload.
 pub fn decode_msg(payload: &[u8]) -> Result<Msg, CodecError> {
-    let mut d = Dec {
-        buf: payload,
-        at: 0,
-    };
+    let mut d = Dec::new(payload);
     let ver = d.u8()?;
     if ver != PROTOCOL_VERSION {
         return Err(CodecError::BadVersion(ver));
@@ -570,7 +494,7 @@ pub fn decode_msg(payload: &[u8]) -> Result<Msg, CodecError> {
         0 => Msg::Hello { worker: d.u32()? },
         1 => Msg::Init {
             cfg: cfg_from(&mut d)?,
-            ckpt: d.bytes()?,
+            ckpt: d.bytes()?.to_vec(),
         },
         2 => Msg::DataPort {
             epoch: d.u32()?,
@@ -579,11 +503,7 @@ pub fn decode_msg(payload: &[u8]) -> Result<Msg, CodecError> {
         3 => {
             let epoch = d.u32()?;
             let n = d.u32()? as usize;
-            // reserve for what the frame can hold, not for what it claims
-            let mut ports = Vec::with_capacity(n.min(payload.len() / 2));
-            for _ in 0..n {
-                ports.push(d.u16()?);
-            }
+            let ports = d.vec_of(n, 2, |d| d.u16())?;
             Msg::PortMap { epoch, ports }
         }
         4 => Msg::MeshReady { epoch: d.u32()? },
@@ -605,8 +525,8 @@ pub fn decode_msg(payload: &[u8]) -> Result<Msg, CodecError> {
             epoch: d.u32()?,
             step: d.u64()?,
             state_hash: d.u64()?,
-            ckpt: d.bytes()?,
-            log: d.bytes()?,
+            ckpt: d.bytes()?.to_vec(),
+            log: d.bytes()?.to_vec(),
             t_calc_us: d.u64()?,
             t_com_us: d.u64()?,
             msgs_sent: d.u64()?,
@@ -624,10 +544,12 @@ pub fn decode_msg(payload: &[u8]) -> Result<Msg, CodecError> {
         11 => Msg::Rollback {
             epoch: d.u32()?,
             step: d.u64()?,
-            ckpt: d.bytes()?,
+            ckpt: d.bytes()?.to_vec(),
         },
         12 => Msg::Done,
-        13 => Msg::Tracks { blob: d.bytes()? },
+        13 => Msg::Tracks {
+            blob: d.bytes()?.to_vec(),
+        },
         TAG_HALO => {
             let mut data = Vec::new();
             let h = decode_halo_into(payload, &mut data)?;
@@ -687,7 +609,7 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
 pub fn read_frame(r: &mut impl Read) -> io::Result<Vec<u8>> {
     let mut len = [0u8; 4];
     r.read_exact(&mut len)?;
-    let len = u32::from_le_bytes(len) as usize;
+    let len = Dec::new(&len).u32()? as usize;
     if len > MAX_FRAME {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
@@ -1052,6 +974,25 @@ mod tests {
                 decoders_hold(&valid[..at]);
             }
         }
+    }
+
+    /// The frame bytes, pinned as `(len, fnv1a)`: every kind of message
+    /// (seed 1) back to back, and one halo frame.
+    #[test]
+    fn frame_bytes_are_pinned() {
+        let all: Vec<u8> = one_of_each(&mut 1).iter().flat_map(encode_msg).collect();
+        let halo = encode_msg(&Msg::Halo {
+            epoch: 3,
+            step: 77,
+            xch: 1,
+            face: 2,
+            data: (0..96).map(|i| 0.25 * i as f64 - 3.0).collect(),
+        });
+        let pin = |b: &[u8]| (b.len(), crate::record::fnv1a(b));
+        assert_eq!(
+            [pin(&all), pin(&halo)],
+            [(557, 0x7eda_9b75_2379_88f1), (788, 0x5d15_f034_2a8d_0ac3)]
+        );
     }
 
     #[test]

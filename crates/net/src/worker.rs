@@ -41,9 +41,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use subsonic_exec::checkpoint::{fnv1a_iter, restore_tile2, SealedDump};
+use subsonic_exec::checkpoint::{restore_tile2, SealedDump};
 use subsonic_exec::{step_tile, Halo, StepTiming, D2};
 use subsonic_grid::Face2;
+use subsonic_obs::codec::Fnv1a;
 use subsonic_obs::{encode_tracks, Category, FlightRecorder, TrackRecorder};
 use subsonic_solvers::{FiniteDifference2, LatticeBoltzmann2, Solver2, TileState2};
 
@@ -89,7 +90,9 @@ pub fn make_solver(kind: SolverKind) -> Arc<dyn Solver2> {
 
 /// FNV-1a over the little-endian bytes of a strip of doubles.
 fn hash_doubles(data: &[f64]) -> u64 {
-    fnv1a_iter(data.iter().flat_map(|d| d.to_le_bytes()))
+    let mut h = Fnv1a::new();
+    data.iter().for_each(|&d| h.write_f64(d));
+    h.finish()
 }
 
 enum CtrlEvent {

@@ -24,6 +24,8 @@
 //! * [`chrome`] — the Chrome trace-event JSON exporter. The output loads in
 //!   Perfetto / `chrome://tracing`: one track per host/worker, spans for
 //!   compute, halo exchange, checkpointing, failure detection and recovery.
+//! * [`codec`] — the one little-endian byte codec (and the one FNV-1a) every
+//!   binary format in the workspace is written and read with.
 //!
 //! The `--trace out.json` flag of the `reproduce` binary wires all three
 //! together: any experiment run yields a complete visual timeline.
@@ -31,6 +33,7 @@
 #![warn(clippy::unwrap_used)]
 
 pub mod chrome;
+pub mod codec;
 pub mod metrics;
 pub mod recorder;
 pub mod roofline;

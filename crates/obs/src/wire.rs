@@ -13,6 +13,7 @@
 //! a name minted by a newer writer falls back to `"event"` (and arg keys to
 //! `"arg"`) rather than failing the whole track.
 
+use crate::codec::{Dec, Enc, Truncated};
 use crate::recorder::{Category, TraceEvent, TrackData};
 use std::fmt;
 
@@ -119,6 +120,12 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
+impl From<Truncated> for WireError {
+    fn from(_: Truncated) -> Self {
+        WireError::Truncated
+    }
+}
+
 fn cat_to_u8(c: Category) -> u8 {
     match c {
         Category::Compute => 0,
@@ -152,125 +159,89 @@ fn intern(s: &str, table: &'static [&'static str], fallback: &'static str) -> &'
     table.iter().find(|k| **k == s).copied().unwrap_or(fallback)
 }
 
-fn put_str(buf: &mut Vec<u8>, s: &str) {
-    buf.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    buf.extend_from_slice(s.as_bytes());
-}
-
-struct Rd<'a> {
-    buf: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Rd<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        if self.at + n > self.buf.len() {
-            return Err(WireError::Truncated);
-        }
-        let s = &self.buf[self.at..self.at + n];
-        self.at += n;
-        Ok(s)
-    }
-    fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-    fn u32(&mut self) -> Result<u32, WireError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-    fn f64(&mut self) -> Result<f64, WireError> {
-        let b = self.take(8)?;
-        let mut a = [0u8; 8];
-        a.copy_from_slice(b);
-        Ok(f64::from_le_bytes(a))
-    }
-    fn str(&mut self) -> Result<String, WireError> {
-        let n = self.u32()? as usize;
-        let b = self.take(n)?;
-        String::from_utf8(b.to_vec()).map_err(|_| WireError::BadString)
-    }
+fn str<'a>(d: &mut Dec<'a>) -> Result<&'a str, WireError> {
+    std::str::from_utf8(d.bytes()?).map_err(|_| WireError::BadString)
 }
 
 /// Encodes finished tracks into a self-describing binary blob.
 pub fn encode_tracks(tracks: &[TrackData]) -> Vec<u8> {
-    let mut buf = Vec::new();
-    buf.extend_from_slice(&MAGIC.to_le_bytes());
-    buf.extend_from_slice(&VERSION.to_le_bytes());
-    buf.extend_from_slice(&(tracks.len() as u32).to_le_bytes());
+    let mut e = Enc::default();
+    e.u32(MAGIC);
+    e.u32(VERSION);
+    e.u32(tracks.len() as u32);
     for t in tracks {
-        buf.extend_from_slice(&t.pid.to_le_bytes());
-        buf.extend_from_slice(&t.tid.to_le_bytes());
-        put_str(&mut buf, &t.process);
-        put_str(&mut buf, &t.thread);
-        buf.extend_from_slice(&(t.events.len() as u32).to_le_bytes());
-        for e in &t.events {
-            buf.push(cat_to_u8(e.cat));
-            put_str(&mut buf, e.name);
-            buf.extend_from_slice(&e.ts_us.to_le_bytes());
-            buf.extend_from_slice(&e.dur_us.to_le_bytes());
-            match e.arg {
-                None => buf.push(0),
+        e.u32(t.pid);
+        e.u32(t.tid);
+        e.bytes(t.process.as_bytes());
+        e.bytes(t.thread.as_bytes());
+        e.u32(t.events.len() as u32);
+        for ev in &t.events {
+            e.u8(cat_to_u8(ev.cat));
+            e.bytes(ev.name.as_bytes());
+            e.f64(ev.ts_us);
+            e.f64(ev.dur_us);
+            match ev.arg {
+                None => e.u8(0),
                 Some((k, v)) => {
-                    buf.push(1);
-                    put_str(&mut buf, k);
-                    buf.extend_from_slice(&v.to_le_bytes());
+                    e.u8(1);
+                    e.bytes(k.as_bytes());
+                    e.f64(v);
                 }
             }
         }
     }
-    buf
+    e.0
 }
+
+/// Bytes of the shortest encodable event: category, empty name, two
+/// timestamps, no arg.
+const EVENT_MIN: usize = 1 + 4 + 8 + 8 + 1;
+/// Bytes of the shortest encodable track: ids, two empty names, no events.
+const TRACK_MIN: usize = 4 + 4 + 4 + 4 + 4;
 
 /// Decodes a blob produced by [`encode_tracks`], interning event names
 /// against [`KNOWN_NAMES`] (unknown names become `"event"`).
 pub fn decode_tracks(bytes: &[u8]) -> Result<Vec<TrackData>, WireError> {
-    let mut r = Rd { buf: bytes, at: 0 };
-    if r.u32()? != MAGIC {
+    let mut d = Dec::new(bytes);
+    if d.u32()? != MAGIC {
         return Err(WireError::BadMagic);
     }
-    let version = r.u32()?;
+    let version = d.u32()?;
     if version != VERSION {
         return Err(WireError::BadVersion(version));
     }
-    let n_tracks = r.u32()? as usize;
-    let mut tracks = Vec::with_capacity(n_tracks.min(1024));
-    for _ in 0..n_tracks {
-        let pid = r.u32()?;
-        let tid = r.u32()?;
-        let process = r.str()?;
-        let thread = r.str()?;
-        let n_events = r.u32()? as usize;
-        let mut events = Vec::with_capacity(n_events.min(1 << 20));
-        for _ in 0..n_events {
-            let cat = cat_from_u8(r.u8()?)?;
-            let name = intern(&r.str()?, KNOWN_NAMES, "event");
-            let ts_us = r.f64()?;
-            let dur_us = r.f64()?;
-            let arg = match r.u8()? {
+    let n_tracks = d.u32()? as usize;
+    d.vec_of(n_tracks, TRACK_MIN, |d| {
+        let pid = d.u32()?;
+        let tid = d.u32()?;
+        let process = str(d)?.to_owned();
+        let thread = str(d)?.to_owned();
+        let n_events = d.u32()? as usize;
+        let events = d.vec_of(n_events, EVENT_MIN, |d| {
+            let cat = cat_from_u8(d.u8()?)?;
+            let name = intern(str(d)?, KNOWN_NAMES, "event");
+            let ts_us = d.f64()?;
+            let dur_us = d.f64()?;
+            let arg = match d.u8()? {
                 0 => None,
-                _ => {
-                    let key = intern(&r.str()?, KNOWN_ARG_KEYS, "arg");
-                    let val = r.f64()?;
-                    Some((key, val))
-                }
+                _ => Some((intern(str(d)?, KNOWN_ARG_KEYS, "arg"), d.f64()?)),
             };
-            events.push(TraceEvent {
+            Ok::<_, WireError>(TraceEvent {
                 cat,
                 name,
                 ts_us,
                 dur_us,
                 arg,
-            });
-        }
-        tracks.push(TrackData {
+            })
+        })?;
+        Ok(TrackData {
             pid,
             tid,
             process,
             thread,
             events,
-        });
-    }
-    Ok(tracks)
+        })
+    })
 }
 
 #[cfg(test)]
@@ -332,6 +303,14 @@ mod tests {
         assert_eq!(back[0].events[1].arg, Some(("bytes", 4096.0)));
         assert!(back[0].events[2].is_instant());
         assert_eq!(back[1].events.len(), 0);
+    }
+
+    /// The blob bytes, pinned as `(len, fnv1a)`.
+    #[test]
+    fn blob_bytes_are_pinned() {
+        let blob = encode_tracks(&sample());
+        let pin = (blob.len(), crate::codec::fnv1a(&blob));
+        assert_eq!(pin, (196, 0x4ec3_f781_4040_21c1));
     }
 
     #[test]

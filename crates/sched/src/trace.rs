@@ -117,44 +117,7 @@ pub struct JobTrace {
 }
 
 /// FNV-1a over a byte stream — the workspace's dependency-free stable hash.
-#[derive(Debug, Clone, Copy)]
-pub struct Fnv1a(u64);
-
-impl Default for Fnv1a {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Fnv1a {
-    /// The FNV-1a offset basis.
-    pub fn new() -> Self {
-        Self(0xcbf2_9ce4_8422_2325)
-    }
-
-    /// Folds bytes into the hash.
-    pub fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x1000_0000_01b3);
-        }
-    }
-
-    /// Folds a `u64` (little-endian) into the hash.
-    pub fn write_u64(&mut self, v: u64) {
-        self.write(&v.to_le_bytes());
-    }
-
-    /// Folds an `f64` (bit pattern) into the hash.
-    pub fn write_f64(&mut self, v: f64) {
-        self.write_u64(v.to_bits());
-    }
-
-    /// The digest.
-    pub fn finish(self) -> u64 {
-        self.0
-    }
-}
+pub use subsonic_obs::codec::Fnv1a;
 
 /// Log-uniform integer in `[lo, hi]`: `exp(U(ln lo, ln(hi+1)))` floored —
 /// heavy-tailed toward small values, every bucket reachable.

@@ -8,14 +8,44 @@
 #   smokes out as parallel matrix jobs and developers can iterate on one
 #   stage: `check.sh build test`, `check.sh dist`, `check.sh sched`, ...
 #
-# Stages: fmt build test clippy faults partition trace engine scale simd
-#         dist sched chaos benchmark
+# Stages: fmt codec build test clippy faults partition trace engine scale
+#         simd dist sched chaos benchmark
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 stage_fmt() {
     echo "==> cargo fmt --check"
     cargo fmt --all -- --check
+}
+
+stage_codec() {
+    echo "==> codec lint (from_le_bytes only in subsonic_obs::codec)"
+    # Every binary format reads through subsonic_obs::codec, whose Dec checks
+    # each decoded count against the bytes left before it sizes anything; a
+    # hand-rolled reader elsewhere brings that bug class back. Test code is
+    # exempt: tests/ directories and every #[cfg(test)] item. The one allowed
+    # exception is exec::checkpoint::seal_v3, whose word loads hash the
+    # bytes and do not decode them.
+    local hits
+    hits=$(find crates -path '*/tests' -prune -o -name '*.rs' -print \
+        | grep -v '^crates/obs/src/codec\.rs$' \
+        | xargs awk '
+            FNR == 1 { skip = 0 }
+            !skip && /#\[cfg\(test\)\]/ { skip = 1; depth = 0; open = 0; next }
+            skip {
+                o = gsub(/\{/, "{"); c = gsub(/\}/, "}"); depth += o - c
+                if (o) open = 1
+                if (open && depth <= 0) skip = 0
+                next
+            }
+            /from_le_bytes/ { print FILENAME ":" FNR ": " $0 }' \
+        | grep -v '^crates/exec/src/checkpoint\.rs:[0-9]*: *\*lane = seal_step(\*lane, u64::from_le_bytes(\*word));$' \
+        || true)
+    if [[ -n "$hits" ]]; then
+        echo "from_le_bytes outside subsonic_obs::codec (read with codec::Dec instead):"
+        echo "$hits"
+        exit 1
+    fi
 }
 
 stage_build() {
@@ -114,7 +144,7 @@ stage_benchmark() {
     bash benchmark/check.sh
 }
 
-ALL_STAGES=(fmt build test clippy faults partition trace engine scale simd dist sched chaos benchmark)
+ALL_STAGES=(fmt codec build test clippy faults partition trace engine scale simd dist sched chaos benchmark)
 
 run_stage() {
     local t0=$SECONDS
@@ -125,6 +155,7 @@ run_stage() {
 dispatch_stage() {
     case "$1" in
         fmt)            stage_fmt ;;
+        codec)          stage_codec ;;
         build)          stage_build ;;
         test)           stage_test ;;
         clippy)         stage_clippy ;;
