@@ -8,7 +8,7 @@
 //! Message counts also follow the paper: FD sends two messages per neighbour
 //! per step, LB one.
 
-use subsonic_grid::{Decomp2, Decomp3, Face2, Face3};
+use subsonic_grid::{Decomp, Face};
 use subsonic_solvers::MethodKind;
 
 /// One phase of the per-step plan.
@@ -89,13 +89,28 @@ impl WorkloadSpec {
     /// 2D workload over an `nx × ny` grid decomposed `(px × py)`,
     /// non-periodic (the paper's Hagen–Poiseuille test rig).
     pub fn new_2d(method: MethodKind, nx: usize, ny: usize, px: usize, py: usize) -> Self {
-        let d = Decomp2::new(nx, ny, px, py);
-        Self::from_decomp2(method, &d, &(0..d.tiles()).collect::<Vec<_>>())
+        let d = Decomp::new([nx, ny], [px, py]);
+        Self::from_decomp(method, &d, &(0..d.tiles()).collect::<Vec<_>>())
     }
 
-    /// 2D workload restricted to the given active tiles (Figure-2 style
-    /// all-solid subregions omitted).
-    pub fn from_decomp2(method: MethodKind, d: &Decomp2, active: &[usize]) -> Self {
+    /// 3D workload over an `nx × ny × nz` grid decomposed `(px × py × pz)`.
+    pub fn new_3d(
+        method: MethodKind,
+        dims: (usize, usize, usize),
+        parts: (usize, usize, usize),
+    ) -> Self {
+        let d = Decomp::new([dims.0, dims.1, dims.2], [parts.0, parts.1, parts.2]);
+        Self::from_decomp(method, &d, &(0..d.tiles()).collect::<Vec<_>>())
+    }
+
+    /// Workload of a 2D or 3D decomposition restricted to the given active
+    /// tiles (Figure-2 style all-solid subregions omitted).
+    pub fn from_decomp<const R: usize>(
+        method: MethodKind,
+        d: &Decomp<R>,
+        active: &[usize],
+    ) -> Self {
+        let three_d = R == 3;
         let n_x = plan_for(method)
             .iter()
             .filter(|p| matches!(p, PhaseSpec::Exchange { .. }))
@@ -108,11 +123,11 @@ impl WorkloadSpec {
             total += b.nodes();
             let mut neighbors = vec![Vec::new(); n_x];
             for (x, links) in neighbors.iter_mut().enumerate() {
-                for f in Face2::ALL {
+                for &f in Face::of_rank(R) {
                     if let Some(nb) = d.neighbor(id, f) {
                         if let Some(peer) = index_of(nb) {
                             let bytes =
-                                b.face_nodes(f) as f64 * vars_per_node(method, false, x) * 8.0;
+                                b.face_nodes(f) as f64 * vars_per_node(method, three_d, x) * 8.0;
                             links.push((peer, bytes));
                         }
                     }
@@ -123,13 +138,14 @@ impl WorkloadSpec {
                 neighbors,
             });
         }
+        let parts: Vec<String> = d.parts().iter().map(|p| p.to_string()).collect();
         Self {
             method,
-            three_d: false,
+            three_d,
             plan: plan_for(method),
             tiles,
             total_nodes: total,
-            label: format!("({}x{})", d.px(), d.py()),
+            label: format!("({})", parts.join("x")),
         }
     }
 
@@ -141,7 +157,7 @@ impl WorkloadSpec {
     /// Our real solvers avoid diagonal messages by staging the exchange per
     /// axis, so this variant exists to reproduce Appendix A's eq. (22) skew
     /// bound, which assumes direct diagonal dependence.
-    pub fn with_diagonals_2d(mut self, d: &Decomp2, halo: usize) -> Self {
+    pub fn with_diagonals_2d(mut self, d: &Decomp<2>, halo: usize) -> Self {
         assert!(!self.three_d, "with_diagonals_2d needs a 2D workload");
         assert_eq!(
             self.tiles.len(),
@@ -150,14 +166,15 @@ impl WorkloadSpec {
         );
         let n_x = self.exchanges_per_step();
         for id in 0..d.tiles() {
-            let (tx, ty) = d.tile_coord(id);
+            let [tx, ty] = d.tile_coord(id);
+            let [px, py] = d.parts();
             for (dx, dy) in [(-1isize, -1isize), (1, -1), (-1, 1), (1, 1)] {
                 let ntx = tx as isize + dx;
                 let nty = ty as isize + dy;
-                if ntx < 0 || nty < 0 || ntx >= d.px() as isize || nty >= d.py() as isize {
+                if ntx < 0 || nty < 0 || ntx >= px as isize || nty >= py as isize {
                     continue;
                 }
-                let nb = d.tile_id(ntx as usize, nty as usize);
+                let nb = d.tile_id([ntx as usize, nty as usize]);
                 for x in 0..n_x {
                     let bytes = (halo * halo) as f64 * vars_per_node(self.method, false, x) * 8.0;
                     self.tiles[id].neighbors[x].push((nb, bytes));
@@ -166,44 +183,6 @@ impl WorkloadSpec {
         }
         self.label.push_str("+diag");
         self
-    }
-
-    /// 3D workload over an `nx × ny × nz` grid decomposed `(px × py × pz)`.
-    pub fn new_3d(
-        method: MethodKind,
-        dims: (usize, usize, usize),
-        parts: (usize, usize, usize),
-    ) -> Self {
-        let d = Decomp3::new(dims.0, dims.1, dims.2, parts.0, parts.1, parts.2);
-        let n_x = plan_for(method)
-            .iter()
-            .filter(|p| matches!(p, PhaseSpec::Exchange { .. }))
-            .count();
-        let mut tiles = Vec::with_capacity(d.tiles());
-        for id in 0..d.tiles() {
-            let b = d.tile_box(id);
-            let mut neighbors = vec![Vec::new(); n_x];
-            for (x, links) in neighbors.iter_mut().enumerate() {
-                for f in Face3::ALL {
-                    if let Some(nb) = d.neighbor(id, f) {
-                        let bytes = b.face_nodes(f) as f64 * vars_per_node(method, true, x) * 8.0;
-                        links.push((nb, bytes));
-                    }
-                }
-            }
-            tiles.push(WorkloadTile {
-                nodes: b.nodes(),
-                neighbors,
-            });
-        }
-        Self {
-            method,
-            three_d: true,
-            plan: plan_for(method),
-            tiles,
-            total_nodes: dims.0 * dims.1 * dims.2,
-            label: format!("({}x{}x{})", parts.0, parts.1, parts.2),
-        }
     }
 
     /// Number of parallel processes.
@@ -294,8 +273,8 @@ mod tests {
 
     #[test]
     fn diagonal_links_form_the_full_stencil() {
-        let d = Decomp2::new(90, 90, 3, 3);
-        let w = WorkloadSpec::from_decomp2(
+        let d = Decomp::new([90, 90], [3, 3]);
+        let w = WorkloadSpec::from_decomp(
             MethodKind::LatticeBoltzmann,
             &d,
             &(0..9).collect::<Vec<_>>(),
@@ -313,9 +292,9 @@ mod tests {
 
     #[test]
     fn inactive_tiles_drop_links() {
-        let d = Decomp2::new(100, 100, 2, 2);
+        let d = Decomp::new([100, 100], [2, 2]);
         // only tiles 0 and 1 active: the links to 2 and 3 must vanish
-        let w = WorkloadSpec::from_decomp2(MethodKind::LatticeBoltzmann, &d, &[0, 1]);
+        let w = WorkloadSpec::from_decomp(MethodKind::LatticeBoltzmann, &d, &[0, 1]);
         assert_eq!(w.processes(), 2);
         for t in &w.tiles {
             assert_eq!(t.neighbors[0].len(), 1, "only the horizontal link remains");

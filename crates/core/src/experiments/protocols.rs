@@ -6,7 +6,7 @@ use subsonic_cluster::{
     measure_efficiency, ClusterConfig, ClusterSim, CommOrdering, MeasureConfig, WorkloadSpec,
 };
 use subsonic_grid::geometry::FluePipeSpec;
-use subsonic_grid::Decomp2;
+use subsonic_grid::Decomp;
 use subsonic_model::{max_skew_full_stencil, max_skew_star_stencil};
 use subsonic_solvers::MethodKind;
 
@@ -146,9 +146,9 @@ pub fn e_skew() -> ExperimentResult {
     );
     let mut all_ok = true;
     let measure = |px: usize, py: usize, diagonals: bool| -> u64 {
-        let d = subsonic_grid::Decomp2::new(60 * px, 60 * py, px, py);
+        let d = Decomp::new([60 * px, 60 * py], [px, py]);
         let all: Vec<usize> = (0..d.tiles()).collect();
-        let mut w = WorkloadSpec::from_decomp2(MethodKind::LatticeBoltzmann, &d, &all);
+        let mut w = WorkloadSpec::from_decomp(MethodKind::LatticeBoltzmann, &d, &all);
         if diagonals {
             w = w.with_diagonals_2d(&d, 3);
         }
@@ -268,7 +268,7 @@ pub fn e_solid() -> ExperimentResult {
     let mut r = ExperimentResult::new("solid", "All-solid subregions are not assigned (Figure 2)");
     let (nx, ny) = (1107, 700); // the paper's Figure-2 grid
     let geom = FluePipeSpec::figure2(nx, ny).build();
-    let d = Decomp2::new(nx, ny, 6, 4);
+    let d = Decomp::new([nx, ny], [6, 4]);
     let active = geom.active_tiles(&d);
     let active_nodes: usize = active.iter().map(|&id| d.tile_box(id).nodes()).sum();
     let frac = active_nodes as f64 / (nx * ny) as f64;
@@ -303,7 +303,7 @@ pub fn e_solid() -> ExperimentResult {
         format!("simulating {frac:.2} of the full rectangle"),
     ));
     // and the cluster only needs that many hosts
-    let w = WorkloadSpec::from_decomp2(MethodKind::LatticeBoltzmann, &d, &active);
+    let w = WorkloadSpec::from_decomp(MethodKind::LatticeBoltzmann, &d, &active);
     let m = measure_efficiency(MeasureConfig::paper(w));
     r.checks.push(Check::new(
         "the reduced workload runs on as many hosts as active tiles",

@@ -16,7 +16,7 @@ use crate::report::{Check, ExperimentResult, Table};
 use crate::simulation::{Simulation2, Simulation3};
 use std::time::Instant;
 use subsonic_grid::array::{Array2, StridePolicy};
-use subsonic_grid::{Decomp2, Geometry2, Geometry3};
+use subsonic_grid::{Decomp, Geometry2, Geometry3};
 use subsonic_model::PaperConstants;
 use subsonic_solvers::{FluidParams, InitialState2, LatticeBoltzmann2, MethodKind, Solver2};
 
@@ -63,7 +63,7 @@ fn lb2_anatomy(nx: usize, ny: usize, budget: usize) -> [f64; 3] {
     let mut params = FluidParams::lattice_units(0.05);
     params.body_force[0] = 1e-6;
     let solver = LatticeBoltzmann2;
-    let decomp = Decomp2::with_periodicity(nx, ny, 1, 1, true, false);
+    let decomp = Decomp::with_periodicity([nx, ny], [1, 1], [true, false]);
     let mask = Geometry2::channel(nx, ny, 2).tile_mask(&decomp, 0, solver.halo());
     let init = InitialState2::uniform(params.rho0);
     let mut t = solver.make_tile(mask, params, (0, 0), &init);

@@ -50,7 +50,7 @@ pub mod prelude {
         GlobalFields2, GlobalFields3, LocalRunner2, LocalRunner3, Problem2, Problem3,
         ThreadedRunner2, ThreadedRunner3,
     };
-    pub use subsonic_grid::{geometry::FluePipeSpec, Cell, Decomp2, Decomp3, Geometry2, Geometry3};
+    pub use subsonic_grid::{geometry::FluePipeSpec, Cell, Decomp, Geometry2, Geometry3};
     pub use subsonic_model::{EfficiencyModel, PaperConstants};
     pub use subsonic_solvers::{
         analytic, diagnostics, fluepipe::FluePipeScenario, FluidParams, MethodKind,

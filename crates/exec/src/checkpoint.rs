@@ -70,7 +70,7 @@
 use std::fmt;
 use std::io::{self, Write};
 use std::path::Path;
-use subsonic_grid::{Cell, PaddedGrid2, PaddedGrid3};
+use subsonic_grid::{Cell, PaddedGrid2, PaddedGrid3, PaddedRows};
 use subsonic_obs::codec::{self, Dec, Enc, Truncated, FNV_BASIS};
 use subsonic_solvers::{FluidParams, Macro2, Macro3, TileState2, TileState3};
 
@@ -226,35 +226,6 @@ pub(crate) fn verify(bytes: &[u8]) -> Result<&[u8], DumpError> {
     Ok(payload)
 }
 
-/// A padded grid as a dump stores it: its padded x-rows
-/// (`i ∈ [-halo, nx+halo)`), in storage order — y after x, then z — without
-/// the stride padding.
-pub trait PaddedRows<T: 'static> {
-    /// The padded rows, in storage order.
-    fn rows(&self) -> impl Iterator<Item = &[T]>;
-    /// The padded rows, mutably, in storage order.
-    fn rows_mut(&mut self) -> impl Iterator<Item = &mut [T]>;
-}
-
-macro_rules! padded_rows {
-    ($($grid:ident),*) => {$(
-        impl<T: 'static> PaddedRows<T> for $grid<T> {
-            fn rows(&self) -> impl Iterator<Item = &[T]> {
-                let width = self.nx() + 2 * self.halo();
-                // a zero-width grid has no storage, hence no rows
-                let stride = self.stride().max(1);
-                self.raw().chunks_exact(stride).map(move |r| &r[..width])
-            }
-            fn rows_mut(&mut self) -> impl Iterator<Item = &mut [T]> {
-                let width = self.nx() + 2 * self.halo();
-                let stride = self.stride().max(1);
-                self.raw_mut().chunks_exact_mut(stride).map(move |r| &mut r[..width])
-            }
-        }
-    )*};
-}
-padded_rows!(PaddedGrid2, PaddedGrid3);
-
 /// A dump's header: the shape of the tile's grids, where the tile sits and
 /// its solver parameters. Only the first [`DumpTile::RANK`] entries of
 /// `extent` and `offset` are stored.
@@ -297,7 +268,8 @@ impl DumpHeader {
 pub trait DumpTile: Sized {
     /// Dimensionality recorded in (and required of) the dump.
     const RANK: usize;
-    /// A padded grid of this rank.
+    /// A padded grid of this rank; a dump stores its padded x-rows
+    /// ([`PaddedRows::rows`]) in storage order, without the stride padding.
     type Grid<T: 'static>: PaddedRows<T>;
     /// The header fields.
     fn header(&self) -> DumpHeader;
@@ -694,7 +666,7 @@ mod tests {
     use crate::local::LocalRunner;
     use crate::problem::{Problem2, Problem3};
     use std::sync::Arc;
-    use subsonic_grid::{Decomp2, Decomp3, Geometry2, Geometry3};
+    use subsonic_grid::{Decomp, Geometry2, Geometry3};
     use subsonic_solvers::{
         FiniteDifference2, FiniteDifference3, InitialState2, InitialState3, LatticeBoltzmann2,
         LatticeBoltzmann3, Solver2, Solver3,
@@ -702,7 +674,7 @@ mod tests {
 
     fn sample_tile(lbm: bool) -> TileState2 {
         let geom = Geometry2::channel(16, 12, 2);
-        let d = Decomp2::with_periodicity(16, 12, 1, 1, true, false);
+        let d = Decomp::with_periodicity([16, 12], [1, 1], [true, false]);
         let mut params = FluidParams::lattice_units(0.05);
         params.body_force[0] = 2e-5;
         let init = InitialState2::from_fn(|i, j| (1.0 + 0.001 * (i + j) as f64, 0.0, 0.0));
@@ -938,7 +910,7 @@ mod tests {
 
     fn sample_tile3() -> TileState3 {
         let geom = Geometry3::duct(10, 9, 9, 2);
-        let d = Decomp3::with_periodicity(10, 9, 9, 1, 1, 1, [true, false, false]);
+        let d = Decomp::with_periodicity([10, 9, 9], [1, 1, 1], [true, false, false]);
         let mut params = FluidParams::lattice_units(0.05);
         params.body_force[0] = 2e-5;
         let init =

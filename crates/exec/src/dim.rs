@@ -1,9 +1,11 @@
 //! The dimensionality of a problem as a type.
 //!
-//! The solvers, tiles, faces and problems of `subsonic-solvers`/`-grid` come
-//! as 2D/3D twins with identical method names but no common trait. [`Dim`]
-//! names one such family so that the step loop and the runners are written
-//! once — [`step_tile<D>`](crate::step::step_tile),
+//! The solvers, tiles and problems of `subsonic-solvers`/`-exec` come as
+//! 2D/3D twins with identical method names but no common trait; the faces,
+//! decompositions and halo codec of `subsonic-grid` are written once for
+//! both ranks and need no forwarding. [`Dim`] names one such family so that
+//! the step loop and the runners are written once —
+//! [`step_tile<D>`](crate::step::step_tile),
 //! [`ThreadedRunner<D>`](crate::threaded::ThreadedRunner),
 //! [`LocalRunner<D>`](crate::local::LocalRunner) — and monomorphised per
 //! dimension: dispatch stays `dyn Solver2`/`dyn Solver3`, nothing is boxed or
@@ -12,8 +14,7 @@
 
 use crate::checkpoint::DumpTile;
 use crate::problem::{Problem2, Problem3};
-use std::hash::Hash;
-use subsonic_grid::{Face2, Face3};
+use subsonic_grid::Face;
 use subsonic_solvers::{Solver2, Solver3, StepOp, TileState2, TileState3};
 
 mod sealed {
@@ -28,31 +29,24 @@ pub enum D2 {}
 /// Marker for 3D problems (six faces, three exchange stages).
 pub enum D3 {}
 
-/// One dimension's solver/tile/face/problem family, as the runners see it.
+/// One dimension's solver/tile/problem family, as the runners see it.
 /// Every method forwards to the inherent or trait method of the same name.
 pub trait Dim: sealed::Sealed {
     /// The solver trait object (`dyn Solver2` / `dyn Solver3`).
     type Solver: ?Sized + Send + Sync;
     /// State of one subregion (what a dump file holds).
     type Tile: Clone + Send + DumpTile;
-    /// A face of a subregion.
-    type Face: Copy + Eq + Hash + Send + Sync + 'static;
     /// Geometry + decomposition + parameters + initial state.
     type Problem;
 
     /// All faces, grouped by exchange stage in stage order.
-    const FACES: &'static [Self::Face];
+    const FACES: &'static [Face];
     /// Flight-recorder process id of the threaded runner's tracks.
     const TRACE_PID: u32;
     /// Flight-recorder process name of the threaded runner's tracks.
     const TRACK: &'static str;
     /// Leading part of a migration-drill dump file name.
     const DUMP_PREFIX: &'static str;
-
-    /// Exchange stage of a face (its axis).
-    fn stage(f: Self::Face) -> usize;
-    /// The face seen from the other side.
-    fn opposite(f: Self::Face) -> Self::Face;
 
     /// The solver's per-cycle plan.
     fn plan(s: &Self::Solver) -> &'static [StepOp];
@@ -65,43 +59,35 @@ pub trait Dim: sealed::Sealed {
     /// Boundary remainder of a split phase.
     fn compute_boundary(s: &Self::Solver, t: &mut Self::Tile, phase: usize);
     /// Packs the strip for exchange `xch` across the tile's own face `f`.
-    fn pack(s: &Self::Solver, t: &Self::Tile, xch: usize, f: Self::Face, out: &mut Vec<f64>);
+    fn pack(s: &Self::Solver, t: &Self::Tile, xch: usize, f: Face, out: &mut Vec<f64>);
     /// Unpacks a strip received across `f` for exchange `xch`.
-    fn unpack(s: &Self::Solver, t: &mut Self::Tile, xch: usize, f: Self::Face, data: &[f64]);
+    fn unpack(s: &Self::Solver, t: &mut Self::Tile, xch: usize, f: Face, data: &[f64]);
 
     /// Subregions of the decomposition, active or not.
     fn tiles(p: &Self::Problem) -> usize;
     /// Subregions holding at least one non-wall node.
     fn active_tiles(p: &Self::Problem) -> Vec<usize>;
     /// The subregion across face `f` of subregion `id`, if any.
-    fn neighbor(p: &Self::Problem, id: usize, f: Self::Face) -> Option<usize>;
+    fn neighbor(p: &Self::Problem, id: usize, f: Face) -> Option<usize>;
     /// Builds the step-0 tile of subregion `id`.
     fn make_tile(p: &Self::Problem, s: &Self::Solver, id: usize) -> Self::Tile;
 }
 
 /// Implements [`Dim`] for one marker by forwarding to that dimension's
-/// solver, tile, face and problem types; the two impls differ only in those
-/// types and the constants.
+/// solver, tile and problem types; the two impls differ only in those types
+/// and the constants.
 macro_rules! impl_dim {
-    ($d:ident, $solver:ident, $tile:ident, $face:ident, $problem:ident,
-     $pid:literal, $track:literal, $prefix:literal) => {
+    ($d:ident, $solver:ident, $tile:ident, $problem:ident,
+     $rank:literal, $pid:literal, $track:literal, $prefix:literal) => {
         impl Dim for $d {
             type Solver = dyn $solver;
             type Tile = $tile;
-            type Face = $face;
             type Problem = $problem;
 
-            const FACES: &'static [$face] = &$face::ALL;
+            const FACES: &'static [Face] = Face::of_rank($rank);
             const TRACE_PID: u32 = $pid;
             const TRACK: &'static str = $track;
             const DUMP_PREFIX: &'static str = $prefix;
-
-            fn stage(f: $face) -> usize {
-                f.stage()
-            }
-            fn opposite(f: $face) -> $face {
-                f.opposite()
-            }
 
             fn plan(s: &dyn $solver) -> &'static [StepOp] {
                 s.plan()
@@ -118,10 +104,10 @@ macro_rules! impl_dim {
             fn compute_boundary(s: &dyn $solver, t: &mut $tile, phase: usize) {
                 s.compute_boundary(t, phase);
             }
-            fn pack(s: &dyn $solver, t: &$tile, xch: usize, f: $face, out: &mut Vec<f64>) {
+            fn pack(s: &dyn $solver, t: &$tile, xch: usize, f: Face, out: &mut Vec<f64>) {
                 s.pack(t, xch, f, out);
             }
-            fn unpack(s: &dyn $solver, t: &mut $tile, xch: usize, f: $face, data: &[f64]) {
+            fn unpack(s: &dyn $solver, t: &mut $tile, xch: usize, f: Face, data: &[f64]) {
                 s.unpack(t, xch, f, data);
             }
 
@@ -131,7 +117,7 @@ macro_rules! impl_dim {
             fn active_tiles(p: &$problem) -> Vec<usize> {
                 p.active_tiles()
             }
-            fn neighbor(p: &$problem, id: usize, f: $face) -> Option<usize> {
+            fn neighbor(p: &$problem, id: usize, f: Face) -> Option<usize> {
                 p.decomp.neighbor(id, f)
             }
             fn make_tile(p: &$problem, s: &dyn $solver, id: usize) -> $tile {
@@ -141,5 +127,5 @@ macro_rules! impl_dim {
     };
 }
 
-impl_dim! { D2, Solver2, TileState2, Face2, Problem2, 2, "threaded2", "tile" }
-impl_dim! { D3, Solver3, TileState3, Face3, Problem3, 3, "threaded3", "tile3_" }
+impl_dim! { D2, Solver2, TileState2, Problem2, 2, 2, "threaded2", "tile" }
+impl_dim! { D3, Solver3, TileState3, Problem3, 3, 3, "threaded3", "tile3_" }

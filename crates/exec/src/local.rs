@@ -9,6 +9,7 @@
 use crate::dim::{Dim, D2, D3};
 use crate::gather::{GlobalFields2, GlobalFields3};
 use std::sync::Arc;
+use subsonic_grid::Face;
 use subsonic_solvers::StepOp;
 
 /// Sequential multi-tile runner, one type for 2D and 3D problems.
@@ -19,7 +20,7 @@ pub struct LocalRunner<D: Dim> {
     tiles: Vec<Option<D::Tile>>,
     /// Exchange messages `(receiver, face, strip)` of one stage, kept across
     /// steps so the strips are refilled in place instead of reallocated.
-    msgs: Vec<(usize, D::Face, Vec<f64>)>,
+    msgs: Vec<(usize, Face, Vec<f64>)>,
 }
 
 /// Sequential multi-tile runner for 2D problems.
@@ -80,7 +81,7 @@ impl<D: Dim> LocalRunner<D> {
 
     fn exchange(&mut self, xch: usize) {
         // one stage per axis: `FACES` lists each stage's faces contiguously
-        for stage in D::FACES.chunk_by(|&a, &b| D::stage(a) == D::stage(b)) {
+        for stage in D::FACES.chunk_by(|&a, &b| a.stage() == b.stage()) {
             // pack (immutably), then deliver (mutably)
             let mut sent = 0;
             for &id in &self.active {
@@ -93,7 +94,7 @@ impl<D: Dim> LocalRunner<D> {
                             let msg = &mut self.msgs[sent];
                             (msg.0, msg.1) = (id, f);
                             msg.2.clear();
-                            D::pack(&self.solver, nb_tile, xch, D::opposite(f), &mut msg.2);
+                            D::pack(&self.solver, nb_tile, xch, f.opposite(), &mut msg.2);
                             sent += 1;
                         }
                     }

@@ -6,7 +6,7 @@
 //! each carrying everything a parallel subprocess needs.
 
 use std::sync::Arc;
-use subsonic_grid::{Decomp2, Decomp3, Geometry2, Geometry3};
+use subsonic_grid::{Decomp, Geometry2, Geometry3};
 use subsonic_solvers::{
     FluidParams, InitialState2, InitialState3, Solver2, Solver3, TileState2, TileState3,
 };
@@ -23,7 +23,7 @@ pub struct Problem2 {
     /// Global geometry (also defines periodicity).
     pub geom: Arc<Geometry2>,
     /// The rectangular decomposition. Periodicity must match the geometry.
-    pub decomp: Decomp2,
+    pub decomp: Decomp<2>,
     /// Fluid and numerical parameters.
     pub params: FluidParams,
     /// Global initial condition.
@@ -34,13 +34,10 @@ impl Problem2 {
     /// Creates a problem over `geom` decomposed `px × py`, at rest with the
     /// reference density unless a custom init is supplied later.
     pub fn new(geom: Geometry2, px: usize, py: usize, params: FluidParams) -> Self {
-        let decomp = Decomp2::with_periodicity(
-            geom.nx(),
-            geom.ny(),
-            px,
-            py,
-            geom.periodic_x(),
-            geom.periodic_y(),
+        let decomp = Decomp::with_periodicity(
+            [geom.nx(), geom.ny()],
+            [px, py],
+            [geom.periodic_x(), geom.periodic_y()],
         );
         let rho0 = params.rho0;
         Self {
@@ -74,12 +71,12 @@ impl Problem2 {
     /// (the exchange packs interior strips of halo width, so a subregion must
     /// be at least that wide — decompose more coarsely otherwise).
     pub fn make_tile(&self, solver: &dyn Solver2, id: usize) -> TileState2 {
-        let b = self.decomp.tile_box(id);
+        let [x, y] = self.decomp.tile_box(id).ext;
         assert!(
-            b.x.len >= solver.halo() && b.y.len >= solver.halo(),
+            x.len >= solver.halo() && y.len >= solver.halo(),
             "tile {id} ({}x{}) thinner than the solver halo ({}); use fewer subregions",
-            b.x.len,
-            b.y.len,
+            x.len,
+            y.len,
             solver.halo()
         );
         let mask = self.geom.tile_mask(&self.decomp, id, solver.halo());
@@ -87,7 +84,7 @@ impl Problem2 {
         let init_fn = Arc::clone(&self.init);
         let (nx, ny) = (geom.nx() as isize, geom.ny() as isize);
         let (px, py) = (geom.periodic_x(), geom.periodic_y());
-        let (ox, oy) = (b.x.start as isize, b.y.start as isize);
+        let (ox, oy) = (x.start as isize, y.start as isize);
         let local = InitialState2::from_fn(move |i, j| {
             let gx = if px {
                 (ox + i).rem_euclid(nx)
@@ -101,7 +98,7 @@ impl Problem2 {
             };
             init_fn(gx as usize, gy as usize)
         });
-        solver.make_tile(mask, self.params, (b.x.start, b.y.start), &local)
+        solver.make_tile(mask, self.params, (x.start, y.start), &local)
     }
 
     /// Total fluid nodes in the problem.
@@ -116,7 +113,7 @@ pub struct Problem3 {
     /// Global geometry (also defines periodicity).
     pub geom: Arc<Geometry3>,
     /// The rectangular decomposition.
-    pub decomp: Decomp3,
+    pub decomp: Decomp<3>,
     /// Fluid and numerical parameters.
     pub params: FluidParams,
     /// Global initial condition.
@@ -127,7 +124,7 @@ impl Problem3 {
     /// Creates a problem over `geom` decomposed `px × py × pz`, at rest.
     pub fn new(geom: Geometry3, px: usize, py: usize, pz: usize, params: FluidParams) -> Self {
         let (nx, ny, nz) = geom.dims();
-        let decomp = Decomp3::with_periodicity(nx, ny, nz, px, py, pz, geom.periodic());
+        let decomp = Decomp::with_periodicity([nx, ny, nz], [px, py, pz], geom.periodic());
         let rho0 = params.rho0;
         Self {
             geom: Arc::new(geom),
@@ -156,13 +153,13 @@ impl Problem3 {
     /// # Panics
     /// Panics if the tile is thinner than the solver's halo in any direction.
     pub fn make_tile(&self, solver: &dyn Solver3, id: usize) -> TileState3 {
-        let b = self.decomp.tile_box(id);
+        let [x, y, z] = self.decomp.tile_box(id).ext;
         assert!(
-            b.x.len >= solver.halo() && b.y.len >= solver.halo() && b.z.len >= solver.halo(),
+            x.len >= solver.halo() && y.len >= solver.halo() && z.len >= solver.halo(),
             "tile {id} ({}x{}x{}) thinner than the solver halo ({}); use fewer subregions",
-            b.x.len,
-            b.y.len,
-            b.z.len,
+            x.len,
+            y.len,
+            z.len,
             solver.halo()
         );
         let mask = self.geom.tile_mask(&self.decomp, id, solver.halo());
@@ -171,7 +168,7 @@ impl Problem3 {
         let (nx, ny, nz) = geom.dims();
         let (nx, ny, nz) = (nx as isize, ny as isize, nz as isize);
         let per = geom.periodic();
-        let (ox, oy, oz) = (b.x.start as isize, b.y.start as isize, b.z.start as isize);
+        let (ox, oy, oz) = (x.start as isize, y.start as isize, z.start as isize);
         let local = InitialState3::from_fn(move |i, j, k| {
             let wrap = |v: isize, n: isize, p: bool| {
                 if p {
@@ -185,7 +182,7 @@ impl Problem3 {
             let gz = wrap(oz + k, nz, per[2]);
             init_fn(gx as usize, gy as usize, gz as usize)
         });
-        solver.make_tile(mask, self.params, (b.x.start, b.y.start, b.z.start), &local)
+        solver.make_tile(mask, self.params, (x.start, y.start, z.start), &local)
     }
 
     /// Total fluid nodes in the problem.

@@ -20,6 +20,7 @@ use crate::dim::Dim;
 use crate::timing::StepTiming;
 use std::io;
 use std::time::{Duration, Instant};
+use subsonic_grid::Face;
 use subsonic_obs::{Category, TrackRecorder};
 use subsonic_solvers::StepOp;
 
@@ -31,16 +32,16 @@ use subsonic_solvers::StepOp;
 /// transport death as an `io::Error`, which aborts the step.
 pub trait Halo<D: Dim> {
     /// Whether this tile has a neighbour across `face`.
-    fn has_neighbor(&self, face: D::Face) -> bool;
+    fn has_neighbor(&self, face: Face) -> bool;
 
     /// Sends `strip`, packed across the tile's own `face` (the peer unpacks
     /// it at the opposite face). May take the strip and leave another buffer
     /// — empty, or one recycled from the peer — in its place.
-    fn send(&mut self, xch: usize, face: D::Face, strip: &mut Vec<f64>) -> io::Result<()>;
+    fn send(&mut self, xch: usize, face: Face, strip: &mut Vec<f64>) -> io::Result<()>;
 
     /// Receives the strip arriving across the tile's own `face` for `xch`
     /// into `strip`, replacing its contents.
-    fn recv_into(&mut self, xch: usize, face: D::Face, strip: &mut Vec<f64>) -> io::Result<()>;
+    fn recv_into(&mut self, xch: usize, face: Face, strip: &mut Vec<f64>) -> io::Result<()>;
 }
 
 /// Runs one integration step of `solver`'s plan on `tile`, moving halo
@@ -63,7 +64,7 @@ pub fn step_tile<D: Dim>(
     let last = D::FACES
         .iter()
         .filter(|&&f| halo.has_neighbor(f))
-        .map(|&f| D::stage(f))
+        .map(|&f| f.stage())
         .max()
         .unwrap_or(0);
     let plan = D::plan(solver);
@@ -144,7 +145,7 @@ fn send_stage<D: Dim>(
     strip: &mut Vec<f64>,
 ) -> io::Result<()> {
     for &f in D::FACES {
-        if D::stage(f) == stage && halo.has_neighbor(f) {
+        if f.stage() == stage && halo.has_neighbor(f) {
             strip.clear();
             let p0 = Instant::now();
             D::pack(solver, tile, x, f, strip);
@@ -167,7 +168,7 @@ fn recv_stage<D: Dim>(
     strip: &mut Vec<f64>,
 ) -> io::Result<()> {
     for &f in D::FACES {
-        if D::stage(f) == stage && halo.has_neighbor(f) {
+        if f.stage() == stage && halo.has_neighbor(f) {
             halo.recv_into(x, f, strip)?;
             D::unpack(solver, tile, x, f, strip);
         }
@@ -195,26 +196,26 @@ mod tests {
     };
 
     /// A halo frame in flight: (exchange index, receiver's face, payload).
-    type Frame<F> = (usize, F, Vec<f64>);
+    type Frame = (usize, Face, Vec<f64>);
 
     /// In-memory endpoint: frames travel over mpsc channels to the receiving
     /// tile, with an inbox so interleaved frames still match.
-    struct MemHalo<F> {
-        tx: HashMap<F, Sender<Frame<F>>>,
-        rx: Receiver<Frame<F>>,
-        inbox: Vec<Frame<F>>,
+    struct MemHalo {
+        tx: HashMap<Face, Sender<Frame>>,
+        rx: Receiver<Frame>,
+        inbox: Vec<Frame>,
     }
 
-    impl<D: Dim> Halo<D> for MemHalo<D::Face> {
-        fn has_neighbor(&self, face: D::Face) -> bool {
+    impl<D: Dim> Halo<D> for MemHalo {
+        fn has_neighbor(&self, face: Face) -> bool {
             self.tx.contains_key(&face)
         }
-        fn send(&mut self, xch: usize, face: D::Face, strip: &mut Vec<f64>) -> io::Result<()> {
+        fn send(&mut self, xch: usize, face: Face, strip: &mut Vec<f64>) -> io::Result<()> {
             self.tx[&face]
-                .send((xch, D::opposite(face), std::mem::take(strip)))
+                .send((xch, face.opposite(), std::mem::take(strip)))
                 .map_err(|_| io::ErrorKind::BrokenPipe.into())
         }
-        fn recv_into(&mut self, xch: usize, face: D::Face, strip: &mut Vec<f64>) -> io::Result<()> {
+        fn recv_into(&mut self, xch: usize, face: Face, strip: &mut Vec<f64>) -> io::Result<()> {
             let at = self
                 .inbox
                 .iter()

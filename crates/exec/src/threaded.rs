@@ -50,6 +50,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
+use subsonic_grid::Face;
 use subsonic_obs::{Category, FlightRecorder, TrackRecorder};
 
 /// No synchronisation requested.
@@ -279,11 +280,11 @@ impl Control {
 }
 
 /// (face, data in, buffer-returns out)
-type RxEdge<F> = (F, Receiver<Vec<f64>>, Sender<Vec<f64>>);
+type RxEdge = (Face, Receiver<Vec<f64>>, Sender<Vec<f64>>);
 /// (face, data out, buffer-returns in)
-type TxEdge<F> = (F, Sender<Vec<f64>>, Receiver<Vec<f64>>);
+type TxEdge = (Face, Sender<Vec<f64>>, Receiver<Vec<f64>>);
 /// One worker's receiving and sending edges.
-type Links<F> = (Vec<RxEdge<F>>, Vec<TxEdge<F>>);
+type Links = (Vec<RxEdge>, Vec<TxEdge>);
 
 /// One worker's halo links over the channel fabric: its receivers (data rx +
 /// buffer-return tx per face) and its senders into each neighbour's ghost
@@ -291,18 +292,18 @@ type Links<F> = (Vec<RxEdge<F>>, Vec<TxEdge<F>>);
 /// refilled with a buffer its receiver handed back (a reuse) or, when none
 /// has come back yet, an empty one (an allocation); a received strip's
 /// predecessor goes back to that strip's sender.
-struct ChannelHalo<F> {
-    rx: Vec<RxEdge<F>>,
-    tx: Vec<TxEdge<F>>,
+struct ChannelHalo {
+    rx: Vec<RxEdge>,
+    tx: Vec<TxEdge>,
     reuses: u64,
 }
 
-impl<D: Dim> Halo<D> for ChannelHalo<D::Face> {
-    fn has_neighbor(&self, face: D::Face) -> bool {
+impl<D: Dim> Halo<D> for ChannelHalo {
+    fn has_neighbor(&self, face: Face) -> bool {
         self.tx.iter().any(|e| e.0 == face)
     }
 
-    fn send(&mut self, _xch: usize, face: D::Face, strip: &mut Vec<f64>) -> io::Result<()> {
+    fn send(&mut self, _xch: usize, face: Face, strip: &mut Vec<f64>) -> io::Result<()> {
         let (_, data, returned) = self
             .tx
             .iter()
@@ -320,7 +321,7 @@ impl<D: Dim> Halo<D> for ChannelHalo<D::Face> {
             .map_err(|_| io::ErrorKind::BrokenPipe.into())
     }
 
-    fn recv_into(&mut self, _xch: usize, face: D::Face, strip: &mut Vec<f64>) -> io::Result<()> {
+    fn recv_into(&mut self, _xch: usize, face: Face, strip: &mut Vec<f64>) -> io::Result<()> {
         let (_, data, back) = self
             .rx
             .iter()
@@ -523,7 +524,7 @@ impl<D: Dim> ThreadedRunner<D> {
 
         // One data channel per directed edge, each paired with a *return*
         // channel that carries buffers back the other way.
-        let mut links: Vec<Links<D::Face>> = (0..n).map(|_| Default::default()).collect();
+        let mut links: Vec<Links> = (0..n).map(|_| Default::default()).collect();
         for (k, &id) in active.iter().enumerate() {
             for &f in D::FACES {
                 let Some(&nk) = D::neighbor(&self.problem, id, f).and_then(|nb| index_of.get(&nb))
@@ -533,7 +534,7 @@ impl<D: Dim> ThreadedRunner<D> {
                 let (data_tx, data_rx) = channel();
                 let (back_tx, back_rx) = channel();
                 links[k].0.push((f, data_rx, back_tx));
-                links[nk].1.push((D::opposite(f), data_tx, back_rx));
+                links[nk].1.push((f.opposite(), data_tx, back_rx));
             }
         }
 
@@ -627,7 +628,7 @@ pub(crate) mod tests {
     use super::*;
     use crate::local::LocalRunner2;
     use crate::problem::Problem2;
-    use subsonic_grid::{Face2, Geometry2};
+    use subsonic_grid::{Face, Geometry2};
     use subsonic_solvers::{
         FiniteDifference2, FluidParams, LatticeBoltzmann2, ScalarReference2, Solver2, StepOp,
     };
@@ -763,7 +764,7 @@ pub(crate) mod tests {
         let mut edges = 0u64;
         for &id in &active {
             let t = p.make_tile(solver.as_ref(), id);
-            for f in Face2::ALL {
+            for &f in Face::of_rank(2) {
                 if let Some(nb) = p.decomp.neighbor(id, f) {
                     if active.contains(&nb) {
                         edges += 1;

@@ -12,7 +12,7 @@ mod tests {
     use crate::threaded::{KillSpec, MigrationDrill, SupervisorConfig, ThreadedRunner3};
     use crate::timing::StepTiming;
     use std::sync::Arc;
-    use subsonic_grid::{Face3, Geometry3};
+    use subsonic_grid::{Face, Geometry3};
     use subsonic_obs::{Category, FlightRecorder};
     use subsonic_solvers::{
         FiniteDifference3, FluidParams, LatticeBoltzmann3, ScalarReference3, Solver3, StepOp,
@@ -92,7 +92,7 @@ mod tests {
         let mut edges = 0u64;
         for &id in &active {
             let t = p.make_tile(solver.as_ref(), id);
-            for f in Face3::ALL {
+            for &f in Face::of_rank(3) {
                 if let Some(nb) = p.decomp.neighbor(id, f) {
                     if active.contains(&nb) {
                         edges += 1;

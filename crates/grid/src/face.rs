@@ -6,68 +6,11 @@
 //! diagonal messages. This matches the paper's communication structure, where
 //! each subregion talks only to its face neighbours.
 
-/// A face of a 2D subregion.
+/// A face of a 2D or 3D subregion. The variants come in exchange (stage)
+/// order, low side before high side on each axis; a rank-`R` subregion has
+/// the first `2R` of them ([`Face::of_rank`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Face2 {
-    /// Negative-x neighbour.
-    West,
-    /// Positive-x neighbour.
-    East,
-    /// Negative-y neighbour.
-    South,
-    /// Positive-y neighbour.
-    North,
-}
-
-impl Face2 {
-    /// All four faces in exchange order (x stage before y stage).
-    pub const ALL: [Face2; 4] = [Face2::West, Face2::East, Face2::South, Face2::North];
-
-    /// The face seen from the other side.
-    pub fn opposite(self) -> Face2 {
-        match self {
-            Face2::West => Face2::East,
-            Face2::East => Face2::West,
-            Face2::South => Face2::North,
-            Face2::North => Face2::South,
-        }
-    }
-
-    /// Axis of the face: 0 = x, 1 = y.
-    pub fn axis(self) -> usize {
-        match self {
-            Face2::West | Face2::East => 0,
-            Face2::South | Face2::North => 1,
-        }
-    }
-
-    /// −1 for the low side of the axis, +1 for the high side.
-    pub fn sign(self) -> isize {
-        match self {
-            Face2::West | Face2::South => -1,
-            Face2::East | Face2::North => 1,
-        }
-    }
-
-    /// Exchange stage this face belongs to (its axis).
-    pub fn stage(self) -> usize {
-        self.axis()
-    }
-
-    /// Offset `(dx, dy)` to the neighbouring tile across this face.
-    pub fn delta(self) -> (isize, isize) {
-        match self {
-            Face2::West => (-1, 0),
-            Face2::East => (1, 0),
-            Face2::South => (0, -1),
-            Face2::North => (0, 1),
-        }
-    }
-}
-
-/// A face of a 3D subregion.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Face3 {
+pub enum Face {
     /// Negative-x neighbour.
     West,
     /// Positive-x neighbour.
@@ -82,61 +25,69 @@ pub enum Face3 {
     Up,
 }
 
-impl Face3 {
-    /// All six faces in exchange order (x, then y, then z stage).
-    pub const ALL: [Face3; 6] = [
-        Face3::West,
-        Face3::East,
-        Face3::South,
-        Face3::North,
-        Face3::Down,
-        Face3::Up,
-    ];
+/// A face of a 2D subregion (one of the first four [`Face`]s).
+pub type Face2 = Face;
+/// A face of a 3D subregion.
+pub type Face3 = Face;
 
-    /// The face seen from the other side.
-    pub fn opposite(self) -> Face3 {
-        match self {
-            Face3::West => Face3::East,
-            Face3::East => Face3::West,
-            Face3::South => Face3::North,
-            Face3::North => Face3::South,
-            Face3::Down => Face3::Up,
-            Face3::Up => Face3::Down,
-        }
+const FACES: [Face; 6] = [
+    Face::West,
+    Face::East,
+    Face::South,
+    Face::North,
+    Face::Down,
+    Face::Up,
+];
+
+impl Face {
+    /// The faces of a rank-`rank` subregion in exchange order: the first
+    /// `2·rank` faces.
+    ///
+    /// # Panics
+    /// Panics if `rank > 3`.
+    pub const fn of_rank(rank: usize) -> &'static [Face] {
+        FACES.split_at(2 * rank).0
+    }
+
+    /// Position in exchange order (the face's byte on the wire).
+    #[inline]
+    pub fn index(self) -> usize {
+        self as usize
+    }
+
+    /// The face at position `idx` of a rank-`rank` subregion, or `None` if
+    /// such a subregion has no face there.
+    #[inline]
+    pub fn from_index(idx: usize, rank: usize) -> Option<Face> {
+        Face::of_rank(rank).get(idx).copied()
     }
 
     /// Axis of the face: 0 = x, 1 = y, 2 = z.
+    #[inline]
     pub fn axis(self) -> usize {
-        match self {
-            Face3::West | Face3::East => 0,
-            Face3::South | Face3::North => 1,
-            Face3::Down | Face3::Up => 2,
-        }
+        self.index() / 2
     }
 
     /// −1 for the low side of the axis, +1 for the high side.
+    #[inline]
     pub fn sign(self) -> isize {
-        match self {
-            Face3::West | Face3::South | Face3::Down => -1,
-            Face3::East | Face3::North | Face3::Up => 1,
+        if self.index().is_multiple_of(2) {
+            -1
+        } else {
+            1
         }
     }
 
     /// Exchange stage this face belongs to (its axis).
+    #[inline]
     pub fn stage(self) -> usize {
         self.axis()
     }
 
-    /// Offset `(dx, dy, dz)` to the neighbouring tile across this face.
-    pub fn delta(self) -> (isize, isize, isize) {
-        match self {
-            Face3::West => (-1, 0, 0),
-            Face3::East => (1, 0, 0),
-            Face3::South => (0, -1, 0),
-            Face3::North => (0, 1, 0),
-            Face3::Down => (0, 0, -1),
-            Face3::Up => (0, 0, 1),
-        }
+    /// The face seen from the other side.
+    #[inline]
+    pub fn opposite(self) -> Face {
+        FACES[self.index() ^ 1]
     }
 }
 
@@ -146,12 +97,7 @@ mod tests {
 
     #[test]
     fn opposites_are_involutions() {
-        for f in Face2::ALL {
-            assert_eq!(f.opposite().opposite(), f);
-            assert_eq!(f.axis(), f.opposite().axis());
-            assert_eq!(f.sign(), -f.opposite().sign());
-        }
-        for f in Face3::ALL {
+        for &f in Face::of_rank(3) {
             assert_eq!(f.opposite().opposite(), f);
             assert_eq!(f.axis(), f.opposite().axis());
             assert_eq!(f.sign(), -f.opposite().sign());
@@ -167,7 +113,24 @@ mod tests {
 
     #[test]
     fn deltas_match_signs() {
-        assert_eq!(Face2::East.delta(), (1, 0));
-        assert_eq!(Face3::Down.delta(), (0, 0, -1));
+        // the tile across a face is one step along its axis, to its sign's side
+        assert_eq!((Face2::East.axis(), Face2::East.sign()), (0, 1));
+        assert_eq!((Face3::Down.axis(), Face3::Down.sign()), (2, -1));
+    }
+
+    #[test]
+    fn ranks_take_the_leading_faces() {
+        assert_eq!(
+            Face::of_rank(2),
+            [Face::West, Face::East, Face::South, Face::North]
+        );
+        assert_eq!(Face::of_rank(3).len(), 6);
+        for (i, &f) in Face::of_rank(3).iter().enumerate() {
+            assert_eq!(f.index(), i);
+            assert_eq!(Face::from_index(i, 3), Some(f));
+            assert_eq!(Face::from_index(i, 2), (i < 4).then_some(f));
+        }
+        assert_eq!(Face::from_index(6, 3), None);
+        assert_eq!(Face::from_index(usize::MAX, 3), None);
     }
 }

@@ -10,7 +10,7 @@
 //! assigned to any workstation.
 
 use crate::array::{Array2, Array3};
-use crate::decomp::{Decomp2, Decomp3};
+use crate::decomp::Decomp;
 use crate::padded::{PaddedGrid2, PaddedGrid3};
 
 /// The role a grid node plays in the simulation.
@@ -160,22 +160,21 @@ impl Geometry2 {
     /// value from the global mask (wrapping on periodic axes, wall beyond
     /// non-periodic edges), so every tile sees exactly the geometry the serial
     /// run sees.
-    pub fn tile_mask(&self, d: &Decomp2, id: usize, halo: usize) -> PaddedGrid2<Cell> {
-        let b = d.tile_box(id);
-        PaddedGrid2::from_fn(b.x.len, b.y.len, halo, |i, j| {
-            self.at_wrapped(b.x.start as isize + i, b.y.start as isize + j)
+    pub fn tile_mask(&self, d: &Decomp<2>, id: usize, halo: usize) -> PaddedGrid2<Cell> {
+        let [x, y] = d.tile_box(id).ext;
+        PaddedGrid2::from_fn(x.len, y.len, halo, |i, j| {
+            self.at_wrapped(x.start as isize + i, y.start as isize + j)
         })
     }
 
     /// Tiles of `d` containing at least one non-wall node. The Figure-2
     /// optimisation: all-solid subregions "do not need to be assigned to any
     /// workstation".
-    pub fn active_tiles(&self, d: &Decomp2) -> Vec<usize> {
+    pub fn active_tiles(&self, d: &Decomp<2>) -> Vec<usize> {
         (0..d.tiles())
             .filter(|&id| {
-                let b = d.tile_box(id);
-                (b.y.start..b.y.end())
-                    .any(|y| (b.x.start..b.x.end()).any(|x| !self.at(x, y).is_wall()))
+                let [bx, by] = d.tile_box(id).ext;
+                (by.start..by.end()).any(|y| (bx.start..bx.end()).any(|x| !self.at(x, y).is_wall()))
             })
             .collect()
     }
@@ -417,25 +416,25 @@ impl Geometry3 {
 
     /// Extracts the padded mask of one tile of `d` (see
     /// [`Geometry2::tile_mask`]).
-    pub fn tile_mask(&self, d: &Decomp3, id: usize, halo: usize) -> PaddedGrid3<Cell> {
-        let b = d.tile_box(id);
-        PaddedGrid3::from_fn(b.x.len, b.y.len, b.z.len, halo, |i, j, k| {
+    pub fn tile_mask(&self, d: &Decomp<3>, id: usize, halo: usize) -> PaddedGrid3<Cell> {
+        let [x, y, z] = d.tile_box(id).ext;
+        PaddedGrid3::from_fn(x.len, y.len, z.len, halo, |i, j, k| {
             self.at_wrapped(
-                b.x.start as isize + i,
-                b.y.start as isize + j,
-                b.z.start as isize + k,
+                x.start as isize + i,
+                y.start as isize + j,
+                z.start as isize + k,
             )
         })
     }
 
     /// Tiles of `d` containing at least one non-wall node.
-    pub fn active_tiles(&self, d: &Decomp3) -> Vec<usize> {
+    pub fn active_tiles(&self, d: &Decomp<3>) -> Vec<usize> {
         (0..d.tiles())
             .filter(|&id| {
-                let b = d.tile_box(id);
-                (b.z.start..b.z.end()).any(|z| {
-                    (b.y.start..b.y.end())
-                        .any(|y| (b.x.start..b.x.end()).any(|x| !self.at(x, y, z).is_wall()))
+                let [bx, by, bz] = d.tile_box(id).ext;
+                (bz.start..bz.end()).any(|z| {
+                    (by.start..by.end())
+                        .any(|y| (bx.start..bx.end()).any(|x| !self.at(x, y, z).is_wall()))
                 })
             })
             .collect()
@@ -472,7 +471,7 @@ mod tests {
     #[test]
     fn tile_mask_sees_global_geometry() {
         let g = Geometry2::channel(16, 12, 2);
-        let d = Decomp2::with_periodicity(16, 12, 2, 2, true, false);
+        let d = Decomp::with_periodicity([16, 12], [2, 2], [true, false]);
         let m = g.tile_mask(&d, 0, 2);
         // interior node (0,0) of tile 0 is global (0,0): wall row
         assert!(m[(0, 0)].is_wall());
@@ -508,7 +507,7 @@ mod tests {
     #[test]
     fn flue_pipe_fig2_has_inactive_subregions() {
         let g = FluePipeSpec::figure2(240, 160).build();
-        let d = Decomp2::new(240, 160, 6, 4);
+        let d = Decomp::new([240, 160], [6, 4]);
         let active = g.active_tiles(&d);
         assert!(
             active.len() < d.tiles(),

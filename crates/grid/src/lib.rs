@@ -10,10 +10,12 @@
 //!   system, and it doubles as a useful stride-ablation knob),
 //! * [`PaddedGrid2`]/[`PaddedGrid3`] — fields surrounded by ghost ("padding")
 //!   layers as in section 4.2 of the paper,
-//! * rectangular domain decompositions ([`Decomp2`], [`Decomp3`]) with the
-//!   neighbour topology, surface-node counts and the *m*-factors of section 8,
-//! * halo pack/unpack routines implementing the two-stage (x-then-y-then-z)
-//!   exchange that fills corner ghosts without diagonal messages,
+//! * the communication geometry, written once for 2D and 3D: the faces of a
+//!   subregion ([`Face`]), rectangular domain decompositions ([`Decomp`])
+//!   with the neighbour topology, surface-node counts and the *m*-factors of
+//!   section 8, and one halo strip codec ([`halo::pack`]/[`halo::unpack`])
+//!   implementing the staged (x, then y, then z) exchange that fills corner
+//!   ghosts without diagonal messages,
 //! * cell-level geometry ([`Cell`], [`Geometry2`], [`Geometry3`]) with builders
 //!   for channels, boxes and the flue-pipe configurations of Figures 1 and 2,
 //!   including detection of all-solid subregions that need no workstation.
@@ -30,8 +32,8 @@ pub mod padded;
 pub mod range;
 
 pub use array::{Array2, Array3};
-pub use decomp::{Decomp2, Decomp3, MFactor, TileBox2, TileBox3};
-pub use face::{Face2, Face3};
+pub use decomp::{Decomp, MFactor, TileBox};
+pub use face::{Face, Face2, Face3};
 pub use geometry::{Cell, Geometry2, Geometry3};
-pub use padded::{PaddedGrid2, PaddedGrid3, PlaneBand3, RowBand2};
+pub use padded::{PaddedGrid2, PaddedGrid3, PaddedRows, PlaneBand3, RowBand2};
 pub use range::{split_even, Extent};

@@ -598,6 +598,105 @@ impl<T> std::ops::IndexMut<(isize, isize, isize)> for PaddedGrid3<T> {
     }
 }
 
+/// The storage shape of a padded grid as the halo and dump codecs read it:
+/// x-rows `stride` elements apart, y after x, then z. A 2D grid is a 3D one
+/// with `n[2] == 1` and no z ghosts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RowLayout {
+    /// Interior extent per axis.
+    pub n: [usize; 3],
+    /// Ghost layers per axis.
+    pub halo: [usize; 3],
+    /// Storage stride between consecutive x-rows.
+    pub stride: usize,
+}
+
+impl RowLayout {
+    /// Flat storage index of interior coordinate `(i, j, k)`.
+    #[inline]
+    pub(crate) fn idx(&self, i: isize, j: isize, k: isize) -> usize {
+        let [hx, hy, hz] = self.halo.map(|h| h as isize);
+        let rows = self.n[1] + 2 * self.halo[1];
+        ((k + hz) as usize * rows + (j + hy) as usize) * self.stride + (i + hx) as usize
+    }
+
+    /// Storage distance between consecutive z-planes.
+    #[inline]
+    pub(crate) fn plane_stride(&self) -> usize {
+        (self.n[1] + 2 * self.halo[1]) * self.stride
+    }
+}
+
+/// A padded grid's storage, row by row: all the halo codec
+/// ([`crate::halo`]) and the dump codec need of [`PaddedGrid2`] and
+/// [`PaddedGrid3`].
+pub trait PaddedRows<T> {
+    /// The storage shape.
+    fn layout(&self) -> RowLayout;
+    /// Raw storage, including ghosts and stride padding.
+    fn raw(&self) -> &[T];
+    /// Mutable raw storage, including ghosts and stride padding.
+    fn raw_mut(&mut self) -> &mut [T];
+
+    /// The padded x-rows (`i ∈ [-halo, nx+halo)`), in storage order, without
+    /// the stride padding.
+    fn rows<'a>(&'a self) -> impl Iterator<Item = &'a [T]>
+    where
+        T: 'a,
+    {
+        let l = self.layout();
+        let width = l.n[0] + 2 * l.halo[0];
+        // a zero-width grid has no storage, hence no rows
+        let stride = l.stride.max(1);
+        self.raw().chunks_exact(stride).map(move |r| &r[..width])
+    }
+
+    /// The padded x-rows, mutably, in storage order.
+    fn rows_mut<'a>(&'a mut self) -> impl Iterator<Item = &'a mut [T]>
+    where
+        T: 'a,
+    {
+        let l = self.layout();
+        let width = l.n[0] + 2 * l.halo[0];
+        let stride = l.stride.max(1);
+        self.raw_mut()
+            .chunks_exact_mut(stride)
+            .map(move |r| &mut r[..width])
+    }
+}
+
+impl<T> PaddedRows<T> for PaddedGrid2<T> {
+    fn layout(&self) -> RowLayout {
+        RowLayout {
+            n: [self.nx, self.ny, 1],
+            halo: [self.halo, self.halo, 0],
+            stride: self.stride(),
+        }
+    }
+    fn raw(&self) -> &[T] {
+        self.storage.raw()
+    }
+    fn raw_mut(&mut self) -> &mut [T] {
+        self.storage.raw_mut()
+    }
+}
+
+impl<T> PaddedRows<T> for PaddedGrid3<T> {
+    fn layout(&self) -> RowLayout {
+        RowLayout {
+            n: [self.nx, self.ny, self.nz],
+            halo: [self.halo; 3],
+            stride: self.stride(),
+        }
+    }
+    fn raw(&self) -> &[T] {
+        self.storage.raw()
+    }
+    fn raw_mut(&mut self) -> &mut [T] {
+        self.storage.raw_mut()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

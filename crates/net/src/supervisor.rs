@@ -42,7 +42,7 @@ use crate::record::{FaultKind, FaultRecord, RunRecord};
 use crate::wire::{
     decode_msg, encode_msg, Msg, SolverKind, TransportKind, WorkerConfig, NO_NEIGHBOR, NO_PAUSE,
 };
-use crate::worker::{face_index, make_solver, worker_run};
+use crate::worker::{make_solver, worker_run};
 use crate::NetError;
 use std::collections::{BTreeSet, HashMap};
 use std::net::TcpListener;
@@ -56,7 +56,7 @@ use std::time::{Duration, Instant};
 use subsonic_cluster::fault::FaultPlan;
 use subsonic_exec::checkpoint::SealedDump;
 use subsonic_exec::{DumpError, GlobalFields2, Problem2, StepTiming};
-use subsonic_grid::Face2;
+use subsonic_grid::Face;
 use subsonic_obs::{decode_tracks, Category, FlightRecorder};
 use subsonic_solvers::TileState2;
 
@@ -702,10 +702,10 @@ pub fn run_problem(
     let neighbors_of = |w: u32| -> [u32; 4] {
         let tile = active[w as usize];
         let mut out = [NO_NEIGHBOR; 4];
-        for f in Face2::ALL {
+        for &f in Face::of_rank(2) {
             if let Some(nb) = problem.decomp.neighbor(tile, f) {
                 if let Some(&peer) = tile_to_worker.get(&nb) {
-                    out[face_index(f)] = peer;
+                    out[f.index()] = peer;
                 }
             }
         }
@@ -1260,8 +1260,8 @@ fn drive(
     let record = cfg.record.then(|| RunRecord {
         nx: problem.geom.nx() as u64,
         ny: problem.geom.ny() as u64,
-        px: problem.decomp.px() as u32,
-        py: problem.decomp.py() as u32,
+        px: problem.decomp.parts()[0] as u32,
+        py: problem.decomp.parts()[1] as u32,
         steps: cfg.steps,
         interval: cfg.interval,
         solver: cfg.solver,

@@ -69,9 +69,9 @@ pub struct WorkerConfig {
     pub epoch: u32,
     /// Step the shipped checkpoint resumes from.
     pub start_step: u64,
-    /// Neighbouring worker per face, in `Face2::ALL` order
-    /// (`[West, East, South, North]`); [`NO_NEIGHBOR`] where the tile
-    /// touches the domain boundary.
+    /// Neighbouring worker per face, indexed by `Face::index` (the 2D faces
+    /// `[West, East, South, North]`); [`NO_NEIGHBOR`] where the tile touches
+    /// the domain boundary.
     pub neighbors: [u32; 4],
     /// Record per-step state hashes and per-receive digests for replay.
     pub record: bool,

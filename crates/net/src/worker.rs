@@ -43,7 +43,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use subsonic_exec::checkpoint::{restore_tile2, SealedDump};
 use subsonic_exec::{step_tile, Halo, StepTiming, D2};
-use subsonic_grid::Face2;
+use subsonic_grid::Face;
 use subsonic_obs::codec::Fnv1a;
 use subsonic_obs::{encode_tracks, Category, FlightRecorder, TrackRecorder};
 use subsonic_solvers::{FiniteDifference2, LatticeBoltzmann2, Solver2, TileState2};
@@ -59,25 +59,11 @@ const RECV_DEADLINE: Duration = Duration::from_secs(30);
 /// How long a paused worker holds its fence before giving up on the kill.
 const FENCE_HOLD: Duration = Duration::from_secs(30);
 
-/// Maps a face to its slot in `WorkerConfig::neighbors` (the `Face2::ALL`
-/// order).
-pub fn face_index(face: Face2) -> usize {
-    match face {
-        Face2::West => 0,
-        Face2::East => 1,
-        Face2::South => 2,
-        Face2::North => 3,
-    }
-}
-
-fn face_from_index(idx: u8) -> Option<Face2> {
-    match idx {
-        0 => Some(Face2::West),
-        1 => Some(Face2::East),
-        2 => Some(Face2::South),
-        3 => Some(Face2::North),
-        _ => None,
-    }
+/// The 2D face a halo frame's face byte names, or `None` for any byte past
+/// the four 2D faces: such a frame is dropped before it can index the
+/// neighbour table or wait in the inbox.
+fn face_from_index(idx: u8) -> Option<Face> {
+    Face::from_index(usize::from(idx), 2)
 }
 
 /// Builds the solver a config names.
@@ -144,12 +130,12 @@ impl MeshHalo<'_> {
 }
 
 impl Halo<D2> for MeshHalo<'_> {
-    fn has_neighbor(&self, face: Face2) -> bool {
-        self.neighbors[face_index(face)].is_some()
+    fn has_neighbor(&self, face: Face) -> bool {
+        self.neighbors[face.index()].is_some()
     }
 
-    fn send(&mut self, xch: usize, face: Face2, strip: &mut Vec<f64>) -> io::Result<()> {
-        let peer = self.neighbors[face_index(face)].ok_or_else(|| {
+    fn send(&mut self, xch: usize, face: Face, strip: &mut Vec<f64>) -> io::Result<()> {
+        let peer = self.neighbors[face.index()].ok_or_else(|| {
             io::Error::new(io::ErrorKind::NotConnected, "no neighbour across face")
         })?;
         encode_halo_into(
@@ -157,14 +143,14 @@ impl Halo<D2> for MeshHalo<'_> {
             self.epoch,
             self.step,
             xch as u8,
-            face_index(face) as u8,
+            face.index() as u8,
             strip,
         );
         self.mesh.send(peer, self.frame)
     }
 
-    fn recv_into(&mut self, xch: usize, face: Face2, strip: &mut Vec<f64>) -> io::Result<()> {
-        let want = (self.step, xch as u8, face_index(face) as u8);
+    fn recv_into(&mut self, xch: usize, face: Face, strip: &mut Vec<f64>) -> io::Result<()> {
+        let want = (self.step, xch as u8, face.index() as u8);
         let t0 = Instant::now();
         let mut arrived = self.inbox.remove(&want);
         loop {
@@ -208,7 +194,7 @@ impl Halo<D2> for MeshHalo<'_> {
                     let Some(mine) = face_from_index(h.face) else {
                         continue;
                     };
-                    let key = (h.step, h.xch, face_index(mine.opposite()) as u8);
+                    let key = (h.step, h.xch, mine.opposite().index() as u8);
                     if key == want {
                         arrived = Some((from, payload));
                     } else {
@@ -694,6 +680,22 @@ mod tests {
     use subsonic_exec::Problem2;
     use subsonic_grid::Geometry2;
     use subsonic_solvers::FluidParams;
+
+    /// A halo frame names its sender's face in one byte. Only bytes 0..4
+    /// are 2D faces; anything else (a 3D face, a corrupt or hostile byte)
+    /// maps to no face, so the frame is dropped before it can index the
+    /// four-slot neighbour table or wait in the inbox.
+    #[test]
+    fn wire_face_bytes_past_the_four_2d_faces_are_dropped() {
+        for byte in [4u8, 5, 255] {
+            assert_eq!(face_from_index(byte), None, "face byte {byte}");
+        }
+        let faces = [Face::West, Face::East, Face::South, Face::North];
+        for (byte, face) in (0u8..).zip(faces) {
+            assert_eq!(face_from_index(byte), Some(face));
+            assert_eq!(face_from_index(byte ^ 1), Some(face.opposite()));
+        }
+    }
 
     /// Runs one fault-free segment of `steps` steps on two workers meshed
     /// over the switchboard and returns each worker's buffer-growth count.

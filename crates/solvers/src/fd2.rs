@@ -50,8 +50,8 @@ use crate::kernels::{self, RunTable, Seg, WindowSegs};
 use crate::params::{FluidParams, MethodKind};
 use crate::plan::StepOp;
 use crate::solver::Solver2;
-use subsonic_grid::halo::{message_len2, pack2, unpack2};
-use subsonic_grid::{Cell, Face2, PaddedGrid2};
+use subsonic_grid::halo::{message_len, pack, unpack};
+use subsonic_grid::{Cell, Face, PaddedGrid2};
 
 /// Ghost-layer width required by the FD scheme (exchange width; the filter
 /// ring of 2 plus the 2-node reach of the filter stencil).
@@ -579,34 +579,34 @@ impl Solver2 for FiniteDifference2 {
         });
     }
 
-    fn pack(&self, t: &TileState2, xch: usize, face: Face2, out: &mut Vec<f64>) {
+    fn pack(&self, t: &TileState2, xch: usize, face: Face, out: &mut Vec<f64>) {
         let w = FD2_HALO;
         match xch {
             0 => {
-                pack2(&t.mac_new.vx, face, w, out);
-                pack2(&t.mac_new.vy, face, w, out);
+                pack(&t.mac_new.vx, face, w, out);
+                pack(&t.mac_new.vy, face, w, out);
             }
-            1 => pack2(&t.mac_new.rho, face, w, out),
+            1 => pack(&t.mac_new.rho, face, w, out),
             _ => unreachable!("FD2 has 2 exchanges"),
         }
     }
 
-    fn unpack(&self, t: &mut TileState2, xch: usize, face: Face2, data: &[f64]) {
+    fn unpack(&self, t: &mut TileState2, xch: usize, face: Face, data: &[f64]) {
         let w = FD2_HALO;
         match xch {
             0 => {
-                let used = unpack2(&mut t.mac_new.vx, face, w, data);
-                unpack2(&mut t.mac_new.vy, face, w, &data[used..]);
+                let used = unpack(&mut t.mac_new.vx, face, w, data);
+                unpack(&mut t.mac_new.vy, face, w, &data[used..]);
             }
             1 => {
-                unpack2(&mut t.mac_new.rho, face, w, data);
+                unpack(&mut t.mac_new.rho, face, w, data);
             }
             _ => unreachable!("FD2 has 2 exchanges"),
         }
     }
 
-    fn message_doubles(&self, t: &TileState2, xch: usize, face: Face2) -> usize {
-        let per_field = message_len2(t.nx(), t.ny(), face, FD2_HALO);
+    fn message_doubles(&self, t: &TileState2, xch: usize, face: Face) -> usize {
+        let per_field = message_len(&[t.nx(), t.ny()], face, FD2_HALO);
         match xch {
             0 => 2 * per_field,
             1 => per_field,
@@ -674,7 +674,7 @@ mod tests {
     }
 
     fn wrap_x(solver: &FiniteDifference2, t: &mut TileState2, x: usize) {
-        for face in [Face2::West, Face2::East] {
+        for face in [Face::West, Face::East] {
             let mut buf = Vec::new();
             solver.pack(t, x, face.opposite(), &mut buf);
             solver.unpack(t, x, face, &buf);
@@ -683,7 +683,7 @@ mod tests {
 
     fn channel_tile(nx: usize, ny: usize, params: FluidParams) -> (FiniteDifference2, TileState2) {
         let geom = subsonic_grid::Geometry2::channel(nx, ny, 2);
-        let d = subsonic_grid::Decomp2::with_periodicity(nx, ny, 1, 1, true, false);
+        let d = subsonic_grid::Decomp::with_periodicity([nx, ny], [1, 1], [true, false]);
         let mask = geom.tile_mask(&d, 0, FD2_HALO);
         let solver = FiniteDifference2;
         let init = InitialState2::uniform(params.rho0);
@@ -754,12 +754,9 @@ mod tests {
         let params = FluidParams::lattice_units(0.05);
         let (solver, t) = channel_tile(16, 12, params);
         // x-face message: 2 fields * halo * ny
-        assert_eq!(
-            solver.message_doubles(&t, 0, Face2::West),
-            2 * FD2_HALO * 12
-        );
+        assert_eq!(solver.message_doubles(&t, 0, Face::West), 2 * FD2_HALO * 12);
         // rho message is half the V message
-        assert_eq!(solver.message_doubles(&t, 1, Face2::West), FD2_HALO * 12);
+        assert_eq!(solver.message_doubles(&t, 1, Face::West), FD2_HALO * 12);
     }
 
     #[test]

@@ -20,8 +20,8 @@ use crate::kernels::{self, RunTable, Seg, WindowSegs};
 use crate::params::{FluidParams, MethodKind};
 use crate::plan::StepOp;
 use crate::solver::Solver3;
-use subsonic_grid::halo::{message_len3, pack3, unpack3};
-use subsonic_grid::{Cell, Face3, PaddedGrid3};
+use subsonic_grid::halo::{message_len, pack, unpack};
+use subsonic_grid::{Cell, Face, PaddedGrid3};
 
 /// Ghost-layer width required by the 3D FD scheme.
 pub const FD3_HALO: usize = 4;
@@ -608,36 +608,36 @@ impl Solver3 for FiniteDifference3 {
         });
     }
 
-    fn pack(&self, t: &TileState3, xch: usize, face: Face3, out: &mut Vec<f64>) {
+    fn pack(&self, t: &TileState3, xch: usize, face: Face, out: &mut Vec<f64>) {
         let w = FD3_HALO;
         match xch {
             0 => {
-                pack3(&t.mac_new.vx, face, w, out);
-                pack3(&t.mac_new.vy, face, w, out);
-                pack3(&t.mac_new.vz, face, w, out);
+                pack(&t.mac_new.vx, face, w, out);
+                pack(&t.mac_new.vy, face, w, out);
+                pack(&t.mac_new.vz, face, w, out);
             }
-            1 => pack3(&t.mac_new.rho, face, w, out),
+            1 => pack(&t.mac_new.rho, face, w, out),
             _ => unreachable!("FD3 has 2 exchanges"),
         }
     }
 
-    fn unpack(&self, t: &mut TileState3, xch: usize, face: Face3, data: &[f64]) {
+    fn unpack(&self, t: &mut TileState3, xch: usize, face: Face, data: &[f64]) {
         let w = FD3_HALO;
         match xch {
             0 => {
-                let mut at = unpack3(&mut t.mac_new.vx, face, w, data);
-                at += unpack3(&mut t.mac_new.vy, face, w, &data[at..]);
-                unpack3(&mut t.mac_new.vz, face, w, &data[at..]);
+                let mut at = unpack(&mut t.mac_new.vx, face, w, data);
+                at += unpack(&mut t.mac_new.vy, face, w, &data[at..]);
+                unpack(&mut t.mac_new.vz, face, w, &data[at..]);
             }
             1 => {
-                unpack3(&mut t.mac_new.rho, face, w, data);
+                unpack(&mut t.mac_new.rho, face, w, data);
             }
             _ => unreachable!("FD3 has 2 exchanges"),
         }
     }
 
-    fn message_doubles(&self, t: &TileState3, xch: usize, face: Face3) -> usize {
-        let per_field = message_len3(t.nx(), t.ny(), t.nz(), face, FD3_HALO);
+    fn message_doubles(&self, t: &TileState3, xch: usize, face: Face) -> usize {
+        let per_field = message_len(&[t.nx(), t.ny(), t.nz()], face, FD3_HALO);
         match xch {
             0 => 3 * per_field,
             1 => per_field,
@@ -708,7 +708,7 @@ mod tests {
     }
 
     fn wrap_x(solver: &FiniteDifference3, t: &mut TileState3, x: usize) {
-        for face in [Face3::West, Face3::East] {
+        for face in [Face::West, Face::East] {
             let mut buf = Vec::new();
             solver.pack(t, x, face.opposite(), &mut buf);
             solver.unpack(t, x, face, &buf);
@@ -722,7 +722,8 @@ mod tests {
         params: FluidParams,
     ) -> (FiniteDifference3, TileState3) {
         let geom = subsonic_grid::Geometry3::duct(nx, ny, nz, 2);
-        let d = subsonic_grid::Decomp3::with_periodicity(nx, ny, nz, 1, 1, 1, [true, false, false]);
+        let d =
+            subsonic_grid::Decomp::with_periodicity([nx, ny, nz], [1, 1, 1], [true, false, false]);
         let mask = geom.tile_mask(&d, 0, FD3_HALO);
         let solver = FiniteDifference3;
         let init = InitialState3::uniform(params.rho0);
@@ -758,8 +759,8 @@ mod tests {
         // FD communicates 4 variables per fluid node in 3D: Vx,Vy,Vz then rho.
         let params = FluidParams::lattice_units(0.05);
         let (solver, t) = duct_tile(10, 9, 9, params);
-        let v = solver.message_doubles(&t, 0, Face3::East);
-        let r = solver.message_doubles(&t, 1, Face3::East);
+        let v = solver.message_doubles(&t, 0, Face::East);
+        let r = solver.message_doubles(&t, 1, Face::East);
         assert_eq!(v / r, 3, "V message carries 3 fields, rho message 1");
     }
 

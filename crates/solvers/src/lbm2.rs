@@ -90,8 +90,8 @@ use crate::params::{FluidParams, MethodKind};
 use crate::plan::StepOp;
 use crate::qlattice::{eq_poly, feq2, E2, OPP2, Q2, W2};
 use crate::solver::Solver2;
-use subsonic_grid::halo::{message_len2, pack2, unpack2};
-use subsonic_grid::{Cell, Face2, PaddedGrid2, RowBand2};
+use subsonic_grid::halo::{message_len, pack, unpack};
+use subsonic_grid::{Cell, Face, PaddedGrid2, RowBand2};
 
 /// Ghost-layer width required by the LB scheme: 1 for the shift plus 2 for
 /// the filter stencil.
@@ -1030,24 +1030,24 @@ impl Solver2 for LatticeBoltzmann2 {
         self.shift(t);
     }
 
-    fn pack(&self, t: &TileState2, xch: usize, face: Face2, out: &mut Vec<f64>) {
+    fn pack(&self, t: &TileState2, xch: usize, face: Face, out: &mut Vec<f64>) {
         assert_eq!(xch, 0, "LBM2 has a single exchange");
         for q in 0..Q2 {
-            pack2(&t.f[q], face, LBM2_HALO, out);
+            pack(&t.f[q], face, LBM2_HALO, out);
         }
     }
 
-    fn unpack(&self, t: &mut TileState2, xch: usize, face: Face2, data: &[f64]) {
+    fn unpack(&self, t: &mut TileState2, xch: usize, face: Face, data: &[f64]) {
         assert_eq!(xch, 0, "LBM2 has a single exchange");
         let mut at = 0;
         for q in 0..Q2 {
-            at += unpack2(&mut t.f[q], face, LBM2_HALO, &data[at..]);
+            at += unpack(&mut t.f[q], face, LBM2_HALO, &data[at..]);
         }
     }
 
-    fn message_doubles(&self, t: &TileState2, xch: usize, face: Face2) -> usize {
+    fn message_doubles(&self, t: &TileState2, xch: usize, face: Face) -> usize {
         assert_eq!(xch, 0);
-        Q2 * message_len2(t.nx(), t.ny(), face, LBM2_HALO)
+        Q2 * message_len(&[t.nx(), t.ny()], face, LBM2_HALO)
     }
 
     fn make_tile(
@@ -1110,7 +1110,7 @@ mod tests {
                 StepOp::Compute(k) => solver.compute(t, k),
                 StepOp::Exchange(x) => {
                     if wrap_x {
-                        for face in [Face2::West, Face2::East] {
+                        for face in [Face::West, Face::East] {
                             let mut buf = Vec::new();
                             solver.pack(t, x, face.opposite(), &mut buf);
                             solver.unpack(t, x, face, &buf);
@@ -1122,7 +1122,7 @@ mod tests {
     }
 
     fn wrap_x(solver: &LatticeBoltzmann2, t: &mut TileState2) {
-        for face in [Face2::West, Face2::East] {
+        for face in [Face::West, Face::East] {
             let mut buf = Vec::new();
             solver.pack(t, 0, face.opposite(), &mut buf);
             solver.unpack(t, 0, face, &buf);
@@ -1131,7 +1131,7 @@ mod tests {
 
     fn channel_tile(nx: usize, ny: usize, params: FluidParams) -> (LatticeBoltzmann2, TileState2) {
         let geom = subsonic_grid::Geometry2::channel(nx, ny, 2);
-        let d = subsonic_grid::Decomp2::with_periodicity(nx, ny, 1, 1, true, false);
+        let d = subsonic_grid::Decomp::with_periodicity([nx, ny], [1, 1], [true, false]);
         let mask = geom.tile_mask(&d, 0, LBM2_HALO);
         let solver = LatticeBoltzmann2;
         let init = InitialState2::uniform(params.rho0);
@@ -1227,7 +1227,7 @@ mod tests {
         let params = FluidParams::lattice_units(0.05);
         let (solver, t) = channel_tile(16, 12, params);
         assert_eq!(
-            solver.message_doubles(&t, 0, Face2::East),
+            solver.message_doubles(&t, 0, Face::East),
             Q2 * LBM2_HALO * 12
         );
     }
@@ -1324,7 +1324,7 @@ mod tests {
         // relaxes the interior while the halo is in flight, then unpacks and
         // finishes the boundary
         assert_eq!(solver.overlapped_phase(0), Some(0));
-        let sends: Vec<(Face2, Vec<f64>)> = [Face2::West, Face2::East]
+        let sends: Vec<(Face, Vec<f64>)> = [Face::West, Face::East]
             .into_iter()
             .map(|face| {
                 let mut buf = Vec::new();

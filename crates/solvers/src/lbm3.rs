@@ -21,8 +21,8 @@ use crate::params::{FluidParams, MethodKind};
 use crate::plan::StepOp;
 use crate::qlattice::{eq_poly, feq3, E3, OPP3, Q3, W3};
 use crate::solver::Solver3;
-use subsonic_grid::halo::{message_len3, pack3, unpack3};
-use subsonic_grid::{Cell, Face3, PaddedGrid3, PlaneBand3};
+use subsonic_grid::halo::{message_len, pack, unpack};
+use subsonic_grid::{Cell, Face, PaddedGrid3, PlaneBand3};
 
 /// Ghost-layer width required by the 3D LB scheme.
 pub const LBM3_HALO: usize = 3;
@@ -837,24 +837,24 @@ impl Solver3 for LatticeBoltzmann3 {
         self.shift(t);
     }
 
-    fn pack(&self, t: &TileState3, xch: usize, face: Face3, out: &mut Vec<f64>) {
+    fn pack(&self, t: &TileState3, xch: usize, face: Face, out: &mut Vec<f64>) {
         assert_eq!(xch, 0, "LBM3 has a single exchange");
         for q in 0..Q3 {
-            pack3(&t.f[q], face, LBM3_HALO, out);
+            pack(&t.f[q], face, LBM3_HALO, out);
         }
     }
 
-    fn unpack(&self, t: &mut TileState3, xch: usize, face: Face3, data: &[f64]) {
+    fn unpack(&self, t: &mut TileState3, xch: usize, face: Face, data: &[f64]) {
         assert_eq!(xch, 0, "LBM3 has a single exchange");
         let mut at = 0;
         for q in 0..Q3 {
-            at += unpack3(&mut t.f[q], face, LBM3_HALO, &data[at..]);
+            at += unpack(&mut t.f[q], face, LBM3_HALO, &data[at..]);
         }
     }
 
-    fn message_doubles(&self, t: &TileState3, xch: usize, face: Face3) -> usize {
+    fn message_doubles(&self, t: &TileState3, xch: usize, face: Face) -> usize {
         assert_eq!(xch, 0);
-        Q3 * message_len3(t.nx(), t.ny(), t.nz(), face, LBM3_HALO)
+        Q3 * message_len(&[t.nx(), t.ny(), t.nz()], face, LBM3_HALO)
     }
 
     fn make_tile(
@@ -932,7 +932,7 @@ mod tests {
     }
 
     fn wrap_x(solver: &LatticeBoltzmann3, t: &mut TileState3, x: usize) {
-        for face in [Face3::West, Face3::East] {
+        for face in [Face::West, Face::East] {
             let mut buf = Vec::new();
             solver.pack(t, x, face.opposite(), &mut buf);
             solver.unpack(t, x, face, &buf);
@@ -946,7 +946,8 @@ mod tests {
         params: FluidParams,
     ) -> (LatticeBoltzmann3, TileState3) {
         let geom = subsonic_grid::Geometry3::duct(nx, ny, nz, 2);
-        let d = subsonic_grid::Decomp3::with_periodicity(nx, ny, nz, 1, 1, 1, [true, false, false]);
+        let d =
+            subsonic_grid::Decomp::with_periodicity([nx, ny, nz], [1, 1, 1], [true, false, false]);
         let mask = geom.tile_mask(&d, 0, LBM3_HALO);
         let solver = LatticeBoltzmann3;
         let init = InitialState3::uniform(params.rho0);
@@ -982,7 +983,7 @@ mod tests {
         let params = FluidParams::lattice_units(0.05);
         let (solver, t) = duct_tile(8, 9, 9, params);
         assert_eq!(
-            solver.message_doubles(&t, 0, Face3::East),
+            solver.message_doubles(&t, 0, Face::East),
             Q3 * LBM3_HALO * 9 * 9
         );
     }
@@ -1086,7 +1087,7 @@ mod tests {
         // the overlapping runner packs and posts the sends first, then
         // relaxes the interior while the halo is in flight, then unpacks
         assert_eq!(solver.overlapped_phase(0), Some(0));
-        let sends: Vec<(Face3, Vec<f64>)> = [Face3::West, Face3::East]
+        let sends: Vec<(Face, Vec<f64>)> = [Face::West, Face::East]
             .into_iter()
             .map(|face| {
                 let mut buf = Vec::new();

@@ -12,7 +12,7 @@ use crate::fields::{TileState2, TileState3};
 use crate::init::{InitialState2, InitialState3};
 use crate::params::{FluidParams, MethodKind};
 use crate::plan::StepOp;
-use subsonic_grid::{Cell, Face2, Face3, PaddedGrid2, PaddedGrid3};
+use subsonic_grid::{Cell, Face, PaddedGrid2, PaddedGrid3};
 
 /// A 2D explicit method decomposed into compute phases and halo exchanges.
 pub trait Solver2: Send + Sync {
@@ -65,13 +65,13 @@ pub trait Solver2: Send + Sync {
     }
 
     /// Packs the strip for exchange `xch` across the tile's own face `face`.
-    fn pack(&self, t: &TileState2, xch: usize, face: Face2, out: &mut Vec<f64>);
+    fn pack(&self, t: &TileState2, xch: usize, face: Face, out: &mut Vec<f64>);
 
     /// Unpacks a strip received across `face` for exchange `xch`.
-    fn unpack(&self, t: &mut TileState2, xch: usize, face: Face2, data: &[f64]);
+    fn unpack(&self, t: &mut TileState2, xch: usize, face: Face, data: &[f64]);
 
     /// Number of `f64`s a message for exchange `xch` across `face` carries.
-    fn message_doubles(&self, t: &TileState2, xch: usize, face: Face2) -> usize;
+    fn message_doubles(&self, t: &TileState2, xch: usize, face: Face) -> usize;
 
     /// Builds a tile from a padded geometry mask and an initial state given
     /// in local padded coordinates.
@@ -120,13 +120,13 @@ pub trait Solver3: Send + Sync {
     }
 
     /// Packs the strip for exchange `xch` across the tile's own face `face`.
-    fn pack(&self, t: &TileState3, xch: usize, face: Face3, out: &mut Vec<f64>);
+    fn pack(&self, t: &TileState3, xch: usize, face: Face, out: &mut Vec<f64>);
 
     /// Unpacks a strip received across `face` for exchange `xch`.
-    fn unpack(&self, t: &mut TileState3, xch: usize, face: Face3, data: &[f64]);
+    fn unpack(&self, t: &mut TileState3, xch: usize, face: Face, data: &[f64]);
 
     /// Number of `f64`s a message for exchange `xch` across `face` carries.
-    fn message_doubles(&self, t: &TileState3, xch: usize, face: Face3) -> usize;
+    fn message_doubles(&self, t: &TileState3, xch: usize, face: Face) -> usize;
 
     /// Builds a tile from a padded geometry mask and an initial state.
     fn make_tile(
@@ -164,15 +164,15 @@ impl<S: Solver2> Solver2 for ScalarReference2<S> {
         self.0.compute_scalar(t, phase);
     }
 
-    fn pack(&self, t: &TileState2, xch: usize, face: Face2, out: &mut Vec<f64>) {
+    fn pack(&self, t: &TileState2, xch: usize, face: Face, out: &mut Vec<f64>) {
         self.0.pack(t, xch, face, out);
     }
 
-    fn unpack(&self, t: &mut TileState2, xch: usize, face: Face2, data: &[f64]) {
+    fn unpack(&self, t: &mut TileState2, xch: usize, face: Face, data: &[f64]) {
         self.0.unpack(t, xch, face, data);
     }
 
-    fn message_doubles(&self, t: &TileState2, xch: usize, face: Face2) -> usize {
+    fn message_doubles(&self, t: &TileState2, xch: usize, face: Face) -> usize {
         self.0.message_doubles(t, xch, face)
     }
 
@@ -208,15 +208,15 @@ impl<S: Solver3> Solver3 for ScalarReference3<S> {
         self.0.compute_scalar(t, phase);
     }
 
-    fn pack(&self, t: &TileState3, xch: usize, face: Face3, out: &mut Vec<f64>) {
+    fn pack(&self, t: &TileState3, xch: usize, face: Face, out: &mut Vec<f64>) {
         self.0.pack(t, xch, face, out);
     }
 
-    fn unpack(&self, t: &mut TileState3, xch: usize, face: Face3, data: &[f64]) {
+    fn unpack(&self, t: &mut TileState3, xch: usize, face: Face, data: &[f64]) {
         self.0.unpack(t, xch, face, data);
     }
 
-    fn message_doubles(&self, t: &TileState3, xch: usize, face: Face3) -> usize {
+    fn message_doubles(&self, t: &TileState3, xch: usize, face: Face) -> usize {
         self.0.message_doubles(t, xch, face)
     }
 

@@ -18,7 +18,7 @@ fn main() {
     let p = px * py;
 
     header("Decomposition");
-    let d = Decomp2::new(side * px, side * py, px, py);
+    let d = Decomp::new([side * px, side * py], [px, py]);
     let m = d.m_factor();
     println!(
         "({px}x{py}) = {p} processors, {side}^2 nodes each; m: paper {} (mean faces {:.2}, max {})",

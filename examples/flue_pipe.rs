@@ -21,7 +21,7 @@ fn main() {
     let geom = scenario.geometry();
 
     header("Decomposition");
-    let decomp = Decomp2::new(nx, ny, 6, 4);
+    let decomp = Decomp::new([nx, ny], [6, 4]);
     let active = geom.active_tiles(&decomp);
     println!(
         "(6x4) decomposition: {} of {} subregions contain fluid{}",

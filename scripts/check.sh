@@ -23,22 +23,15 @@ stage_codec() {
     # Every binary format reads through subsonic_obs::codec, whose Dec checks
     # each decoded count against the bytes left before it sizes anything; a
     # hand-rolled reader elsewhere brings that bug class back. Test code is
-    # exempt: tests/ directories and every #[cfg(test)] item. The one allowed
-    # exception is exec::checkpoint::seal_v3, whose word loads hash the
-    # bytes and do not decode them.
+    # exempt: tests/ directories and every #[cfg(test)] item, as
+    # scripts/nontest.awk (the filter scripts/loc.sh counts with) reads
+    # them. The one allowed exception is exec::checkpoint::seal_v3, whose
+    # word loads hash the bytes and do not decode them.
     local hits
     hits=$(find crates -path '*/tests' -prune -o -name '*.rs' -print \
         | grep -v '^crates/obs/src/codec\.rs$' \
-        | xargs awk '
-            FNR == 1 { skip = 0 }
-            !skip && /#\[cfg\(test\)\]/ { skip = 1; depth = 0; open = 0; next }
-            skip {
-                o = gsub(/\{/, "{"); c = gsub(/\}/, "}"); depth += o - c
-                if (o) open = 1
-                if (open && depth <= 0) skip = 0
-                next
-            }
-            /from_le_bytes/ { print FILENAME ":" FNR ": " $0 }' \
+        | xargs awk -f scripts/nontest.awk \
+        | grep 'from_le_bytes' \
         | grep -v '^crates/exec/src/checkpoint\.rs:[0-9]*: *\*lane = seal_step(\*lane, u64::from_le_bytes(\*word));$' \
         || true)
     if [[ -n "$hits" ]]; then

@@ -2,8 +2,8 @@
 //! invariants.
 
 use proptest::prelude::*;
-use subsonic_grid::halo::{message_len2, message_len3, pack2, pack3, unpack2, unpack3};
-use subsonic_grid::{split_even, Decomp2, Decomp3, Face2, Face3, PaddedGrid2, PaddedGrid3};
+use subsonic_grid::halo::{message_len, pack, unpack};
+use subsonic_grid::{split_even, Decomp, Face, PaddedGrid2, PaddedGrid3};
 use subsonic_model::{
     efficiency_2d_bus, efficiency_3d_bus, max_skew_full_stencil, max_skew_star_stencil,
 };
@@ -39,9 +39,9 @@ proptest! {
         wrap_y in any::<bool>(),
     ) {
         prop_assume!(px <= nx && py <= ny);
-        let d = Decomp2::with_periodicity(nx, ny, px, py, wrap_x, wrap_y);
+        let d = Decomp::with_periodicity([nx, ny], [px, py], [wrap_x, wrap_y]);
         for id in 0..d.tiles() {
-            for f in Face2::ALL {
+            for &f in Face::of_rank(2) {
                 if let Some(nb) = d.neighbor(id, f) {
                     prop_assert_eq!(d.neighbor(nb, f.opposite()), Some(id));
                 }
@@ -60,10 +60,10 @@ proptest! {
         y in 0usize..100,
     ) {
         prop_assume!(px <= nx && py <= ny && x < nx && y < ny);
-        let d = Decomp2::new(nx, ny, px, py);
-        let owner = d.owner(x, y);
-        let b = d.tile_box(owner);
-        prop_assert!(b.x.contains(x) && b.y.contains(y));
+        let d = Decomp::new([nx, ny], [px, py]);
+        let owner = d.owner([x, y]);
+        let [bx, by] = d.tile_box(owner).ext;
+        prop_assert!(bx.contains(x) && by.contains(y));
     }
 
     /// pack/unpack round-trips arbitrary halo widths and faces: the ghost
@@ -80,11 +80,11 @@ proptest! {
         let val = |i: isize, j: isize| ((seed % 997) as f64) + (i * 131 + j) as f64;
         let src = PaddedGrid2::from_fn(nx, ny, h, val);
         let mut dst = PaddedGrid2::new(nx, ny, h, f64::NAN);
-        for f in Face2::ALL {
+        for &f in Face::of_rank(2) {
             let mut buf = Vec::new();
-            pack2(&src, f.opposite(), w, &mut buf);
-            prop_assert_eq!(buf.len(), message_len2(nx, ny, f, w));
-            unpack2(&mut dst, f, w, &buf);
+            pack(&src, f.opposite(), w, &mut buf);
+            prop_assert_eq!(buf.len(), message_len(&[nx, ny], f, w));
+            unpack(&mut dst, f, w, &buf);
         }
         // spot-check: the west ghost column equals src's east interior
         for j in 0..ny as isize {
@@ -100,9 +100,9 @@ proptest! {
         pz in 1usize..4,
         wraps in any::<[bool; 3]>(),
     ) {
-        let d = Decomp3::with_periodicity(px * 8, py * 8, pz * 8, px, py, pz, wraps);
+        let d = Decomp::with_periodicity([px * 8, py * 8, pz * 8], [px, py, pz], wraps);
         for id in 0..d.tiles() {
-            for f in Face3::ALL {
+            for &f in Face::of_rank(3) {
                 if let Some(nb) = d.neighbor(id, f) {
                     prop_assert_eq!(d.neighbor(nb, f.opposite()), Some(id));
                 }
@@ -121,7 +121,7 @@ proptest! {
         pz in 1usize..4,
     ) {
         prop_assume!(px <= nx && py <= ny && pz <= nz);
-        let d = Decomp3::new(nx, ny, nz, px, py, pz);
+        let d = Decomp::new([nx, ny, nz], [px, py, pz]);
         let total: usize = (0..d.tiles()).map(|id| d.tile_box(id).nodes()).sum();
         prop_assert_eq!(total, nx * ny * nz);
     }
@@ -142,11 +142,11 @@ proptest! {
         };
         let src = PaddedGrid3::from_fn(nx, ny, nz, h, val);
         let mut dst = PaddedGrid3::new(nx, ny, nz, h, f64::NAN);
-        for f in Face3::ALL {
+        for &f in Face::of_rank(3) {
             let mut buf = Vec::new();
-            pack3(&src, f.opposite(), w, &mut buf);
-            prop_assert_eq!(buf.len(), message_len3(nx, ny, nz, f, w));
-            unpack3(&mut dst, f, w, &buf);
+            pack(&src, f.opposite(), w, &mut buf);
+            prop_assert_eq!(buf.len(), message_len(&[nx, ny, nz], f, w));
+            unpack(&mut dst, f, w, &buf);
         }
         // down ghost layer equals src's up interior slab
         for j in 0..ny as isize {
@@ -219,7 +219,7 @@ proptest! {
         px in 1usize..6,
         py in 1usize..6,
     ) {
-        let d = Decomp2::new(px * 20, py * 20, px, py);
+        let d = Decomp::new([px * 20, py * 20], [px, py]);
         let m = d.m_factor();
         prop_assert!(m.mean_faces <= m.max_faces as f64 + 1e-12);
         prop_assert!(m.paper + 1e-12 >= m.mean_faces.floor());

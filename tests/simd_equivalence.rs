@@ -145,7 +145,7 @@ fn step_wrapped(solver: &dyn Solver2, t: &mut TileState2) {
                     if extent < solver.halo() {
                         continue;
                     }
-                    for face in Face2::ALL.into_iter().filter(|f| f.stage() == stage) {
+                    for &face in Face2::of_rank(2).iter().filter(|f| f.stage() == stage) {
                         buf.clear();
                         solver.pack(t, x, face.opposite(), &mut buf);
                         solver.unpack(t, x, face, &buf);
@@ -195,7 +195,7 @@ fn step_wrapped3(solver: &dyn Solver3, t: &mut TileState3) {
                     if [t.nx(), t.ny(), t.nz()][stage] < solver.halo() {
                         continue;
                     }
-                    for face in Face3::ALL.into_iter().filter(|f| f.stage() == stage) {
+                    for &face in Face3::of_rank(3).iter().filter(|f| f.stage() == stage) {
                         buf.clear();
                         solver.pack(t, x, face.opposite(), &mut buf);
                         solver.unpack(t, x, face, &buf);
