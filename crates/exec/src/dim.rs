@@ -45,8 +45,6 @@ pub trait Dim: sealed::Sealed {
     const TRACE_PID: u32;
     /// Flight-recorder process name of the threaded runner's tracks.
     const TRACK: &'static str;
-    /// Leading part of a migration-drill dump file name.
-    const DUMP_PREFIX: &'static str;
 
     /// The solver's per-cycle plan.
     fn plan(s: &Self::Solver) -> &'static [StepOp];
@@ -78,7 +76,7 @@ pub trait Dim: sealed::Sealed {
 /// and the constants.
 macro_rules! impl_dim {
     ($d:ident, $solver:ident, $tile:ident, $problem:ident,
-     $rank:literal, $pid:literal, $track:literal, $prefix:literal) => {
+     $rank:literal, $pid:literal, $track:literal) => {
         impl Dim for $d {
             type Solver = dyn $solver;
             type Tile = $tile;
@@ -87,7 +85,6 @@ macro_rules! impl_dim {
             const FACES: &'static [Face] = Face::of_rank($rank);
             const TRACE_PID: u32 = $pid;
             const TRACK: &'static str = $track;
-            const DUMP_PREFIX: &'static str = $prefix;
 
             fn plan(s: &dyn $solver) -> &'static [StepOp] {
                 s.plan()
@@ -127,5 +124,5 @@ macro_rules! impl_dim {
     };
 }
 
-impl_dim! { D2, Solver2, TileState2, Problem2, 2, 2, "threaded2", "tile" }
-impl_dim! { D3, Solver3, TileState3, Problem3, 3, 3, "threaded3", "tile3_" }
+impl_dim! { D2, Solver2, TileState2, Problem2, 2, 2, "threaded2" }
+impl_dim! { D3, Solver3, TileState3, Problem3, 3, 3, "threaded3" }

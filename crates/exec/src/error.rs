@@ -9,7 +9,6 @@
 //! graph is reported as [`RunError::Disconnected`].
 
 use std::fmt;
-use std::io;
 
 /// Why a threaded run failed.
 #[derive(Debug)]
@@ -28,24 +27,6 @@ pub enum RunError {
         /// Tile that observed the broken channel (a casualty, not the cause).
         tile: usize,
     },
-    /// A seeded fault-injection kill fired and the worker exited cleanly.
-    Injected {
-        /// Tile that was killed.
-        tile: usize,
-        /// Step at which the kill fired.
-        step: u64,
-    },
-    /// The supervisor exhausted its restart budget.
-    RetriesExhausted {
-        /// Restarts attempted before giving up.
-        attempts: u32,
-        /// The failure that ended the final attempt.
-        last: Box<RunError>,
-    },
-    /// A checkpoint/dump file operation failed.
-    Io(io::Error),
-    /// A checkpoint dump was unwritable, unreadable, or corrupt.
-    Checkpoint(crate::checkpoint::DumpError),
 }
 
 impl fmt::Display for RunError {
@@ -57,40 +38,11 @@ impl fmt::Display for RunError {
             RunError::Disconnected { tile } => {
                 write!(f, "worker for tile {tile} lost a peer channel")
             }
-            RunError::Injected { tile, step } => {
-                write!(f, "injected kill of tile {tile} at step {step}")
-            }
-            RunError::RetriesExhausted { attempts, last } => {
-                write!(f, "gave up after {attempts} restarts; last failure: {last}")
-            }
-            RunError::Io(e) => write!(f, "dump file i/o failed: {e}"),
-            RunError::Checkpoint(e) => write!(f, "checkpoint failed: {e}"),
         }
     }
 }
 
-impl std::error::Error for RunError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            RunError::Io(e) => Some(e),
-            RunError::Checkpoint(e) => Some(e),
-            RunError::RetriesExhausted { last, .. } => Some(last),
-            _ => None,
-        }
-    }
-}
-
-impl From<io::Error> for RunError {
-    fn from(e: io::Error) -> Self {
-        RunError::Io(e)
-    }
-}
-
-impl From<crate::checkpoint::DumpError> for RunError {
-    fn from(e: crate::checkpoint::DumpError) -> Self {
-        RunError::Checkpoint(e)
-    }
-}
+impl std::error::Error for RunError {}
 
 impl RunError {
     /// Whether this is the *root cause* of a failed run rather than
@@ -127,51 +79,33 @@ mod tests {
     #![allow(clippy::unwrap_used)]
     use super::*;
 
+    fn panic_of(tile: usize) -> RunError {
+        RunError::WorkerPanic {
+            tile,
+            message: format!("tile {tile} died"),
+        }
+    }
+
     #[test]
     fn root_cause_beats_disconnects() {
         let mut slot = None;
         note_failure(&mut slot, RunError::Disconnected { tile: 1 });
-        note_failure(&mut slot, RunError::Injected { tile: 3, step: 7 });
+        note_failure(&mut slot, panic_of(3));
         note_failure(&mut slot, RunError::Disconnected { tile: 2 });
-        assert!(matches!(
-            slot,
-            Some(RunError::Injected { tile: 3, step: 7 })
-        ));
+        assert!(matches!(slot, Some(RunError::WorkerPanic { tile: 3, .. })));
     }
 
     #[test]
     fn first_root_cause_is_kept() {
         let mut slot = None;
-        note_failure(
-            &mut slot,
-            RunError::WorkerPanic {
-                tile: 0,
-                message: "a".into(),
-            },
-        );
-        note_failure(&mut slot, RunError::Injected { tile: 1, step: 2 });
+        note_failure(&mut slot, panic_of(0));
+        note_failure(&mut slot, panic_of(1));
         assert!(matches!(slot, Some(RunError::WorkerPanic { tile: 0, .. })));
     }
 
     #[test]
     fn display_covers_every_variant() {
-        let io = RunError::from(io::Error::other("disk gone"));
-        let ckpt = RunError::from(crate::checkpoint::DumpError::ChecksumMismatch);
-        let nested = RunError::RetriesExhausted {
-            attempts: 3,
-            last: Box::new(RunError::Disconnected { tile: 4 }),
-        };
-        for e in [
-            RunError::WorkerPanic {
-                tile: 0,
-                message: "boom".into(),
-            },
-            RunError::Disconnected { tile: 1 },
-            RunError::Injected { tile: 2, step: 9 },
-            nested,
-            io,
-            ckpt,
-        ] {
+        for e in [panic_of(0), RunError::Disconnected { tile: 1 }] {
             assert!(!e.to_string().is_empty());
         }
     }

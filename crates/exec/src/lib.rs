@@ -11,17 +11,16 @@
 //!   solver declares it. Two substrates drive it:
 //! * [`ThreadedRunner2`]/[`ThreadedRunner3`] — one OS thread per subregion
 //!   over `std::sync::mpsc` channels (the in-process analogue of the paper's
-//!   TCP/IP sockets), with the Appendix-B synchronisation protocol, a migration
-//!   drill and crash-recovery supervision; and `subsonic-net`'s worker
-//!   processes over sockets.
+//!   TCP/IP sockets); and `subsonic-net`'s worker processes over sockets.
 //! * [`checkpoint`] — one binary dump codec for both ranks, the paper's dump
 //!   files ("these files contain all the information that is needed by a
 //!   workstation to participate in a distributed computation").
 //!
-//! Failure handling is typed: worker deaths surface as [`RunError`] instead
-//! of panics, and [`ThreadedRunner::run_supervised`] recovers from them via
-//! in-memory coordinated checkpoints. The cluster-of-workstations *runtime*
-//! is modelled in `subsonic-cluster`; this crate is the real data-plane.
+//! Failure handling is typed: a worker death surfaces as [`RunError`]
+//! instead of a panic. Recovery from it — the paper's dump files,
+//! synchronisation and restart — is `subsonic-net`'s supervisor, over
+//! processes or threads. The cluster-of-workstations *runtime* is modelled
+//! in `subsonic-cluster`; this crate is the real data-plane.
 
 #![warn(clippy::unwrap_used)]
 
@@ -33,7 +32,6 @@ pub mod local;
 pub mod problem;
 pub mod step;
 pub mod threaded;
-mod threaded3;
 pub mod timing;
 
 pub use checkpoint::DumpError;
@@ -44,7 +42,6 @@ pub use local::{LocalRunner, LocalRunner2, LocalRunner3};
 pub use problem::{Problem2, Problem3};
 pub use step::{step_tile, Halo};
 pub use threaded::{
-    KillSpec, MigrationDrill, RunOutcome, RunOutcome2, RunOutcome3, SupervisorConfig,
-    ThreadedRunner, ThreadedRunner2, ThreadedRunner3,
+    RunOutcome, RunOutcome2, RunOutcome3, ThreadedRunner, ThreadedRunner2, ThreadedRunner3,
 };
 pub use timing::StepTiming;

@@ -3,9 +3,10 @@
 //!
 //! The threaded runner drives [`step_tile`] over `std::sync::mpsc` channels
 //! and the multi-process runtime (`subsonic-net`) over sockets or in-memory
-//! links; each implements [`Halo<D>`] for its wire and wraps its own
-//! concerns — progress, fault injection, migration, checkpoints — around the
-//! call.
+//! links; each implements [`Halo<D>`] for its wire. The threaded runner
+//! calls it once per step and nothing else; the multi-process runtime wraps
+//! its own concerns — progress, fault injection, migration, checkpoints —
+//! around the call.
 //!
 //! The exchange runs in face stages (x, y, then z), every send of a stage
 //! posted before its receives; corner ghosts forward transitively. When the

@@ -77,7 +77,7 @@ impl StepTiming {
     }
 
     /// Appends a *later segment of the same worker* (everything sums,
-    /// including `steps`) — used by the supervised runners to accumulate
+    /// including `steps`) — used by `subsonic-net`'s supervisor to accumulate
     /// committed segments across checkpoints.
     pub fn append(&mut self, other: &StepTiming) {
         self.t_calc += other.t_calc;

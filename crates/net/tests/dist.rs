@@ -106,6 +106,43 @@ fn kill_during_recovery_recovers_bitwise() {
     assert_eq!(want.first_difference(&out.fields), None);
 }
 
+/// A kill leaves its trail on the supervisor's track: the kill itself, the
+/// respawn that recovers from it, and one commit per window that the job
+/// committed — the voided execution of the killed window commits nothing.
+#[test]
+fn supervised_trace_shows_recovery() {
+    use subsonic_obs::Category;
+    let p = problem(2, 2);
+    let (steps, interval) = (12, 4);
+    let mut cfg = NetConfig::new(TransportKind::Mem, steps, interval, run_dir("trace"));
+    cfg.kills = vec![NetKill {
+        worker: 1,
+        at_step: 6,
+        attempt: 0,
+    }];
+    let rec = FlightRecorder::enabled(4096);
+    let out = run_problem(&p, &cfg, &mut ThreadHost::new(), &rec).expect("mem run with kill");
+    assert_eq!(out.restarts, 1);
+    let tracks = rec.finished_tracks();
+    let sup = tracks
+        .iter()
+        .find(|t| t.process == "supervisor")
+        .expect("supervisor track missing");
+    let count = |cat: Category, name: &str, instant: bool| {
+        sup.events
+            .iter()
+            .filter(|e| e.cat == cat && e.name == name && e.is_instant() == instant)
+            .count()
+    };
+    assert_eq!(count(Category::Fault, "worker killed", true), 1);
+    assert_eq!(count(Category::Recovery, "worker respawn", true), 1);
+    assert_eq!(
+        count(Category::Checkpoint, "segment commit", false),
+        (steps / interval) as usize,
+        "one commit span per committed window"
+    );
+}
+
 #[test]
 fn udp_with_injected_drops_matches_bitwise() {
     let p = problem(2, 2);

@@ -59,6 +59,8 @@ stage_clippy() {
 stage_faults() {
     echo "==> fault suite (injection, detection, crash recovery)"
     cargo test --release -q -p subsonic-integration --test fault_recovery
+    # the kill and kill-during-recovery columns of the substrate table
+    cargo test --release -q -p subsonic-integration --test conformance
     cargo run --release -q -p subsonic-bench --bin reproduce -- --quick --out /tmp/subsonic-fault-smoke faults
 }
 

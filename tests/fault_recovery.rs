@@ -1,4 +1,4 @@
-//! Fault injection and crash recovery, end to end.
+//! Fault injection and crash recovery in the cluster simulation.
 //!
 //! Two contracts are pinned here:
 //!
@@ -8,9 +8,12 @@
 //!    test asserts the section-7 heterogeneous-pool step times *to the digit*.
 //! 2. **Recovery correctness** — a crashed subprocess is detected by the
 //!    heartbeat schedule, re-submitted to a fresh host, and the computation
-//!    rolls back to the last coordinated checkpoint and completes; in the
-//!    threaded runners a killed worker recovers to a *bitwise identical*
-//!    result (see the proptests at the bottom).
+//!    rolls back to the last coordinated checkpoint and completes.
+//!
+//! A real runtime's recovery from a killed worker — bitwise identical to an
+//! undisturbed run, kills during recovery included — is a column of the
+//! substrate table in `tests/conformance.rs`, run on `subsonic-net`'s
+//! supervisor.
 
 // the determinism pins below spell out every digit of the captured values
 #![allow(clippy::excessive_precision)]
@@ -206,150 +209,4 @@ fn generated_plans_drive_production_runs_to_completion() {
     assert_eq!(stats.finished_at, stats2.finished_at);
     assert_eq!(stats.recoveries.len(), stats2.recoveries.len());
     assert_eq!(stats.net_messages, stats2.net_messages);
-}
-
-// ---------------------------------------------------------------------------
-// threaded-runner crash recovery: bitwise equivalence under arbitrary kills
-// ---------------------------------------------------------------------------
-
-use proptest::prelude::*;
-use std::sync::Arc;
-use subsonic_exec::{KillSpec, SupervisorConfig};
-use subsonic_integration::{duct_problem, poiseuille_problem};
-use subsonic_solvers::{LatticeBoltzmann2, LatticeBoltzmann3};
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// Killing any 2D worker at any step and replaying from the last
-    /// in-memory checkpoint yields final fields bitwise identical to an
-    /// undisturbed run, whatever the checkpoint interval.
-    #[test]
-    fn killed_worker2_recovers_bitwise(
-        tile in 0usize..6,
-        at_step in 1usize..12,
-        interval in 1usize..6,
-    ) {
-        let solver: Arc<dyn subsonic_solvers::Solver2> = Arc::new(LatticeBoltzmann2);
-        let plain = ThreadedRunner2::new(Arc::clone(&solver), poiseuille_problem(36, 24, 3, 2))
-            .run(12)
-            .unwrap();
-        let sup = ThreadedRunner2::new(Arc::clone(&solver), poiseuille_problem(36, 24, 3, 2))
-            .run_supervised(
-                12,
-                &SupervisorConfig { checkpoint_interval: interval as u64, max_restarts: 2 },
-                Some(KillSpec { tile, at_step: at_step as u64, attempt: 0, panic: false }),
-            )
-            .unwrap();
-        prop_assert_eq!(sup.restarts, 1, "the injected kill must actually fire");
-        let a = plain.gather(36, 24, 1.0);
-        let b = sup.gather(36, 24, 1.0);
-        prop_assert_eq!(a.first_difference(&b), None, "2D recovery diverged");
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    /// The 3D analogue: arbitrary victim, kill step and interval.
-    #[test]
-    fn killed_worker3_recovers_bitwise(
-        tile in 0usize..4,
-        at_step in 1usize..10,
-        interval in 1usize..5,
-    ) {
-        let solver: Arc<dyn subsonic_solvers::Solver3> = Arc::new(LatticeBoltzmann3);
-        let plain = ThreadedRunner3::new(Arc::clone(&solver), duct_problem(12, 2, 1, 2))
-            .run(10)
-            .unwrap();
-        let sup = ThreadedRunner3::new(Arc::clone(&solver), duct_problem(12, 2, 1, 2))
-            .run_supervised(
-                10,
-                &SupervisorConfig { checkpoint_interval: interval as u64, max_restarts: 2 },
-                Some(KillSpec { tile, at_step: at_step as u64, attempt: 0, panic: false }),
-            )
-            .unwrap();
-        prop_assert_eq!(sup.restarts, 1, "the injected kill must actually fire");
-        let a = plain.gather((12, 12, 12), 1.0);
-        let b = sup.gather((12, 12, 12), 1.0);
-        prop_assert_eq!(a.first_difference(&b), None, "3D recovery diverged");
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    /// A second crash striking *during recovery*: the first kill voids a
-    /// segment, and while that segment replays a different (or the same)
-    /// worker dies again at an arbitrary step. Within the retry budget the
-    /// run must still converge to the undisturbed result bitwise.
-    #[test]
-    fn crash_during_recovery2_converges_bitwise(
-        tile_a in 0usize..6,
-        tile_b in 0usize..6,
-        at_a in 1usize..12,
-        at_b in 1usize..12,
-        interval in 1usize..6,
-    ) {
-        let solver: Arc<dyn subsonic_solvers::Solver2> = Arc::new(LatticeBoltzmann2);
-        let plain = ThreadedRunner2::new(Arc::clone(&solver), poiseuille_problem(36, 24, 3, 2))
-            .run(12)
-            .unwrap();
-        // the second kill arms on attempt 1 of its window: it can only fire
-        // while a rollback replay of that window is in flight
-        let kills = [
-            KillSpec { tile: tile_a, at_step: at_a as u64, attempt: 0, panic: false },
-            KillSpec { tile: tile_b, at_step: at_b as u64, attempt: 1, panic: false },
-        ];
-        let sup = ThreadedRunner2::new(Arc::clone(&solver), poiseuille_problem(36, 24, 3, 2))
-            .run_supervised_kills(
-                12,
-                &SupervisorConfig { checkpoint_interval: interval as u64, max_restarts: 4 },
-                &kills,
-            )
-            .unwrap();
-        prop_assert!(sup.restarts >= 1, "the first kill must fire");
-        // the attempt-1 kill fires only when both steps land in one window
-        let same_window = (at_a as u64) / (interval as u64) == (at_b as u64) / (interval as u64);
-        if same_window {
-            prop_assert_eq!(sup.restarts, 2, "the recovery-time kill must fire too");
-        }
-        let a = plain.gather(36, 24, 1.0);
-        let b = sup.gather(36, 24, 1.0);
-        prop_assert_eq!(a.first_difference(&b), None, "2D crash-during-recovery diverged");
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(4))]
-
-    /// The 3D analogue of a crash during recovery.
-    #[test]
-    fn crash_during_recovery3_converges_bitwise(
-        tile_a in 0usize..4,
-        tile_b in 0usize..4,
-        at_a in 1usize..10,
-        at_b in 1usize..10,
-        interval in 1usize..5,
-    ) {
-        let solver: Arc<dyn subsonic_solvers::Solver3> = Arc::new(LatticeBoltzmann3);
-        let plain = ThreadedRunner3::new(Arc::clone(&solver), duct_problem(12, 2, 1, 2))
-            .run(10)
-            .unwrap();
-        let kills = [
-            KillSpec { tile: tile_a, at_step: at_a as u64, attempt: 0, panic: false },
-            KillSpec { tile: tile_b, at_step: at_b as u64, attempt: 1, panic: false },
-        ];
-        let sup = ThreadedRunner3::new(Arc::clone(&solver), duct_problem(12, 2, 1, 2))
-            .run_supervised_kills(
-                10,
-                &SupervisorConfig { checkpoint_interval: interval as u64, max_restarts: 4 },
-                &kills,
-            )
-            .unwrap();
-        prop_assert!(sup.restarts >= 1, "the first kill must fire");
-        let a = plain.gather((12, 12, 12), 1.0);
-        let b = sup.gather((12, 12, 12), 1.0);
-        prop_assert_eq!(a.first_difference(&b), None, "3D crash-during-recovery diverged");
-    }
 }

@@ -1,10 +1,13 @@
 //! The cornerstone of the paper's parallelisation: a decomposed run computes
 //! exactly what the serial run computes. We assert bitwise equality across
-//! decompositions, methods, geometries and runners.
+//! decompositions, methods, geometries and runners, and across a live
+//! migration of a worker's tile.
 
 use std::sync::Arc;
 use subsonic::prelude::*;
 use subsonic_integration::{assert_bitwise_equal, duct_problem, flue_problem, poiseuille_problem};
+use subsonic_net::{run_problem, NetConfig, NetMigration, SolverKind, ThreadHost, TransportKind};
+use subsonic_obs::FlightRecorder;
 use subsonic_solvers::{
     FiniteDifference2, FiniteDifference3, LatticeBoltzmann2, LatticeBoltzmann3,
 };
@@ -124,25 +127,37 @@ fn uneven_tile_sizes_are_handled() {
     assert_bitwise_equal(&reference, &got, "uneven (3x3)");
 }
 
+/// A live migration of worker 0 or of the last worker, on net's
+/// supervisor over threads, moves its tile at a commit boundary and leaves
+/// the fields bit-identical to an undisturbed threaded run.
 #[test]
 fn migration_drill_preserves_results_everywhere() {
-    use subsonic_exec::MigrationDrill;
     let solver: Arc<dyn subsonic_solvers::Solver2> = Arc::new(FiniteDifference2);
     let clean = ThreadedRunner2::new(Arc::clone(&solver), poiseuille_problem(32, 20, 2, 2))
         .run(24)
         .expect("clean run failed");
     let a = clean.gather(32, 20, 1.0);
-    for tile in [0usize, 3] {
-        let drill = MigrationDrill {
-            tile,
-            arm_step: 6,
-            dump_dir: std::env::temp_dir().join("subsonic_integration_drill"),
-        };
-        let out = ThreadedRunner2::new(Arc::clone(&solver), poiseuille_problem(32, 20, 2, 2))
-            .run_with_drill(24, Some(drill))
-            .expect("drill run failed");
-        assert!(out.drill.is_some(), "drill for tile {tile} did not fire");
-        let b = out.gather(32, 20, 1.0);
-        assert_bitwise_equal(&a, &b, &format!("drill tile {tile}"));
+    for worker in [0u32, 3] {
+        let run_dir = std::env::temp_dir().join(format!(
+            "subsonic-integration-migration-{}-{worker}",
+            std::process::id()
+        ));
+        let mut cfg = NetConfig::new(TransportKind::Mem, 24, 6, run_dir.clone());
+        cfg.solver = SolverKind::FiniteDifference;
+        cfg.migrations = vec![NetMigration {
+            worker,
+            after_step: 6,
+        }];
+        let out = run_problem(
+            &poiseuille_problem(32, 20, 2, 2),
+            &cfg,
+            &mut ThreadHost::new(),
+            &FlightRecorder::disabled(),
+        );
+        let _ = std::fs::remove_dir_all(&run_dir);
+        let out = out.expect("migration run failed");
+        assert_eq!(out.migrations, 1, "worker {worker} did not move");
+        assert_eq!(out.restarts, 0, "migrating worker {worker} rolled back");
+        assert_bitwise_equal(&a, &out.fields, &format!("migration of worker {worker}"));
     }
 }
