@@ -557,42 +557,6 @@ impl ClusterSim {
         self.finalize()
     }
 
-    /// Like [`ClusterSim::run`] but prints a trace after `max_events` events
-    /// (debugging aid for event-loop diagnosis).
-    pub fn run_debug(
-        &mut self,
-        t_end: f64,
-        target_steps: Option<u64>,
-        max_events: u64,
-    ) -> ClusterStats {
-        self.target_steps = target_steps;
-        let stop = self.q.schedule_at_cancellable(t_end, EventKind::Stop);
-        let mut count = 0u64;
-        while let Some((t, ev)) = self.q.pop() {
-            count += 1;
-            if count > max_events {
-                eprintln!(
-                    "event {count} at t={t:.9}: {ev:?} (queue {} pending, net {} active, epoch {})",
-                    self.q.len(),
-                    self.net.active(),
-                    self.net.epoch()
-                );
-                if count > max_events + 20 {
-                    break;
-                }
-            }
-            match ev {
-                EventKind::Stop => break,
-                other => self.dispatch(other),
-            }
-            if self.done_count == self.procs.len() {
-                break;
-            }
-        }
-        self.q.cancel(stop);
-        self.finalize()
-    }
-
     // ------------------------------------------------------------------
     // event dispatch
     // ------------------------------------------------------------------
@@ -2761,23 +2725,9 @@ impl ClusterSim {
         self.events_processed
     }
 
-    /// Largest step difference between processes right now.
-    pub fn current_skew(&self) -> u64 {
-        let steps = self.steps();
-        let lo = steps.iter().min().copied().unwrap_or(0);
-        let hi = steps.iter().max().copied().unwrap_or(0);
-        hi - lo
-    }
-
     /// Workstation states (for fault-injection tests).
     pub fn hosts(&self) -> &[HostState] {
         &self.hosts
-    }
-
-    /// Step of the last completed coordinated checkpoint round (the rollback
-    /// point crash recovery restarts from).
-    pub fn last_checkpoint_step(&self) -> u64 {
-        self.last_ckpt_step
     }
 }
 

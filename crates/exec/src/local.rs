@@ -125,11 +125,6 @@ impl<D: Dim> LocalRunner<D> {
             .iter()
             .map(|&id| self.tiles[id].as_ref().expect("active tile missing"))
     }
-
-    /// Consumes the runner, returning the active tiles.
-    pub fn into_tiles(self) -> Vec<D::Tile> {
-        self.tiles.into_iter().flatten().collect()
-    }
 }
 
 impl LocalRunner<D2> {

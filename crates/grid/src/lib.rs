@@ -35,5 +35,5 @@ pub use array::{Array2, Array3};
 pub use decomp::{Decomp, MFactor, TileBox};
 pub use face::{Face, Face2, Face3};
 pub use geometry::{Cell, Geometry2, Geometry3};
-pub use padded::{PaddedGrid2, PaddedGrid3, PaddedRows, PlaneBand3, RowBand2};
+pub use padded::{PaddedGrid2, PaddedGrid3, PaddedRows};
 pub use range::{split_even, Extent};

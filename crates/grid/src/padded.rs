@@ -153,46 +153,6 @@ impl<T> PaddedGrid2<T> {
         self.row_segment(j, -(h as isize), self.nx + 2 * h)
     }
 
-    /// The whole padded row `j` as a mutable slice, `i ∈ [-halo, nx+halo)`.
-    #[inline]
-    pub fn padded_row_mut(&mut self, j: isize) -> &mut [T] {
-        let h = self.halo;
-        let len = self.nx + 2 * h;
-        self.row_segment_mut(j, -(h as isize), len)
-    }
-
-    /// Split-borrow row pair: a mutable segment of row `j_dst` together with
-    /// a shared segment of a *different* row `j_src`, both `i ∈ [i0, i0+len)`.
-    /// Enables in-place row-to-row copies (e.g. axis shifts) without going
-    /// through per-element indexing.
-    ///
-    /// Panics if `j_dst == j_src` or `len > stride` (the segments would
-    /// alias).
-    #[inline]
-    pub fn row_pair_mut(
-        &mut self,
-        j_dst: isize,
-        j_src: isize,
-        i0: isize,
-        len: usize,
-    ) -> (&mut [T], &[T]) {
-        assert_ne!(j_dst, j_src, "row_pair_mut: aliasing rows");
-        assert!(
-            len <= self.storage.stride(),
-            "row_pair_mut: segment spans rows"
-        );
-        let bd = self.idx(i0, j_dst);
-        let bs = self.idx(i0, j_src);
-        let raw = self.storage.raw_mut();
-        if bd < bs {
-            let (lo, hi) = raw.split_at_mut(bs);
-            (&mut lo[bd..bd + len], &hi[..len])
-        } else {
-            let (lo, hi) = raw.split_at_mut(bd);
-            (&mut hi[..len], &lo[bs..bs + len])
-        }
-    }
-
     /// Copies `len` cells from row `j_src` starting at `i_src` onto row
     /// `j_dst` starting at `i_dst`, with memmove semantics: overlapping
     /// source and destination (including the same row) are handled as if
@@ -215,41 +175,6 @@ impl<T> PaddedGrid2<T> {
         self.storage.raw_mut().copy_within(s..s + len, d);
     }
 
-    /// Splits the grid into disjoint mutable row bands at the given cut rows:
-    /// `cuts = [j0, j1, ..., jn]` yields `n` bands covering `[j_k, j_{k+1})`.
-    /// Cuts must be strictly increasing and lie in `[-halo, ny+halo]`.
-    ///
-    /// Bands of the same grid borrow disjoint storage, so handing one band
-    /// per worker thread gives safe intra-tile row parallelism.
-    pub fn row_bands_mut(&mut self, cuts: &[isize]) -> Vec<RowBand2<'_, T>> {
-        let h = self.halo as isize;
-        assert!(cuts.len() >= 2, "row_bands_mut: need at least one band");
-        assert!(
-            cuts.windows(2).all(|w| w[0] < w[1]),
-            "row_bands_mut: cuts must be increasing"
-        );
-        assert!(
-            cuts[0] >= -h && *cuts.last().unwrap() <= self.ny as isize + h,
-            "row_bands_mut: cuts out of padded range"
-        );
-        let stride = self.storage.stride();
-        let start = (cuts[0] + h) as usize * stride;
-        let mut rest = &mut self.storage.raw_mut()[start..];
-        let mut out = Vec::with_capacity(cuts.len() - 1);
-        for w in cuts.windows(2) {
-            let rows = (w[1] - w[0]) as usize;
-            let (band, tail) = rest.split_at_mut(rows * stride);
-            rest = tail;
-            out.push(RowBand2 {
-                slice: band,
-                j0: w[0],
-                i_lo: -h,
-                stride,
-            });
-        }
-        out
-    }
-
     /// Copies the interior of `src` into our interior (shapes must match).
     pub fn copy_interior_from(&mut self, src: &PaddedGrid2<T>)
     where
@@ -263,32 +188,6 @@ impl<T> PaddedGrid2<T> {
             let nx = self.nx;
             self.storage.raw_mut()[base..base + nx].copy_from_slice(s);
         }
-    }
-}
-
-/// A mutable view of the contiguous padded-row band `j ∈ [j0, j1)` of a
-/// [`PaddedGrid2`], produced by [`PaddedGrid2::row_bands_mut`].
-pub struct RowBand2<'a, T> {
-    slice: &'a mut [T],
-    j0: isize,
-    i_lo: isize,
-    stride: usize,
-}
-
-impl<T> RowBand2<'_, T> {
-    /// First row of the band.
-    #[inline]
-    pub fn j0(&self) -> isize {
-        self.j0
-    }
-
-    /// Mutable row segment `i ∈ [i0, i0+len)` at row `j` (must lie in the
-    /// band).
-    #[inline]
-    pub fn row_segment_mut(&mut self, j: isize, i0: isize, len: usize) -> &mut [T] {
-        debug_assert!(j >= self.j0, "row below band");
-        let base = (j - self.j0) as usize * self.stride + (i0 - self.i_lo) as usize;
-        &mut self.slice[base..base + len]
     }
 }
 
@@ -456,47 +355,6 @@ impl<T> PaddedGrid3<T> {
         self.row_segment(j, k, -(h as isize), self.nx + 2 * h)
     }
 
-    /// The whole padded x-row at `(j, k)` as a mutable slice.
-    #[inline]
-    pub fn padded_row_mut(&mut self, j: isize, k: isize) -> &mut [T] {
-        let h = self.halo;
-        let len = self.nx + 2 * h;
-        self.row_segment_mut(j, k, -(h as isize), len)
-    }
-
-    /// Split-borrow row pair: a mutable segment of row `(j_dst, k_dst)` and a
-    /// shared segment of a *different* row `(j_src, k_src)`, both
-    /// `i ∈ [i0, i0+len)`. See [`PaddedGrid2::row_pair_mut`].
-    ///
-    /// Panics if the rows coincide or `len > stride`.
-    #[inline]
-    pub fn row_pair_mut(
-        &mut self,
-        (j_dst, k_dst): (isize, isize),
-        (j_src, k_src): (isize, isize),
-        i0: isize,
-        len: usize,
-    ) -> (&mut [T], &[T]) {
-        assert!(
-            (j_dst, k_dst) != (j_src, k_src),
-            "row_pair_mut: aliasing rows"
-        );
-        assert!(
-            len <= self.storage.stride(),
-            "row_pair_mut: segment spans rows"
-        );
-        let bd = self.idx(i0, j_dst, k_dst);
-        let bs = self.idx(i0, j_src, k_src);
-        let raw = self.storage.raw_mut();
-        if bd < bs {
-            let (lo, hi) = raw.split_at_mut(bs);
-            (&mut lo[bd..bd + len], &hi[..len])
-        } else {
-            let (lo, hi) = raw.split_at_mut(bd);
-            (&mut hi[..len], &lo[bs..bs + len])
-        }
-    }
-
     /// Copies `len` cells from row `(j_src, k_src)` starting at `i_src` onto
     /// row `(j_dst, k_dst)` starting at `i_dst`, with memmove semantics
     /// (see [`PaddedGrid2::copy_row_shifted`]).
@@ -515,70 +373,6 @@ impl<T> PaddedGrid3<T> {
             return;
         }
         self.storage.raw_mut().copy_within(s..s + len, d);
-    }
-
-    /// Splits the grid into disjoint mutable plane bands at the given cut
-    /// planes: `cuts = [k0, k1, ..., kn]` yields `n` bands covering
-    /// `[k_m, k_{m+1})`. Cuts must be strictly increasing and lie in
-    /// `[-halo, nz+halo]`. See [`PaddedGrid2::row_bands_mut`].
-    pub fn plane_bands_mut(&mut self, cuts: &[isize]) -> Vec<PlaneBand3<'_, T>> {
-        let h = self.halo as isize;
-        assert!(cuts.len() >= 2, "plane_bands_mut: need at least one band");
-        assert!(
-            cuts.windows(2).all(|w| w[0] < w[1]),
-            "plane_bands_mut: cuts must be increasing"
-        );
-        assert!(
-            cuts[0] >= -h && *cuts.last().unwrap() <= self.nz as isize + h,
-            "plane_bands_mut: cuts out of padded range"
-        );
-        let stride = self.storage.stride();
-        let plane = (self.ny + 2 * self.halo) * stride;
-        let start = (cuts[0] + h) as usize * plane;
-        let mut rest = &mut self.storage.raw_mut()[start..];
-        let mut out = Vec::with_capacity(cuts.len() - 1);
-        for w in cuts.windows(2) {
-            let planes = (w[1] - w[0]) as usize;
-            let (band, tail) = rest.split_at_mut(planes * plane);
-            rest = tail;
-            out.push(PlaneBand3 {
-                slice: band,
-                k0: w[0],
-                lo: -h,
-                stride,
-                plane,
-            });
-        }
-        out
-    }
-}
-
-/// A mutable view of the contiguous padded-plane band `k ∈ [k0, k1)` of a
-/// [`PaddedGrid3`], produced by [`PaddedGrid3::plane_bands_mut`].
-pub struct PlaneBand3<'a, T> {
-    slice: &'a mut [T],
-    k0: isize,
-    lo: isize,
-    stride: usize,
-    plane: usize,
-}
-
-impl<T> PlaneBand3<'_, T> {
-    /// First plane of the band.
-    #[inline]
-    pub fn k0(&self) -> isize {
-        self.k0
-    }
-
-    /// Mutable row segment `i ∈ [i0, i0+len)` at `(j, k)` (plane `k` must lie
-    /// in the band).
-    #[inline]
-    pub fn row_segment_mut(&mut self, j: isize, k: isize, i0: isize, len: usize) -> &mut [T] {
-        debug_assert!(k >= self.k0, "plane below band");
-        let base = (k - self.k0) as usize * self.plane
-            + (j - self.lo) as usize * self.stride
-            + (i0 - self.lo) as usize;
-        &mut self.slice[base..base + len]
     }
 }
 
@@ -740,18 +534,10 @@ mod tests {
     }
 
     #[test]
-    fn padded2_row_accessors_and_pair() {
-        let mut g = PaddedGrid2::from_fn(3, 2, 2, |i, j| (i + 10 * j) as f64);
+    fn padded2_row_accessors() {
+        let g = PaddedGrid2::from_fn(3, 2, 2, |i, j| (i + 10 * j) as f64);
         assert_eq!(g.interior_row(1), &[10.0, 11.0, 12.0]);
         assert_eq!(g.padded_row(0), &[-2.0, -1.0, 0.0, 1.0, 2.0, 3.0, 4.0]);
-        let (dst, src) = g.row_pair_mut(1, 0, -1, 4);
-        assert_eq!(src, &[-1.0, 0.0, 1.0, 2.0]);
-        dst.copy_from_slice(src);
-        assert_eq!(g[(0, 1)], 0.0);
-        // reversed order (dst below src) splits the other way
-        let (dst, src) = g.row_pair_mut(-1, 2, 0, 3);
-        dst.copy_from_slice(src);
-        assert_eq!(g[(2, -1)], 22.0);
     }
 
     #[test]
@@ -760,15 +546,6 @@ mod tests {
         g.fill(7.5);
         assert_eq!(g[(-2, -2)], 7.5);
         assert_eq!(g[(4, 3)], 7.5);
-    }
-
-    #[test]
-    fn padded3_row_pair() {
-        let mut g = PaddedGrid3::from_fn(3, 2, 2, 1, |i, j, k| (i + 10 * j + 100 * k) as f64);
-        let (dst, src) = g.row_pair_mut((0, 1), (1, 0), 0, 3);
-        assert_eq!(src, &[10.0, 11.0, 12.0]);
-        dst.copy_from_slice(src);
-        assert_eq!(g[(0, 0, 1)], 10.0);
     }
 
     #[test]
@@ -786,38 +563,6 @@ mod tests {
         let mut g3 = PaddedGrid3::from_fn(3, 2, 2, 1, |i, j, k| (i + 10 * j + 100 * k) as f64);
         g3.copy_row_shifted((0, 1, 1), (0, 1, 0), 3);
         assert_eq!(g3.row_segment(1, 1, 0, 3), &[10.0, 11.0, 12.0]);
-    }
-
-    #[test]
-    fn row_bands_cover_disjoint_rows() {
-        let mut g = PaddedGrid2::from_fn(4, 6, 2, |_, _| 0.0f64);
-        let mut bands = g.row_bands_mut(&[-2, 1, 4, 8]);
-        assert_eq!(bands.len(), 3);
-        assert_eq!(bands[0].j0(), -2);
-        for (v, band) in bands.iter_mut().enumerate() {
-            let j0 = band.j0();
-            band.row_segment_mut(j0, -2, 8).fill(v as f64 + 1.0);
-        }
-        drop(bands);
-        assert_eq!(g[(0, -2)], 1.0);
-        assert_eq!(g[(0, 1)], 2.0);
-        assert_eq!(g[(0, 4)], 3.0);
-        assert_eq!(g[(0, 0)], 0.0);
-    }
-
-    #[test]
-    fn plane_bands_cover_disjoint_planes() {
-        let mut g = PaddedGrid3::from_fn(3, 3, 6, 1, |_, _, _| 0.0f64);
-        let mut bands = g.plane_bands_mut(&[-1, 2, 7]);
-        assert_eq!(bands.len(), 2);
-        for (v, band) in bands.iter_mut().enumerate() {
-            let k0 = band.k0();
-            band.row_segment_mut(0, k0, 0, 3).fill(v as f64 + 1.0);
-        }
-        drop(bands);
-        assert_eq!(g[(0, 0, -1)], 1.0);
-        assert_eq!(g[(0, 0, 2)], 2.0);
-        assert_eq!(g[(0, 0, 3)], 0.0);
     }
 
     #[test]

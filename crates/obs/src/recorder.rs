@@ -188,14 +188,6 @@ impl FlightRecorder {
             Some(s) => s.tracks.lock().map(|t| t.clone()).unwrap_or_default(),
         }
     }
-
-    /// Microseconds of wall time since this recorder was enabled.
-    /// Returns 0.0 on a disabled recorder.
-    pub fn wall_now_us(&self) -> f64 {
-        self.shared
-            .as_ref()
-            .map_or(0.0, |s| s.epoch.elapsed().as_secs_f64() * 1e6)
-    }
 }
 
 struct TrackInner {

@@ -325,7 +325,6 @@ impl FiniteDifference2 {
         if span == 0 {
             return;
         }
-        let nb = runs.map_or(1, |_| kernels::bands_for(j0, j1));
         let TileState2 {
             mac, mac_new, mask, ..
         } = t;
@@ -340,39 +339,14 @@ impl FiniteDifference2 {
             rhon: mac.rho.row_segment(j + 1, i0, span),
             rhos: mac.rho.row_segment(j - 1, i0, span),
         };
-        if nb <= 1 {
-            for j in j0..j1 {
-                let mrow = mask.row_segment(j, i0, span);
-                let segs = runs.map(|rt| rt.fluid(j, 0).segs(i0, span));
-                let r = rows_at(j);
-                let out_vx = mac_new.vx.row_segment_mut(j, i0, span);
-                let out_vy = mac_new.vy.row_segment_mut(j, i0, span);
-                vel_row(mrow, segs, &r, out_vx, out_vy, &vp);
-            }
-            return;
+        for j in j0..j1 {
+            let mrow = mask.row_segment(j, i0, span);
+            let segs = runs.map(|rt| rt.fluid(j, 0).segs(i0, span));
+            let r = rows_at(j);
+            let out_vx = mac_new.vx.row_segment_mut(j, i0, span);
+            let out_vy = mac_new.vy.row_segment_mut(j, i0, span);
+            vel_row(mrow, segs, &r, out_vx, out_vy, &vp);
         }
-        let cuts = kernels::band_cuts(j0, j1, nb);
-        let mut vx_b = mac_new.vx.row_bands_mut(&cuts).into_iter();
-        let mut vy_b = mac_new.vy.row_bands_mut(&cuts).into_iter();
-        let mask = &*mask;
-        let rows_at = &rows_at;
-        std::thread::scope(|s| {
-            for w in cuts.windows(2) {
-                let (ja, jb) = (w[0], w[1]);
-                let mut xb = vx_b.next().unwrap();
-                let mut yb = vy_b.next().unwrap();
-                s.spawn(move || {
-                    for j in ja..jb {
-                        let mrow = mask.row_segment(j, i0, span);
-                        let segs = runs.map(|rt| rt.fluid(j, 0).segs(i0, span));
-                        let r = rows_at(j);
-                        let out_vx = xb.row_segment_mut(j, i0, span);
-                        let out_vy = yb.row_segment_mut(j, i0, span);
-                        vel_row(mrow, segs, &r, out_vx, out_vy, &vp);
-                    }
-                });
-            }
-        });
     }
 
     /// Continuity update over the window `rows × cols`, conservative form
@@ -392,7 +366,6 @@ impl FiniteDifference2 {
         if span == 0 {
             return;
         }
-        let nb = runs.map_or(1, |_| kernels::bands_for(j0, j1));
         let TileState2 {
             mac, mac_new, mask, ..
         } = t;
@@ -409,35 +382,13 @@ impl FiniteDifference2 {
             nvyn: new_vy.row_segment(j + 1, i0, span),
             nvys: new_vy.row_segment(j - 1, i0, span),
         };
-        if nb <= 1 {
-            for j in j0..j1 {
-                let mrow = mask.row_segment(j, i0, span);
-                let segs = runs.map(|rt| rt.fluid(j, 0).segs(i0, span));
-                let r = rows_at(j);
-                let out = new_rho.row_segment_mut(j, i0, span);
-                den_row(mrow, segs, &r, out, p.dt, inv2dx);
-            }
-            return;
+        for j in j0..j1 {
+            let mrow = mask.row_segment(j, i0, span);
+            let segs = runs.map(|rt| rt.fluid(j, 0).segs(i0, span));
+            let r = rows_at(j);
+            let out = new_rho.row_segment_mut(j, i0, span);
+            den_row(mrow, segs, &r, out, p.dt, inv2dx);
         }
-        let cuts = kernels::band_cuts(j0, j1, nb);
-        let mut rho_b = new_rho.row_bands_mut(&cuts).into_iter();
-        let mask = &*mask;
-        let rows_at = &rows_at;
-        std::thread::scope(|s| {
-            for w in cuts.windows(2) {
-                let (ja, jb) = (w[0], w[1]);
-                let mut rb = rho_b.next().unwrap();
-                s.spawn(move || {
-                    for j in ja..jb {
-                        let mrow = mask.row_segment(j, i0, span);
-                        let segs = runs.map(|rt| rt.fluid(j, 0).segs(i0, span));
-                        let r = rows_at(j);
-                        let out = rb.row_segment_mut(j, i0, span);
-                        den_row(mrow, segs, &r, out, p.dt, inv2dx);
-                    }
-                });
-            }
-        });
     }
 
     /// Boundary conditions on the new fields, over the 2-deep ghost ring
@@ -810,23 +761,5 @@ mod tests {
         assert_eq!(full.mac.rho, split.mac.rho);
         assert_eq!(full.mac.vx, split.mac.vx);
         assert_eq!(full.mac.vy, split.mac.vy);
-    }
-
-    #[test]
-    fn banded_sweeps_match_serial_bitwise() {
-        let mut params = FluidParams::lattice_units(0.05);
-        params.body_force[0] = 1e-5;
-        let (solver, mut serial) = channel_tile(15, 12, params);
-        let mut banded = serial.clone();
-        for _ in 0..3 {
-            crate::kernels::set_intra_threads(1);
-            step_serial(&solver, &mut serial, true);
-            crate::kernels::set_intra_threads(3);
-            step_serial(&solver, &mut banded, true);
-        }
-        crate::kernels::set_intra_threads(1);
-        assert_eq!(serial.mac.rho, banded.mac.rho);
-        assert_eq!(serial.mac.vx, banded.mac.vx);
-        assert_eq!(serial.mac.vy, banded.mac.vy);
     }
 }

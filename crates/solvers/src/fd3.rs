@@ -9,9 +9,8 @@
 //! per-row fluid-run specialization off the tile's run table (branch-free
 //! trimmed-slice kernels for the autovectorizer, identical association order
 //! so fast == scalar bitwise), boundary fix-ups over the cells outside the
-//! runs only, plane-banded multithreading within a tile, and an overlap split
-//! where the inner box of the density update runs while the velocity halo
-//! exchange is in flight.
+//! runs only, and an overlap split where the inner box of the density update
+//! runs while the velocity halo exchange is in flight.
 
 use crate::fields::{Macro3, TileState3};
 use crate::filter::{filter_field3, filter_field3_scalar};
@@ -323,7 +322,6 @@ impl FiniteDifference3 {
         if span == 0 {
             return;
         }
-        let nb = runs.map_or(1, |_| kernels::bands_for(k0, k1));
         let TileState3 {
             mac, mac_new, mask, ..
         } = t;
@@ -337,47 +335,17 @@ impl FiniteDifference3 {
                 rd: std::array::from_fn(|fi| fields[fi].row_segment(j, k - 1, i0, span)),
             }
         };
-        if nb <= 1 {
-            for k in k0..k1 {
-                for j in j0..j1 {
-                    let mrow = mask.row_segment(j, k, i0, span);
-                    let segs = runs.map(|rt| rt.fluid(j, k).segs(i0, span));
-                    let r = rows_at(j, k);
-                    let out_vx = mac_new.vx.row_segment_mut(j, k, i0, span);
-                    let out_vy = mac_new.vy.row_segment_mut(j, k, i0, span);
-                    let out_vz = mac_new.vz.row_segment_mut(j, k, i0, span);
-                    vel_row3(mrow, segs, &r, out_vx, out_vy, out_vz, &vp);
-                }
+        for k in k0..k1 {
+            for j in j0..j1 {
+                let mrow = mask.row_segment(j, k, i0, span);
+                let segs = runs.map(|rt| rt.fluid(j, k).segs(i0, span));
+                let r = rows_at(j, k);
+                let out_vx = mac_new.vx.row_segment_mut(j, k, i0, span);
+                let out_vy = mac_new.vy.row_segment_mut(j, k, i0, span);
+                let out_vz = mac_new.vz.row_segment_mut(j, k, i0, span);
+                vel_row3(mrow, segs, &r, out_vx, out_vy, out_vz, &vp);
             }
-            return;
         }
-        let cuts = kernels::band_cuts(k0, k1, nb);
-        let mut vx_b = mac_new.vx.plane_bands_mut(&cuts).into_iter();
-        let mut vy_b = mac_new.vy.plane_bands_mut(&cuts).into_iter();
-        let mut vz_b = mac_new.vz.plane_bands_mut(&cuts).into_iter();
-        let mask = &*mask;
-        let rows_at = &rows_at;
-        std::thread::scope(|s| {
-            for w in cuts.windows(2) {
-                let (ka, kb) = (w[0], w[1]);
-                let mut xb = vx_b.next().unwrap();
-                let mut yb = vy_b.next().unwrap();
-                let mut zb = vz_b.next().unwrap();
-                s.spawn(move || {
-                    for k in ka..kb {
-                        for j in j0..j1 {
-                            let mrow = mask.row_segment(j, k, i0, span);
-                            let segs = runs.map(|rt| rt.fluid(j, k).segs(i0, span));
-                            let r = rows_at(j, k);
-                            let out_vx = xb.row_segment_mut(j, k, i0, span);
-                            let out_vy = yb.row_segment_mut(j, k, i0, span);
-                            let out_vz = zb.row_segment_mut(j, k, i0, span);
-                            vel_row3(mrow, segs, &r, out_vx, out_vy, out_vz, &vp);
-                        }
-                    }
-                });
-            }
-        });
     }
 
     /// Continuity update over the window `planes × rows × cols`, conservative
@@ -399,7 +367,6 @@ impl FiniteDifference3 {
         if span == 0 {
             return;
         }
-        let nb = runs.map_or(1, |_| kernels::bands_for(k0, k1));
         let TileState3 {
             mac, mac_new, mask, ..
         } = t;
@@ -421,39 +388,15 @@ impl FiniteDifference3 {
             nvzu: new_vz.row_segment(j, k + 1, i0, span),
             nvzd: new_vz.row_segment(j, k - 1, i0, span),
         };
-        if nb <= 1 {
-            for k in k0..k1 {
-                for j in j0..j1 {
-                    let mrow = mask.row_segment(j, k, i0, span);
-                    let segs = runs.map(|rt| rt.fluid(j, k).segs(i0, span));
-                    let r = rows_at(j, k);
-                    let out = new_rho.row_segment_mut(j, k, i0, span);
-                    den_row3(mrow, segs, &r, out, p.dt, inv2dx);
-                }
+        for k in k0..k1 {
+            for j in j0..j1 {
+                let mrow = mask.row_segment(j, k, i0, span);
+                let segs = runs.map(|rt| rt.fluid(j, k).segs(i0, span));
+                let r = rows_at(j, k);
+                let out = new_rho.row_segment_mut(j, k, i0, span);
+                den_row3(mrow, segs, &r, out, p.dt, inv2dx);
             }
-            return;
         }
-        let cuts = kernels::band_cuts(k0, k1, nb);
-        let mut rho_b = new_rho.plane_bands_mut(&cuts).into_iter();
-        let mask = &*mask;
-        let rows_at = &rows_at;
-        std::thread::scope(|s| {
-            for w in cuts.windows(2) {
-                let (ka, kb) = (w[0], w[1]);
-                let mut rb = rho_b.next().unwrap();
-                s.spawn(move || {
-                    for k in ka..kb {
-                        for j in j0..j1 {
-                            let mrow = mask.row_segment(j, k, i0, span);
-                            let segs = runs.map(|rt| rt.fluid(j, k).segs(i0, span));
-                            let r = rows_at(j, k);
-                            let out = rb.row_segment_mut(j, k, i0, span);
-                            den_row3(mrow, segs, &r, out, p.dt, inv2dx);
-                        }
-                    }
-                });
-            }
-        });
     }
 
     /// Boundary conditions on the new fields over the 2-deep ghost ring; the
@@ -816,24 +759,5 @@ mod tests {
         assert_eq!(full.mac.vx, split.mac.vx);
         assert_eq!(full.mac.vy, split.mac.vy);
         assert_eq!(full.mac.vz, split.mac.vz);
-    }
-
-    #[test]
-    fn banded_sweeps_match_serial_bitwise() {
-        let mut params = FluidParams::lattice_units(0.05);
-        params.body_force[0] = 1e-5;
-        let (solver, mut serial) = duct_tile(8, 7, 9, params);
-        let mut banded = serial.clone();
-        for _ in 0..2 {
-            crate::kernels::set_intra_threads(1);
-            step_serial(&solver, &mut serial, true);
-            crate::kernels::set_intra_threads(3);
-            step_serial(&solver, &mut banded, true);
-        }
-        crate::kernels::set_intra_threads(1);
-        assert_eq!(serial.mac.rho, banded.mac.rho);
-        assert_eq!(serial.mac.vx, banded.mac.vx);
-        assert_eq!(serial.mac.vy, banded.mac.vy);
-        assert_eq!(serial.mac.vz, banded.mac.vz);
     }
 }

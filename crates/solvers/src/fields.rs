@@ -168,9 +168,9 @@ pub struct TileState2 {
     /// it through [`TileState2::with_run_table`]).
     pub runs: Option<RunTable>,
     /// Lazily built row workspace of the LB macroscopic → filter →
-    /// re-synthesis sweep, one buffer per intra-tile band (LB only; pure
-    /// scratch, never serialized — the layout is private to `lbm2`).
-    pub sweep_rows: Vec<Vec<f64>>,
+    /// re-synthesis sweep, `18·nx` doubles (LB only; pure scratch, never
+    /// serialized — the layout is private to `lbm2`).
+    pub sweep_rows: Vec<f64>,
 }
 
 impl TileState2 {

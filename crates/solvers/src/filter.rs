@@ -28,12 +28,10 @@
 //! shrunk by the stencil reach (x-pass) or its across runs (y- and z-pass),
 //! clipped to the output window. Those cells get a branch-free stencil loop
 //! over trimmed sub-slices (which autovectorizes), and only the cells between
-//! them are copied through. With [`crate::kernels::intra_threads`] > 1 the 2D
-//! passes split into row bands and the 3D passes into plane bands. The 3D
-//! serial sweep is additionally cache-blocked: the three axis passes are
-//! interleaved along k so the x- and y-filtered slabs are consumed while
-//! still cache-resident instead of three full-volume round trips (the z-pass
-//! trails the pipeline by two slabs, the stencil reach).
+//! them are copied through. The 3D sweep is additionally cache-blocked: the
+//! three axis passes are interleaved along k so the x- and y-filtered slabs
+//! are consumed while still cache-resident instead of three full-volume round
+//! trips (the z-pass trails the pipeline by two slabs, the stencil reach).
 //! [`filter_field2_scalar`]/[`filter_field3_scalar`] keep the original
 //! per-cell formulation over the mask; both paths evaluate the identical
 //! stencil expression, and the equivalence tests pin them bitwise equal.
@@ -45,7 +43,7 @@
 //! row at a time with ρ, Vx, Vy together, out of a ring of rows instead of a
 //! scratch plane.
 
-use crate::kernels::{self, RunTable};
+use crate::kernels::RunTable;
 use subsonic_grid::{Cell, PaddedGrid2, PaddedGrid3};
 
 /// Damping factor applied to the Nyquist (grid-scale) mode by one pass.
@@ -198,9 +196,8 @@ fn filter_row_across_fast(
 }
 
 /// Applies the two-pass 2D filter to `u` in place, using `sx` as scratch
-/// (fast path: stencil ranges from the tile's run table `runs`, row-banded
-/// when intra-tile threads are configured; bitwise identical to
-/// [`filter_field2_scalar`] on the mask `runs` was built from).
+/// (fast path: stencil ranges from the tile's run table `runs`; bitwise
+/// identical to [`filter_field2_scalar`] on the mask `runs` was built from).
 ///
 /// Output region: `[-ring, n+ring)` on both axes. Requires `u` valid on
 /// `[-ring-2, n+ring+2)` and the grids' halo to be at least `ring + 2`.
@@ -222,72 +219,24 @@ pub fn filter_field2(
     // Pass 1 (x): scratch <- filtered-in-x, over a y-range widened by 2 so
     // pass 2 has valid inputs.
     let (p1lo, p1hi) = (-ring - 2, ny + ring + 2);
-    let nb1 = kernels::bands_for(p1lo, p1hi);
-    if nb1 <= 1 {
-        for j in p1lo..p1hi {
-            filter_row_x_fast(
-                sx.row_segment_mut(j, -ring, span),
-                u.row_segment(j, -ring - 2, span + 4),
-                runs.fluid(j, 0).clip(-ring, span, REACH),
-                eps,
-            );
-        }
-    } else {
-        let cuts = kernels::band_cuts(p1lo, p1hi, nb1);
-        let mut bands = sx.row_bands_mut(&cuts).into_iter();
-        let u_in = &*u;
-        std::thread::scope(|s| {
-            for w in cuts.windows(2) {
-                let (ja, jb) = (w[0], w[1]);
-                let mut band = bands.next().unwrap();
-                s.spawn(move || {
-                    for j in ja..jb {
-                        filter_row_x_fast(
-                            band.row_segment_mut(j, -ring, span),
-                            u_in.row_segment(j, -ring - 2, span + 4),
-                            runs.fluid(j, 0).clip(-ring, span, REACH),
-                            eps,
-                        );
-                    }
-                });
-            }
-        });
+    for j in p1lo..p1hi {
+        filter_row_x_fast(
+            sx.row_segment_mut(j, -ring, span),
+            u.row_segment(j, -ring - 2, span + 4),
+            runs.fluid(j, 0).clip(-ring, span, REACH),
+            eps,
+        );
     }
 
     // Pass 2 (y): u <- filtered-in-y of scratch.
     let (p2lo, p2hi) = (-ring, ny + ring);
-    let nb2 = kernels::bands_for(p2lo, p2hi);
-    if nb2 <= 1 {
-        for j in p2lo..p2hi {
-            filter_row_across_fast(
-                u.row_segment_mut(j, -ring, span),
-                std::array::from_fn(|o| sx.row_segment(j + o as isize - 2, -ring, span)),
-                runs.across_y(j, 0).clip(-ring, span, 0),
-                eps,
-            );
-        }
-    } else {
-        let cuts = kernels::band_cuts(p2lo, p2hi, nb2);
-        let mut bands = u.row_bands_mut(&cuts).into_iter();
-        let sx_in = &*sx;
-        std::thread::scope(|s| {
-            for w in cuts.windows(2) {
-                let (ja, jb) = (w[0], w[1]);
-                let mut band = bands.next().unwrap();
-                s.spawn(move || {
-                    for j in ja..jb {
-                        filter_row_across_fast(
-                            band.row_segment_mut(j, -ring, span),
-                            std::array::from_fn(|o| {
-                                sx_in.row_segment(j + o as isize - 2, -ring, span)
-                            }),
-                            runs.across_y(j, 0).clip(-ring, span, 0),
-                            eps,
-                        );
-                    }
-                });
-            }
-        });
+    for j in p2lo..p2hi {
+        filter_row_across_fast(
+            u.row_segment_mut(j, -ring, span),
+            std::array::from_fn(|o| sx.row_segment(j + o as isize - 2, -ring, span)),
+            runs.across_y(j, 0).clip(-ring, span, 0),
+            eps,
+        );
     }
 }
 
@@ -326,10 +275,9 @@ pub fn filter_field2_scalar(
 }
 
 /// Applies the three-pass 3D filter to `u` in place, using `sx`/`sy` scratch
-/// and the tile's run table `runs`. Serial: a k-pipelined cache-blocked
-/// sweep (see module docs). With intra-tile threads: three plane-banded
-/// passes. Bitwise identical to [`filter_field3_scalar`] on the mask `runs`
-/// was built from, either way.
+/// and the tile's run table `runs`: a k-pipelined cache-blocked sweep (see
+/// module docs), bitwise identical to [`filter_field3_scalar`] on the mask
+/// `runs` was built from.
 ///
 /// Output region: `[-ring, n+ring)` on all axes. Requires `u` valid on
 /// `[-ring-2, n+ring+2)` and halo at least `ring + 2`.
@@ -350,119 +298,39 @@ pub fn filter_field3(
     );
     let span = (nx + 2 * ring) as usize;
     let (klo, khi) = (-ring - 2, nz + ring + 2);
-    let nb = kernels::bands_for(klo, khi);
 
-    if nb <= 1 {
-        // Pipelined sweep: slab kk runs the x- and y-pass, then the z-pass
-        // emits slab kk-2 (whose sy inputs kk-4..kk are now all ready). The
-        // x-pass at kk still reads pristine u[kk]: the z-pass only overwrites
-        // u two slabs behind.
-        for kk in klo..khi {
-            for j in (-ring - 2)..(ny + ring + 2) {
-                filter_row_x_fast(
-                    sx.row_segment_mut(j, kk, -ring, span),
-                    u.row_segment(j, kk, -ring - 2, span + 4),
-                    runs.fluid(j, kk).clip(-ring, span, REACH),
-                    eps,
-                );
-            }
+    // Pipelined sweep: slab kk runs the x- and y-pass, then the z-pass
+    // emits slab kk-2 (whose sy inputs kk-4..kk are now all ready). The
+    // x-pass at kk still reads pristine u[kk]: the z-pass only overwrites
+    // u two slabs behind.
+    for kk in klo..khi {
+        for j in (-ring - 2)..(ny + ring + 2) {
+            filter_row_x_fast(
+                sx.row_segment_mut(j, kk, -ring, span),
+                u.row_segment(j, kk, -ring - 2, span + 4),
+                runs.fluid(j, kk).clip(-ring, span, REACH),
+                eps,
+            );
+        }
+        for j in -ring..(ny + ring) {
+            filter_row_across_fast(
+                sy.row_segment_mut(j, kk, -ring, span),
+                std::array::from_fn(|o| sx.row_segment(j + o as isize - 2, kk, -ring, span)),
+                runs.across_y(j, kk).clip(-ring, span, 0),
+                eps,
+            );
+        }
+        let k = kk - 2;
+        if k >= -ring {
             for j in -ring..(ny + ring) {
                 filter_row_across_fast(
-                    sy.row_segment_mut(j, kk, -ring, span),
-                    std::array::from_fn(|o| sx.row_segment(j + o as isize - 2, kk, -ring, span)),
-                    runs.across_y(j, kk).clip(-ring, span, 0),
+                    u.row_segment_mut(j, k, -ring, span),
+                    std::array::from_fn(|o| sy.row_segment(j, k + o as isize - 2, -ring, span)),
+                    runs.across_z(j, k).clip(-ring, span, 0),
                     eps,
                 );
             }
-            let k = kk - 2;
-            if k >= -ring {
-                for j in -ring..(ny + ring) {
-                    filter_row_across_fast(
-                        u.row_segment_mut(j, k, -ring, span),
-                        std::array::from_fn(|o| sy.row_segment(j, k + o as isize - 2, -ring, span)),
-                        runs.across_z(j, k).clip(-ring, span, 0),
-                        eps,
-                    );
-                }
-            }
         }
-        return;
-    }
-
-    // Plane-banded passes (each pass is a barrier; reads of the previous
-    // pass's output may cross band boundaries, which is fine — it is only
-    // read).
-    let cuts = kernels::band_cuts(klo, khi, nb);
-    {
-        let mut bands = sx.plane_bands_mut(&cuts).into_iter();
-        let u_in = &*u;
-        std::thread::scope(|s| {
-            for w in cuts.windows(2) {
-                let (ka, kb) = (w[0], w[1]);
-                let mut band = bands.next().unwrap();
-                s.spawn(move || {
-                    for k in ka..kb {
-                        for j in (-ring - 2)..(ny + ring + 2) {
-                            filter_row_x_fast(
-                                band.row_segment_mut(j, k, -ring, span),
-                                u_in.row_segment(j, k, -ring - 2, span + 4),
-                                runs.fluid(j, k).clip(-ring, span, REACH),
-                                eps,
-                            );
-                        }
-                    }
-                });
-            }
-        });
-    }
-    {
-        let mut bands = sy.plane_bands_mut(&cuts).into_iter();
-        let sx_in = &*sx;
-        std::thread::scope(|s| {
-            for w in cuts.windows(2) {
-                let (ka, kb) = (w[0], w[1]);
-                let mut band = bands.next().unwrap();
-                s.spawn(move || {
-                    for k in ka..kb {
-                        for j in -ring..(ny + ring) {
-                            filter_row_across_fast(
-                                band.row_segment_mut(j, k, -ring, span),
-                                std::array::from_fn(|o| {
-                                    sx_in.row_segment(j + o as isize - 2, k, -ring, span)
-                                }),
-                                runs.across_y(j, k).clip(-ring, span, 0),
-                                eps,
-                            );
-                        }
-                    }
-                });
-            }
-        });
-    }
-    {
-        let cuts3 = kernels::band_cuts(-ring, nz + ring, kernels::bands_for(-ring, nz + ring));
-        let mut bands = u.plane_bands_mut(&cuts3).into_iter();
-        let sy_in = &*sy;
-        std::thread::scope(|s| {
-            for w in cuts3.windows(2) {
-                let (ka, kb) = (w[0], w[1]);
-                let mut band = bands.next().unwrap();
-                s.spawn(move || {
-                    for k in ka..kb {
-                        for j in -ring..(ny + ring) {
-                            filter_row_across_fast(
-                                band.row_segment_mut(j, k, -ring, span),
-                                std::array::from_fn(|o| {
-                                    sy_in.row_segment(j, k + o as isize - 2, -ring, span)
-                                }),
-                                runs.across_z(j, k).clip(-ring, span, 0),
-                                eps,
-                            );
-                        }
-                    }
-                });
-            }
-        });
     }
 }
 
@@ -674,20 +542,5 @@ mod tests {
             filter_field3_scalar(&mut b, &mut sxb, &mut syb, &mask, 0.02, ring);
             assert_eq!(a, b, "ring {ring}");
         }
-    }
-
-    #[test]
-    fn banded_filter_matches_serial_bitwise() {
-        let runs = RunTable::build2(&obstacle_mask2());
-        let mut a = PaddedGrid2::from_fn(19, 13, 4, |i, j| i as f64 * 0.3 + (j as f64).cos());
-        let mut b = a.clone();
-        let mut sa = PaddedGrid2::new(19, 13, 4, 0.0f64);
-        let mut sb = sa.clone();
-        crate::kernels::set_intra_threads(1);
-        filter_field2(&mut a, &mut sa, &runs, 0.02, 2);
-        crate::kernels::set_intra_threads(4);
-        filter_field2(&mut b, &mut sb, &runs, 0.02, 2);
-        crate::kernels::set_intra_threads(1);
-        assert_eq!(a, b);
     }
 }

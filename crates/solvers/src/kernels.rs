@@ -1,6 +1,6 @@
-//! Shared infrastructure for the vectorized, band-parallel solver kernels.
+//! Shared infrastructure for the vectorized solver kernels.
 //!
-//! Three things live here, used by every solver's fast path:
+//! Two things live here, used by every solver's fast path:
 //!
 //! * **The run table** ([`RunTable`]): a tile's mask never changes, so it is
 //!   decomposed into runs once, on first use, and every fast-path kernel
@@ -17,46 +17,18 @@
 //!   association order, so the decomposition is bitwise invisible. The
 //!   cell-by-cell row scans (`fluid_segs`, `active_segs`) survive only to
 //!   build the table, private to this module.
-//! * **Intra-tile threading** ([`intra_threads`]): how many row bands a
-//!   single tile's sweep is split into. Defaults to 1 (band splitting off);
-//!   set `SUBSONIC_INTRA_THREADS` or call [`set_intra_threads`]. Bands are
-//!   disjoint row ranges of the *same* grids (see `PaddedGrid2::row_bands_mut`),
-//!   so the split never changes results — each cell is computed by exactly
-//!   one band with identical inputs.
 //! * **SIMD reporting** ([`simd_lanes`]): the widest f64 vector the build's
 //!   ISA offers, recorded in bench metadata so rates from differently-shaped
 //!   containers stay comparable.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use subsonic_grid::{Cell, PaddedGrid2, PaddedGrid3};
 
-/// 0 = not yet initialised from the environment.
-static INTRA_THREADS: AtomicUsize = AtomicUsize::new(0);
-
-/// Number of worker bands used *inside* one tile's sweeps.
-///
-/// Lazily initialised from `SUBSONIC_INTRA_THREADS` (default 1 — kernels run
-/// serially and spawn no scope). This is deliberately independent of the
-/// tile-level parallelism of the runners: a k-tile run on an n-core machine
-/// wants `n / k` bands per tile, not `n`.
-pub fn intra_threads() -> usize {
-    match INTRA_THREADS.load(Ordering::Relaxed) {
-        0 => {
-            let n = std::env::var("SUBSONIC_INTRA_THREADS")
-                .ok()
-                .and_then(|s| s.trim().parse::<usize>().ok())
-                .filter(|&n| n >= 1)
-                .unwrap_or(1);
-            INTRA_THREADS.store(n, Ordering::Relaxed);
-            n
-        }
-        n => n,
-    }
-}
-
-/// Overrides the band count (tests and benches; `n` is clamped to ≥ 1).
-pub fn set_intra_threads(n: usize) {
-    INTRA_THREADS.store(n.max(1), Ordering::Relaxed);
+/// Always 1: one tile's sweeps run on one thread, and tiles are the only
+/// parallel axis. Kept only because `benchmark/` reports it in its run
+/// metadata; ROADMAP item 9 deletes it with the other names kept for
+/// `benchmark/`.
+pub const fn intra_threads() -> usize {
+    1
 }
 
 /// Number of f64 lanes in the widest vector register the build's ISA offers
@@ -81,25 +53,6 @@ pub const fn simd_lanes() -> usize {
     {
         1
     }
-}
-
-/// Number of bands for a sweep over rows `[lo, hi)`: the configured
-/// [`intra_threads`], capped so no band is empty.
-pub fn bands_for(lo: isize, hi: isize) -> usize {
-    if hi <= lo {
-        return 1;
-    }
-    intra_threads().min((hi - lo) as usize)
-}
-
-/// Band boundaries splitting rows `[lo, hi)` into `nbands` near-equal ranges:
-/// `nbands + 1` increasing cut points starting at `lo` and ending at `hi`,
-/// in the form `PaddedGrid2::row_bands_mut` consumes.
-pub fn band_cuts(lo: isize, hi: isize, nbands: usize) -> Vec<isize> {
-    assert!(hi > lo, "band_cuts: empty row range");
-    let rows = (hi - lo) as usize;
-    let nb = nbands.clamp(1, rows);
-    (0..=nb).map(|b| lo + (rows * b / nb) as isize).collect()
 }
 
 /// One segment of a scanned mask row: either a maximal run of cells matching
@@ -511,18 +464,6 @@ mod tests {
         // active_segs treats Inlet as part of a run
         let active: Vec<Seg> = active_segs(&row).collect();
         assert_eq!(active, vec![Seg::Run(0, 1), Seg::One(1), Seg::Run(2, 6)]);
-    }
-
-    #[test]
-    fn band_cuts_partition_the_range() {
-        let cuts = band_cuts(-3, 10, 4);
-        assert_eq!(cuts.first(), Some(&-3));
-        assert_eq!(cuts.last(), Some(&10));
-        assert!(cuts.windows(2).all(|w| w[0] < w[1]));
-        let total: isize = cuts.windows(2).map(|w| w[1] - w[0]).sum();
-        assert_eq!(total, 13);
-        // more bands than rows collapses to one band per row
-        assert_eq!(band_cuts(0, 2, 8).len(), 3);
     }
 
     #[test]

@@ -72,26 +72,17 @@
 //! The plane-by-plane form this replaced (moments 12, raw copy 6, three
 //! two-pass filters 12, re-synthesis 24 = 54 passes) survives, per cell, as
 //! the scalar oracle behind [`Solver2::compute_scalar`].
-//!
-//! When [`crate::kernels::intra_threads`] > 1, relaxation splits into
-//! disjoint row bands, one scoped thread each, and the half-step runs one
-//! pipeline per band. A band's pipeline reaches two rows into each neighbour, rows
-//! that neighbour overwrites (`mac` with filtered values, `f` by
-//! re-synthesis); every band therefore takes its four overlap rows — moments
-//! plus x-filter, into band-private storage — in a first scope that only
-//! reads `f`, and the band sweeps run in a second. Same cells, same inputs,
-//! same results, just computed on different threads.
 
 use crate::fields::{Macro2, ShiftLinks2, TileState2};
 use crate::filter::{filter_field2_scalar, filter_rows_across, filter_rows_x, REACH};
 use crate::init::InitialState2;
-use crate::kernels::{self, RunTable, Seg, WindowSegs};
+use crate::kernels::{RunTable, Seg, WindowSegs};
 use crate::params::{FluidParams, MethodKind};
 use crate::plan::StepOp;
 use crate::qlattice::{eq_poly, feq2, E2, OPP2, Q2, W2};
 use crate::solver::Solver2;
 use subsonic_grid::halo::{message_len, pack, unpack};
-use subsonic_grid::{Cell, Face, PaddedGrid2, RowBand2};
+use subsonic_grid::{Cell, Face, PaddedGrid2};
 
 /// Ghost-layer width required by the LB scheme: 1 for the shift plus 2 for
 /// the filter stencil.
@@ -470,43 +461,15 @@ impl LatticeBoltzmann2 {
         let (j0, j1) = rows;
         let (i0, i1) = cols;
         let span = (i1 - i0) as usize;
-        let nb = runs.map_or(1, |_| kernels::bands_for(j0, j1));
         let TileState2 { f, mask, .. } = t;
-        if nb <= 1 {
-            for j in j0..j1 {
-                let mrow = mask.row_segment(j, i0, span);
-                let mut fit = f.iter_mut();
-                let mut frows: [&mut [f64]; Q2] =
-                    std::array::from_fn(|_| fit.next().unwrap().row_segment_mut(j, i0, span));
-                let segs = runs.map(|r| r.fluid(j, 0).segs(i0, span));
-                relax_row(mrow, segs, &mut frows, &p);
-            }
-            return;
+        for j in j0..j1 {
+            let mrow = mask.row_segment(j, i0, span);
+            let mut fit = f.iter_mut();
+            let mut frows: [&mut [f64]; Q2] =
+                std::array::from_fn(|_| fit.next().unwrap().row_segment_mut(j, i0, span));
+            let segs = runs.map(|r| r.fluid(j, 0).segs(i0, span));
+            relax_row(mrow, segs, &mut frows, &p);
         }
-        let cuts = kernels::band_cuts(j0, j1, nb);
-        let mut its: Vec<_> = f
-            .iter_mut()
-            .map(|g| g.row_bands_mut(&cuts).into_iter())
-            .collect();
-        let mask = &*mask;
-        std::thread::scope(|s| {
-            for w in cuts.windows(2) {
-                let (ja, jb) = (w[0], w[1]);
-                let mut band: [RowBand2<'_, f64>; Q2] =
-                    std::array::from_fn(|g| its[g].next().unwrap());
-                s.spawn(move || {
-                    for j in ja..jb {
-                        let mrow = mask.row_segment(j, i0, span);
-                        let mut bit = band.iter_mut();
-                        let mut frows: [&mut [f64]; Q2] = std::array::from_fn(|_| {
-                            bit.next().unwrap().row_segment_mut(j, i0, span)
-                        });
-                        let segs = runs.map(|r| r.fluid(j, 0).segs(i0, span));
-                        relax_row(mrow, segs, &mut frows, &p);
-                    }
-                });
-            }
-        });
     }
 
     /// In-place streaming with half-way bounce-back.
@@ -649,90 +612,30 @@ impl LatticeBoltzmann2 {
     }
 
     /// The macroscopic → filter → re-synthesis half of the cycle as one
-    /// row-pipelined sweep (see [`HalfStep`]), one pipeline per row band.
+    /// row-pipelined sweep (see [`HalfStep`]).
     fn half_step(&self, t: &mut TileState2, runs: &RunTable) {
-        let ny = t.ny() as isize;
         let hs = HalfStep {
             nx: t.nx(),
-            ny,
+            ny: t.ny() as isize,
             mp: MacP::new(&t.params),
             rp: ResynP::new(&t.params),
             eps: t.params.filter_eps,
             mask: &t.mask,
             runs,
         };
-        let nb = kernels::bands_for(0, ny);
         let rows_len = if hs.eps == 0.0 { 0 } else { hs.rows_len() };
-        if t.sweep_rows.len() != nb || t.sweep_rows[0].len() != rows_len {
-            t.sweep_rows = vec![vec![0.0; rows_len]; nb];
+        if t.sweep_rows.len() != rows_len {
+            t.sweep_rows = vec![0.0; rows_len];
         }
         let TileState2 {
             mac, f, sweep_rows, ..
         } = t;
-        if nb <= 1 {
-            let mut fit = f.iter_mut();
-            hs.sweep(
-                [&mut mac.rho, &mut mac.vx, &mut mac.vy],
-                std::array::from_fn(|_| fit.next().expect("nine population planes")),
-                (0, ny),
-                &mut sweep_rows[0],
-            );
-            return;
-        }
-        let cuts = kernels::band_cuts(0, ny, nb);
-        let hs = &hs;
-        if hs.eps != 0.0 {
-            // A band's pipeline starts two rows above and ends two rows below
-            // its own rows, inside rows the neighbouring band rewrites. Those
-            // overlap rows are taken first, while every band only reads `f`.
-            let f = &*f;
-            std::thread::scope(|s| {
-                for (w, rows) in cuts.windows(2).zip(sweep_rows.iter_mut()) {
-                    let band = (w[0], w[1]);
-                    s.spawn(move || hs.overlap_rows(f, band, rows));
-                }
-            });
-        }
-        // the first and last band also own the two ghost rows beyond them
-        let mut own = cuts.clone();
-        own[0] = -2;
-        own[nb] = ny + 2;
-        let mut mac_b =
-            [&mut mac.rho, &mut mac.vx, &mut mac.vy].map(|g| g.row_bands_mut(&own).into_iter());
-        let mut f_b: Vec<_> = f
-            .iter_mut()
-            .map(|g| g.row_bands_mut(&own).into_iter())
-            .collect();
-        std::thread::scope(|s| {
-            for (w, rows) in cuts.windows(2).zip(sweep_rows.iter_mut()) {
-                let band = (w[0], w[1]);
-                let mut mac: [RowBand2<'_, f64>; 3] =
-                    std::array::from_fn(|c| mac_b[c].next().unwrap());
-                let mut f: [RowBand2<'_, f64>; Q2] =
-                    std::array::from_fn(|q| f_b[q].next().unwrap());
-                s.spawn(move || hs.sweep(mac.each_mut(), f.each_mut(), band, rows));
-            }
-        });
-    }
-}
-
-/// Mutable row access common to a whole plane and to one row band of it, so
-/// the half-step sweep is written once for every band count.
-trait RowsMut {
-    fn seg_mut(&mut self, j: isize, i0: isize, len: usize) -> &mut [f64];
-}
-
-impl RowsMut for PaddedGrid2<f64> {
-    #[inline(always)]
-    fn seg_mut(&mut self, j: isize, i0: isize, len: usize) -> &mut [f64] {
-        self.row_segment_mut(j, i0, len)
-    }
-}
-
-impl RowsMut for RowBand2<'_, f64> {
-    #[inline(always)]
-    fn seg_mut(&mut self, j: isize, i0: isize, len: usize) -> &mut [f64] {
-        self.row_segment_mut(j, i0, len)
+        let mut fit = f.iter_mut();
+        hs.sweep(
+            [&mut mac.rho, &mut mac.vx, &mut mac.vy],
+            std::array::from_fn(|_| fit.next().expect("nine population planes")),
+            sweep_rows,
+        );
     }
 }
 
@@ -750,25 +653,10 @@ fn rows3_mut(s: &mut [f64], n: usize) -> [&mut [f64]; 3] {
     [a, b, &mut rest[..n]]
 }
 
-/// One band's row workspace ([`TileState2::sweep_rows`]) carved into its
-/// parts; every row holds ρ, Vx, Vy back to back.
-struct SweepRows<'a> {
-    /// x-filtered rows `j-2..=j+2` around the row being y-filtered: five
-    /// slots of three interior-width rows, row `jj` in slot `(jj + 2) % 5`.
-    ring: &'a mut [f64],
-    /// The y-filtered row: three interior-width rows.
-    out: &'a mut [f64],
-    /// x-filtered rows `jb`, `jb+1` of a band that is not the last (taken
-    /// before the band below rewrites them): two slots like the ring's.
-    tail: &'a mut [f64],
-    /// Raw moments of one overlap row, three rows over `[-2, nx+2)`.
-    raw: &'a mut [f64],
-}
-
 /// The macroscopic → filter → re-synthesis half of the LB cycle as a row
-/// pipeline over one band of interior rows `[ja, jb)`.
+/// pipeline over the tile.
 ///
-/// For `jj` in `ja-2..jb+2` the sweep computes the moments of row `jj` from
+/// For `jj` in `-2..ny+2` the sweep computes the moments of row `jj` from
 /// `f` into `mac` and x-filters them into the ring; as soon as row `j = jj-2`
 /// has its five x-filtered rows it is y-filtered into `out`, `f` row `j` is
 /// re-synthesised with *raw* = the still-unfiltered `mac` row `j` and
@@ -790,9 +678,11 @@ struct HalfStep<'a> {
 }
 
 impl<'a> HalfStep<'a> {
-    /// Length of one band's workspace; see [`SweepRows`].
+    /// Length of the row workspace ([`TileState2::sweep_rows`]): a ring of
+    /// five x-filtered rows, then the y-filtered row, each three
+    /// interior-width rows (ρ, Vx, Vy back to back).
     fn rows_len(&self) -> usize {
-        (15 + 3 + 6) * self.nx + 3 * (self.nx + 4)
+        (15 + 3) * self.nx
     }
 
     /// Raw moments of row `jj` over `[-2, nx+2)` from its population rows.
@@ -815,106 +705,50 @@ impl<'a> HalfStep<'a> {
         self.runs.fluid(jj, 0).clip(0, self.nx, REACH)
     }
 
-    fn carve<'r>(&self, rows: &'r mut [f64]) -> SweepRows<'r> {
-        let (ring, rest) = rows.split_at_mut(15 * self.nx);
-        let (out, rest) = rest.split_at_mut(3 * self.nx);
-        let (tail, raw) = rest.split_at_mut(6 * self.nx);
-        SweepRows {
-            ring,
-            out,
-            tail,
-            raw,
-        }
-    }
-
     /// Start of row `jj`'s slot in the ring.
     #[inline(always)]
     fn slot(&self, jj: isize) -> usize {
         (jj + 2) as usize % 5 * 3 * self.nx
     }
 
-    /// The overlap rows of band `[ja, jb)` — `ja-2, ja-1` unless it is the
-    /// first band, `jb, jb+1` unless it is the last — as moments of the
-    /// pre-sweep `f`, x-filtered into the band's ring and tail.
-    fn overlap_rows(&self, f: &[PaddedGrid2<f64>], (ja, jb): (isize, isize), rows: &mut [f64]) {
-        let nx = self.nx;
-        let span = nx + 4;
-        let SweepRows {
-            ring, tail, raw, ..
-        } = self.carve(rows);
-        let mut take = |jj: isize, dst: &mut [f64]| {
-            let mut fit = f.iter();
-            let frows: [&[f64]; Q2] =
-                std::array::from_fn(|_| fit.next().unwrap().row_segment(jj, -2, span));
-            let [rho, vx, vy] = rows3_mut(raw, span);
-            self.moments_row(jj, &frows, MacRows { rho, vx, vy });
-            filter_rows_x(
-                rows3_mut(dst, nx),
-                rows3(raw, span),
-                self.stencil_x(jj),
-                self.eps,
-            );
-        };
-        if ja > 0 {
-            for jj in [ja - 2, ja - 1] {
-                take(jj, &mut ring[self.slot(jj)..]);
-            }
-        }
-        if jb < self.ny {
-            take(jb, &mut tail[..3 * nx]);
-            take(jb + 1, &mut tail[3 * nx..]);
-        }
-    }
-
-    /// Runs the pipeline over band `[ja, jb)`. `mac` and `f` must give
-    /// access to the band's own rows: `[ja, jb)` plus the ghost rows
-    /// `-2, -1` for the first band and `ny, ny+1` for the last. Every other
-    /// band must have had [`HalfStep::overlap_rows`] run on `rows` first.
-    fn sweep<G: RowsMut>(
+    /// Runs the pipeline over the whole tile: moments over every padded row
+    /// in `[-2, ny+2)`, filter and re-synthesis over the interior rows.
+    fn sweep(
         &self,
-        mut mac: [&mut G; 3],
-        mut f: [&mut G; Q2],
-        (ja, jb): (isize, isize),
+        mut mac: [&mut PaddedGrid2<f64>; 3],
+        mut f: [&mut PaddedGrid2<f64>; Q2],
         rows: &mut [f64],
     ) {
         let nx = self.nx;
         let span = nx + 4;
-        // the first and last band also own the two ghost rows beyond them
-        let own = if ja == 0 { -2 } else { ja }..if jb == self.ny { jb + 2 } else { jb };
-        let moments = |mac: &mut [&mut G; 3], f: &mut [&mut G; Q2], jj: isize| {
-            let mut fit = f.iter_mut();
-            let frows: [&[f64]; Q2] =
-                std::array::from_fn(|_| &*fit.next().unwrap().seg_mut(jj, -2, span));
-            let [rho, vx, vy] = mac.each_mut().map(|g| g.seg_mut(jj, -2, span));
-            self.moments_row(jj, &frows, MacRows { rho, vx, vy });
-        };
+        let moments =
+            |mac: &mut [&mut PaddedGrid2<f64>; 3], f: &[&mut PaddedGrid2<f64>; Q2], jj: isize| {
+                let frows: [&[f64]; Q2] = std::array::from_fn(|q| f[q].row_segment(jj, -2, span));
+                let [rho, vx, vy] = mac.each_mut().map(|g| g.row_segment_mut(jj, -2, span));
+                self.moments_row(jj, &frows, MacRows { rho, vx, vy });
+            };
         if self.eps == 0.0 {
             // filter disabled: the half-step is the moments alone
-            for jj in own {
-                moments(&mut mac, &mut f, jj);
+            for jj in -2..self.ny + 2 {
+                moments(&mut mac, &f, jj);
             }
             return;
         }
-        let SweepRows {
-            ring, out, tail, ..
-        } = self.carve(rows);
-        for jj in ja - 2..jb + 2 {
+        // x-filtered rows `j-2..=j+2` around the row being y-filtered, row
+        // `jj` in slot `(jj + 2) % 5`; then the y-filtered row
+        let (ring, out) = rows.split_at_mut(15 * nx);
+        for jj in -2..self.ny + 2 {
             let at = self.slot(jj);
-            if own.contains(&jj) {
-                moments(&mut mac, &mut f, jj);
-                let raw = mac.each_mut().map(|g| &*g.seg_mut(jj, -2, span));
-                filter_rows_x(
-                    rows3_mut(&mut ring[at..], nx),
-                    raw,
-                    self.stencil_x(jj),
-                    self.eps,
-                );
-            } else if jj >= jb {
-                let k = (jj - jb) as usize * 3 * nx;
-                ring[at..at + 3 * nx].copy_from_slice(&tail[k..k + 3 * nx]);
-            }
+            moments(&mut mac, &f, jj);
+            let raw = mac.each_ref().map(|g| g.row_segment(jj, -2, span));
+            filter_rows_x(
+                rows3_mut(&mut ring[at..], nx),
+                raw,
+                self.stencil_x(jj),
+                self.eps,
+            );
             let j = jj - 2;
-            if j < ja {
+            if j < 0 {
                 continue;
             }
             let ring = &*ring;
@@ -931,7 +765,7 @@ impl<'a> HalfStep<'a> {
             );
             let [rho_f, vx_f, vy_f] = rows3(out, nx);
             {
-                let [rho_r, vx_r, vy_r] = mac.each_mut().map(|g| &*g.seg_mut(j, 0, nx));
+                let [rho_r, vx_r, vy_r] = mac.each_ref().map(|g| g.row_segment(j, 0, nx));
                 let src = ResynRows {
                     rho_f,
                     vx_f,
@@ -942,12 +776,12 @@ impl<'a> HalfStep<'a> {
                 };
                 let mut fit = f.iter_mut();
                 let mut frows: [&mut [f64]; Q2] =
-                    std::array::from_fn(|_| fit.next().unwrap().seg_mut(j, 0, nx));
+                    std::array::from_fn(|_| fit.next().unwrap().row_segment_mut(j, 0, nx));
                 let segs = self.runs.fluid(j, 0).segs(0, nx);
                 resyn_row(self.mask.interior_row(j), segs, &mut frows, &src, &self.rp);
             }
             for (g, filtered) in mac.iter_mut().zip([rho_f, vx_f, vy_f]) {
-                g.seg_mut(j, 0, nx).copy_from_slice(filtered);
+                g.row_segment_mut(j, 0, nx).copy_from_slice(filtered);
             }
         }
     }
@@ -1343,25 +1177,6 @@ mod tests {
         assert_eq!(full.mac.vy, split.mac.vy);
         for q in 0..Q2 {
             assert_eq!(full.f[q], split.f[q], "population {q} diverged");
-        }
-    }
-
-    #[test]
-    fn banded_sweeps_match_serial_bitwise() {
-        let mut params = FluidParams::lattice_units(0.05);
-        params.body_force[0] = 1e-5;
-        let (solver, mut serial) = channel_tile(15, 12, params);
-        let mut banded = serial.clone();
-        for _ in 0..3 {
-            kernels::set_intra_threads(1);
-            step_serial(&solver, &mut serial, true);
-            kernels::set_intra_threads(3);
-            step_serial(&solver, &mut banded, true);
-        }
-        kernels::set_intra_threads(1);
-        assert_eq!(serial.mac.rho, banded.mac.rho);
-        for q in 0..Q2 {
-            assert_eq!(serial.f[q], banded.f[q], "population {q} diverged");
         }
     }
 }

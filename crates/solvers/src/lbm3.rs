@@ -3,10 +3,9 @@
 //! Mirrors [`crate::lbm2`] — including its kernel structure: one padded f64
 //! plane per population (structure-of-arrays), row runs taken from the
 //! tile's run table and handed to branch-free unrolled kernels over trimmed
-//! sub-slices (autovectorized across x), in-place streaming as ordered row copies plus
-//! the cached [`ShiftLinks3`] fix-ups, and optional plane-band parallelism,
-//! one scoped thread per band, when [`crate::kernels::intra_threads`] > 1.
-//! Fast and scalar paths agree bitwise.
+//! sub-slices (autovectorized across x), and in-place streaming as ordered
+//! row copies plus the cached [`ShiftLinks3`] fix-ups. Fast and scalar paths
+//! agree bitwise.
 //!
 //! One message per neighbour per step. Of the 15 populations, 5 cross a given
 //! face per boundary node — the "5 variables per fluid node" of the paper's
@@ -16,13 +15,13 @@
 use crate::fields::{Macro3, ShiftLinks3, TileState3};
 use crate::filter::{filter_field3, filter_field3_scalar};
 use crate::init::InitialState3;
-use crate::kernels::{self, RunTable, Seg, WindowSegs};
+use crate::kernels::{RunTable, Seg, WindowSegs};
 use crate::params::{FluidParams, MethodKind};
 use crate::plan::StepOp;
 use crate::qlattice::{eq_poly, feq3, E3, OPP3, Q3, W3};
 use crate::solver::Solver3;
 use subsonic_grid::halo::{message_len, pack, unpack};
-use subsonic_grid::{Cell, Face, PaddedGrid3, PlaneBand3};
+use subsonic_grid::{Cell, Face, PaddedGrid3};
 
 /// Ghost-layer width required by the 3D LB scheme.
 pub const LBM3_HALO: usize = 3;
@@ -463,48 +462,17 @@ impl LatticeBoltzmann3 {
         let (j0, j1) = rows;
         let (i0, i1) = cols;
         let span = (i1 - i0) as usize;
-        let nb = runs.map_or(1, |_| kernels::bands_for(k0, k1));
         let TileState3 { f, mask, .. } = t;
-        if nb <= 1 {
-            for k in k0..k1 {
-                for j in j0..j1 {
-                    let mrow = mask.row_segment(j, k, i0, span);
-                    let mut fit = f.iter_mut();
-                    let mut frows: [&mut [f64]; Q3] = std::array::from_fn(|_| {
-                        fit.next().unwrap().row_segment_mut(j, k, i0, span)
-                    });
-                    let segs = runs.map(|r| r.fluid(j, k).segs(i0, span));
-                    relax_row(mrow, segs, &mut frows, &p);
-                }
+        for k in k0..k1 {
+            for j in j0..j1 {
+                let mrow = mask.row_segment(j, k, i0, span);
+                let mut fit = f.iter_mut();
+                let mut frows: [&mut [f64]; Q3] =
+                    std::array::from_fn(|_| fit.next().unwrap().row_segment_mut(j, k, i0, span));
+                let segs = runs.map(|r| r.fluid(j, k).segs(i0, span));
+                relax_row(mrow, segs, &mut frows, &p);
             }
-            return;
         }
-        let cuts = kernels::band_cuts(k0, k1, nb);
-        let mut its: Vec<_> = f
-            .iter_mut()
-            .map(|g| g.plane_bands_mut(&cuts).into_iter())
-            .collect();
-        let mask = &*mask;
-        std::thread::scope(|s| {
-            for w in cuts.windows(2) {
-                let (ka, kb) = (w[0], w[1]);
-                let mut band: [PlaneBand3<'_, f64>; Q3] =
-                    std::array::from_fn(|g| its[g].next().unwrap());
-                s.spawn(move || {
-                    for k in ka..kb {
-                        for j in j0..j1 {
-                            let mrow = mask.row_segment(j, k, i0, span);
-                            let mut bit = band.iter_mut();
-                            let mut frows: [&mut [f64]; Q3] = std::array::from_fn(|_| {
-                                bit.next().unwrap().row_segment_mut(j, k, i0, span)
-                            });
-                            let segs = runs.map(|r| r.fluid(j, k).segs(i0, span));
-                            relax_row(mrow, segs, &mut frows, &p);
-                        }
-                    }
-                });
-            }
-        });
     }
 
     /// In-place streaming with half-way bounce-back (see
@@ -584,62 +552,23 @@ impl LatticeBoltzmann3 {
         let (j0, j1) = (-2, ny + 2);
         let i0 = -2;
         let span = (nx + 4) as usize;
-        let nb = runs.map_or(1, |_| kernels::bands_for(k0, k1));
         let TileState3 { mac, f, mask, .. } = t;
-        if nb <= 1 {
-            for k in k0..k1 {
-                for j in j0..j1 {
-                    let mrow = mask.row_segment(j, k, i0, span);
-                    let mut fit = f.iter();
-                    let frows: [&[f64]; Q3] =
-                        std::array::from_fn(|_| fit.next().unwrap().row_segment(j, k, i0, span));
-                    let mut out = MacRows3 {
-                        rho: mac.rho.row_segment_mut(j, k, i0, span),
-                        vx: mac.vx.row_segment_mut(j, k, i0, span),
-                        vy: mac.vy.row_segment_mut(j, k, i0, span),
-                        vz: mac.vz.row_segment_mut(j, k, i0, span),
-                    };
-                    let segs = runs.map(|r| r.active(j, k).segs(i0, span));
-                    mac_row(mrow, segs, &frows, &mut out, &mp);
-                }
+        for k in k0..k1 {
+            for j in j0..j1 {
+                let mrow = mask.row_segment(j, k, i0, span);
+                let mut fit = f.iter();
+                let frows: [&[f64]; Q3] =
+                    std::array::from_fn(|_| fit.next().unwrap().row_segment(j, k, i0, span));
+                let mut out = MacRows3 {
+                    rho: mac.rho.row_segment_mut(j, k, i0, span),
+                    vx: mac.vx.row_segment_mut(j, k, i0, span),
+                    vy: mac.vy.row_segment_mut(j, k, i0, span),
+                    vz: mac.vz.row_segment_mut(j, k, i0, span),
+                };
+                let segs = runs.map(|r| r.active(j, k).segs(i0, span));
+                mac_row(mrow, segs, &frows, &mut out, &mp);
             }
-            return;
         }
-        let cuts = kernels::band_cuts(k0, k1, nb);
-        let mut rho_b = mac.rho.plane_bands_mut(&cuts).into_iter();
-        let mut vx_b = mac.vx.plane_bands_mut(&cuts).into_iter();
-        let mut vy_b = mac.vy.plane_bands_mut(&cuts).into_iter();
-        let mut vz_b = mac.vz.plane_bands_mut(&cuts).into_iter();
-        let f = &*f;
-        let mask = &*mask;
-        std::thread::scope(|s| {
-            for w in cuts.windows(2) {
-                let (ka, kb) = (w[0], w[1]);
-                let mut rb = rho_b.next().unwrap();
-                let mut xb = vx_b.next().unwrap();
-                let mut yb = vy_b.next().unwrap();
-                let mut zb = vz_b.next().unwrap();
-                s.spawn(move || {
-                    for k in ka..kb {
-                        for j in j0..j1 {
-                            let mrow = mask.row_segment(j, k, i0, span);
-                            let mut fit = f.iter();
-                            let frows: [&[f64]; Q3] = std::array::from_fn(|_| {
-                                fit.next().unwrap().row_segment(j, k, i0, span)
-                            });
-                            let mut out = MacRows3 {
-                                rho: rb.row_segment_mut(j, k, i0, span),
-                                vx: xb.row_segment_mut(j, k, i0, span),
-                                vy: yb.row_segment_mut(j, k, i0, span),
-                                vz: zb.row_segment_mut(j, k, i0, span),
-                            };
-                            let segs = runs.map(|r| r.active(j, k).segs(i0, span));
-                            mac_row(mrow, segs, &frows, &mut out, &mp);
-                        }
-                    }
-                });
-            }
-        });
     }
 
     fn filter_and_resynthesize(&self, t: &mut TileState3, runs: Option<&RunTable>) {
@@ -698,7 +627,6 @@ impl LatticeBoltzmann3 {
                 0.5 * p.accel_to_lattice(p.body_force[2]),
             ],
         };
-        let nb = runs.map_or(1, |_| kernels::bands_for(0, nz));
         let TileState3 {
             mac,
             mac_new,
@@ -716,48 +644,17 @@ impl LatticeBoltzmann3 {
             vy_r: mac_new.vy.interior_row(j, k),
             vz_r: mac_new.vz.interior_row(j, k),
         };
-        if nb <= 1 {
-            for k in 0..nz {
-                for j in 0..ny {
-                    let mrow = mask.interior_row(j, k);
-                    let src = src_rows(j, k);
-                    let mut fit = f.iter_mut();
-                    let mut frows: [&mut [f64]; Q3] =
-                        std::array::from_fn(|_| fit.next().unwrap().interior_row_mut(j, k));
-                    let segs = runs.map(|r| r.fluid(j, k).segs(0, mrow.len()));
-                    resyn_row(mrow, segs, &mut frows, &src, &rp);
-                }
+        for k in 0..nz {
+            for j in 0..ny {
+                let mrow = mask.interior_row(j, k);
+                let src = src_rows(j, k);
+                let mut fit = f.iter_mut();
+                let mut frows: [&mut [f64]; Q3] =
+                    std::array::from_fn(|_| fit.next().unwrap().interior_row_mut(j, k));
+                let segs = runs.map(|r| r.fluid(j, k).segs(0, mrow.len()));
+                resyn_row(mrow, segs, &mut frows, &src, &rp);
             }
-            return;
         }
-        let cuts = kernels::band_cuts(0, nz, nb);
-        let mut its: Vec<_> = f
-            .iter_mut()
-            .map(|g| g.plane_bands_mut(&cuts).into_iter())
-            .collect();
-        let mask = &*mask;
-        let src_rows = &src_rows;
-        std::thread::scope(|s| {
-            for w in cuts.windows(2) {
-                let (ka, kb) = (w[0], w[1]);
-                let mut band: [PlaneBand3<'_, f64>; Q3] =
-                    std::array::from_fn(|g| its[g].next().unwrap());
-                s.spawn(move || {
-                    for k in ka..kb {
-                        for j in 0..ny {
-                            let mrow = mask.interior_row(j, k);
-                            let src = src_rows(j, k);
-                            let mut bit = band.iter_mut();
-                            let mut frows: [&mut [f64]; Q3] = std::array::from_fn(|_| {
-                                bit.next().unwrap().row_segment_mut(j, k, 0, mrow.len())
-                            });
-                            let segs = runs.map(|r| r.fluid(j, k).segs(0, mrow.len()));
-                            resyn_row(mrow, segs, &mut frows, &src, &rp);
-                        }
-                    }
-                });
-            }
-        });
     }
 }
 
@@ -1106,25 +1003,6 @@ mod tests {
         assert_eq!(full.mac.rho, split.mac.rho);
         for q in 0..Q3 {
             assert_eq!(full.f[q], split.f[q], "population {q} diverged");
-        }
-    }
-
-    #[test]
-    fn banded_sweeps_match_serial_bitwise() {
-        let mut params = FluidParams::lattice_units(0.05);
-        params.body_force[0] = 1e-5;
-        let (solver, mut serial) = duct_tile(7, 8, 9, params);
-        let mut banded = serial.clone();
-        for _ in 0..2 {
-            kernels::set_intra_threads(1);
-            step_serial(&solver, &mut serial, true);
-            kernels::set_intra_threads(3);
-            step_serial(&solver, &mut banded, true);
-        }
-        kernels::set_intra_threads(1);
-        assert_eq!(serial.mac.rho, banded.mac.rho);
-        for q in 0..Q3 {
-            assert_eq!(serial.f[q], banded.f[q], "population {q} diverged");
         }
     }
 }

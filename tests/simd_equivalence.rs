@@ -10,10 +10,9 @@
 //!
 //! * default (vectorized) kernels vs [`ScalarReference2`]/[`ScalarReference3`]
 //! * threaded runs on the fused and on the plain exchange schedule vs serial
-//! * intra-tile row/plane banding vs the single-band sweep
-//! * the LB2D row-pipelined half-step vs the plane-by-plane scalar oracle,
-//!   whole padded state and dump bytes, down to tiles shallower than the
-//!   pipeline
+//! * the 2D FD fast path and the LB2D row-pipelined half-step vs their
+//!   scalar references, whole padded state and dump bytes, over random
+//!   masks, down to tiles shallower than the pipeline
 //! * the 3D FD and LB fast paths vs their scalar references, whole padded
 //!   state and dump bytes, over random masks
 
@@ -27,7 +26,7 @@ use subsonic_exec::{
 };
 use subsonic_grid::{Cell, Face2, Face3, Geometry2, Geometry3, PaddedGrid2, PaddedGrid3};
 use subsonic_solvers::{
-    kernels, FiniteDifference2, FiniteDifference3, FluidParams, InitialState2, InitialState3,
+    FiniteDifference2, FiniteDifference3, FluidParams, InitialState2, InitialState3,
     LatticeBoltzmann2, LatticeBoltzmann3, ScalarReference2, ScalarReference3, Solver2, Solver3,
     StepOp, TileState2, TileState3,
 };
@@ -113,12 +112,17 @@ fn problem3(
     })
 }
 
-/// A padded LB2D mask with ~1 in 8 cells a wall anywhere (ghosts included —
+/// A padded 2D mask with ~1 in 8 cells a wall anywhere (ghosts included —
 /// they carry the neighbour's geometry in a real run) and optional
 /// inlet/outlet columns on the first/last interior column.
-fn random_mask2(nx: usize, ny: usize, inlet: bool, outlet: bool, seed: u64) -> PaddedGrid2<Cell> {
+fn random_mask2(
+    (nx, ny): (usize, usize),
+    halo: usize,
+    inlet: bool,
+    outlet: bool,
+    seed: u64,
+) -> PaddedGrid2<Cell> {
     let mut rng = SmallRng::seed_from_u64(seed);
-    let halo = LatticeBoltzmann2.halo();
     PaddedGrid2::from_fn(nx, ny, halo, |i, _| {
         if rng.gen_range(0..8) == 0 {
             Cell::Wall
@@ -220,21 +224,21 @@ fn planes3(t: &TileState3) -> Vec<Vec<u64>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The LB2D row-pipelined macroscopic → filter → re-synthesis sweep
-    /// leaves the *whole padded* state — ghost frame included, since dumps
-    /// carry it — bitwise equal to the plane-by-plane scalar oracle: over
-    /// random obstacle masks, inlet/outlet columns, tiles shallower and
-    /// narrower than the 5-row pipeline, filter on and off, and 1–4 row
-    /// bands (each band running its own pipeline off precomputed overlap
-    /// rows).
+    /// The 2D fast paths of both solver families — the FD sweeps, boundary
+    /// fix-ups and filter passes, and the LB2D row-pipelined macroscopic →
+    /// filter → re-synthesis sweep — leave the *whole padded* state (ghost
+    /// frame included, since dumps carry it) bitwise equal to the scalar
+    /// reference: over random masks with walls in the ghosts too,
+    /// inlet/outlet columns, tiles shallower and narrower than the halo and
+    /// the 5-row pipeline, and filter on and off.
     #[test]
-    fn lb2_half_step_sweep_matches_scalar_whole_state(
+    fn solvers2_match_scalar_whole_state(
         nx in 1usize..14,
         ny in 1usize..14,
+        fd in any::<bool>(),
         inlet in any::<bool>(),
         outlet in any::<bool>(),
         filter in any::<bool>(),
-        bands in 1usize..5,
         steps in 1usize..5,
         seed in any::<u64>(),
     ) {
@@ -245,24 +249,27 @@ proptest! {
             let bump = ((i * 7 + j * 13).rem_euclid(5)) as f64;
             (1.0 + 1e-3 * bump, 2e-3 * bump, -1e-3 * bump)
         });
-        let mask = random_mask2(nx, ny, inlet, outlet, seed);
-        let fast = LatticeBoltzmann2;
-        let oracle = ScalarReference2(LatticeBoltzmann2);
+        let (fast, oracle) = solvers2(fd);
+        let mask = random_mask2((nx, ny), fast.halo(), inlet, outlet, seed);
         let mut a = fast.make_tile(mask.clone(), params, (0, 0), &init);
         let mut b = oracle.make_tile(mask, params, (0, 0), &init);
-        let configured = kernels::intra_threads();
-        kernels::set_intra_threads(bands);
         for _ in 0..steps {
-            step_wrapped(&fast, &mut a);
+            step_wrapped(fast.as_ref(), &mut a);
         }
-        kernels::set_intra_threads(configured);
         for _ in 0..steps {
-            step_wrapped(&oracle, &mut b);
+            step_wrapped(oracle.as_ref(), &mut b);
         }
         prop_assert_eq!(a.step, b.step);
         prop_assert_eq!(a.step, steps as u64);
         for (ga, gb) in [(&a.mac.rho, &b.mac.rho), (&a.mac.vx, &b.mac.vx), (&a.mac.vy, &b.mac.vy)] {
-            prop_assert_eq!(bits(ga), bits(gb), "macroscopic plane diverged");
+            prop_assert_eq!(bits(ga), bits(gb), "macroscopic plane diverged (fd = {})", fd);
+        }
+        if fd {
+            // the FD double buffer; LB tiles keep theirs zero-extent
+            let (na, nb) = (&a.mac_new, &b.mac_new);
+            for (ga, gb) in [(&na.rho, &nb.rho), (&na.vx, &nb.vx), (&na.vy, &nb.vy)] {
+                prop_assert_eq!(bits(ga), bits(gb), "next-step plane diverged");
+            }
         }
         for q in 0..a.f.len() {
             prop_assert_eq!(bits(&a.f[q]), bits(&b.f[q]), "population {} diverged", q);
@@ -275,8 +282,8 @@ proptest! {
     /// filter passes, all driven by the tile's run table — leave every
     /// padded plane and the dump bitwise equal to the scalar reference: over
     /// random masks with walls in the ghosts too, inlet/outlet planes, tiles
-    /// of 1–8 cells per side (shallower than the filter reach), filter on and
-    /// off, and 1–3 plane bands.
+    /// of 1–8 cells per side (shallower than the filter reach), and filter
+    /// on and off.
     #[test]
     fn solvers3_match_scalar_whole_state(
         nx in 1usize..9,
@@ -286,7 +293,6 @@ proptest! {
         inlet in any::<bool>(),
         outlet in any::<bool>(),
         filter in any::<bool>(),
-        bands in 1usize..4,
         steps in 1usize..4,
         seed in any::<u64>(),
     ) {
@@ -301,12 +307,9 @@ proptest! {
         let mask = random_mask3((nx, ny, nz), fast.halo(), inlet, outlet, seed);
         let mut a = fast.make_tile(mask.clone(), params, (0, 0, 0), &init);
         let mut b = oracle.make_tile(mask, params, (0, 0, 0), &init);
-        let configured = kernels::intra_threads();
-        kernels::set_intra_threads(bands);
         for _ in 0..steps {
             step_wrapped3(fast.as_ref(), &mut a);
         }
-        kernels::set_intra_threads(configured);
         for _ in 0..steps {
             step_wrapped3(oracle.as_ref(), &mut b);
         }
@@ -410,33 +413,5 @@ proptest! {
                 .gather((nx, ny, nz), 1.0);
             prop_assert_eq!(a.first_difference(&b), None);
         }
-    }
-}
-
-/// Intra-tile banding (row bands on scoped threads inside one subregion) is
-/// bitwise identical to the serial sweep. Not a proptest: `set_intra_threads` is a
-/// process-wide knob, so this runs the comparison inside one test body.
-/// (Safe against the proptests above because banded == serial bitwise — a
-/// concurrent reader sees equivalent kernels either way.)
-#[test]
-fn banded_sweeps_match_serial_bitwise() {
-    for fd in [false, true] {
-        let solver: Arc<dyn Solver2> = if fd {
-            Arc::new(FiniteDifference2)
-        } else {
-            Arc::new(LatticeBoltzmann2)
-        };
-        kernels::set_intra_threads(1);
-        let mut serial = LocalRunner2::new(Arc::clone(&solver), problem2(25, 17, 1, 1, true, 3));
-        serial.run(4);
-        kernels::set_intra_threads(3);
-        let mut banded = LocalRunner2::new(Arc::clone(&solver), problem2(25, 17, 1, 1, true, 3));
-        banded.run(4);
-        kernels::set_intra_threads(1);
-        assert_eq!(
-            serial.gather().first_difference(&banded.gather()),
-            None,
-            "banded sweep diverged (fd={fd})"
-        );
     }
 }
