@@ -481,16 +481,6 @@ pub fn restore_tile2(bytes: &[u8]) -> Result<TileState2, DumpError> {
     restore_tile(bytes)
 }
 
-/// [`save_tile`] for a 2D tile.
-pub fn save_tile2(t: &TileState2, path: &Path) -> Result<u64, DumpError> {
-    save_tile(t, path)
-}
-
-/// [`load_tile`] for a 2D tile.
-pub fn load_tile2(path: &Path) -> Result<TileState2, DumpError> {
-    load_tile(path)
-}
-
 impl DumpTile for TileState2 {
     const RANK: usize = 2;
     type Grid<T: 'static> = PaddedGrid2<T>;
@@ -794,7 +784,7 @@ mod tests {
             restore_tile2(&seal(wrong_magic)),
             Err(DumpError::NotADump)
         ));
-        let missing = load_tile2(Path::new("/nonexistent/subsonic/tile.dump"));
+        let missing = load_tile::<TileState2>(Path::new("/nonexistent/subsonic/tile.dump"));
         assert!(matches!(missing, Err(DumpError::Io(_))));
         for e in [
             DumpError::NotADump,
@@ -823,13 +813,13 @@ mod tests {
         let path = dir.join("tile0.dump");
         let clean = dump_tile2(&t);
         std::fs::write(&path, &clean[..clean.len() / 3]).unwrap();
-        let err = load_tile2(&path).expect_err("torn dump accepted");
+        let err = load_tile::<TileState2>(&path).expect_err("torn dump accepted");
         assert!(matches!(
             err,
             DumpError::Truncated | DumpError::ChecksumMismatch
         ));
-        save_tile2(&t, &path).unwrap();
-        let restored = load_tile2(&path).unwrap();
+        save_tile(&t, &path).unwrap();
+        let restored: TileState2 = load_tile(&path).unwrap();
         assert_tiles_equal(&t, &restored);
         let residue: Vec<_> = std::fs::read_dir(&dir)
             .unwrap()
@@ -855,9 +845,9 @@ mod tests {
         let dir = std::env::temp_dir().join("subsonic_ckpt_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("tile0.dump");
-        let n = save_tile2(&t, &path).unwrap();
+        let n = save_tile(&t, &path).unwrap();
         assert!(n > 0);
-        let restored = load_tile2(&path).unwrap();
+        let restored: TileState2 = load_tile(&path).unwrap();
         assert_tiles_equal(&t, &restored);
         let _ = std::fs::remove_file(&path);
     }

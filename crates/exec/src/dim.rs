@@ -5,7 +5,7 @@
 //! decompositions and halo codec of `subsonic-grid` are written once for
 //! both ranks and need no forwarding. [`Dim`] names one such family so that
 //! the step loop and the runners are written once —
-//! [`step_tile<D>`](crate::step::step_tile),
+//! [`step_tiles<D>`](crate::step::step_tiles),
 //! [`ThreadedRunner<D>`](crate::threaded::ThreadedRunner),
 //! [`LocalRunner<D>`](crate::local::LocalRunner) — and monomorphised per
 //! dimension: dispatch stays `dyn Solver2`/`dyn Solver3`, nothing is boxed or
@@ -61,8 +61,6 @@ pub trait Dim: sealed::Sealed {
     /// Unpacks a strip received across `f` for exchange `xch`.
     fn unpack(s: &Self::Solver, t: &mut Self::Tile, xch: usize, f: Face, data: &[f64]);
 
-    /// Subregions of the decomposition, active or not.
-    fn tiles(p: &Self::Problem) -> usize;
     /// Subregions holding at least one non-wall node.
     fn active_tiles(p: &Self::Problem) -> Vec<usize>;
     /// The subregion across face `f` of subregion `id`, if any.
@@ -108,9 +106,6 @@ macro_rules! impl_dim {
                 s.unpack(t, xch, f, data);
             }
 
-            fn tiles(p: &$problem) -> usize {
-                p.decomp.tiles()
-            }
             fn active_tiles(p: &$problem) -> Vec<usize> {
                 p.active_tiles()
             }

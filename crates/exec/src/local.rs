@@ -1,26 +1,28 @@
-//! Single-threaded runners: all tiles stepped sequentially.
+//! Single-threaded runners: all tiles stepped in one thread.
 //!
 //! With a `1×1` decomposition this is the serial program of the paper ("we
 //! have developed a fluid dynamics code which can produce either a parallel
 //! program or a serial program", section 4.2). With more tiles it executes
-//! the identical decomposed computation without threads — the reference
-//! implementation for equivalence tests, and the `T_1` measurement.
+//! the identical decomposed computation without threads, as one [`TileSet`]
+//! whose faces are all local. It is the `T_1` measurement and the reference
+//! of the equivalence tests; the oracle seals of `tests/conformance.rs` and
+//! the `ScalarReference2/3` solvers pin it in turn.
 
 use crate::dim::{Dim, D2, D3};
 use crate::gather::{GlobalFields2, GlobalFields3};
+use crate::step::{step_tiles, TileSet};
+use crate::timing::StepTiming;
 use std::sync::Arc;
-use subsonic_grid::Face;
-use subsonic_solvers::StepOp;
+use subsonic_obs::TrackRecorder;
 
 /// Sequential multi-tile runner, one type for 2D and 3D problems.
 pub struct LocalRunner<D: Dim> {
     solver: Arc<D::Solver>,
     problem: D::Problem,
-    active: Vec<usize>,
-    tiles: Vec<Option<D::Tile>>,
-    /// Exchange messages `(receiver, face, strip)` of one stage, kept across
-    /// steps so the strips are refilled in place instead of reallocated.
-    msgs: Vec<(usize, Face, Vec<f64>)>,
+    /// Every active tile, as one set.
+    set: TileSet,
+    /// The members' tiles, in `set`'s order.
+    tiles: Vec<D::Tile>,
 }
 
 /// Sequential multi-tile runner for 2D problems.
@@ -33,83 +35,48 @@ impl<D: Dim> LocalRunner<D> {
     /// Builds all active tiles of `problem`.
     pub fn new(solver: Arc<D::Solver>, problem: D::Problem) -> Self {
         let active = D::active_tiles(&problem);
-        let mut tiles: Vec<Option<D::Tile>> = (0..D::tiles(&problem)).map(|_| None).collect();
-        for &id in &active {
-            tiles[id] = Some(D::make_tile(&problem, &solver, id));
-        }
+        let tiles = active
+            .iter()
+            .map(|&id| D::make_tile(&problem, &solver, id))
+            .collect();
+        let set = TileSet::new::<D>(active, |id, f| D::neighbor(&problem, id, f), &());
         Self {
             solver,
             problem,
-            active,
+            set,
             tiles,
-            msgs: Vec::new(),
         }
     }
 
     /// Tile ids being integrated.
     pub fn active(&self) -> &[usize] {
-        &self.active
+        &self.set.ids
     }
 
     /// Immutable access to a tile.
     pub fn tile(&self, id: usize) -> Option<&D::Tile> {
-        self.tiles[id].as_ref()
+        let k = self.set.ids.iter().position(|&m| m == id)?;
+        self.tiles.get(k)
     }
 
     /// Mutable access to a tile (e.g. to inject a perturbation in tests).
     pub fn tile_mut(&mut self, id: usize) -> Option<&mut D::Tile> {
-        self.tiles[id].as_mut()
+        let k = self.set.ids.iter().position(|&m| m == id)?;
+        self.tiles.get_mut(k)
     }
 
     /// Runs one integration step on every active tile.
     pub fn step(&mut self) {
-        for op in D::plan(&self.solver) {
-            match *op {
-                StepOp::Compute(k) => {
-                    for &id in &self.active {
-                        D::compute(
-                            &self.solver,
-                            self.tiles[id].as_mut().expect("active tile missing"),
-                            k,
-                        );
-                    }
-                }
-                StepOp::Exchange(x) => self.exchange(x),
-            }
-        }
-    }
-
-    fn exchange(&mut self, xch: usize) {
-        // one stage per axis: `FACES` lists each stage's faces contiguously
-        for stage in D::FACES.chunk_by(|&a, &b| a.stage() == b.stage()) {
-            // pack (immutably), then deliver (mutably)
-            let mut sent = 0;
-            for &id in &self.active {
-                for &f in stage {
-                    if let Some(nb) = D::neighbor(&self.problem, id, f) {
-                        if let Some(nb_tile) = self.tiles[nb].as_ref() {
-                            if sent == self.msgs.len() {
-                                self.msgs.push((id, f, Vec::new()));
-                            }
-                            let msg = &mut self.msgs[sent];
-                            (msg.0, msg.1) = (id, f);
-                            msg.2.clear();
-                            D::pack(&self.solver, nb_tile, xch, f.opposite(), &mut msg.2);
-                            sent += 1;
-                        }
-                    }
-                }
-            }
-            for (id, f, buf) in &self.msgs[..sent] {
-                D::unpack(
-                    &self.solver,
-                    self.tiles[*id].as_mut().expect("active tile missing"),
-                    xch,
-                    *f,
-                    buf,
-                );
-            }
-        }
+        step_tiles::<D>(
+            &self.solver,
+            &mut self.set,
+            &mut self.tiles,
+            &mut (),
+            &mut StepTiming::default(),
+            &mut Vec::new(),
+            &mut TrackRecorder::disabled(),
+        )
+        .expect("a set of every tile has no remote face");
     }
 
     /// Runs `n` steps.
@@ -118,20 +85,13 @@ impl<D: Dim> LocalRunner<D> {
             self.step();
         }
     }
-
-    /// The active tiles, in id order.
-    fn active_tile_refs(&self) -> impl Iterator<Item = &D::Tile> {
-        self.active
-            .iter()
-            .map(|&id| self.tiles[id].as_ref().expect("active tile missing"))
-    }
 }
 
 impl LocalRunner<D2> {
     /// Gathers the global fields.
     pub fn gather(&self) -> GlobalFields2 {
         let (geom, rho0) = (&self.problem.geom, self.problem.params.rho0);
-        GlobalFields2::gather(geom.nx(), geom.ny(), rho0, self.active_tile_refs())
+        GlobalFields2::gather(geom.nx(), geom.ny(), rho0, self.tiles.iter())
     }
 }
 
@@ -139,7 +99,7 @@ impl LocalRunner<D3> {
     /// Gathers the global fields.
     pub fn gather(&self) -> GlobalFields3 {
         let (geom, rho0) = (&self.problem.geom, self.problem.params.rho0);
-        GlobalFields3::gather(geom.dims(), rho0, self.active_tile_refs())
+        GlobalFields3::gather(geom.dims(), rho0, self.tiles.iter())
     }
 }
 

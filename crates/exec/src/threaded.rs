@@ -1,14 +1,14 @@
 //! Thread-per-subregion parallel runner, one [`ThreadedRunner<D>`] for 2D
 //! and 3D problems (see [`Dim`]).
 //!
-//! Each active subregion runs on its own OS thread, which drives the one
-//! step loop ([`step_tile`]) for every step of the run. Halo strips travel
-//! over unbounded `std::sync::mpsc` channels — the in-process analogue of the
-//! paper's TCP/IP sockets ("the TCP/IP protocol behaves as if there are two
-//! first-in-first-out channels for writing data in each direction between two
-//! processes", section 4.2). Communication is asynchronous and
-//! first-come-first-served within an exchange stage, which is the policy the
-//! paper recommends in Appendix C.
+//! Each active subregion runs on its own OS thread, a set of one tile that
+//! drives the one step loop ([`step_tiles`]) for every step of the run.
+//! Halo strips between two tiles travel over unbounded `std::sync::mpsc`
+//! channels — the in-process analogue of the paper's TCP/IP sockets ("the
+//! TCP/IP protocol behaves as if there are two first-in-first-out channels
+//! for writing data in each direction between two processes", section 4.2).
+//! Communication is asynchronous and first-come-first-served within an
+//! exchange stage, which is the policy the paper recommends in Appendix C.
 //!
 //! Halo buffers are recycled: every data channel is paired with a return
 //! channel that carries a buffer back for every strip received, and the
@@ -25,7 +25,7 @@
 use crate::dim::{Dim, D2, D3};
 use crate::error::{note_failure, panic_message, RunError};
 use crate::gather::{GlobalFields2, GlobalFields3};
-use crate::step::{step_tile, Halo};
+use crate::step::{step_tiles, Halo, TileSet};
 use crate::timing::StepTiming;
 use std::collections::HashMap;
 use std::io;
@@ -41,12 +41,6 @@ pub struct RunOutcome<D: Dim> {
     /// Per-tile timing, `(tile_id, timing)`.
     pub timing: Vec<(usize, StepTiming)>,
 }
-
-/// Result of a 2D threaded run.
-pub type RunOutcome2 = RunOutcome<D2>;
-
-/// Result of a 3D threaded run.
-pub type RunOutcome3 = RunOutcome<D3>;
 
 impl RunOutcome<D2> {
     /// Gathers the global fields from the final tiles.
@@ -66,31 +60,33 @@ impl RunOutcome<D3> {
 type RxEdge = (Face, Receiver<Vec<f64>>, Sender<Vec<f64>>);
 /// (face, data out, buffer-returns in)
 type TxEdge = (Face, Sender<Vec<f64>>, Receiver<Vec<f64>>);
-/// One worker's receiving and sending edges.
-type Links = (Vec<RxEdge>, Vec<TxEdge>);
 
-/// One worker's halo links over the channel fabric: its receivers (data rx +
+/// One tile's halo links over the channel fabric: its receivers (data rx +
 /// buffer-return tx per face) and its senders into each neighbour's ghost
 /// (data tx + the matching buffer-return rx). A sent strip's slot is
 /// refilled with a buffer its receiver handed back (a reuse) or, when none
 /// has come back yet, an empty one (an allocation); a received strip's
 /// predecessor goes back to that strip's sender.
+#[derive(Default)]
 struct ChannelHalo {
+    id: usize,
     rx: Vec<RxEdge>,
     tx: Vec<TxEdge>,
     reuses: u64,
 }
 
 impl<D: Dim> Halo<D> for ChannelHalo {
-    fn has_neighbor(&self, face: Face) -> bool {
-        self.tx.iter().any(|e| e.0 == face)
+    fn has_neighbor(&self, tile: usize, f: Face) -> bool {
+        debug_assert_eq!(tile, self.id);
+        self.tx.iter().any(|e| e.0 == f)
     }
 
-    fn send(&mut self, _xch: usize, face: Face, strip: &mut Vec<f64>) -> io::Result<()> {
+    fn send(&mut self, _: usize, tile: usize, f: Face, buf: &mut Vec<f64>) -> io::Result<()> {
+        debug_assert_eq!(tile, self.id);
         let (_, data, returned) = self
             .tx
             .iter()
-            .find(|e| e.0 == face)
+            .find(|e| e.0 == f)
             .ok_or(io::ErrorKind::NotConnected)?;
         let refill = match returned.try_recv() {
             Ok(mut b) => {
@@ -100,20 +96,21 @@ impl<D: Dim> Halo<D> for ChannelHalo {
             }
             Err(_) => Vec::new(),
         };
-        data.send(std::mem::replace(strip, refill))
+        data.send(std::mem::replace(buf, refill))
             .map_err(|_| io::ErrorKind::BrokenPipe.into())
     }
 
-    fn recv_into(&mut self, _xch: usize, face: Face, strip: &mut Vec<f64>) -> io::Result<()> {
+    fn recv_into(&mut self, _: usize, tile: usize, f: Face, buf: &mut Vec<f64>) -> io::Result<()> {
+        debug_assert_eq!(tile, self.id);
         let (_, data, back) = self
             .rx
             .iter()
-            .find(|e| e.0 == face)
+            .find(|e| e.0 == f)
             .ok_or(io::ErrorKind::NotConnected)?;
-        let buf = data.recv().map_err(|_| io::ErrorKind::BrokenPipe)?;
+        let strip = data.recv().map_err(|_| io::ErrorKind::BrokenPipe)?;
         // hand the old buffer back for reuse; a peer that already finished
         // its run has dropped the other end, in which case it is simply freed
-        let _ = back.send(std::mem::replace(strip, buf));
+        let _ = back.send(std::mem::replace(buf, strip));
         Ok(())
     }
 }
@@ -180,19 +177,21 @@ impl<D: Dim> ThreadedRunner<D> {
         let index_of: HashMap<usize, usize> =
             active.iter().enumerate().map(|(k, &id)| (id, k)).collect();
 
-        // One data channel per directed edge, each paired with a *return*
-        // channel that carries buffers back the other way.
-        let mut links: Vec<Links> = (0..n).map(|_| Default::default()).collect();
+        // One data channel per directed edge between two tiles, each paired
+        // with a *return* channel that carries buffers back the other way.
+        let mut halos: Vec<ChannelHalo> = (0..n).map(|_| Default::default()).collect();
         for (k, &id) in active.iter().enumerate() {
+            halos[k].id = id;
             for &f in D::FACES {
-                let Some(&nk) = D::neighbor(&self.problem, id, f).and_then(|nb| index_of.get(&nb))
-                else {
+                // a tile that wraps onto itself copies that face in its set
+                let nb = D::neighbor(&self.problem, id, f).filter(|&nb| nb != id);
+                let Some(&nk) = nb.and_then(|nb| index_of.get(&nb)) else {
                     continue;
                 };
                 let (data_tx, data_rx) = channel();
                 let (back_tx, back_rx) = channel();
-                links[k].0.push((f, data_rx, back_tx));
-                links[nk].1.push((f.opposite(), data_tx, back_rx));
+                halos[k].rx.push((f, data_rx, back_tx));
+                halos[nk].tx.push((f.opposite(), data_tx, back_rx));
             }
         }
 
@@ -205,16 +204,18 @@ impl<D: Dim> ThreadedRunner<D> {
             let handles: Vec<_> = active
                 .iter()
                 .zip(tiles_in)
-                .zip(links)
-                .map(|((&id, mut tile), (rx, tx))| {
+                .zip(halos)
+                .map(|((&id, mut tile), mut halo)| {
                     let mut track = self.tile_track(id);
+                    let neighbor = |id, f| D::neighbor(&self.problem, id, f);
+                    let mut set = TileSet::new::<D>(vec![id], neighbor, &halo);
                     scope.spawn(move || -> Result<(D::Tile, StepTiming), RunError> {
                         let (mut timing, mut strip) = (StepTiming::default(), Vec::new());
-                        let mut halo = ChannelHalo { rx, tx, reuses: 0 };
                         for _ in 0..steps {
-                            step_tile::<D>(
+                            step_tiles::<D>(
                                 solver,
-                                &mut tile,
+                                &mut set,
+                                std::slice::from_mut(&mut tile),
                                 &mut halo,
                                 &mut timing,
                                 &mut strip,

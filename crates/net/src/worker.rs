@@ -42,7 +42,7 @@ use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use subsonic_exec::checkpoint::{restore_tile2, SealedDump};
-use subsonic_exec::{step_tile, Halo, StepTiming, D2};
+use subsonic_exec::{step_tiles, Halo, StepTiming, TileSet, D2};
 use subsonic_grid::Face;
 use subsonic_obs::codec::Fnv1a;
 use subsonic_obs::{encode_tracks, Category, FlightRecorder, TrackRecorder};
@@ -90,7 +90,7 @@ enum CtrlEvent {
 /// each has grown to the largest strip the step loop allocates nothing.
 #[derive(Default)]
 struct HaloBufs {
-    /// `step_tile`'s strip: every strip is packed into it and decoded into it.
+    /// `step_tiles`' strip: every strip is packed into it and decoded into it.
     strip: Vec<f64>,
     /// The outgoing halo frame.
     frame: Vec<u8>,
@@ -101,9 +101,11 @@ struct HaloBufs {
     allocs: u64,
 }
 
-/// The halo endpoint a segment steps against: frames in/out of the mesh,
-/// with an inbox so a fast peer running ahead never confuses a slow one.
+/// The halo endpoint of a segment's one tile (its id is the worker's):
+/// frames in/out of the mesh, with an inbox so a fast peer running ahead
+/// never confuses a slow one.
 struct MeshHalo<'a> {
+    id: usize,
     mesh: &'a mut Mesh,
     epoch: u32,
     /// Step currently being computed (set by the caller before each step).
@@ -130,32 +132,35 @@ impl MeshHalo<'_> {
 }
 
 impl Halo<D2> for MeshHalo<'_> {
-    fn has_neighbor(&self, face: Face) -> bool {
-        self.neighbors[face.index()].is_some()
+    fn has_neighbor(&self, tile: usize, f: Face) -> bool {
+        debug_assert_eq!(tile, self.id);
+        self.neighbors[f.index()].is_some()
     }
 
-    fn send(&mut self, xch: usize, face: Face, strip: &mut Vec<f64>) -> io::Result<()> {
-        let peer = self.neighbors[face.index()].ok_or_else(|| {
+    fn send(&mut self, x: usize, tile: usize, f: Face, buf: &mut Vec<f64>) -> io::Result<()> {
+        debug_assert_eq!(tile, self.id);
+        let peer = self.neighbors[f.index()].ok_or_else(|| {
             io::Error::new(io::ErrorKind::NotConnected, "no neighbour across face")
         })?;
         encode_halo_into(
             self.frame,
             self.epoch,
             self.step,
-            xch as u8,
-            face.index() as u8,
-            strip,
+            x as u8,
+            f.index() as u8,
+            buf,
         );
         self.mesh.send(peer, self.frame)
     }
 
-    fn recv_into(&mut self, xch: usize, face: Face, strip: &mut Vec<f64>) -> io::Result<()> {
-        let want = (self.step, xch as u8, face.index() as u8);
+    fn recv_into(&mut self, x: usize, tile: usize, f: Face, buf: &mut Vec<f64>) -> io::Result<()> {
+        debug_assert_eq!(tile, self.id);
+        let want = (self.step, x as u8, f.index() as u8);
         let t0 = Instant::now();
         let mut arrived = self.inbox.remove(&want);
         loop {
             if let Some((from, payload)) = arrived.take() {
-                self.consume(from, payload, strip)?;
+                self.consume(from, payload, buf)?;
                 if self.record {
                     push_entry(
                         &mut self.log,
@@ -163,8 +168,8 @@ impl Halo<D2> for MeshHalo<'_> {
                             step: self.step,
                             xch: want.1,
                             face: want.2,
-                            len: strip.len() as u32,
-                            hash: hash_doubles(strip),
+                            len: buf.len() as u32,
+                            hash: hash_doubles(buf),
                         },
                     );
                 }
@@ -296,6 +301,7 @@ fn run_segment(
     // re-run (their mesh is gone with them)
     bufs.inbox.clear();
     let mut halo = MeshHalo {
+        id: cfg.worker as usize,
         mesh,
         epoch,
         step: from,
@@ -307,6 +313,8 @@ fn run_segment(
         record: cfg.record,
         log: Vec::new(),
     };
+    let neighbor = |_, f: Face| neighbors[f.index()].map(|w| w as usize);
+    let mut set = TileSet::new::<D2>(vec![halo.id], neighbor, &halo);
     let mut timing = StepTiming::default();
     // the worker's own track keeps to segment-level spans
     let mut untraced = TrackRecorder::disabled();
@@ -337,9 +345,10 @@ fn run_segment(
         halo.step = s;
         faults.set_step(s);
         let held = bufs.strip.capacity() + halo.frame.capacity();
-        let stepped = step_tile::<D2>(
+        let stepped = step_tiles::<D2>(
             solver,
-            tile,
+            &mut set,
+            std::slice::from_mut(tile),
             &mut halo,
             &mut timing,
             &mut bufs.strip,

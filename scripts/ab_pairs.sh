@@ -13,8 +13,10 @@
 # under target/ab/, each side is built once into its own CARGO_TARGET_DIR,
 # and each run is `benchmark/run.sh --workload W --seed S --seconds 10
 # --trace 0` of that side's own benchmark/ with its output directory under
-# target/ab/ too: benchmark/ is read, never written. Pair i uses seed
-# first-seed + i on both sides. Every run's result line is kept in
+# target/ab/ too. Building the change side rewrites its stale
+# benchmark/Cargo.lock, so the script copies the lock aside first and
+# restores it byte for byte on exit: benchmark/ is left as found. Pair i
+# uses seed first-seed + i on both sides. Every run's result line is kept in
 # target/ab/runs/<workload>/, and one verdict table is printed per workload.
 # Exits 1 after the tables if any run was not correct, any operation
 # failed, or any metric reads WORSE or WORSE than bound.
@@ -22,7 +24,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 if (( $# < 2 )); then
-    sed -n '2,20p' "$0" | sed 's/^# \{0,1\}//'
+    sed -n '2,22p' "$0" | sed 's/^# \{0,1\}//'
     exit 2
 fi
 parent_ref=$1
@@ -36,6 +38,9 @@ fi
 
 root=$PWD
 ab=$root/target/ab
+lock_copy=$(mktemp)
+cp benchmark/Cargo.lock "$lock_copy"
+trap 'cp "$lock_copy" "$root/benchmark/Cargo.lock"; rm -f "$lock_copy"' EXIT
 parent_src=$ab/parent-src
 rm -rf "$parent_src"
 mkdir -p "$parent_src"

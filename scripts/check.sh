@@ -13,6 +13,13 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Any cargo command inside benchmark/ (the `benchmark` stage) rewrites its
+# stale Cargo.lock. The gate leaves benchmark/ as it found it: the lock is
+# copied aside here and restored byte for byte however the script ends.
+lock_copy=$(mktemp)
+cp benchmark/Cargo.lock "$lock_copy"
+trap 'cp "$lock_copy" benchmark/Cargo.lock; rm -f "$lock_copy"' EXIT
+
 stage_fmt() {
     echo "==> cargo fmt --check"
     cargo fmt --all -- --check

@@ -2,9 +2,9 @@
 
 use std::sync::Arc;
 use subsonic::prelude::*;
-use subsonic_exec::checkpoint::{dump_tile2, load_tile2, restore_tile2, save_tile2};
+use subsonic_exec::checkpoint::{dump_tile2, load_tile, restore_tile2, save_tile};
 use subsonic_integration::{assert_bitwise_equal, flue_problem, poiseuille_problem};
-use subsonic_solvers::{FiniteDifference2, LatticeBoltzmann2};
+use subsonic_solvers::{FiniteDifference2, LatticeBoltzmann2, TileState2};
 
 #[test]
 fn full_computation_survives_dump_and_restore_midway() {
@@ -71,9 +71,9 @@ fn dump_files_roundtrip_via_filesystem() {
     std::fs::create_dir_all(&dir).unwrap();
     for &id in runner.active().to_vec().iter() {
         let path = dir.join(format!("proc{id}.dump"));
-        let bytes = save_tile2(runner.tile(id).unwrap(), &path).unwrap();
+        let bytes = save_tile(runner.tile(id).unwrap(), &path).unwrap();
         assert!(bytes > 1000);
-        let restored = load_tile2(&path).unwrap();
+        let restored: TileState2 = load_tile(&path).unwrap();
         assert_eq!(restored.step, 4);
         assert_eq!(restored.offset, runner.tile(id).unwrap().offset);
     }

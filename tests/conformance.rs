@@ -35,7 +35,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use subsonic_cluster::fault::FaultPlan;
-use subsonic_exec::checkpoint::{dump_tile, restore_tile};
+use subsonic_exec::checkpoint::{dump_tile, restore_tile, SealedDump};
 use subsonic_exec::{
     Dim, GlobalFields2, GlobalFields3, LocalRunner, Problem2, Problem3, RunOutcome, ThreadedRunner,
     D2, D3,
@@ -214,8 +214,30 @@ impl Rank for D3 {
     }
 }
 
+/// The seal of the oracle tile's final dump, per solver and grid. The oracle
+/// is itself a `LocalRunner` run, so these pin it against a change to the
+/// step loop that every cell would share: both the `test` (debug) and the
+/// release profile produce the same bits. A deliberate change of the
+/// results re-derives them from the failure message, which prints the new
+/// seal.
+const ORACLE_SEALS: [(&str, u64); 12] = [
+    ("Lb Channel(36, 24)", 0xbdfe_9017_e322_7bb1),
+    ("Lb Channel(35, 23)", 0x6ca2_c7a4_56b5_e093),
+    ("Lb Flue", 0xc58b_0309_711f_d8b7),
+    ("Lb Duct(12)", 0x9dad_e05b_c352_719e),
+    ("Fd Channel(36, 24)", 0xf82c_bbcb_938a_3848),
+    ("Fd Channel(35, 23)", 0x427e_5c1e_e811_e1d8),
+    ("Fd Flue", 0x37af_5fec_3da9_aa51),
+    ("Fd Duct(12)", 0xe6c3_8597_15dd_95b9),
+    ("Scalar Channel(36, 24)", 0xbdfe_9017_e322_7bb1),
+    ("Scalar Channel(35, 23)", 0x6ca2_c7a4_56b5_e093),
+    ("Scalar Flue", 0xc58b_0309_711f_d8b7),
+    ("Scalar Duct(12)", 0x9dad_e05b_c352_719e),
+];
+
 /// The oracle: `LocalRunner` on the 1×1 problem, run once per solver and
-/// grid and shared by every cell that compares with it.
+/// grid, checked against its pinned seal and shared by every cell that
+/// compares with it.
 fn serial<D: Rank>(row: &Row) -> Arc<D::Fields> {
     type Oracles = Mutex<Vec<(String, Arc<dyn Any + Send + Sync>)>>;
     static ORACLES: Oracles = Mutex::new(Vec::new());
@@ -227,6 +249,16 @@ fn serial<D: Rank>(row: &Row) -> Arc<D::Fields> {
     let ones = vec![1; row.rank()];
     let mut r = LocalRunner::<D>::new(D::solver(row.solver), D::problem(row.grid, &ones));
     r.run(D::steps());
+    let tile = r.tile(r.active()[0]).expect("the 1×1 tile is active");
+    let seal = SealedDump::new(dump_tile(tile))
+        .expect("a fresh dump verifies")
+        .seal();
+    let pinned = ORACLE_SEALS.iter().find(|(k, _)| *k == key).map(|p| p.1);
+    assert_eq!(
+        Some(seal),
+        pinned,
+        "oracle {key}: final dump seals to {seal:#018x}"
+    );
     let fields = Arc::new(D::gather(&r));
     oracles.push((key, Arc::clone(&fields) as Arc<dyn Any + Send + Sync>));
     fields
