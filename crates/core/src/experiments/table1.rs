@@ -7,10 +7,12 @@
 //! same normalisation (LB 2D ≡ 1.0).
 //!
 //! A third table splits the LB 2D rate into the parts of one step, on a tile
-//! that fits in L2 and on one that streams from DRAM: the paper's `T_calc`
-//! per node, taken apart. A fourth times Appendix E's stride pathology: a
-//! column sweep over rows that are exactly one 4096-byte page long, with and
-//! without the padding the paper adds. Both report and do not assert.
+//! that fits in L2, on one that streams from DRAM, and on the 24×24 tile of
+//! Fig. 5's small-subregion end, where the ghost frame and the per-row costs
+//! weigh most per node: the paper's `T_calc` per node, taken apart. A fourth
+//! times Appendix E's stride pathology: a column sweep over rows that are
+//! exactly one 4096-byte page long, with and without the padding the paper
+//! adds. Both report and do not assert.
 
 use crate::report::{Check, ExperimentResult, Table};
 use crate::simulation::{Simulation2, Simulation3};
@@ -162,30 +164,32 @@ pub fn t1(quick: bool) -> ExperimentResult {
     }
     r.tables.push(meas);
 
-    // (c) where an LB 2D step's time goes, in cache and from memory
+    // (c) where an LB 2D step's time goes: small tile, in cache, from memory
     let (dram, budget) = if quick {
         ((512, 256), 2_000_000)
     } else {
         ((1024, 512), 10_000_000)
     };
+    let fine = (24, 24);
     let l2 = (128, 128);
-    let small = lb2_anatomy(l2.0, l2.1, budget);
-    let large = lb2_anatomy(dram.0, dram.1, budget);
+    let [tiny, small, large] = [fine, l2, dram].map(|(nx, ny)| lb2_anatomy(nx, ny, budget));
     let mut anatomy = Table::new(
         "LB2D step anatomy (ns per interior node; this machine)",
         &[
             "part of the step",
+            &format!("{}x{} (Fig. 5 tile)", fine.0, fine.1),
             &format!("{}x{} (L2)", l2.0, l2.1),
             &format!("{}x{} (DRAM)", dram.0, dram.1),
             "DRAM / L2",
         ],
     );
     let total = |x: [f64; 3]| x.iter().sum::<f64>();
-    let rows = ANATOMY.iter().zip(small.iter().zip(large));
-    let rows = rows.map(|(label, (&a, b))| (*label, a, b));
-    for (label, a, b) in rows.chain([("whole step", total(small), total(large))]) {
+    let parts = (0..3).map(|p| (ANATOMY[p], tiny[p], small[p], large[p]));
+    let whole = ("whole step", total(tiny), total(small), total(large));
+    for (label, t, a, b) in parts.chain([whole]) {
         anatomy.push_row(vec![
             label.into(),
+            format!("{t:.2}"),
             format!("{a:.2}"),
             format!("{b:.2}"),
             format!("{:.2}", b / a),
@@ -241,7 +245,9 @@ pub fn t1(quick: bool) -> ExperimentResult {
     );
     r.notes.push(
         "The anatomy table is reported, not checked: a DRAM / L2 ratio near \
-         1 says the step is bound by instructions, not by memory traffic."
+         1 says the step is bound by instructions, not by memory traffic, \
+         and the 24x24 column against the L2 one is what per-row and \
+         ghost-frame costs add per node on the Fig. 5 tile."
             .into(),
     );
     r.notes.push(

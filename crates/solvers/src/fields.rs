@@ -5,30 +5,26 @@ use crate::params::FluidParams;
 use crate::qlattice::{E2, E3, Q2, Q3};
 use subsonic_grid::{Cell, PaddedGrid2, PaddedGrid3};
 
-/// Cached boundary links for the 2D LB streaming step.
+/// Cached bounce-back links for the 2D LB streaming step.
 ///
 /// The geometry mask is immutable after tile creation, so the lattice links
-/// that need special handling during streaming — destinations on wall nodes
-/// (population held) and links whose upstream node is a wall (half-way
-/// bounce-back) — form a fixed set. Caching it turns the streaming interior
-/// into plain offset row copies with an O(boundary) fix-up pass. The cache is
-/// never serialized; it is rebuilt lazily after checkpoint reload or
-/// migration.
+/// whose upstream node is a wall (half-way bounce-back) form a fixed set.
+/// Streaming copies only the non-wall runs of each row, so wall nodes keep
+/// their populations without any fix-up; this list is the one O(boundary)
+/// fix-up pass left. The cache is never serialized; it is rebuilt lazily
+/// after checkpoint reload or migration.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ShiftLinks2 {
-    /// `(q, i, j)`: destination is a wall node, population is held in place.
-    pub hold: Vec<(u8, i32, i32)>,
-    /// `(q, i, j)`: upstream node is a wall, population bounces back.
+    /// `(q, i, j)`: a non-wall node whose upstream node is a wall, so
+    /// population `q` bounces back from the opposite one.
     pub bounce: Vec<(u8, i32, i32)>,
-    /// Per-step gather buffer for the `hold` values (refilled by every
+    /// Per-step gather buffer for the `bounce` values (refilled by every
     /// streaming step; kept here so a steady-state step allocates nothing).
-    pub hold_vals: Vec<f64>,
-    /// Per-step gather buffer for the `bounce` values.
     pub bounce_vals: Vec<f64>,
 }
 
 impl ShiftLinks2 {
-    /// Scans the streamed region `[-2, n+2)` of `mask` for boundary links.
+    /// Scans the streamed region `[-2, n+2)` of `mask` for bounce-back links.
     pub fn build(mask: &PaddedGrid2<Cell>) -> Self {
         let nx = mask.nx() as isize;
         let ny = mask.ny() as isize;
@@ -36,9 +32,7 @@ impl ShiftLinks2 {
         for (q, &(ex, ey)) in E2.iter().enumerate().take(Q2) {
             for j in -2..(ny + 2) {
                 for i in -2..(nx + 2) {
-                    if mask[(i, j)].is_wall() {
-                        links.hold.push((q as u8, i as i32, j as i32));
-                    } else if mask[(i - ex, j - ey)].is_wall() {
+                    if !mask[(i, j)].is_wall() && mask[(i - ex, j - ey)].is_wall() {
                         links.bounce.push((q as u8, i as i32, j as i32));
                     }
                 }
@@ -48,17 +42,19 @@ impl ShiftLinks2 {
     }
 }
 
-/// Cached boundary links for the 3D LB streaming step (see [`ShiftLinks2`]).
+/// Cached bounce-back links for the 3D LB streaming step (see
+/// [`ShiftLinks2`]).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ShiftLinks3 {
-    /// `(q, i, j, k)`: destination is a wall node.
-    pub hold: Vec<(u8, i32, i32, i32)>,
-    /// `(q, i, j, k)`: upstream node is a wall.
+    /// `(q, i, j, k)`: a non-wall node whose upstream node is a wall.
     pub bounce: Vec<(u8, i32, i32, i32)>,
+    /// Per-step gather buffer for the `bounce` values (see
+    /// [`ShiftLinks2::bounce_vals`]).
+    pub bounce_vals: Vec<f64>,
 }
 
 impl ShiftLinks3 {
-    /// Scans the streamed region `[-2, n+2)` of `mask` for boundary links.
+    /// Scans the streamed region `[-2, n+2)` of `mask` for bounce-back links.
     pub fn build(mask: &PaddedGrid3<Cell>) -> Self {
         let nx = mask.nx() as isize;
         let ny = mask.ny() as isize;
@@ -68,9 +64,7 @@ impl ShiftLinks3 {
             for k in -2..(nz + 2) {
                 for j in -2..(ny + 2) {
                     for i in -2..(nx + 2) {
-                        if mask[(i, j, k)].is_wall() {
-                            links.hold.push((q as u8, i as i32, j as i32, k as i32));
-                        } else if mask[(i - ex, j - ey, k - ez)].is_wall() {
+                        if !mask[(i, j, k)].is_wall() && mask[(i - ex, j - ey, k - ez)].is_wall() {
                             links.bounce.push((q as u8, i as i32, j as i32, k as i32));
                         }
                     }
@@ -146,13 +140,15 @@ pub struct TileState2 {
     pub mac_new: Macro2,
     /// Lattice Boltzmann populations, one padded grid per velocity
     /// (empty for finite differences). Streaming shifts these in place
-    /// (ordered row copies plus the [`ShiftLinks2`] fix-ups), so no second
-    /// population buffer is carried — halving LB tile state and checkpoints.
+    /// (ordered copies of each row's non-wall runs plus the [`ShiftLinks2`]
+    /// bounce-backs), so no second population buffer is carried — halving
+    /// LB tile state and checkpoints.
     pub f: Vec<PaddedGrid2<f64>>,
     /// Padded geometry mask (ghosts carry the *global* geometry).
     pub mask: PaddedGrid2<Cell>,
     /// One scratch plane between the x- and y-pass of the finite-difference
-    /// filter; empty on lattice Boltzmann tiles (again bar the scalar oracle).
+    /// filter; empty on lattice Boltzmann tiles (again bar the scalar oracle,
+    /// whose streaming and filter share it).
     pub scratch: Vec<PaddedGrid2<f64>>,
     /// Solver parameters.
     pub params: FluidParams,
@@ -220,7 +216,8 @@ pub struct TileState3 {
     pub f: Vec<PaddedGrid3<f64>>,
     /// Padded geometry mask.
     pub mask: PaddedGrid3<Cell>,
-    /// Scratch fields for the per-axis filter passes.
+    /// Scratch fields for the per-axis filter passes (the LB scalar
+    /// oracle's streaming borrows the first between them).
     pub scratch: Vec<PaddedGrid3<f64>>,
     /// Solver parameters.
     pub params: FluidParams,

@@ -430,7 +430,7 @@ impl Iterator for WindowSegs<'_> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use Cell::{Fluid, Wall};
 
@@ -472,11 +472,12 @@ mod tests {
         assert!(l.is_power_of_two() && l <= 8);
     }
 
-    /// SplitMix64: the deterministic draws of the run-table properties.
-    struct Draw(u64);
+    /// SplitMix64: the deterministic draws of the run-table properties and
+    /// of the LB streaming tests' masks and populations.
+    pub(crate) struct Draw(pub(crate) u64);
 
     impl Draw {
-        fn below(&mut self, n: usize) -> usize {
+        pub(crate) fn below(&mut self, n: usize) -> usize {
             self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
             let mut z = self.0;
             z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -485,7 +486,7 @@ mod tests {
         }
 
         /// One cell in 32 an inlet, one an outlet, `walls` in 32 a wall.
-        fn cell(&mut self, walls: usize) -> Cell {
+        pub(crate) fn cell(&mut self, walls: usize) -> Cell {
             match self.below(32) {
                 0 => Cell::Inlet,
                 1 => Cell::Outlet,

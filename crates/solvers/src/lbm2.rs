@@ -46,9 +46,12 @@
 //! to the per-cell scalar kernel. Both paths evaluate identical
 //! floating-point expressions in identical association order, so `compute`
 //! and [`Solver2::compute_scalar`] (which keeps its per-cell mask checks)
-//! agree bitwise. Streaming is *in place* (ordered row copies within each
-//! population plane plus the cached [`ShiftLinks2`] fix-ups), eliminating
-//! the second population buffer.
+//! agree bitwise. Streaming is *in place*, eliminating the second
+//! population buffer: each population plane copies only the non-wall runs
+//! of its rows, in an order that reads every value before it is
+//! overwritten, so wall nodes are never written; the cached [`ShiftLinks2`]
+//! bounce-backs are the one fix-up. The scalar oracle streams cell by cell
+//! from the mask instead, so the two streams check each other.
 //!
 //! The cycle is organised by how often it walks a plane (one pass = one plane
 //! read or written once), although on this layout the step costs about the
@@ -56,7 +59,7 @@
 //! is bound by instructions per node more than by passes.
 //!
 //! * `Compute(0)` relaxes in place (9 read + 9 written = 18 passes) and
-//!   streams in place (8 moving planes, 16 passes).
+//!   streams in place (8 moving planes, 16 passes, over non-wall nodes only).
 //! * `Compute(1)` is a single sweep, [`HalfStep`]: the moments of row `jj`
 //!   go into `mac` and, x-filtered, into a 5-row ring; row `jj-2` is then
 //!   y-filtered out of the ring into a one-row buffer, its populations are
@@ -442,6 +445,41 @@ fn resyn_row(
     }
 }
 
+/// One population plane `fq` of lattice velocity `(ex, ey)` streamed in
+/// place, cell by cell from the mask: every non-wall node of the streamed
+/// region `[-2, n+2)` takes the value upstream, or `opp`'s value at the node
+/// itself when the upstream node is a wall (half-way bounce-back); wall
+/// nodes keep theirs. Each axis is walked against the velocity, so every
+/// upstream value is read before it is overwritten.
+fn stream_cells(
+    fq: &mut PaddedGrid2<f64>,
+    opp: &PaddedGrid2<f64>,
+    mask: &PaddedGrid2<Cell>,
+    (ex, ey): (isize, isize),
+) {
+    for j in against(mask.ny(), ey) {
+        for i in against(mask.nx(), ex) {
+            if mask[(i, j)].is_wall() {
+                continue;
+            }
+            fq[(i, j)] = if mask[(i - ex, j - ey)].is_wall() {
+                opp[(i, j)]
+            } else {
+                fq[(i - ex, j - ey)]
+            };
+        }
+    }
+}
+
+/// The streamed coordinates `[-2, n+2)` of one axis, descending when the
+/// lattice velocity `e` points up that axis and ascending otherwise: an
+/// in-place stream that walks them reads each upstream node before it
+/// writes it.
+pub(crate) fn against(n: usize, e: isize) -> impl Iterator<Item = isize> {
+    let n = n as isize;
+    (-2..n + 2).map(move |s| if e > 0 { n - 1 - s } else { s })
+}
+
 /// The 2D lattice Boltzmann method.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LatticeBoltzmann2;
@@ -474,32 +512,28 @@ impl LatticeBoltzmann2 {
 
     /// In-place streaming with half-way bounce-back.
     ///
-    /// Every fix-up value (held wall populations, bounce-back sources from
-    /// the *opposite* population plane) is gathered before any plane moves;
-    /// each plane is then shifted by ordered row copies — descending j when
-    /// the lattice velocity points up, ascending when down, an overlapping
-    /// `memmove` within the row for horizontal links — and the fix-ups are
-    /// scattered back. Bitwise identical to two-buffer streaming over the
-    /// whole streamed region `[-2, n+2)`, without the second buffer.
-    fn shift(&self, t: &mut TileState2) {
+    /// The bounce-back values (the *opposite* population at the node
+    /// itself) are gathered before any plane moves. Each moving plane then
+    /// copies, from upstream, only the non-wall runs of every row of the
+    /// streamed region `[-2, n+2)` — rows descending in j when the lattice
+    /// velocity points up, ascending when down, an overlapping `memmove`
+    /// within the row for horizontal links — so wall nodes are never written
+    /// and keep their populations. Two runs of one row are at least a wall
+    /// node apart, so no run's copy reads a node another run wrote: every
+    /// value moved is its pre-shift one. The bounce-back values are
+    /// scattered last. Bitwise identical to two-buffer streaming over the
+    /// whole streamed region, without the second buffer.
+    fn shift(&self, t: &mut TileState2, runs: &RunTable) {
         let mut links = t
             .shift_links
             .take()
             .unwrap_or_else(|| ShiftLinks2::build(&t.mask));
-        let nx = t.nx() as isize;
         let ny = t.ny() as isize;
-        let span = (nx + 4) as usize;
+        let span = t.nx() + 4;
         let ShiftLinks2 {
-            hold,
             bounce,
-            hold_vals,
             bounce_vals,
         } = &mut links;
-        hold_vals.clear();
-        hold_vals.extend(
-            hold.iter()
-                .map(|&(q, i, j)| t.f[q as usize][(i as isize, j as isize)]),
-        );
         bounce_vals.clear();
         bounce_vals.extend(
             bounce
@@ -511,23 +545,44 @@ impl LatticeBoltzmann2 {
             if ex == 0 && ey == 0 {
                 continue;
             }
+            let mut stream_row = |j: isize| {
+                for (a, b) in runs.active(j, 0).clip(-2, span, 0) {
+                    let i = a as isize - 2;
+                    fq.copy_row_shifted((i, j), (i - ex, j - ey), b - a);
+                }
+            };
             if ey > 0 {
-                for j in (-2..(ny + 2)).rev() {
-                    fq.copy_row_shifted((-2, j), (-2 - ex, j - ey), span);
-                }
+                (-2..ny + 2).rev().for_each(&mut stream_row);
             } else {
-                for j in -2..(ny + 2) {
-                    fq.copy_row_shifted((-2, j), (-2 - ex, j - ey), span);
-                }
+                (-2..ny + 2).for_each(&mut stream_row);
             }
-        }
-        for (&(q, i, j), &v) in hold.iter().zip(hold_vals.iter()) {
-            t.f[q as usize][(i as isize, j as isize)] = v;
         }
         for (&(q, i, j), &v) in bounce.iter().zip(bounce_vals.iter()) {
             t.f[q as usize][(i as isize, j as isize)] = v;
         }
         t.shift_links = Some(links);
+    }
+
+    /// Scalar oracle: in-place streaming with half-way bounce-back, decided
+    /// cell by cell from the mask, with no run table and no link list.
+    /// Opposite populations stream as a pair: a copy of the first plane's
+    /// pre-shift values (in the oracle's scratch plane, which its filter
+    /// reuses) is the second plane's bounce-back source, while the first
+    /// bounces back from the still unshifted second.
+    fn stream_scalar(&self, t: &mut TileState2) {
+        if t.scratch.is_empty() {
+            t.scratch = vec![PaddedGrid2::new(t.nx(), t.ny(), t.halo(), 0.0f64)];
+        }
+        let TileState2 {
+            f, mask, scratch, ..
+        } = t;
+        let pre = &mut scratch[0];
+        for q in (1..Q2).filter(|&q| OPP2[q] > q) {
+            pre.raw_mut().copy_from_slice(f[q].raw());
+            let (lo, hi) = f.split_at_mut(OPP2[q]);
+            stream_cells(&mut lo[q], &hi[0], mask, E2[q]);
+            stream_cells(&mut hi[0], pre, mask, E2[OPP2[q]]);
+        }
     }
 
     /// Scalar oracle: macroscopic fields from the populations, per cell
@@ -562,8 +617,10 @@ impl LatticeBoltzmann2 {
     /// baseline of the SIMD-speedup figures — pays no allocation per step.
     fn filter_and_resynthesize(&self, t: &mut TileState2) {
         let eps = t.params.filter_eps;
-        if t.scratch.is_empty() {
+        if t.mac_new.rho.nx() != t.nx() {
             t.mac_new = t.mac.clone();
+        }
+        if t.scratch.is_empty() {
             t.scratch = vec![PaddedGrid2::new(t.nx(), t.ny(), t.halo(), 0.0f64)];
         }
         // keep the raw macroscopic fields for the non-equilibrium split
@@ -804,12 +861,10 @@ impl Solver2 for LatticeBoltzmann2 {
         let nx = t.nx() as isize;
         let ny = t.ny() as isize;
         match phase {
-            0 => {
-                t.with_run_table(|t, runs| {
-                    self.relax_window(t, (-3, ny + 3), (-3, nx + 3), Some(runs))
-                });
-                self.shift(t);
-            }
+            0 => t.with_run_table(|t, runs| {
+                self.relax_window(t, (-3, ny + 3), (-3, nx + 3), Some(runs));
+                self.shift(t, runs);
+            }),
             1 => {
                 t.with_run_table(|t, runs| self.half_step(t, runs));
                 t.step += 1;
@@ -824,7 +879,7 @@ impl Solver2 for LatticeBoltzmann2 {
         match phase {
             0 => {
                 self.relax_window(t, (-3, ny + 3), (-3, nx + 3), None);
-                self.shift(t);
+                self.stream_scalar(t);
             }
             1 => {
                 self.macroscopic(t);
@@ -854,14 +909,14 @@ impl Solver2 for LatticeBoltzmann2 {
         let nx = t.nx() as isize;
         let ny = t.ny() as isize;
         // the ghost frame around the interior window of compute_interior
-        t.with_run_table(|t, runs| {
-            let runs = Some(runs);
+        t.with_run_table(|t, table| {
+            let runs = Some(table);
             self.relax_window(t, (-3, 0), (-3, nx + 3), runs);
             self.relax_window(t, (ny, ny + 3), (-3, nx + 3), runs);
             self.relax_window(t, (0, ny), (-3, 0), runs);
             self.relax_window(t, (0, ny), (nx, nx + 3), runs);
+            self.shift(t, table);
         });
-        self.shift(t);
     }
 
     fn pack(&self, t: &TileState2, xch: usize, face: Face, out: &mut Vec<f64>) {
@@ -937,6 +992,7 @@ impl Solver2 for LatticeBoltzmann2 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::tests::Draw;
 
     fn step_serial(solver: &LatticeBoltzmann2, t: &mut TileState2, wrap_x: bool) {
         for op in solver.plan() {
@@ -1066,48 +1122,84 @@ mod tests {
         );
     }
 
-    /// Two-buffer streaming exactly as the pre-rewrite solver did it.
+    /// Two-buffer streaming over `[-2, n+2)`, with hold and bounce-back
+    /// decided per cell from the mask: wall nodes keep their populations,
+    /// a node whose upstream node is a wall takes the opposite population,
+    /// every other node the upstream one.
     fn shift_reference(t: &mut TileState2) {
-        let links = ShiftLinks2::build(&t.mask);
         let src = t.f.clone();
-        let nx = t.nx() as isize;
-        let ny = t.ny() as isize;
-        let span = (nx + 4) as usize;
-        for (q, fq) in t.f.iter_mut().enumerate() {
+        let (nx, ny) = (t.nx() as isize, t.ny() as isize);
+        let TileState2 { f, mask, .. } = t;
+        for (q, fq) in f.iter_mut().enumerate() {
             let (ex, ey) = E2[q];
-            for j in -2..(ny + 2) {
-                let s = src[q].row_segment(j - ey, -2 - ex, span);
-                fq.row_segment_mut(j, -2, span).copy_from_slice(s);
+            for j in -2..ny + 2 {
+                for i in -2..nx + 2 {
+                    fq[(i, j)] = if mask[(i, j)].is_wall() {
+                        src[q][(i, j)]
+                    } else if mask[(i - ex, j - ey)].is_wall() {
+                        src[OPP2[q]][(i, j)]
+                    } else {
+                        src[q][(i - ex, j - ey)]
+                    };
+                }
             }
         }
-        for &(q, i, j) in &links.hold {
-            let (q, i, j) = (q as usize, i as isize, j as isize);
-            t.f[q][(i, j)] = src[q][(i, j)];
-        }
-        for &(q, i, j) in &links.bounce {
-            let (q, i, j) = (q as usize, i as isize, j as isize);
-            t.f[q][(i, j)] = src[OPP2[q]][(i, j)];
-        }
+    }
+
+    /// A padded mask with every wall pattern a stream must get right: rows
+    /// `-2` (the window's edge) and `ny/2` all wall; row 3 with wall runs
+    /// over both ends of the streamed window, into the outer ghost ring;
+    /// elsewhere, ghost ring included, 1 cell in 8 a wall (mostly isolated)
+    /// and 1 in 32 each an inlet and an outlet.
+    fn shift_mask(nx: usize, ny: usize, d: &mut Draw) -> PaddedGrid2<Cell> {
+        let (w, mid) = (nx as isize, ny as isize / 2);
+        PaddedGrid2::from_fn(nx, ny, LBM2_HALO, |i, j| {
+            let edges = j == 3 && (i < 1 || i >= w - 1);
+            if j == -2 || j == mid || edges {
+                Cell::Wall
+            } else {
+                d.cell(4)
+            }
+        })
     }
 
     #[test]
     fn in_place_shift_matches_two_buffer_reference() {
         let mut params = FluidParams::lattice_units(0.06);
         params.body_force[0] = 2e-5;
-        let (solver, mut a) = channel_tile(13, 9, params);
+        let (solver, mut channel) = channel_tile(13, 9, params);
         // a few full steps to develop non-trivial populations
         for _ in 0..3 {
-            step_serial(&solver, &mut a, true);
+            step_serial(&solver, &mut channel, true);
         }
-        let nx = a.nx() as isize;
-        let ny = a.ny() as isize;
-        let runs = RunTable::build2(&a.mask);
-        solver.relax_window(&mut a, (-3, ny + 3), (-3, nx + 3), Some(&runs));
-        let mut b = a.clone();
-        solver.shift(&mut a);
-        shift_reference(&mut b);
-        for q in 0..Q2 {
-            assert_eq!(a.f[q], b.f[q], "population {q} diverged");
+        let nx = channel.nx() as isize;
+        let ny = channel.ny() as isize;
+        let runs = RunTable::build2(&channel.mask);
+        solver.relax_window(&mut channel, (-3, ny + 3), (-3, nx + 3), Some(&runs));
+        let mut tiles = vec![channel];
+        // random masks, with a random value in every population slot
+        let init = InitialState2::uniform(params.rho0);
+        let mut d = Draw(43);
+        for n in 0..8 {
+            let (nx, ny) = (9 + n % 5, 7 + n % 4);
+            let mut t = solver.make_tile(shift_mask(nx, ny, &mut d), params, (0, 0), &init);
+            for v in t.f.iter_mut().flat_map(|fq| fq.raw_mut()) {
+                *v = d.below(1 << 40) as f64;
+            }
+            tiles.push(t);
+        }
+        for (n, t) in tiles.into_iter().enumerate() {
+            let mut want = t.clone();
+            shift_reference(&mut want);
+            let mut fast = t.clone();
+            let runs = RunTable::build2(&fast.mask);
+            solver.shift(&mut fast, &runs);
+            let mut scalar = t;
+            solver.stream_scalar(&mut scalar);
+            for q in 0..Q2 {
+                assert_eq!(fast.f[q], want.f[q], "tile {n}: population {q} diverged");
+                assert_eq!(scalar.f[q], want.f[q], "tile {n}: oracle population {q}");
+            }
         }
     }
 

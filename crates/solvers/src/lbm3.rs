@@ -4,8 +4,9 @@
 //! plane per population (structure-of-arrays), row runs taken from the
 //! tile's run table and handed to branch-free unrolled kernels over trimmed
 //! sub-slices (autovectorized across x), and in-place streaming as ordered
-//! row copies plus the cached [`ShiftLinks3`] fix-ups. Fast and scalar paths
-//! agree bitwise.
+//! copies of each row's non-wall runs plus the cached [`ShiftLinks3`]
+//! bounce-backs (the scalar oracle streams cell by cell from the mask).
+//! Fast and scalar paths agree bitwise.
 //!
 //! One message per neighbour per step. Of the 15 populations, 5 cross a given
 //! face per boundary node — the "5 variables per fluid node" of the paper's
@@ -16,6 +17,7 @@ use crate::fields::{Macro3, ShiftLinks3, TileState3};
 use crate::filter::{filter_field3, filter_field3_scalar};
 use crate::init::InitialState3;
 use crate::kernels::{RunTable, Seg, WindowSegs};
+use crate::lbm2::against;
 use crate::params::{FluidParams, MethodKind};
 use crate::plan::StepOp;
 use crate::qlattice::{eq_poly, feq3, E3, OPP3, Q3, W3};
@@ -442,6 +444,32 @@ fn resyn_row(
     }
 }
 
+/// One population plane streamed in place, cell by cell from the mask (see
+/// [`crate::lbm2`]'s 2D form): non-wall nodes of `[-2, n+2)` take the value
+/// upstream, or `opp`'s at the node itself when upstream is a wall; wall
+/// nodes keep theirs; each axis is walked against the velocity.
+fn stream_cells(
+    fq: &mut PaddedGrid3<f64>,
+    opp: &PaddedGrid3<f64>,
+    mask: &PaddedGrid3<Cell>,
+    (ex, ey, ez): (isize, isize, isize),
+) {
+    for k in against(mask.nz(), ez) {
+        for j in against(mask.ny(), ey) {
+            for i in against(mask.nx(), ex) {
+                if mask[(i, j, k)].is_wall() {
+                    continue;
+                }
+                fq[(i, j, k)] = if mask[(i - ex, j - ey, k - ez)].is_wall() {
+                    opp[(i, j, k)]
+                } else {
+                    fq[(i - ex, j - ey, k - ez)]
+                };
+            }
+        }
+    }
+}
+
 /// The 3D lattice Boltzmann method.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LatticeBoltzmann3;
@@ -476,62 +504,74 @@ impl LatticeBoltzmann3 {
     }
 
     /// In-place streaming with half-way bounce-back (see
-    /// [`crate::lbm2::LatticeBoltzmann2::shift`]): gather every fix-up value,
-    /// shift each population plane by ordered row copies — planes descending
-    /// in k when the velocity points up in z, rows ordered by the sign of e_y
-    /// within an unshifted plane — then scatter the fix-ups back.
-    fn shift(&self, t: &mut TileState3) {
-        if t.shift_links.is_none() {
-            t.shift_links = Some(ShiftLinks3::build(&t.mask));
-        }
-        let links = t.shift_links.take().expect("links built above");
-        let nx = t.nx() as isize;
+    /// [`crate::lbm2::LatticeBoltzmann2::shift`]): gather the bounce-back
+    /// values, copy only the non-wall runs of every row of each moving
+    /// plane from upstream — planes descending in k when the velocity points
+    /// up in z, rows ordered by the sign of e_y within an unshifted plane —
+    /// so wall nodes keep their populations, then scatter the bounce-backs.
+    fn shift(&self, t: &mut TileState3, runs: &RunTable) {
+        let mut links = t
+            .shift_links
+            .take()
+            .unwrap_or_else(|| ShiftLinks3::build(&t.mask));
         let ny = t.ny() as isize;
         let nz = t.nz() as isize;
-        let span = (nx + 4) as usize;
-        let hold_vals: Vec<f64> = links
-            .hold
-            .iter()
-            .map(|&(q, i, j, k)| t.f[q as usize][(i as isize, j as isize, k as isize)])
-            .collect();
-        let bounce_vals: Vec<f64> = links
-            .bounce
-            .iter()
-            .map(|&(q, i, j, k)| t.f[OPP3[q as usize]][(i as isize, j as isize, k as isize)])
-            .collect();
+        let span = t.nx() + 4;
+        let ShiftLinks3 {
+            bounce,
+            bounce_vals,
+        } = &mut links;
+        bounce_vals.clear();
+        bounce_vals.extend(
+            bounce
+                .iter()
+                .map(|&(q, i, j, k)| t.f[OPP3[q as usize]][(i as isize, j as isize, k as isize)]),
+        );
         for (q, fq) in t.f.iter_mut().enumerate() {
             let (ex, ey, ez) = E3[q];
             if ex == 0 && ey == 0 && ez == 0 {
                 continue;
             }
-            let shift_plane = |fq: &mut PaddedGrid3<f64>, k: isize| {
+            let mut stream_row = |j: isize, k: isize| {
+                for (a, b) in runs.active(j, k).clip(-2, span, 0) {
+                    let i = a as isize - 2;
+                    fq.copy_row_shifted((i, j, k), (i - ex, j - ey, k - ez), b - a);
+                }
+            };
+            let mut stream_plane = |k: isize| {
                 if ey > 0 {
-                    for j in (-2..(ny + 2)).rev() {
-                        fq.copy_row_shifted((-2, j, k), (-2 - ex, j - ey, k - ez), span);
-                    }
+                    (-2..ny + 2).rev().for_each(|j| stream_row(j, k));
                 } else {
-                    for j in -2..(ny + 2) {
-                        fq.copy_row_shifted((-2, j, k), (-2 - ex, j - ey, k - ez), span);
-                    }
+                    (-2..ny + 2).for_each(|j| stream_row(j, k));
                 }
             };
             if ez > 0 {
-                for k in (-2..(nz + 2)).rev() {
-                    shift_plane(fq, k);
-                }
+                (-2..nz + 2).rev().for_each(&mut stream_plane);
             } else {
-                for k in -2..(nz + 2) {
-                    shift_plane(fq, k);
-                }
+                (-2..nz + 2).for_each(&mut stream_plane);
             }
         }
-        for (&(q, i, j, k), &v) in links.hold.iter().zip(&hold_vals) {
-            t.f[q as usize][(i as isize, j as isize, k as isize)] = v;
-        }
-        for (&(q, i, j, k), &v) in links.bounce.iter().zip(&bounce_vals) {
+        for (&(q, i, j, k), &v) in bounce.iter().zip(bounce_vals.iter()) {
             t.f[q as usize][(i as isize, j as isize, k as isize)] = v;
         }
         t.shift_links = Some(links);
+    }
+
+    /// Scalar oracle: in-place streaming decided cell by cell from the mask
+    /// (see [`crate::lbm2::LatticeBoltzmann2::stream_scalar`]); the pre-shift
+    /// copy of each pair's first plane lives in the first filter scratch
+    /// field, which the filter overwrites before it reads.
+    fn stream_scalar(&self, t: &mut TileState3) {
+        let TileState3 {
+            f, mask, scratch, ..
+        } = t;
+        let pre = &mut scratch[0];
+        for q in (1..Q3).filter(|&q| OPP3[q] > q) {
+            pre.raw_mut().copy_from_slice(f[q].raw());
+            let (lo, hi) = f.split_at_mut(OPP3[q]);
+            stream_cells(&mut lo[q], &hi[0], mask, E3[q]);
+            stream_cells(&mut hi[0], pre, mask, E3[OPP3[q]]);
+        }
     }
 
     fn macroscopic(&self, t: &mut TileState3, runs: Option<&RunTable>) {
@@ -668,7 +708,10 @@ impl LatticeBoltzmann3 {
         match phase {
             0 => {
                 self.relax_window(t, (-3, nz + 3), (-3, ny + 3), (-3, nx + 3), runs);
-                self.shift(t);
+                match runs {
+                    Some(runs) => self.shift(t, runs),
+                    None => self.stream_scalar(t),
+                }
             }
             1 => self.macroscopic(t, runs),
             2 => {
@@ -722,16 +765,16 @@ impl Solver3 for LatticeBoltzmann3 {
         let ny = t.ny() as isize;
         let nz = t.nz() as isize;
         // the six ghost slabs around the interior box of compute_interior
-        t.with_run_table(|t, runs| {
-            let runs = Some(runs);
+        t.with_run_table(|t, table| {
+            let runs = Some(table);
             self.relax_window(t, (-3, 0), (-3, ny + 3), (-3, nx + 3), runs);
             self.relax_window(t, (nz, nz + 3), (-3, ny + 3), (-3, nx + 3), runs);
             self.relax_window(t, (0, nz), (-3, 0), (-3, nx + 3), runs);
             self.relax_window(t, (0, nz), (ny, ny + 3), (-3, nx + 3), runs);
             self.relax_window(t, (0, nz), (0, ny), (-3, 0), runs);
             self.relax_window(t, (0, nz), (0, ny), (nx, nx + 3), runs);
+            self.shift(t, table);
         });
-        self.shift(t);
     }
 
     fn pack(&self, t: &TileState3, xch: usize, face: Face, out: &mut Vec<f64>) {
@@ -814,6 +857,7 @@ impl Solver3 for LatticeBoltzmann3 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::tests::Draw;
 
     fn step_serial(solver: &LatticeBoltzmann3, t: &mut TileState3, wrap: bool) {
         for op in solver.plan() {
@@ -885,58 +929,112 @@ mod tests {
         );
     }
 
-    /// Two-buffer streaming exactly as the pre-rewrite solver did it.
+    /// Two-buffer streaming over `[-2, n+2)`, with hold and bounce-back
+    /// decided per cell from the mask (see the 2D reference).
     fn shift_reference(t: &mut TileState3) {
-        let links = ShiftLinks3::build(&t.mask);
         let src = t.f.clone();
-        let nx = t.nx() as isize;
-        let ny = t.ny() as isize;
-        let nz = t.nz() as isize;
-        let span = (nx + 4) as usize;
-        for (q, fq) in t.f.iter_mut().enumerate() {
+        let (nx, ny, nz) = (t.nx() as isize, t.ny() as isize, t.nz() as isize);
+        let TileState3 { f, mask, .. } = t;
+        for (q, fq) in f.iter_mut().enumerate() {
             let (ex, ey, ez) = E3[q];
-            for k in -2..(nz + 2) {
-                for j in -2..(ny + 2) {
-                    let s = src[q].row_segment(j - ey, k - ez, -2 - ex, span);
-                    fq.row_segment_mut(j, k, -2, span).copy_from_slice(s);
+            for k in -2..nz + 2 {
+                for j in -2..ny + 2 {
+                    for i in -2..nx + 2 {
+                        fq[(i, j, k)] = if mask[(i, j, k)].is_wall() {
+                            src[q][(i, j, k)]
+                        } else if mask[(i - ex, j - ey, k - ez)].is_wall() {
+                            src[OPP3[q]][(i, j, k)]
+                        } else {
+                            src[q][(i - ex, j - ey, k - ez)]
+                        };
+                    }
                 }
             }
         }
-        for &(q, i, j, k) in &links.hold {
-            let (q, i, j, k) = (q as usize, i as isize, j as isize, k as isize);
-            t.f[q][(i, j, k)] = src[q][(i, j, k)];
-        }
-        for &(q, i, j, k) in &links.bounce {
-            let (q, i, j, k) = (q as usize, i as isize, j as isize, k as isize);
-            t.f[q][(i, j, k)] = src[OPP3[q]][(i, j, k)];
-        }
+    }
+
+    /// A padded mask with every wall pattern a stream must get right: plane
+    /// `-2` (the window's edge) and plane `nz/2` all wall; row `j = ny/2`
+    /// of every plane all wall; row `j = 3` with wall runs over both ends of
+    /// the streamed window, into the outer ghost ring; elsewhere, ghost ring
+    /// included, 1 cell in 8 a wall and 1 in 32 each an inlet and an outlet.
+    fn shift_mask(nx: usize, ny: usize, nz: usize, d: &mut Draw) -> PaddedGrid3<Cell> {
+        let (w, mid_j, mid_k) = (nx as isize, ny as isize / 2, nz as isize / 2);
+        PaddedGrid3::from_fn(nx, ny, nz, LBM3_HALO, |i, j, k| {
+            let edges = j == 3 && (i < 1 || i >= w - 1);
+            if k == -2 || k == mid_k || j == mid_j || edges {
+                Cell::Wall
+            } else {
+                d.cell(4)
+            }
+        })
     }
 
     #[test]
     fn in_place_shift_matches_two_buffer_reference() {
         let mut params = FluidParams::lattice_units(0.06);
         params.body_force[0] = 2e-5;
-        let (solver, mut a) = duct_tile(7, 8, 6, params);
+        let (solver, mut duct) = duct_tile(7, 8, 6, params);
         for _ in 0..2 {
-            step_serial(&solver, &mut a, true);
+            step_serial(&solver, &mut duct, true);
         }
-        let nx = a.nx() as isize;
-        let ny = a.ny() as isize;
-        let nz = a.nz() as isize;
-        let runs = RunTable::build3(&a.mask);
+        let nx = duct.nx() as isize;
+        let ny = duct.ny() as isize;
+        let nz = duct.nz() as isize;
+        let runs = RunTable::build3(&duct.mask);
         solver.relax_window(
-            &mut a,
+            &mut duct,
             (-3, nz + 3),
             (-3, ny + 3),
             (-3, nx + 3),
             Some(&runs),
         );
-        let mut b = a.clone();
-        solver.shift(&mut a);
-        shift_reference(&mut b);
-        for q in 0..Q3 {
-            assert_eq!(a.f[q], b.f[q], "population {q} diverged");
+        let mut tiles = vec![duct];
+        // random masks, with a random value in every population slot
+        let init = InitialState3::uniform(params.rho0);
+        let mut d = Draw(43);
+        for n in 0..4 {
+            let (nx, ny, nz) = (7 + n % 3, 7 + n % 2, 5 + n % 3);
+            let mask = shift_mask(nx, ny, nz, &mut d);
+            let mut t = solver.make_tile(mask, params, (0, 0, 0), &init);
+            for v in t.f.iter_mut().flat_map(|fq| fq.raw_mut()) {
+                *v = d.below(1 << 40) as f64;
+            }
+            tiles.push(t);
         }
+        for (n, t) in tiles.into_iter().enumerate() {
+            let mut want = t.clone();
+            shift_reference(&mut want);
+            let mut fast = t.clone();
+            let runs = RunTable::build3(&fast.mask);
+            solver.shift(&mut fast, &runs);
+            let mut scalar = t;
+            solver.stream_scalar(&mut scalar);
+            for q in 0..Q3 {
+                assert_eq!(fast.f[q], want.f[q], "tile {n}: population {q} diverged");
+                assert_eq!(scalar.f[q], want.f[q], "tile {n}: oracle population {q}");
+            }
+        }
+    }
+
+    #[test]
+    fn shift_reuses_its_bounce_buffer() {
+        let (solver, mut t) = duct_tile(8, 7, 6, FluidParams::lattice_units(0.06));
+        let buffer = |t: &TileState3| {
+            let links = t
+                .shift_links
+                .as_ref()
+                .expect("the first shift builds the links");
+            (links.bounce_vals.as_ptr(), links.bounce_vals.capacity())
+        };
+        solver.compute(&mut t, 0);
+        let first = buffer(&t);
+        assert!(first.1 > 0, "a duct has bounce-back links");
+        for k in 1..3 {
+            solver.compute(&mut t, k);
+        }
+        solver.compute(&mut t, 0);
+        assert_eq!(buffer(&t), first, "the second shift reallocated");
     }
 
     #[test]

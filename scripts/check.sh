@@ -99,8 +99,11 @@ stage_scale() {
 stage_simd() {
     echo "==> SIMD/schedule equivalence smoke (release codegen)"
     # the fast == scalar pins again, under the release profile's
-    # target-cpu=native vectorized codegen (.cargo/config.toml)
+    # target-cpu=native vectorized codegen (.cargo/config.toml), and the
+    # solvers' own shift and relax unit tests in that codegen too (the test
+    # profile builds them at opt-level 1)
     cargo test --release -q -p subsonic-integration --test simd_equivalence
+    cargo test --release -q -p subsonic-solvers
 }
 
 stage_dist() {
