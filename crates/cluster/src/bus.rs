@@ -19,18 +19,20 @@
 //! so its finish point `v_fin = v + total / rate_scale` is **fixed at
 //! admission** — share recomputation on every join/leave is implicit in the
 //! accumulator's rate and costs nothing per transfer. Completions are found
-//! through an indexed min-heap keyed by `(v_fin, admission seq)` over
-//! slab-allocated transfer records: `advance` is O(1), `next_completion` is
-//! O(1) (a heap peek), and `complete_due` is O(log n) per completed transfer
-//! — where the PR 6 model paid O(n) per event for each of them plus an
-//! O(n) `Vec::remove` shift per completion. This is the fair
-//! throughput-sharing scheme of dslab's `SharedBandwidthNetwork`, specialised
-//! to the paper's single shared medium.
+//! through a priority queue (`crate::runheap::RunHeap`) keyed by
+//! `(v_fin, admission seq)` over slab-allocated transfer records: `advance`
+//! is O(1), `next_completion` is O(1) (a peek), and `complete_due` is O(1)
+//! per completed transfer admitted in finish order — a burst of equal-size
+//! halos admitted at one instant, or any admission finishing no earlier than
+//! the last one — and O(log n) for the rest. The PR 6 model paid O(n) per
+//! event for each of them plus an O(n) `Vec::remove` shift per completion.
+//! This is the fair throughput-sharing scheme of dslab's
+//! `SharedBandwidthNetwork`, specialised to the paper's single shared medium.
 //!
 //! Time-to-finish is share-independent: a transfer needing `r` residual bytes
 //! at share `s` finishes after `r / (s·dv/dt)` seconds, and `r = (v_fin −
 //! v)·s`, so the wall distance is `(v_fin − v) / (dv/dt)` for every transfer
-//! — which is why one global heap order in `v_fin` is also the completion
+//! — which is why one global order in `v_fin` is also the completion
 //! order in simulated time.
 //!
 //! **Completion order** is documented and pinned: payloads come back from
@@ -45,9 +47,10 @@
 //! and count an error when the rounds exceed the TCP give-up limit.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 use rand::Rng;
+
+use crate::runheap::RunHeap;
 
 /// What a completed transfer delivers.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -232,7 +235,7 @@ struct Transfer {
     started: f64, // wire time of the first transmission
 }
 
-/// A 24-byte completion-heap node: everything ordering needs without
+/// A 24-byte completion-queue node: everything ordering needs without
 /// touching the slab.
 #[derive(Debug, Clone, Copy)]
 struct DueNode {
@@ -257,18 +260,17 @@ impl PartialOrd for DueNode {
     }
 }
 impl Ord for DueNode {
+    /// Earliest `(v_fin, seq)` first; `seq` is unique, so the order is
+    /// total.
     fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap: invert so the earliest (v_fin, seq)
-        // pops first.
-        other
-            .v_fin
-            .total_cmp(&self.v_fin)
-            .then_with(|| other.seq.cmp(&self.seq))
+        self.v_fin
+            .total_cmp(&other.v_fin)
+            .then_with(|| self.seq.cmp(&other.seq))
     }
 }
 
 /// The simulated network: a virtual-service-time processor-sharing queue
-/// with an indexed completion heap.
+/// with an indexed completion queue.
 #[derive(Debug)]
 pub struct NetworkModel {
     cfg: NetworkConfig,
@@ -276,8 +278,8 @@ pub struct NetworkModel {
     /// have moved since the model was created. Advances at `bandwidth / k`
     /// on the bus and `bandwidth` on the switch; frozen while idle.
     v: f64,
-    /// Completion heap over the slab, keyed by `(v_fin, seq)`.
-    due: BinaryHeap<DueNode>,
+    /// Completion queue over the slab, keyed by `(v_fin, seq)`.
+    due: RunHeap<DueNode>,
     /// Transfer records; `None` marks a free slot.
     slab: Vec<Option<Transfer>>,
     free: Vec<u32>,
@@ -311,7 +313,7 @@ impl NetworkModel {
         Self {
             cfg,
             v: 0.0,
-            due: BinaryHeap::new(),
+            due: RunHeap::default(),
             slab: Vec::new(),
             free: Vec::new(),
             active: 0,
@@ -492,7 +494,7 @@ impl NetworkModel {
     }
 
     /// Absolute time at which the earliest in-flight transfer completes.
-    /// O(1): a heap peek plus the virtual-to-wall conversion, which is
+    /// O(1): a queue peek plus the virtual-to-wall conversion, which is
     /// share-independent (see the module docs).
     pub fn next_completion(&self) -> Option<f64> {
         let top = self.due.peek()?;
@@ -515,7 +517,7 @@ impl NetworkModel {
     ///
     /// If rounding leaves a residue beyond even that, the caller-observed
     /// invariant still holds: a valid-epoch completion event always finishes
-    /// at least the earliest transfer (the fallback completes the heap
+    /// at least the earliest transfer (the fallback completes the queue's
     /// minimum whenever its completion time rounds to `<= now`).
     pub fn complete_due(&mut self, now: f64) -> Vec<Completion> {
         let mut done = Vec::new();
@@ -528,7 +530,7 @@ impl NetworkModel {
     pub fn complete_due_into(&mut self, now: f64, done: &mut Vec<Completion>) {
         done.clear();
         self.advance(now);
-        // Tolerance in virtual units. Residual wire time of the heap top is
+        // Tolerance in virtual units. Residual wire time of the queue front is
         // `(v_fin − v) / v_rate`, so "due within a few ulps of the clock"
         // means `v_fin − v <= ulp(now)·v_rate`, plus a few ulps of the
         // accumulator itself for the rounding `advance` just performed.
@@ -545,7 +547,10 @@ impl NetworkModel {
             // earliest transfer was due. If its completion time rounds to
             // `<= now`, waiting cannot help — no future f64 instant gets
             // closer — so complete it regardless of residue.
-            let &top = self.due.peek().expect("active transfers but empty heap");
+            let &top = self
+                .due
+                .peek()
+                .expect("active transfers but empty completion queue");
             let finish_at = self.last_advance + (top.v_fin - self.v).max(0.0) / self.v_rate();
             if finish_at <= now {
                 self.due.pop();
@@ -558,12 +563,12 @@ impl NetworkModel {
         }
     }
 
-    /// Retires one heap node: frees its slab slot and records the
+    /// Retires one queue node: frees its slab slot and records the
     /// completion.
     fn finish(&mut self, node: DueNode, done: &mut Vec<Completion>) {
         let t = self.slab[node.slot as usize]
             .take()
-            .expect("completion heap pointed at a free slot");
+            .expect("completion queue pointed at a free slot");
         self.free.push(node.slot);
         self.active -= 1;
         self.messages += 1;
@@ -836,7 +841,7 @@ mod tests {
         // The documented completion order: (finish virtual time, admission
         // order). Four identical transfers admitted back-to-back at t = 0
         // share the bus symmetrically, finish at the same instant, and must
-        // come back 0, 1, 2, 3 — the PR 6 index order the indexed heap is
+        // come back 0, 1, 2, 3 — the PR 6 index order the completion queue is
         // not allowed to shuffle.
         let cfg = NetworkConfig {
             overhead_s: 0.0,

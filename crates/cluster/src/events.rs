@@ -3,27 +3,33 @@
 //!
 //! The queue keeps a *window* of `RING_BUCKETS` equal-width time buckets
 //! covering `[base, horizon)`; events inside the window go into their bucket
-//! (an unsorted `Vec` of nodes), events outside it into an overflow
-//! min-heap. Scheduling is O(1) for in-window events; popping scans an
-//! occupancy bitmap to the first non-empty bucket and takes that bucket's
+//! (an unsorted `Vec` of nodes), events outside it into an overflow queue.
+//! Scheduling is O(1) for in-window events; popping scans an occupancy
+//! bitmap to the first non-empty bucket and takes that bucket's
 //! `(time, seq)` minimum — O(bucket occupancy), which the adaptive bucket
 //! width keeps at a handful of nodes. A bucket that grows past a small
 //! threshold anyway (a synchronised burst — every host of a homogeneous
-//! cluster finishing a phase at the same instant) is promoted once into a
-//! *front min-heap*, turning what would be an O(k²) drain into O(k log k);
-//! see `front`/`FRONT_HEAP_MIN`. When the window drains, the queue
-//! re-anchors it at the overflow heap's minimum and re-tunes the width to
-//! the smoothed inter-event gap, so both dense event storms and sparse idle
-//! stretches stay cheap. Event payloads are `Copy` and live inline in the
-//! nodes; only cancellable events carry a claim on the generation slab, so
-//! the common schedule/pop path touches no indirect storage at all.
+//! cluster finishing a phase at the same instant) is promoted once into the
+//! *front* queue: sorted once, then popped in O(1) each, where a scan per
+//! pop would cost O(k²) for the burst; see `front`/`FRONT_HEAP_MIN`. Both
+//! the front and the overflow queue are `RunHeap`s (`crate::runheap`): a
+//! push at or after the tail of their sorted run (the burst's own
+//! successors, scheduled in `seq` order) is an O(1) append, and only
+//! out-of-order pushes pay a binary heap's O(log n). When the window
+//! drains, the queue re-anchors it at the overflow queue's minimum and
+//! re-tunes the width to the smoothed inter-event gap, so both dense event
+//! storms and sparse idle stretches stay cheap. Event payloads are `Copy`
+//! and live inline in the nodes; only cancellable events carry a claim on
+//! the generation slab, so the common schedule/pop path touches no indirect
+//! storage at all.
 //!
 //! Determinism: events fire in `(time, insertion seq)` order — exactly the
 //! PR 6 `BinaryHeap` contract (`reference::ReferenceEventQueue` pins it, and
 //! `tests/engine_equivalence.rs` checks the two against each other on random
 //! schedules). Bucketing never reorders: buckets partition the time axis into
 //! ascending disjoint intervals and the per-bucket scan takes the full
-//! `(time, seq)` minimum.
+//! `(time, seq)` minimum. Neither does the run/heap split of a `RunHeap`:
+//! `seq` makes every key unique, so its pops are a binary heap's.
 //!
 //! Time travel is a hard error: `schedule_at` into the past panics in every
 //! build profile. The PR 6 queue only `debug_assert`ed, so a release build
@@ -40,7 +46,8 @@
 //! earlier could leak into a subsequent `run()` call and end it early).
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+
+use crate::runheap::RunHeap;
 
 /// Events the cluster simulation processes.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -229,28 +236,24 @@ impl<K> Node<K> {
     }
 }
 
-/// Overflow-heap ordering: earliest `(time, seq)` pops first.
-#[derive(Debug, Clone, Copy)]
-struct FarNode<K>(Node<K>);
-
-impl<K> PartialEq for FarNode<K> {
+/// Queue order: earliest `(time, seq)` first. `seq` is unique, so the order
+/// is total and no two nodes compare equal.
+impl<K> PartialEq for Node<K> {
     fn eq(&self, other: &Self) -> bool {
-        self.0.time == other.0.time && self.0.seq == other.0.seq
+        self.cmp(other) == Ordering::Equal
     }
 }
-impl<K> Eq for FarNode<K> {}
-impl<K> PartialOrd for FarNode<K> {
+impl<K> Eq for Node<K> {}
+impl<K> PartialOrd for Node<K> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl<K> Ord for FarNode<K> {
+impl<K> Ord for Node<K> {
     fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .0
-            .time
-            .total_cmp(&self.0.time)
-            .then_with(|| other.0.seq.cmp(&self.0.seq))
+        self.time
+            .total_cmp(&other.time)
+            .then_with(|| self.seq.cmp(&other.seq))
     }
 }
 
@@ -264,9 +267,9 @@ const GAP_EWMA_SHIFT: u32 = 6;
 /// Target bucket width as a multiple of the mean inter-event gap (a few
 /// events per bucket keeps the per-pop scan short without wasting buckets).
 const WIDTH_GAIN: f64 = 4.0;
-/// Buckets at most this big are drained by linear scan; bigger ones (a
+/// Buckets smaller than this are drained by linear scan; bigger ones (a
 /// synchronised event burst the adaptive width cannot spread) are promoted
-/// to the front min-heap. Scan beats heapify while a bucket fits in a
+/// to the sorted front queue. Scan beats a sort while a bucket fits in a
 /// couple of cache lines.
 const FRONT_HEAP_MIN: usize = 9;
 
@@ -291,8 +294,10 @@ pub struct CalendarQueue<K: Copy> {
     occupied: [u64; BITMAP_WORDS],
     /// Nodes (live or stale) currently in the buckets.
     bucket_nodes: usize,
-    /// Events outside the window (before `base` or at/after `horizon`).
-    far: BinaryHeap<FarNode<K>>,
+    /// Events outside the window (before `base` or at/after `horizon`). A
+    /// burst scheduled past the horizon arrives in pop order, so it is
+    /// appended to the run and later drained into the window in O(1) each.
+    far: RunHeap<Node<K>>,
     /// Window start. The window covers `[base, horizon)`.
     base: f64,
     /// Bucket width in seconds.
@@ -304,13 +309,15 @@ pub struct CalendarQueue<K: Copy> {
     /// Window end: `base + RING_BUCKETS * width`.
     horizon: f64,
     /// The *front* bucket — the one pops are currently draining — promoted
-    /// into a min-heap, while all other buckets stay unsorted push-only
+    /// into a [`RunHeap`], while all other buckets stay unsorted push-only
     /// `Vec`s. Without this, a burst of synchronised events (every host of a
     /// big homogeneous cluster finishing its compute phase at the same
     /// instant) lands in one bucket and every pop re-walks it — an O(n²)
-    /// stall per step at 4096 hosts. Promotion heapifies the bucket once
-    /// (O(k)); pops and same-bucket inserts are then O(log k).
-    front: BinaryHeap<FarNode<K>>,
+    /// stall per step at 4096 hosts. Promotion sorts the bucket once into
+    /// the run (O(k log k)); pops are then O(1), and so are same-bucket
+    /// inserts at or after the run's tail (a burst scheduling its own
+    /// successors in `seq` order); earlier ones cost O(log k).
+    front: RunHeap<Node<K>>,
     /// Which bucket `front` holds, or `usize::MAX`.
     front_bucket: usize,
     /// Smoothed gap between consecutive distinct pop times.
@@ -341,12 +348,12 @@ impl<K: Copy> CalendarQueue<K> {
             buckets: (0..RING_BUCKETS).map(|_| Vec::new()).collect(),
             occupied: [0; BITMAP_WORDS],
             bucket_nodes: 0,
-            far: BinaryHeap::new(),
+            far: RunHeap::default(),
             base: 0.0,
             width,
             inv_width: 1.0 / width,
             horizon: RING_BUCKETS as f64 * width,
-            front: BinaryHeap::new(),
+            front: RunHeap::default(),
             front_bucket: usize::MAX,
             gap_ewma: 0.0,
             now: 0.0,
@@ -447,7 +454,7 @@ impl<K: Copy> CalendarQueue<K> {
             // Drop stale overflow tops so the window/far comparison below
             // sees a live minimum.
             if self.stale > 0 {
-                while let Some(&FarNode(n)) = self.far.peek() {
+                while let Some(&n) = self.far.peek() {
                     if self.is_live(&n) {
                         break;
                     }
@@ -456,7 +463,7 @@ impl<K: Copy> CalendarQueue<K> {
                 }
             }
             if self.bucket_nodes == 0 {
-                let &FarNode(top) = self.far.peek()?;
+                let &top = self.far.peek()?;
                 // A non-finite top (the +inf Stop sentinel) can't anchor a
                 // window — take it directly instead of re-anchoring at inf.
                 if top.time.is_finite() && (top.time >= self.horizon || top.time < self.base) {
@@ -482,17 +489,16 @@ impl<K: Copy> CalendarQueue<K> {
             };
             if self.front_bucket != b {
                 // An insert between `now` and the old front's range can make
-                // an earlier bucket the new front; demote the old heap back
+                // an earlier bucket the new front; demote the old front back
                 // to its (unsorted) bucket first.
                 if !self.front.is_empty() {
-                    let old = std::mem::take(&mut self.front);
-                    self.buckets[self.front_bucket].extend(old.into_iter().map(|f| f.0));
+                    self.buckets[self.front_bucket].extend(self.front.drain());
                 }
                 if self.buckets[b].len() < FRONT_HEAP_MIN {
                     // Common case: a handful of nodes — take the minimum by
                     // linear scan, no promotion.
                     if let Some((min, pos)) = self.scan_bucket(b) {
-                        if let Some(&FarNode(top)) = self.far.peek() {
+                        if let Some(&top) = self.far.peek() {
                             if top.time < self.base && top.key() < min.key() {
                                 self.far.pop();
                                 return Some(self.take(top));
@@ -510,14 +516,12 @@ impl<K: Copy> CalendarQueue<K> {
                     self.occupied[b / 64] &= !(1u64 << (b % 64));
                     continue;
                 }
-                // Synchronised burst: heapify once, then O(log k) drains.
-                self.front = std::mem::take(&mut self.buckets[b])
-                    .into_iter()
-                    .map(FarNode)
-                    .collect();
+                // Synchronised burst: sort once into the front's run, then
+                // O(1) drains.
+                self.front.fill_sorted(std::mem::take(&mut self.buckets[b]));
                 self.front_bucket = b;
             }
-            while let Some(&FarNode(min)) = self.front.peek() {
+            while let Some(&min) = self.front.peek() {
                 if self.stale > 0 && !self.is_live(&min) {
                     self.front.pop();
                     self.bucket_nodes -= 1;
@@ -526,7 +530,7 @@ impl<K: Copy> CalendarQueue<K> {
                 }
                 // An out-of-window event parked in `far` can precede the
                 // bucket minimum only if it lies before `base`.
-                if let Some(&FarNode(top)) = self.far.peek() {
+                if let Some(&top) = self.far.peek() {
                     if top.time < self.base && top.key() < min.key() {
                         self.far.pop();
                         return Some(self.take(top));
@@ -603,14 +607,14 @@ impl<K: Copy> CalendarQueue<K> {
         if time >= self.base && time < self.horizon {
             let b = self.bucket_of(time);
             if b == self.front_bucket {
-                self.front.push(FarNode(node));
+                self.front.push(node);
             } else {
                 self.buckets[b].push(node);
             }
             self.occupied[b / 64] |= 1u64 << (b % 64);
             self.bucket_nodes += 1;
         } else {
-            self.far.push(FarNode(node));
+            self.far.push(node);
         }
     }
 
@@ -698,7 +702,7 @@ impl<K: Copy> CalendarQueue<K> {
     /// pulls every overflow event that now fits into the window.
     fn rewindow(&mut self, t_min: f64) {
         debug_assert_eq!(self.bucket_nodes, 0);
-        // the window re-maps bucket indices; the (empty) front heap must
+        // the window re-maps bucket indices; the (empty) front queue must
         // not claim one of the new buckets
         self.front_bucket = usize::MAX;
         if self.gap_ewma > 0.0 {
@@ -707,7 +711,7 @@ impl<K: Copy> CalendarQueue<K> {
         }
         self.base = t_min;
         self.horizon = t_min + RING_BUCKETS as f64 * self.width;
-        while let Some(&FarNode(n)) = self.far.peek() {
+        while let Some(&n) = self.far.peek() {
             if self.stale > 0 && !self.is_live(&n) {
                 self.far.pop();
                 self.stale -= 1;

@@ -38,6 +38,7 @@ pub mod measure;
 pub mod policy;
 pub mod process;
 pub mod reference;
+mod runheap;
 pub mod sim;
 pub mod stats;
 pub mod transport;

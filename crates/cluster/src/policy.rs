@@ -42,24 +42,65 @@ impl SubmitPolicy {
         now: f64,
         hosts: impl Iterator<Item = (usize, &'a HostState)>,
     ) -> Option<usize> {
-        let mut best: Option<(u8, u8, f64, usize)> = None; // (tier, rank, load15, id)
-        for (id, h) in hosts {
-            if !h.available() || h.assigned_proc.is_some() || h.competitors > 0 {
-                continue;
-            }
-            let l15 = h.load15.at(now, h.run_queue());
-            let tier = if h.user_is_idle(now, self.idle_threshold_s) && l15 < self.load15_max {
-                0u8
-            } else {
-                1u8
-            };
-            let key = (tier, h.kind.preference_rank(), l15, id);
-            match &best {
-                Some(b) if (b.0, b.1, b.2) <= (key.0, key.1, key.2) => {}
-                _ => best = Some(key),
-            }
+        hosts
+            .filter_map(|(id, h)| self.key(now, id, h))
+            .min_by(PlacementKey::cmp)
+            .map(|k| k.id)
+    }
+
+    /// Every free host at `now`, best first: the order repeated
+    /// [`select`](Self::select) calls would pick them in if each pick were
+    /// taken out of the pool (marking a host taken changes only that host's
+    /// key). Placing `P` processes at once is then one pass over the cluster
+    /// instead of `P`.
+    pub(crate) fn rank<'a>(
+        &self,
+        now: f64,
+        hosts: impl Iterator<Item = (usize, &'a HostState)>,
+    ) -> Vec<usize> {
+        let mut keys: Vec<PlacementKey> =
+            hosts.filter_map(|(id, h)| self.key(now, id, h)).collect();
+        keys.sort_unstable_by(PlacementKey::cmp);
+        keys.into_iter().map(|k| k.id).collect()
+    }
+
+    /// `select`'s ranking key of host `id`, or `None` if it is not a
+    /// candidate.
+    fn key(&self, now: f64, id: usize, h: &HostState) -> Option<PlacementKey> {
+        if !h.available() || h.assigned_proc.is_some() || h.competitors > 0 {
+            return None;
         }
-        best.map(|(_, _, _, id)| id)
+        let l15 = h.load15.at(now, h.run_queue());
+        let tier = if h.user_is_idle(now, self.idle_threshold_s) && l15 < self.load15_max {
+            0
+        } else {
+            1
+        };
+        Some(PlacementKey {
+            tier,
+            rank: h.kind.preference_rank(),
+            l15,
+            id,
+        })
+    }
+}
+
+/// A candidate host's place in the submit order: idle tier, model
+/// preference, 15-minute load, then host id (the first host wins a tie).
+#[derive(Debug, Clone, Copy)]
+struct PlacementKey {
+    tier: u8,
+    rank: u8,
+    l15: f64,
+    id: usize,
+}
+
+impl PlacementKey {
+    fn cmp(a: &Self, b: &Self) -> std::cmp::Ordering {
+        (a.tier, a.rank)
+            .cmp(&(b.tier, b.rank))
+            .then(a.l15.total_cmp(&b.l15))
+            .then(a.id.cmp(&b.id))
     }
 }
 
@@ -339,5 +380,56 @@ mod tests {
         // the slow-but-clean host wins because the fast one exceeds 0.6
         let sel = p.select(now, hosts.iter().enumerate());
         assert_eq!(sel, Some(1));
+    }
+
+    /// A random pool: mixed models, users active or idle since a random
+    /// time, random 15-minute loads (untouched hosts tie at 0 and fall back
+    /// to the id), and some hosts down, frozen, busy or already taken.
+    fn random_pool(seed: u64) -> (f64, Vec<HostState>) {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut r = SmallRng::seed_from_u64(seed);
+        let now = r.gen_range(0usize..4) as f64 * 900.0;
+        let kinds = [HostKind::Hp715_50, HostKind::Hp710, HostKind::Hp720];
+        let hosts = (0..r.gen_range(1usize..64))
+            .map(|_| {
+                let mut h = HostState::new(kinds[r.gen_range(0usize..3)]);
+                h.user_active = r.gen_range(0usize..3) == 0;
+                h.idle_since = now - r.gen_range(0usize..3) as f64 * 900.0;
+                if r.gen_range(0usize..2) == 0 {
+                    let t = r.gen_range(0.0..now.max(1.0));
+                    h.load15.advance(t, r.gen_range(0usize..3) as f64);
+                }
+                match r.gen_range(0usize..16) {
+                    0 => h.up = false,
+                    1 => h.frozen = true,
+                    2 => h.competitors = 1,
+                    3 => h.assigned_proc = Some(usize::MAX),
+                    _ => {}
+                }
+                h
+            })
+            .collect();
+        (now, hosts)
+    }
+
+    proptest::proptest! {
+        /// `rank` lists hosts in exactly the order repeated `select` calls
+        /// pick them when each pick is touched and taken, as `ClusterSim`'s
+        /// placement did one call per process, and ends where `select` runs
+        /// out of hosts.
+        #[test]
+        fn rank_matches_repeated_select(seed in proptest::prelude::any::<u64>()) {
+            let p = SubmitPolicy::default();
+            let (now, mut hosts) = random_pool(seed);
+            let ranked = p.rank(now, hosts.iter().enumerate());
+            let mut picked = Vec::new();
+            while let Some(h) = p.select(now, hosts.iter().enumerate()) {
+                hosts[h].touch(now);
+                hosts[h].assigned_proc = Some(picked.len());
+                picked.push(h);
+            }
+            proptest::prop_assert_eq!(ranked, picked, "seed {}", seed);
+        }
     }
 }

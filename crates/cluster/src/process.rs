@@ -148,13 +148,14 @@ impl Inbox {
     }
 
     /// Whether every sender in `needed` has delivered for `(step, xch)`.
-    pub fn have_all(&self, step: u64, xch: usize, needed: &[usize]) -> bool {
+    pub fn have_all(&self, step: u64, xch: usize, needed: impl IntoIterator<Item = usize>) -> bool {
+        let mut needed = needed.into_iter();
         match self.find(step, xch) {
             Some(i) => {
                 let e = &self.entries[i];
-                needed.iter().all(|&n| e.contains(n as u32))
+                needed.all(|n| e.contains(n as u32))
             }
-            None => needed.is_empty(),
+            None => needed.next().is_none(),
         }
     }
 
@@ -263,8 +264,10 @@ impl SimProcess {
         self.inbox.insert(step, xch, from)
     }
 
-    /// Whether all `needed` senders have delivered for `(step, xch)`.
-    pub fn have_all(&self, step: u64, xch: usize, needed: &[usize]) -> bool {
+    /// Whether all `needed` senders have delivered for `(step, xch)`. The
+    /// simulator passes a tile's neighbour list as an iterator, so a
+    /// receive check neither allocates nor needs a peer table of its own.
+    pub fn have_all(&self, step: u64, xch: usize, needed: impl IntoIterator<Item = usize>) -> bool {
         self.inbox.have_all(step, xch, needed)
     }
 
@@ -309,15 +312,15 @@ mod tests {
     #[test]
     fn inbox_tracks_senders() {
         let mut p = SimProcess::new(0, 0);
-        assert!(p.have_all(3, 0, &[]));
-        assert!(!p.have_all(3, 0, &[1, 2]));
+        assert!(p.have_all(3, 0, []));
+        assert!(!p.have_all(3, 0, [1, 2]));
         assert!(p.receive(3, 0, 1));
         assert!(!p.receive(3, 0, 1), "duplicate delivery detected");
-        assert!(!p.have_all(3, 0, &[1, 2]));
+        assert!(!p.have_all(3, 0, [1, 2]));
         p.receive(3, 0, 2);
-        assert!(p.have_all(3, 0, &[1, 2]));
+        assert!(p.have_all(3, 0, [1, 2]));
         p.consume(3, 0);
-        assert!(!p.have_all(3, 0, &[1, 2]));
+        assert!(!p.have_all(3, 0, [1, 2]));
     }
 
     #[test]
@@ -344,7 +347,7 @@ mod tests {
         // a fast neighbour may deliver step-7 data while we are at step 5
         let mut p = SimProcess::new(0, 0);
         p.receive(7, 0, 3);
-        assert!(p.have_all(7, 0, &[3]));
-        assert!(!p.have_all(5, 0, &[3]));
+        assert!(p.have_all(7, 0, [3]));
+        assert!(!p.have_all(5, 0, [3]));
     }
 }

@@ -3,7 +3,7 @@
 //!
 //! The production [`crate::events::EventQueue`] (calendar/bucket queue over
 //! slab-allocated events) and [`crate::bus::NetworkModel`] (virtual-service-
-//! time bus with an indexed completion heap) replace these O(n)-per-event
+//! time bus with an indexed completion queue) replace these O(n)-per-event
 //! structures, but their *observable* contracts — pop order, completion
 //! order, completion times, counter and RNG-draw semantics — are defined by
 //! the originals. `tests/engine_equivalence.rs` runs both side by side on

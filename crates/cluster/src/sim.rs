@@ -276,8 +276,6 @@ pub struct ClusterSim {
     migration_from: Vec<(usize, usize)>, // (proc, origin host)
     stats: ClusterStats,
     finished_at: Option<f64>,
-    /// Per-xch, per-proc: ids of lower-ranked peers (strict ordering gates).
-    lower_peers: Vec<Vec<Vec<usize>>>,
     /// Events dispatched so far (simulation throughput accounting).
     events_processed: u64,
     /// Flight-recorder session (disabled by default: recording costs nothing
@@ -343,19 +341,6 @@ impl ClusterSim {
             }
         }
 
-        // strict-ordering gate lists
-        let n_x = cfg.workload.exchanges_per_step();
-        let mut lower_peers = vec![vec![Vec::new(); n_proc]; n_x];
-        for (pid, tile) in cfg.workload.tiles.iter().enumerate() {
-            for (x, links) in tile.neighbors.iter().enumerate() {
-                lower_peers[x][pid] = links
-                    .iter()
-                    .map(|&(peer, _)| peer)
-                    .filter(|&peer| peer < pid)
-                    .collect();
-            }
-        }
-
         let n_hosts = hosts.len();
         let mut sim = Self {
             net: NetworkModel::new(cfg.net),
@@ -380,7 +365,6 @@ impl ClusterSim {
             migration_from: Vec::new(),
             stats: ClusterStats::default(),
             finished_at: None,
-            lower_peers,
             events_processed: 0,
             recorder: FlightRecorder::disabled(),
             tracks: Vec::new(),
@@ -396,13 +380,14 @@ impl ClusterSim {
             cfg,
         };
 
-        // submit: place every process
-        for pid in 0..n_proc {
-            let host = sim
-                .cfg
-                .submit
-                .select(0.0, sim.hosts.iter().enumerate())
-                .expect("no free workstation for a parallel subprocess");
+        // submit: place every process, in the order repeated `select` calls
+        // would, from one ranking of the pool
+        let ranked = sim.cfg.submit.rank(0.0, sim.hosts.iter().enumerate());
+        assert!(
+            ranked.len() >= n_proc,
+            "no free workstation for a parallel subprocess"
+        );
+        for (pid, &host) in ranked[..n_proc].iter().enumerate() {
             sim.hosts[host].touch(0.0);
             sim.hosts[host].assigned_proc = Some(pid);
             sim.procs.push(SimProcess::new(pid, host));
@@ -832,7 +817,11 @@ impl ClusterSim {
             debug_assert_ne!(peer, pid, "self-links are not supported by the cluster sim");
             let gated = self.cfg.ordering == CommOrdering::Strict
                 && peer > pid
-                && !self.procs[pid].have_all(step, xch, &self.lower_peers[xch][pid]);
+                && !self.procs[pid].have_all(
+                    step,
+                    xch,
+                    self.senders(pid, xch).filter(|&p| p < pid),
+                );
             if gated {
                 self.procs[pid].deferred_sends.push((peer, bytes, xch));
             } else {
@@ -1345,18 +1334,18 @@ impl ClusterSim {
         }
     }
 
-    fn needed_senders(&self, pid: usize, xch: usize) -> Vec<usize> {
+    /// Every peer `pid` receives from in exchange `xch`; the lower-ranked
+    /// ones gate strict-ordering sends.
+    fn senders(&self, pid: usize, xch: usize) -> impl Iterator<Item = usize> + '_ {
         self.cfg.workload.tiles[pid].neighbors[xch]
             .iter()
             .map(|&(peer, _)| peer)
-            .collect()
     }
 
     fn try_finish_recv(&mut self, pid: usize, xch: usize) {
         let now = self.now();
         let step = self.procs[pid].step;
-        let needed = self.needed_senders(pid, xch);
-        if self.procs[pid].have_all(step, xch, &needed) {
+        if self.procs[pid].have_all(step, xch, self.senders(pid, xch)) {
             if !self.procs[pid].consume(step, xch) {
                 self.stats.out_of_order_consumes += 1;
             }
@@ -1559,7 +1548,8 @@ impl ClusterSim {
             let cur_step = self.procs[pid].step;
             let deferred = std::mem::take(&mut self.procs[pid].deferred_sends);
             for (peer, bytes, dxch) in deferred {
-                let ok = self.procs[pid].have_all(cur_step, dxch, &self.lower_peers[dxch][pid]);
+                let lower = self.senders(pid, dxch).filter(|&p| p < pid);
+                let ok = self.procs[pid].have_all(cur_step, dxch, lower);
                 if ok {
                     self.offer_halo(pid, peer, bytes, cur_step, dxch);
                 } else {
@@ -1570,19 +1560,19 @@ impl ClusterSim {
 
         if let ProcState::WaitingRecv { xch: wx } = self.procs[pid].state {
             let cur_step = self.procs[pid].step;
-            if wx == xch && cur_step == step {
-                let needed = self.needed_senders(pid, xch);
-                if self.procs[pid].have_all(cur_step, xch, &needed) {
-                    let p = &mut self.procs[pid];
-                    let waited_since = p.wait_since;
-                    p.t_com += now - waited_since;
-                    if !p.consume(cur_step, xch) {
-                        self.stats.out_of_order_consumes += 1;
-                    }
-                    self.rec_span(pid, Category::Halo, "halo wait", waited_since, now);
-                    self.advance_phase(pid);
-                    return;
+            if wx == xch
+                && cur_step == step
+                && self.procs[pid].have_all(cur_step, xch, self.senders(pid, xch))
+            {
+                let p = &mut self.procs[pid];
+                let waited_since = p.wait_since;
+                p.t_com += now - waited_since;
+                if !p.consume(cur_step, xch) {
+                    self.stats.out_of_order_consumes += 1;
                 }
+                self.rec_span(pid, Category::Halo, "halo wait", waited_since, now);
+                self.advance_phase(pid);
+                return;
             }
         }
         // a delivery frees the receiver's event loop to accept the next

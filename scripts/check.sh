@@ -9,7 +9,7 @@
 #   stage: `check.sh build test`, `check.sh dist`, `check.sh sched`, ...
 #
 # Stages: fmt codec build test clippy faults partition trace engine scale
-#         simd dist sched chaos benchmark
+#         simd codegen dist sched chaos benchmark
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -106,6 +106,18 @@ stage_simd() {
     cargo test --release -q -p subsonic-solvers
 }
 
+stage_codegen() {
+    echo "==> baseline-ISA codegen (bitwise pins built for target-cpu=x86-64)"
+    # .cargo/config.toml builds for the host's own vector ISA and promises
+    # that another target CPU changes no result, only the rate. Hold it to
+    # that: the same bitwise pins (ORACLE_SEALS included), built for the
+    # SSE2-only x86-64 baseline into their own target dir so the native
+    # build's artifacts are neither reused nor overwritten
+    RUSTFLAGS="-C target-cpu=x86-64" CARGO_TARGET_DIR=target/codegen-x86-64 \
+        cargo test --release -q -p subsonic-integration \
+        --test conformance --test simd_equivalence --test golden_rows
+}
+
 stage_dist() {
     echo "==> dist smoke (4 OS processes over loopback TCP, one SIGKILLed mid-run)"
     # hard wall-clock cap: a hung socket or deadlocked supervisor must fail
@@ -147,7 +159,7 @@ stage_benchmark() {
     bash benchmark/check.sh
 }
 
-ALL_STAGES=(fmt codec build test clippy faults partition trace engine scale simd dist sched chaos benchmark)
+ALL_STAGES=(fmt codec build test clippy faults partition trace engine scale simd codegen dist sched chaos benchmark)
 
 run_stage() {
     local t0=$SECONDS
@@ -168,6 +180,7 @@ dispatch_stage() {
         engine)         stage_engine ;;
         scale)          stage_scale ;;
         simd)           stage_simd ;;
+        codegen)        stage_codegen ;;
         dist)           stage_dist ;;
         sched)          stage_sched ;;
         chaos)          stage_chaos ;;

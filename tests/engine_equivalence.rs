@@ -16,6 +16,12 @@
 //!
 //! Each proptest case draws one seed; the op schedules are expanded from it
 //! with a `SmallRng`, so a failure reproduces from the printed seed alone.
+//!
+//! Besides uniform random schedules, both engines get *burst* schedules, the
+//! shape a synchronised cluster produces and the shape the queues' sorted
+//! runs are built for: a thousand-plus events at one instant with more
+//! scheduled into the bucket being drained, and dozens of transfers
+//! admitted at one instant, equal-sized or largest first.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -57,6 +63,77 @@ fn queue_ops(seed: u64) -> Vec<QueueOp> {
             }
         })
         .collect()
+}
+
+/// Expands a seed into burst rounds: each round schedules 1000–1499 events
+/// at one instant (plus a few far beyond the calendar window), then pops
+/// them while scheduling into the draining bucket — at the popped time
+/// itself (after the run's tail), a whisker later, or a short descending
+/// run (before the tail, so out of order).
+fn burst_queue_ops(seed: u64) -> Vec<QueueOp> {
+    let mut r = SmallRng::seed_from_u64(seed);
+    let mut ops = Vec::new();
+    for _ in 0..r.gen_range(1usize..4) {
+        let at = r.gen_range(0usize..50) as f64 * 1e-3;
+        let n = r.gen_range(1000usize..1500);
+        for tag in 0..n {
+            ops.push(QueueOp::Schedule { delay: at, tag });
+            if r.gen_range(0usize..200) == 0 {
+                let delay = r.gen_range(1usize..100) as f64 * 1e3;
+                ops.push(QueueOp::ScheduleCancellable { delay, tag });
+            }
+        }
+        for _ in 0..r.gen_range(n / 2..n + n / 2) {
+            ops.push(QueueOp::Pop);
+            match r.gen_range(0usize..8) {
+                0 => ops.push(QueueOp::Schedule { delay: 0.0, tag: 0 }),
+                1 => {
+                    let delay = r.gen_range(1usize..10) as f64 * 1e-9;
+                    ops.push(QueueOp::Schedule { delay, tag: 1 });
+                }
+                2 => {
+                    for k in (0..r.gen_range(2usize..6)).rev() {
+                        let delay = k as f64 * 1e-9;
+                        ops.push(QueueOp::ScheduleCancellable { delay, tag: 2 });
+                    }
+                }
+                _ => {}
+            }
+        }
+    }
+    ops
+}
+
+/// Runs the production queue and the reference heap through one op schedule
+/// and demands identical pop streams, clocks and lengths, then drains both.
+fn check_queue_equivalence(ops: &[QueueOp], seed: u64) {
+    let mut q = EventQueue::new();
+    let mut r = ReferenceEventQueue::new();
+    for &op in ops {
+        match op {
+            QueueOp::Schedule { delay, tag } => {
+                q.schedule(delay, EventKind::JobArrival { host: tag });
+                r.schedule(delay, EventKind::JobArrival { host: tag });
+            }
+            QueueOp::ScheduleCancellable { delay, tag } => {
+                let _h = q.schedule_cancellable(delay, EventKind::JobDeparture { host: tag });
+                r.schedule(delay, EventKind::JobDeparture { host: tag });
+            }
+            QueueOp::Pop => {
+                assert_eq!(q.pop(), r.pop(), "seed {seed}");
+                assert!(q.now() == r.now(), "clock diverged (seed {seed})");
+            }
+        }
+        assert_eq!(q.len(), r.len(), "seed {seed}");
+    }
+    // drain both: every remaining event must agree too
+    loop {
+        let got = q.pop();
+        assert_eq!(got, r.pop(), "drain diverged (seed {seed})");
+        if got.is_none() {
+            break;
+        }
+    }
 }
 
 /// One randomized bus admission.
@@ -127,8 +204,44 @@ fn drive_bus<M>(
     }
 }
 
-fn check_bus_equivalence(kind: NetworkKindCfg, transport: Transport, seed: u64) {
-    let adms = admissions(seed);
+/// Expands a seed into admission bursts: each burst admits 64–99 transfers
+/// at one instant, either all the same size at full share (they finish
+/// together, in admission order) or largest first at random shares (mostly
+/// finishing before earlier admissions of the burst).
+fn burst_admissions(seed: u64) -> Vec<Admission> {
+    let mut r = SmallRng::seed_from_u64(seed);
+    let mut out = Vec::new();
+    for _ in 0..r.gen_range(1usize..4) {
+        let gap = r.gen_range(1usize..200) as f64 * 1e-3;
+        let n = r.gen_range(64usize..100);
+        let equal = r.gen_range(0usize..2) == 0;
+        let bytes = r.gen_range(1usize..64) as f64 * 1024.0;
+        for i in 0..n {
+            let gap = if i == 0 { gap } else { 0.0 };
+            out.push(if equal {
+                Admission {
+                    gap,
+                    bytes,
+                    rate_scale: 1.0,
+                }
+            } else {
+                Admission {
+                    gap,
+                    bytes: (n - i) as f64 * 1024.0,
+                    rate_scale: r.gen_range(1usize..5) as f64 * 0.25,
+                }
+            });
+        }
+    }
+    out
+}
+
+fn check_bus_equivalence(
+    kind: NetworkKindCfg,
+    transport: Transport,
+    adms: &[Admission],
+    seed: u64,
+) {
     let cfg = NetworkConfig {
         kind,
         transport,
@@ -138,7 +251,7 @@ fn check_bus_equivalence(kind: NetworkKindCfg, transport: Transport, seed: u64) 
     };
     let new = drive_bus(
         NetworkModel::new(cfg),
-        &adms,
+        adms,
         seed,
         |m, t, b, s, p, rng| m.start_transfer_faulted(t, b, s, p, rng, false),
         NetworkModel::next_completion,
@@ -146,7 +259,7 @@ fn check_bus_equivalence(kind: NetworkKindCfg, transport: Transport, seed: u64) 
     );
     let reference = drive_bus(
         ReferenceNetworkModel::new(cfg),
-        &adms,
+        adms,
         seed,
         |m, t, b, s, p, rng| m.start_transfer_faulted(t, b, s, p, rng, false),
         ReferenceNetworkModel::next_completion,
@@ -182,33 +295,16 @@ proptest! {
     /// schedules and pops (including the cancellable-schedule path).
     #[test]
     fn queue_matches_reference_exactly(seed in any::<u64>()) {
-        let mut q = EventQueue::new();
-        let mut r = ReferenceEventQueue::new();
-        for op in queue_ops(seed) {
-            match op {
-                QueueOp::Schedule { delay, tag } => {
-                    q.schedule(delay, EventKind::JobArrival { host: tag });
-                    r.schedule(delay, EventKind::JobArrival { host: tag });
-                }
-                QueueOp::ScheduleCancellable { delay, tag } => {
-                    let _h = q.schedule_cancellable(delay, EventKind::JobDeparture { host: tag });
-                    r.schedule(delay, EventKind::JobDeparture { host: tag });
-                }
-                QueueOp::Pop => {
-                    prop_assert_eq!(q.pop(), r.pop(), "seed {}", seed);
-                    prop_assert!(q.now() == r.now(), "clock diverged (seed {})", seed);
-                }
-            }
-            prop_assert_eq!(q.len(), r.len());
-        }
-        // drain both: every remaining event must agree too
-        loop {
-            let got = q.pop();
-            prop_assert_eq!(got, r.pop(), "drain diverged (seed {})", seed);
-            if got.is_none() {
-                break;
-            }
-        }
+        check_queue_equivalence(&queue_ops(seed), seed);
+    }
+
+    /// The same exact pop stream on burst schedules: a thousand-plus events
+    /// at one instant (promoted to the sorted front), schedules into the
+    /// bucket being drained, in and out of the run's order, and far-window
+    /// events.
+    #[test]
+    fn queue_bursts_match_reference_exactly(seed in any::<u64>()) {
+        check_queue_equivalence(&burst_queue_ops(seed), seed);
     }
 
     /// The virtual-service-time bus reproduces the PR 6 per-transfer-counter
@@ -216,20 +312,35 @@ proptest! {
     /// completion times within a relative whisker, RNG draws aligned.
     #[test]
     fn shared_bus_matches_reference(seed in any::<u64>()) {
-        check_bus_equivalence(NetworkKindCfg::SharedBus, Transport::Tcp, seed);
+        check_bus_equivalence(NetworkKindCfg::SharedBus, Transport::Tcp, &admissions(seed), seed);
     }
 
     /// Same equivalence on an idealised switch (no bandwidth sharing — the
     /// accumulator runs at full rate regardless of the active count).
     #[test]
     fn switched_bus_matches_reference(seed in any::<u64>()) {
-        check_bus_equivalence(NetworkKindCfg::Switched, Transport::Tcp, seed);
+        check_bus_equivalence(NetworkKindCfg::Switched, Transport::Tcp, &admissions(seed), seed);
     }
 
     /// UDP on a saturating shared bus: the loss draws must stay aligned, so
     /// the `losses` counter and per-completion `delivered` flags agree.
     #[test]
     fn udp_bus_matches_reference(seed in any::<u64>()) {
-        check_bus_equivalence(NetworkKindCfg::SharedBus, Transport::Udp, seed);
+        check_bus_equivalence(NetworkKindCfg::SharedBus, Transport::Udp, &admissions(seed), seed);
+    }
+
+    /// Bursts of simultaneous admissions on the shared bus: equal-size
+    /// transfers finish together and deliver in admission order; largest
+    /// first finish in reverse admission order.
+    #[test]
+    fn shared_bus_bursts_match_reference(seed in any::<u64>()) {
+        check_bus_equivalence(NetworkKindCfg::SharedBus, Transport::Tcp, &burst_admissions(seed), seed);
+    }
+
+    /// The same bursts on the switch, where nothing slows a transfer down,
+    /// so equal-size bursts finish at exactly one virtual time.
+    #[test]
+    fn switched_bus_bursts_match_reference(seed in any::<u64>()) {
+        check_bus_equivalence(NetworkKindCfg::Switched, Transport::Tcp, &burst_admissions(seed), seed);
     }
 }
